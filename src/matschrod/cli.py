@@ -9,7 +9,8 @@ Configs are UTF-8 JSON over a fixed schema; unknown keys are rejected and
 every run echoes the fully resolved configuration to
 ``resolved-config.json``, which can be re-ingested to reproduce the run
 bit for bit (verdict files carry no timings).  Dotted flags override single
-values, e.g. ``--grid.N=500`` or ``--coefficients.v.kind=harmonic``.
+values, e.g. ``--grid.N=500`` or ``--coefficients.v.kind=harmonic``; a
+switched kind drops the keys its block held only from the defaults.
 
 Exit codes: 0 all verdicts passed; 1 a verdict failed; 2 configuration
 error; 3 solver failure (non-convergence, under-resolved quadrature).
@@ -74,6 +75,9 @@ _OPEN_PATHS = {
     "gallery.params",
 }
 
+#: open subtrees whose keys follow their "kind"
+_KIND_BLOCKS = ("coefficients.q", "coefficients.v", "evolve.initial_state")
+
 
 # -- config plumbing ----------------------------------------------------------
 
@@ -95,6 +99,35 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         else:
             base[key] = copy.deepcopy(value)
     return base
+
+
+def _lookup(tree, dotted: str):
+    for part in dotted.split("."):
+        if not isinstance(tree, dict) or part not in tree:
+            return None
+        tree = tree[part]
+    return tree
+
+
+def _apply_override(config: dict, dotted: str, value, defaulted: dict):
+    """Set one dotted flag; a switched kind drops its block's default keys.
+
+    ``defaulted`` maps each kind block to the keys it still holds from
+    DEFAULT_CONFIG.  Keys the user set (by flag or file) are never dropped,
+    so one the new kind does not accept is still rejected by validation.
+    """
+    block, _, key = dotted.rpartition(".")
+    current = _lookup(config, block)
+    if block in defaulted and isinstance(current, dict):
+        if key == "kind" and current.get("kind") != value:
+            for stale in defaulted[block]:
+                current.pop(stale, None)
+            defaulted[block].clear()
+        defaulted[block].discard(key)
+    for path, keys in defaulted.items():
+        if path == dotted or path.startswith(dotted + "."):
+            keys.clear()
+    _set_by_path(config, dotted, value)
 
 
 def _set_by_path(config: dict, dotted: str, value):
@@ -256,6 +289,7 @@ def _validate_config(config: dict):
 def resolve_config(config_path, overrides, seed=None, out=None) -> dict:
     """Defaults, then file config, then dotted overrides, then --seed/--out."""
     config = copy.deepcopy(DEFAULT_CONFIG)
+    defaulted = {path: set(_lookup(config, path)) - {"kind"} for path in _KIND_BLOCKS}
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
@@ -267,8 +301,11 @@ def resolve_config(config_path, overrides, seed=None, out=None) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
         _merge(config, loaded)
+        for path in _KIND_BLOCKS:
+            if _lookup(loaded, path) is not None:
+                defaulted[path].clear()  # the file replaced the whole block
     for dotted, value in overrides:
-        _set_by_path(config, dotted, value)
+        _apply_override(config, dotted, value, defaulted)
     if seed is not None:
         config["seed"] = seed
     if out is not None:
@@ -485,6 +522,7 @@ def _cmd_spectrum(config: dict, outdir: Path) -> bool:
                 "max_residual": float(report.residuals.max()),
                 "matrix_norm": report.matrix_norm,
                 "method": report.method,
+                "shift": report.shift,
             },
         }
     ]

@@ -84,8 +84,11 @@ class SymmetricOperator:
     """Assembled sparse form matrix plus coefficient metadata.
 
     ``matrix`` is the form matrix S (CSR, exactly symmetric); ``generator()``
-    returns B = S / h^d.  The dense eigendecomposition of B is cached lazily
-    for repeated propagation at dimensions <= DENSE_LIMIT.
+    returns B = S / h^d.  ``potential_min_eigenvalue`` is the smallest
+    eigenvalue of the sampled V over all nodes, a lower bound for the
+    spectrum of B because the diffusion part is PSD.  The dense
+    eigendecomposition of B is cached lazily for repeated propagation at
+    dimensions <= DENSE_LIMIT.
     """
 
     def __init__(
@@ -98,6 +101,7 @@ class SymmetricOperator:
         q_diagonal: bool,
         potential_psd: bool,
         potential_offdiag_max: float,
+        potential_min_eigenvalue: float,
     ):
         self.matrix = matrix
         self.grid = grid
@@ -106,6 +110,7 @@ class SymmetricOperator:
         self.q_diagonal = q_diagonal
         self.potential_psd = potential_psd
         self.potential_offdiag_max = potential_offdiag_max
+        self.potential_min_eigenvalue = potential_min_eigenvalue
         self._generator = None
         self._dense_eig = None
 
@@ -169,12 +174,16 @@ def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
         q_diagonal=assembly.q_diagonal,
         potential_psd=assembly.potential_psd,
         potential_offdiag_max=assembly.potential.offdiag_max,
+        potential_min_eigenvalue=assembly.potential.min_eigenvalue,
     )
 
 
 @dataclass
 class SpectrumReport:
-    """Lowest eigenvalues of the generator with a-posteriori residuals."""
+    """Lowest eigenvalues of the generator with a-posteriori residuals.
+
+    ``shift`` is the Lanczos shift sigma (``None`` for the dense path).
+    """
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
@@ -182,6 +191,7 @@ class SpectrumReport:
     iterations: int
     tol: float
     matrix_norm: float
+    shift: float | None = None
     eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self, path):
@@ -202,7 +212,8 @@ def eigen_lowest(
     """The k smallest generator eigenvalues, sorted ascending with multiplicity.
 
     ``method`` is "dense" (direct solve, dimension <= DENSE_LIMIT), "lanczos"
-    (shift-invert Lanczos at shift -1 with full reorthogonalization, start
+    (shift-invert Lanczos at shift sigma = min(-1, min V - 1), which lies
+    at least 1 below the spectrum, with full reorthogonalization and a start
     vector drawn from ``seed``), or "auto" which picks dense when the
     dimension permits.  Residuals ||B v - lambda v|| are measured against
     ``matrix_norm`` (the infinity norm of B); non-convergence raises
@@ -237,7 +248,13 @@ def _eigen_dense(op: SymmetricOperator, k: int, tol: float) -> SpectrumReport:
 
 
 def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> SpectrumReport:
-    """Shift-invert Lanczos: largest eigenvalues of (B + I)^-1 <-> smallest of B.
+    """Shift-invert Lanczos: largest eigenvalues of (B - sigma I)^-1 <-> smallest of B.
+
+    The diffusion part of B is PSD, so B >= (min V) I and the shift
+    sigma = min(-1, min V - 1) makes B - sigma I >= I.  That matrix is SPD,
+    so it is factored Cholesky-like: a symmetric minimum-degree ordering of
+    A^T + A and diagonal pivots without row interchanges, which is stable
+    and fills far less than a pivoted LU.
 
     Full reorthogonalization against the whole basis every step (robustness
     over speed at these problem sizes); on breakdown the basis is continued
@@ -246,7 +263,14 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     b = op.generator()
     n = op.dim
     bnorm = op.generator_norm_bound()
-    solve = spla.splu((b + sparse.identity(n, format="csr")).tocsc()).solve
+    sigma = min(-1.0, op.potential_min_eigenvalue - 1.0)
+    shifted = (b - sigma * sparse.identity(n, format="csr")).tocsc()
+    solve = spla.splu(
+        shifted,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    ).solve
     rng = np.random.default_rng(seed)
     max_dim = min(n, max(8 * k, 160))
     basis = np.empty((n, max_dim))
@@ -278,7 +302,9 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
             betas[j] = beta
             q = w / beta
         if j + 1 >= k and (j % 3 == 0 or j == max_dim - 1):
-            report = _ritz_report(b, basis[:, : j + 1], alphas[: j + 1], betas[:j], k, tol, bnorm, j + 1)
+            report = _ritz_report(
+                b, basis[:, : j + 1], alphas[: j + 1], betas[:j], k, tol, bnorm, j + 1, sigma
+            )
             if np.all(report.residuals <= tol * bnorm):
                 return report
     raise ConvergenceError(
@@ -287,15 +313,16 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     )
 
 
-def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, iterations) -> SpectrumReport:
+def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, iterations, sigma) -> SpectrumReport:
     tri = np.diag(alphas)
     if len(betas):
         tri += np.diag(betas, 1) + np.diag(betas, -1)
     theta, y = scipy.linalg.eigh(tri)
-    # largest theta of (B + I)^-1 correspond to the smallest eigenvalues of B
+    # largest theta of (B - sigma I)^-1 correspond to the smallest eigenvalues
+    # of B, via lambda = 1/theta + sigma
     order = np.argsort(theta)[::-1][:k]
     theta = np.maximum(theta[order], 1e-300)
-    lams = 1.0 / theta - 1.0
+    lams = 1.0 / theta + sigma
     vecs = basis @ y[:, order]
     vecs /= np.linalg.norm(vecs, axis=0)
     res = np.linalg.norm(b @ vecs - vecs * lams, axis=0)
@@ -307,6 +334,7 @@ def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, iterations) -> Spectrum
         iterations=iterations,
         tol=tol,
         matrix_norm=bnorm,
+        shift=sigma,
         eigenvectors=vecs[:, asc],
     )
 

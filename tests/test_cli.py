@@ -50,6 +50,9 @@ def test_spectrum_matches_closed_form(tmp_path):
     k = np.arange(1, 13)
     expected = (4.0 / h**2) * np.sin(k * np.pi / (2.0 * 65)) ** 2
     np.testing.assert_allclose(computed, expected, rtol=1e-10)
+    detail = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]
+    assert detail["method"] == "dense"
+    assert detail["shift"] is None
 
 
 def test_spectrum_with_sandwich_emits_dat(tmp_path):
@@ -129,6 +132,24 @@ def test_kind_dependent_key_validation(tmp_path):
     assert rc == 2
     rc = cli.main(["assemble", "--out", str(tmp_path), "--coefficients.v.kind=wat"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("kind_first", [True, False])
+def test_dotted_kind_switch_drops_default_keys(tmp_path, kind_first):
+    kind = "--evolve.initial_state.kind=impulse"
+    keys = ["--evolve.initial_state.node=5", "--evolve.initial_state.component=0"]
+    flags = [kind] + keys if kind_first else keys + [kind]
+    assert cli.main(["evolve", "--out", str(tmp_path)] + flags) == 0
+    resolved = _read_json(tmp_path / "resolved-config.json")
+    assert resolved["evolve"]["initial_state"] == {"kind": "impulse", "node": 5, "component": 0}
+
+
+@pytest.mark.parametrize("kind_first", [True, False])
+def test_dotted_kind_switch_rejects_user_key_of_old_kind(tmp_path, kind_first):
+    kind = "--evolve.initial_state.kind=impulse"
+    width = "--evolve.initial_state.width=0.3"
+    flags = [kind, width] if kind_first else [width, kind]
+    assert cli.main(["evolve", "--out", str(tmp_path)] + flags) == 2
 
 
 # -- evolve ------------------------------------------------------------------------

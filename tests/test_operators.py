@@ -122,6 +122,7 @@ def test_free_laplacian_spectrum_dense():
     grid, op = _free_operator(N=60)
     report = eigen_lowest(op, 20)
     assert report.method == "dense"
+    assert report.shift is None
     np.testing.assert_allclose(report.eigenvalues, _laplacian_eigs(grid)[:20], rtol=1e-10)
     assert np.all(report.residuals <= 1e-10 * report.matrix_norm)
 
@@ -130,6 +131,7 @@ def test_free_laplacian_spectrum_lanczos():
     grid, op = _free_operator(N=150)
     report = eigen_lowest(op, 10, method="lanczos")
     assert report.method == "lanczos"
+    assert report.shift == -1.0  # V = 0 keeps the default shift
     assert report.iterations > 0
     np.testing.assert_allclose(report.eigenvalues, _laplacian_eigs(grid)[:10], rtol=1e-10)
     assert np.all(report.residuals <= 1e-10 * report.matrix_norm)
@@ -143,6 +145,59 @@ def test_lanczos_matches_dense_on_confining_potential():
     lanc = eigen_lowest(op, 8, method="lanczos")
     np.testing.assert_allclose(lanc.eigenvalues, dense.eigenvalues, rtol=1e-9)
     assert np.all(lanc.residuals <= 1e-10 * lanc.matrix_norm)
+
+
+def _constant_potential_operator(d, N, value, L=1.0):
+    grid = build_grid(d, L, N, 1)
+    dif, pot = sample_fields(lambda x: np.eye(d), lambda x: np.array([[value]]), grid)
+    return grid, assemble_operator(assemble_form(dif, pot, grid))
+
+
+def test_lanczos_shift_below_negative_potential_auto_path():
+    # dimension 3721 > DENSE_LIMIT, so "auto" runs Lanczos; a shift fixed at -1
+    # would sit inside the spectrum and return eigenpairs that are not the lowest
+    grid, op = _constant_potential_operator(d=2, N=61, value=-50.0)
+    report = eigen_lowest(op, 4)
+    assert report.method == "lanczos"
+    assert report.shift == -51.0
+    lap = _laplacian_eigs(grid)
+    exact = np.sort(np.add.outer(lap, lap).ravel())[:4] - 50.0
+    np.testing.assert_allclose(exact, [-45.07, -37.67, -37.67, -30.28], atol=5e-3)
+    np.testing.assert_allclose(report.eigenvalues, exact, rtol=0, atol=report.tol * report.matrix_norm)
+
+
+def test_lanczos_matches_dense_on_negative_potential():
+    _, op = _constant_potential_operator(d=1, N=200, value=-30.0)
+    dense = eigen_lowest(op, 3, method="dense")
+    lanc = eigen_lowest(op, 3, method="lanczos")
+    np.testing.assert_allclose(dense.eigenvalues, [-27.53, -20.13, -7.80], atol=5e-3)
+    np.testing.assert_allclose(lanc.eigenvalues, dense.eigenvalues, rtol=0, atol=lanc.tol * lanc.matrix_norm)
+    assert np.all(lanc.residuals <= lanc.tol * lanc.matrix_norm)
+
+
+def test_lanczos_3d_coupled_matches_kronecker_sum():
+    # B = K_q (x) I_2 + I (x) V with K_q the anisotropic 3-d Laplacian; the lowest
+    # 11 closed-form values are simple, so the comparison is index by index
+    q = np.array([1.0, 1.37, 1.83])
+    vmat = np.array([[1.0, -0.4], [-0.4, 2.0]])
+    grid = build_grid(3, 1.0, 8, 2)
+    dif, pot = sample_fields(lambda x: np.diag(q), lambda x: vmat, grid)
+    op = assemble_operator(assemble_form(dif, pot, grid))
+    k = 10
+    report = eigen_lowest(op, k, method="lanczos")
+    lap = _laplacian_eigs(grid)
+    exact = np.sort(
+        (
+            q[0] * lap[:, None, None, None]
+            + q[1] * lap[None, :, None, None]
+            + q[2] * lap[None, None, :, None]
+            + np.linalg.eigvalsh(vmat)[None, None, None, :]
+        ).ravel()
+    )
+    assert np.all(np.diff(exact[: k + 1]) > 0.1)
+    bound = report.tol * report.matrix_norm
+    np.testing.assert_allclose(report.eigenvalues, exact[:k], rtol=0, atol=bound)
+    assert np.all(report.residuals <= bound)
 
 
 def test_eigen_lowest_argument_errors():

@@ -38,8 +38,9 @@ from .gallery import (
     validate_expected,
 )
 from .grid import VectorState, build_grid, mixed_norm, sample_fields, smooth_bump_profile
+from .io import _jsonable
 from .operators import assemble_operator, eigen_lowest, sandwich_check
-from .semigroup import PropagatorConfig, _jsonable, default_config, propagate
+from .semigroup import PropagatorConfig, default_config, propagate
 
 __all__ = ["main", "run", "emit_plot_data", "DEFAULT_CONFIG"]
 

@@ -40,8 +40,9 @@ from .grid import (
     smooth_bump_profile,
     smooth_bump_slope,
 )
+from .io import _jsonable
 from .operators import assemble_operator, eigen_lowest, pointwise_extremal_eigs, sandwich_check
-from .semigroup import _jsonable, positivity_probe
+from .semigroup import positivity_probe
 
 __all__ = [
     "GalleryProblem",

@@ -247,14 +247,27 @@ def _eigen_dense(op: SymmetricOperator, k: int, tol: float) -> SpectrumReport:
     )
 
 
+def _factor_spd(matrix):
+    """Sparse LU of an SPD matrix, factored Cholesky-like.
+
+    A symmetric minimum-degree ordering of A^T + A and diagonal pivots
+    without row interchanges: stable for SPD input, and it fills far less
+    than a pivoted LU.
+    """
+    return spla.splu(
+        matrix.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+
+
 def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> SpectrumReport:
     """Shift-invert Lanczos: largest eigenvalues of (B - sigma I)^-1 <-> smallest of B.
 
     The diffusion part of B is PSD, so B >= (min V) I and the shift
     sigma = min(-1, min V - 1) makes B - sigma I >= I.  That matrix is SPD,
-    so it is factored Cholesky-like: a symmetric minimum-degree ordering of
-    A^T + A and diagonal pivots without row interchanges, which is stable
-    and fills far less than a pivoted LU.
+    so ``_factor_spd`` factors it Cholesky-like.
 
     Full reorthogonalization against the whole basis every step (robustness
     over speed at these problem sizes); on breakdown the basis is continued
@@ -264,13 +277,7 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     n = op.dim
     bnorm = op.generator_norm_bound()
     sigma = min(-1.0, op.potential_min_eigenvalue - 1.0)
-    shifted = (b - sigma * sparse.identity(n, format="csr")).tocsc()
-    solve = spla.splu(
-        shifted,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    ).solve
+    solve = _factor_spd(b - sigma * sparse.identity(n, format="csr")).solve
     rng = np.random.default_rng(seed)
     max_dim = min(n, max(8 * k, 160))
     basis = np.empty((n, max_dim))

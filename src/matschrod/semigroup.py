@@ -1,18 +1,32 @@
 """Semigroup propagation e^{-tB} and measurement probes.
 
-B is the (positive semidefinite, symmetric) generator of a
-``SymmetricOperator``.  Three propagators are available:
+B is the symmetric generator of a ``SymmetricOperator``, bounded below by
+c = min(0, min V) because its diffusion part is PSD.  Three propagators are
+available:
 
 * ``exact-dense`` — full eigendecomposition, cached on the operator, for
   dimensions <= 3000.  All property verdicts should use this when the size
   permits.
-* ``lanczos-expmv`` — Krylov projection with full reorthogonalization and an
-  a-posteriori residual bound: with basis V_k and tridiagonal T_k the defect
-  of the Krylov approximation is beta_k |u_k(s)|, and for dissipative B the
-  accumulated error is bounded by its time integral.  Substeps are halved
-  until the per-step bound fits a proportional share of the budget
-  tol * ||f0||; if a subspace size cannot make progress it is doubled, and
-  after three sizes the propagator raises.
+* ``lanczos-expmv`` — Krylov projection with full reorthogonalization, in
+  one of two regimes chosen from t ||B||_oo and ``krylov_dim``:
+
+  - *polynomial* when t ||B|| <= (4 krylov_dim)^2.  Polynomial Lanczos needs
+    O(sqrt(t ||B||)) work (Hochbruck & Lubich, SINUM 34, 1997), so here a few
+    substeps cover t.  With basis V_k and tridiagonal T_k the defect of a
+    substep is beta_k |u_k(s)|, and the error is bounded by its time
+    integral times the amplification e^{-c (t - t_done)} up to t.  Substeps
+    are halved until the bound fits a proportional share of the budget
+    tol * ||f0||; if a subspace size cannot make progress it is doubled, and
+    after three sizes the propagator raises.
+  - *shift-invert* above that.  Rayleigh-Ritz on the Krylov space of
+    M^{-1}, M = I + gamma (B - c I) with gamma = t/10, converges
+    independently of ||B|| (van den Eshof & Hochbruck, SISC 27, 2006).  The
+    subspace size is fixed a priori by the near-optimality bound
+    2 ||f0|| e^{-tc} E_{k-1} (Beckermann & Reichel, SINUM 47, 2009; Guettel,
+    GAMM-Mitt. 36, 2013), E_{k-1} the uniform error of a Chebyshev
+    interpolant that depends on k only; one SPD factorization per call.
+
+  A failure raises ConvergenceError with the state and time reached.
 * ``crank-nicolson`` — fixed-step trapezoidal fallback, second order.  A
   cross-check only; positivity and contraction verdicts never rely on it
   (the rational step can undershoot/overshoot sign structure).
@@ -24,6 +38,7 @@ stored numbers.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -31,11 +46,13 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import simpson
 
 from .errors import ConvergenceError
 from .grid import VectorState, _require_same_grid, mixed_norm, smooth_bump_profile
-from .operators import DENSE_LIMIT, SymmetricOperator
+from .io import _jsonable
+from .operators import DENSE_LIMIT, SymmetricOperator, _factor_spd
 
 __all__ = [
     "PropagatorConfig",
@@ -103,7 +120,11 @@ def default_config(op: SymmetricOperator, **kwargs) -> PropagatorConfig:
 
 
 def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: PropagatorConfig | None = None) -> VectorState:
-    """Apply e^{-tB} to a state."""
+    """Apply e^{-tB} to a state.
+
+    A Krylov failure raises ConvergenceError whose ``partial`` is
+    ``{"state": ..., "t_reached": ...}``, the furthest certified point.
+    """
     _require_same_grid(op.grid, f0.grid)
     t = float(t)
     if t < 0:
@@ -117,7 +138,12 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
         w, u = op.dense_eig()
         y = u @ (np.exp(-t * w) * (u.T @ x))
     elif config.method == "lanczos-expmv":
-        y = _krylov_expm(op.generator(), x, t, config.krylov_dim, config.tol)
+        try:
+            y = _krylov_expm(op, x, t, config.krylov_dim, config.tol)
+        except ConvergenceError as exc:
+            values, t_reached = exc.partial
+            exc.partial = {"state": f0.with_values(values), "t_reached": t_reached}
+            raise
     else:
         y = _crank_nicolson(op.generator(), x, t, config.cn_steps)
     return f0.with_values(y)
@@ -153,38 +179,61 @@ def _lanczos_basis(b, v, kmax):
     return basis[:, :used], alphas[:used], betas[:used], exact
 
 
+def _krylov_expm(op, v, t, kdim, tol):
+    """e^{-tB} v by Lanczos, shift-invert when t ||B|| is too stiff for kdim.
+
+    A polynomial subspace of size k covers a step tau with tau ||B|| up to
+    about k^2.  ``4 kdim`` is the largest one tried, so above
+    t ||B|| = (4 kdim)^2 even it cannot cover t in one step, and the
+    shift-invert space, whose size does not depend on ||B||, takes over.
+    """
+    if np.linalg.norm(v) == 0.0:
+        return v.copy()
+    c = min(0.0, op.potential_min_eigenvalue)  # lambda_min(B) >= c
+    if t * op.generator_norm_bound() > (4 * kdim) ** 2:
+        return _shift_invert_expm(op.generator(), v, t, c, tol)
+    return _polynomial_expm(op.generator(), v, t, kdim, c, tol)
+
+
+# -- polynomial Lanczos ----------------------------------------------------
+
+
 def _krylov_step_error(lam, weights, last_row, beta_next, tau) -> float:
     """Integral bound beta_k int_0^tau |u_k(s)| ds for one Krylov substep."""
     s = np.linspace(0.0, tau, 33)
     u_last = (last_row * weights) @ np.exp(-np.outer(lam, s))
-    # slight indefiniteness of T would let the defect amplify; cover it
-    amp = float(np.exp(max(0.0, -lam.min()) * tau))
-    return beta_next * float(simpson(np.abs(u_last), x=s)) * amp
+    return beta_next * float(simpson(np.abs(u_last), x=s))
 
 
-def _krylov_expm(b, v, t, kdim, tol):
-    """e^{-tB} v by adaptive-substep Lanczos; enlarges the subspace on failure."""
-    norm0 = np.linalg.norm(v)
-    if norm0 == 0.0:
-        return v.copy()
-    budget = tol * norm0
-    for attempt, k in enumerate((kdim, 2 * kdim, 4 * kdim)):
-        result = _krylov_expm_fixed(b, v, t, min(k, v.size), budget)
-        if result is not None:
-            return result
+def _polynomial_expm(b, v, t, kdim, c, tol):
+    """Adaptive-substep polynomial Lanczos; enlarges the subspace on failure."""
+    budget = tol * np.linalg.norm(v)
+    best = (v, 0.0)
+    for k in (kdim, 2 * kdim, 4 * kdim):
+        w, t_done = _krylov_expm_fixed(b, v, t, min(k, v.size), c, budget)
+        if t_done >= t:
+            return w
+        if t_done > best[1]:
+            best = (w, t_done)
     raise ConvergenceError(
-        f"Krylov propagator failed to meet tol={tol:g} after 3 subspace enlargements"
+        f"Krylov propagator failed to meet tol={tol:g} after 3 subspace enlargements",
+        partial=best,
     )
 
 
-def _krylov_expm_fixed(b, v, t, kdim, budget):
+def _krylov_expm_fixed(b, v, t, kdim, c, budget):
+    """Substeps at subspace size kdim; returns (state, time reached).
+
+    The defect of a substep started at t_done is amplified by at most
+    e^{-c (t - t_done)} up to time t, since B >= c I with c <= 0.
+    """
     w = v.copy()
     t_done = 0.0
     steps = 0
     while t_done < t:
         nv = np.linalg.norm(w)
         if nv == 0.0:
-            return w
+            return w, t
         basis, alphas, betas, exact = _lanczos_basis(b, w, kdim)
         k = len(alphas)
         tri = np.diag(alphas)
@@ -193,20 +242,80 @@ def _krylov_expm_fixed(b, v, t, kdim, budget):
         lam, vecs = scipy.linalg.eigh(tri)
         weights = vecs[0] * nv
         beta_next = 0.0 if exact else betas[-1]
+        amp = float(np.exp(-c * (t - t_done)))
         tau = t - t_done
         while True:
-            err = 0.0 if exact else _krylov_step_error(lam, weights, vecs[-1], beta_next, tau)
+            err = 0.0 if exact else amp * _krylov_step_error(lam, weights, vecs[-1], beta_next, tau)
             if err <= budget * (tau / t):
                 break
             if tau <= t * 1e-10:
-                return None
+                return w, t_done
             tau *= 0.5
         w = basis @ (vecs @ (np.exp(-tau * lam) * weights))
         t_done += tau
         steps += 1
         if steps > 512:
-            return None
-    return w
+            break
+    return w, t_done
+
+
+# -- shift-invert Lanczos --------------------------------------------------
+
+#: t / gamma for the shift-invert matrix I + gamma (B - c I)
+_SI_RATIO = 10.0
+#: largest shift-invert subspace; the interpolation errors reach roundoff near 40
+_SI_MAX_DIM = 48
+
+
+@functools.cache
+def _rational_errors() -> np.ndarray:
+    """E[k-1] = uniform error on [0, 1] of the degree-(k-1) Chebyshev interpolant of g.
+
+    g(y) = exp(-r (1/y - 1)) with r = _SI_RATIO is e^{-t(lambda - c)} in the
+    variable y = 1 / (1 + gamma (lambda - c)), which maps [c, oo) onto
+    (0, 1].  The maximum is taken on 8193 Chebyshev-clustered points.
+    """
+    x = -np.cos(np.linspace(0.0, np.pi, 8193))
+
+    def g(x):
+        y = np.maximum((x + 1.0) / 2.0, 1e-300)
+        return np.exp(-_SI_RATIO * np.minimum(1.0 / y - 1.0, 1e3))
+
+    exact = g(x)
+    errors = np.array([
+        np.max(np.abs(cheb.chebval(x, cheb.chebinterpolate(g, deg)) - exact))
+        for deg in range(_SI_MAX_DIM)
+    ])
+    errors.setflags(write=False)  # one cached array serves every caller
+    return errors
+
+
+def _shift_invert_expm(b, v, t, c, tol):
+    """e^{-tB} v by Rayleigh-Ritz on K_k(M^{-1}, v), M = I + gamma (B - c I), gamma = t/10.
+
+    M >= I is SPD.  For Hermitian B the Rayleigh-Ritz approximation
+    V e^{-t V^T B V} V^T v is within 2 ||v|| e^{-tc} E[k-1] of e^{-tB} v,
+    E as in ``_rational_errors`` (Beckermann & Reichel, SINUM 47, 2009),
+    so k is the smallest size whose bound meets tol ||v|| — independent of
+    ||B|| and of t.
+    """
+    bound = 2.0 * np.exp(-t * c) * _rational_errors()
+    fits = np.flatnonzero(bound <= tol)
+    if fits.size == 0:
+        raise ConvergenceError(
+            f"Krylov propagator failed to meet tol={tol:g}: shift-invert subspace "
+            f"enlargements up to {_SI_MAX_DIM} leave the error bound at {bound.min():.2e}",
+            partial=(v, 0.0),
+        )
+    gamma = t / _SI_RATIO
+    n = v.size
+    shifted = (1.0 - gamma * c) * sparse.identity(n, format="csr") + gamma * b
+    lu = _factor_spd(shifted)
+    basis, _, _, _ = _lanczos_basis(
+        spla.LinearOperator((n, n), matvec=lu.solve), v, min(int(fits[0]) + 1, n)
+    )
+    lam, vecs = scipy.linalg.eigh(basis.T @ (b @ basis))
+    return basis @ (vecs @ (np.exp(-t * lam) * (vecs[0] * np.linalg.norm(v))))
 
 
 def _crank_nicolson(b, v, t, steps):
@@ -221,25 +330,6 @@ def _crank_nicolson(b, v, t, steps):
 
 
 # -- probe reports -------------------------------------------------------
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if np.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 @dataclass

@@ -4,10 +4,13 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matschrod.semigroup as semigroup_module
 from matschrod import (
     ConvergenceError,
+    DiffusionField,
     GridMismatchError,
     PotentialField,
     PropagatorConfig,
@@ -24,6 +27,7 @@ from matschrod import (
     strong_continuity_probe,
     violation_witness,
 )
+from matschrod.checks import check_semigroup_structure
 from matschrod.semigroup import default_config
 
 DENSE = PropagatorConfig(method="exact-dense")
@@ -157,6 +161,140 @@ def test_krylov_absurd_tolerance_raises():
         propagate(op, f, 1.0, config)
 
 
+def test_krylov_failure_carries_partial():
+    # mild t||B|| fails inside polynomial substeps, stiff t||B|| before the
+    # shift-invert factorization; either way the partial is a certified state
+    grid, op = _harmonic_operator(N=20)
+    stiff_grid = build_grid(1, 1.0, 100, 1)
+    dif, pot = sample_fields(lambda x: 1.0, lambda x: 0.0, stiff_grid)
+    stiff_op = assemble_operator(assemble_form(dif, pot, stiff_grid))
+    config = PropagatorConfig(method="lanczos-expmv", krylov_dim=2, tol=1e-30)
+    for g, o in ((grid, op), (stiff_grid, stiff_op)):
+        f = VectorState.random(g, np.random.default_rng(5))
+        with pytest.raises(ConvergenceError, match="subspace enlargements") as info:
+            propagate(o, f, 0.5, config)
+        partial = info.value.partial
+        assert 0.0 <= partial["t_reached"] < 0.5
+        reached = propagate(o, f, partial["t_reached"], DENSE)
+        assert partial["state"].grid is g
+        assert mixed_norm(partial["state"] - reached, 2) <= 1e-10 * mixed_norm(f, 2)
+
+
+def _spy_kernels(monkeypatch):
+    calls = {"polynomial": 0, "shift-invert": 0}
+    for name, key in (("_polynomial_expm", "polynomial"), ("_shift_invert_expm", "shift-invert")):
+        kernel = getattr(semigroup_module, name)
+
+        def spy(*args, _kernel=kernel, _key=key):
+            calls[_key] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(semigroup_module, name, spy)
+    return calls
+
+
+def test_krylov_dispatch_by_stiffness(monkeypatch):
+    # t ||B|| <= (4 krylov_dim)^2 stays polynomial: a 2-d m=2 operator at the
+    # evolve-2d mesh width h ~ 0.1 has t ||B|| ~ 1.2e3 at t=1, below 120^2
+    calls = _spy_kernels(monkeypatch)
+    grid = build_grid(2, 1.0, 20, 2)
+    dif, pot = sample_fields(
+        lambda x: np.diag([1.0, 1.7]), lambda x: np.array([[1.0, -0.4], [-0.4, 2.0]]), grid
+    )
+    op = assemble_operator(assemble_form(dif, pot, grid))
+    f = VectorState.random(grid, np.random.default_rng(10))
+    krylov = PropagatorConfig(method="lanczos-expmv")
+    for t in (0.01, 0.1, 1.0):
+        got = propagate(op, f, t, krylov)
+        assert mixed_norm(got - propagate(op, f, t, DENSE), 2) <= 1e-10 * mixed_norm(f, 2)
+    assert calls == {"polynomial": 3, "shift-invert": 0}
+    # semigroup_structure (||B|| ~ 2.6e5): t = 0.01 is polynomial, 0.1 and 1 are stiff
+    calls.update(polynomial=0)
+    passed, detail = check_semigroup_structure()
+    assert passed and detail["krylov_vs_dense_worst_rel"] <= 1e-10
+    assert calls == {"polynomial": 5, "shift-invert": 10}
+
+
+def _stiff_harmonic_operator():
+    # ||B|| ~ 1640, so t = 0.7 with krylov_dim = 5 (bound 20^2) is stiff
+    return _harmonic_operator(N=200, L=5.0)
+
+
+def test_shift_invert_eigenvector_is_exact_by_breakdown(monkeypatch):
+    grid, op = _stiff_harmonic_operator()
+    calls = _spy_kernels(monkeypatch)
+    sizes = []
+    basis = semigroup_module._lanczos_basis
+
+    def spy_basis(*args):
+        result = basis(*args)
+        sizes.append((result[0].shape[1], result[3]))
+        return result
+
+    monkeypatch.setattr(semigroup_module, "_lanczos_basis", spy_basis)
+    report = eigen_lowest(op, 2)
+    krylov = PropagatorConfig(method="lanczos-expmv", krylov_dim=5)
+    for i in range(2):
+        f = VectorState(grid, report.eigenvectors[:, i])
+        got = propagate(op, f, 0.7, krylov)
+        want = np.exp(-report.eigenvalues[i] * 0.7) * f.values
+        np.testing.assert_allclose(got.values, want, rtol=1e-11, atol=1e-13 * np.abs(want).max())
+    assert calls["shift-invert"] == 2
+    assert sizes == [(1, True), (1, True)]
+
+
+def test_shift_invert_zero_state(monkeypatch):
+    grid, op = _stiff_harmonic_operator()
+    calls = _spy_kernels(monkeypatch)
+    config = PropagatorConfig(method="lanczos-expmv", krylov_dim=5)
+    f = VectorState.random(grid, np.random.default_rng(11))
+    propagate(op, f, 0.7, config)
+    assert calls["shift-invert"] == 1
+    out = propagate(op, VectorState.zeros(grid), 0.7, config)
+    np.testing.assert_array_equal(out.values, 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from((1, 2)),
+    n_per_dim=st.integers(4, 12),
+    m=st.integers(1, 3),
+    t=st.floats(1e-3, 2.0),
+    krylov_dim=st.sampled_from((8, 30)),
+    constant_v=st.one_of(st.none(), st.floats(-50.0, 0.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_krylov_matches_dense_property(d, n_per_dim, m, t, krylov_dim, constant_v, seed):
+    """Forced Krylov against exact-dense on both sides of the stiffness dispatch.
+
+    ``constant_v`` None draws a random PSD potential, otherwise V = v I with
+    v down to -50, where ||e^{-tB}|| reaches e^{-tv}.  The absolute budget
+    tol ||f|| then nears the roundoff of the output, so past a growth of 100
+    the propagator may raise instead; whatever it returns must still hold.
+    """
+    N = n_per_dim if d == 2 else 8 * n_per_dim
+    grid = build_grid(d, 1.0, N, m)
+    rng = np.random.default_rng(seed)
+    q = np.zeros((grid.n_cells, d, d))
+    q[:, range(d), range(d)] = rng.uniform(0.2, 3.0, size=(grid.n_cells, d))
+    if constant_v is None:
+        mats = rng.standard_normal((grid.n_nodes, m, m))
+        v = mats.transpose(0, 2, 1) @ mats / m
+    else:
+        v = np.tile(constant_v * np.eye(m), (grid.n_nodes, 1, 1))
+    op = assemble_operator(assemble_form(DiffusionField(grid, q), PotentialField(grid, v), grid))
+    f = VectorState.random(grid, rng)
+    config = PropagatorConfig(method="lanczos-expmv", krylov_dim=krylov_dim, tol=1e-10)
+    growth = np.exp(t * max(0.0, -op.potential_min_eigenvalue))
+    try:
+        got = propagate(op, f, t, config)
+    except ConvergenceError:
+        assert growth > 100.0
+        return
+    err = mixed_norm(got - propagate(op, f, t, DENSE), 2)
+    assert err <= (config.tol + 1e-12 * growth) * mixed_norm(f, 2)
+
+
 def test_crank_nicolson_accuracy_and_order():
     grid, op = _harmonic_operator(N=60)
     f = VectorState.random(grid, np.random.default_rng(0))
@@ -199,8 +337,6 @@ def test_contraction_probe_guarantees_and_zero_states():
 
 
 def test_contraction_probe_offdiagonal_diffusion_only_certifies_p2():
-    from matschrod import DiffusionField
-
     grid = build_grid(2, 1.0, 6, 1)
     q = np.tile(np.array([[1.0, 0.3], [0.3, 1.0]]), (grid.n_cells, 1, 1))
     _, pot = sample_fields(lambda x: np.eye(2), lambda x: 0.0, grid)

@@ -38,17 +38,18 @@ from .grid import (
     VectorState,
     _require_same_grid,
     axis_differences,
-    mixed_norm,
 )
 
 __all__ = [
     "FormAssembly",
     "assemble_form",
+    "form_terms",
+    "form_norms",
+    "continuity_ratios",
     "eval_form",
     "form_norm",
     "project_unit_ball",
     "split_pos_neg",
-    "abs_field",
     "beurling_denny_gap",
     "pos_form_cross",
     "continuity_ratio",
@@ -59,9 +60,8 @@ __all__ = [
 class FormAssembly:
     """Grid, sampled coefficients and the quadrature weights of the form.
 
-    Exposes the two quadratic pieces separately so that the graph norm (which
-    needs the unweighted gradient term) and the full form share one code
-    path.  Immutable; evaluation is thread-safe.
+    Every form quantity goes through ``form_terms``, which evaluates states
+    with any leading batch axes.  Immutable; evaluation is thread-safe.
     """
 
     def __init__(self, diffusion: DiffusionField, potential: PotentialField, grid: GridSpec):
@@ -79,57 +79,93 @@ class FormAssembly:
         self.q_diagonal = diffusion.diagonal
         self.potential_psd = potential.psd
 
-    # -- quadratic pieces ------------------------------------------------
-
-    def gradients(self, state: VectorState) -> np.ndarray:
-        """Forward-difference gradients, shape (d, m, n_cells)."""
-        return axis_differences(self.grid, state.values) / self.grid.h
-
-    def diffusion_energy(self, gf: np.ndarray, gg: np.ndarray, weighted: bool = True) -> float:
-        """h^d sum_cells <Q Df, Dg> (weighted) or h^d sum_cells <Df, Dg>."""
-        if weighted:
-            val = np.einsum("acn,nab,bcn->", gf, self.diffusion.samples, gg)
-        else:
-            val = np.einsum("acn,acn->", gf, gg)
-        return self.grid.cell_volume * float(val)
-
-    def potential_energy(self, f: VectorState, g: VectorState) -> float:
-        """h^d sum_nodes <V f, g>."""
-        val = np.einsum("nij,in,jn->", self.potential.samples, f.values, g.values)
-        return self.grid.cell_volume * float(val)
-
 
 def assemble_form(diffusion: DiffusionField, potential: PotentialField, grid: GridSpec) -> FormAssembly:
     """Bind sampled coefficients to their grid as an evaluable energy form."""
     return FormAssembly(diffusion, potential, grid)
 
 
-def eval_form(assembly: FormAssembly, f: VectorState, g: VectorState) -> float:
-    """Evaluate a(f, g).  Symmetric in (f, g) because stored coefficients are."""
-    _require_same_grid(assembly.grid, f.grid, g.grid)
-    return assembly.diffusion_energy(assembly.gradients(f), assembly.gradients(g)) + \
-        assembly.potential_energy(f, g)
+def _as_states(assembly: FormAssembly, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    shape = (assembly.grid.m, assembly.grid.n_nodes)
+    if values.shape[-2:] != shape:
+        raise ValueError(f"expected states of shape (..., {shape[0]}, {shape[1]}), got {values.shape}")
+    return values
 
 
-def form_norm(assembly: FormAssembly, f: VectorState) -> float:
-    """Graph norm (||f||_2^2 + sum_j ||D_h f_j||^2 + <V f, f>)^(1/2).
+def form_terms(assembly: FormAssembly, x, y):
+    """a(x, y), the unweighted gradient energy and <V x, y> per batch entry.
+
+    ``x`` and ``y`` are state values of shape (..., m, n_nodes) whose leading
+    axes broadcast against each other; each of the three returned arrays has
+    the broadcast leading shape.  Q and V act on the first argument, so
+    a(x, y) and a(y, x) are separate evaluations and their difference shows
+    any asymmetry of the stored coefficients.
+    """
+    x, y = _as_states(assembly, x), _as_states(assembly, y)
+    grid = assembly.grid
+    n, lead_x, lead_y = grid.n_nodes, x.shape[:-2], y.shape[:-2]
+    kx = x.size // n
+    rows = np.concatenate([x.reshape(-1, n), y.reshape(-1, n)])
+    grads = axis_differences(grid, rows) / grid.h  # (d, rows, n_cells)
+    # Q and V act as stacked matmuls over cells and nodes
+    qgx = np.moveaxis(assembly.diffusion.samples @ np.moveaxis(grads[:, :kx], -1, 0), 0, -1)
+    vx = (assembly.potential.samples @ x.reshape(-1, grid.m, n).T).T  # (states, m, n_nodes)
+
+    def per_state(a, lead):  # (d, rows, n_cells) -> lead + (m * d * n_cells,)
+        return np.moveaxis(a, 0, 1).reshape(lead + (grid.m * grid.d * grid.n_cells,))
+
+    gx, gy = per_state(grads[:, :kx], lead_x), per_state(grads[:, kx:], lead_y)
+    weighted = _dot(per_state(qgx, lead_x), gy)
+    potential = _dot(vx.reshape(lead_x + (grid.m * n,)), y.reshape(lead_y + (grid.m * n,)))
+    return (
+        grid.cell_volume * (weighted + potential),
+        grid.cell_volume * _dot(gx, gy),
+        grid.cell_volume * potential,
+    )
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, broadcasting the leading axes."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def form_norms(assembly: FormAssembly, x) -> np.ndarray:
+    """Graph norms (||f||_2^2 + sum_j ||D_h f_j||^2 + <V f, f>)^(1/2) per batch entry.
 
     The gradient term is unweighted (no Q); requires a positive semidefinite
     potential, otherwise the square root may not exist.
     """
-    _require_same_grid(assembly.grid, f.grid)
     if not assembly.potential_psd:
         raise ValueError(
             f"graph norm needs a PSD potential (smallest eigenvalue "
             f"{assembly.potential.min_eigenvalue:.3e})"
         )
-    gf = assembly.gradients(f)
-    sq = (
-        mixed_norm(f, 2) ** 2
-        + assembly.diffusion_energy(gf, gf, weighted=False)
-        + assembly.potential_energy(f, f)
-    )
-    return float(np.sqrt(max(sq, 0.0)))
+    x = _as_states(assembly, x)
+    _, gradient, potential = form_terms(assembly, x, x)
+    sq = assembly.grid.cell_volume * (x**2).sum(axis=(-2, -1)) + gradient + potential
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def continuity_ratios(assembly: FormAssembly, x, y) -> np.ndarray:
+    """|a(x, y)| / (||x||_form ||y||_form) per batch entry; 0 where both vanish."""
+    num = np.abs(form_terms(assembly, x, y)[0])
+    den = form_norms(assembly, x) * form_norms(assembly, y)
+    if np.any((den == 0.0) & (num != 0.0)):
+        raise ValueError("continuity ratio undefined: zero graph norm with nonzero pairing")
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0.0)
+
+
+def eval_form(assembly: FormAssembly, f: VectorState, g: VectorState) -> float:
+    """Evaluate a(f, g).  Symmetric in (f, g) because stored coefficients are."""
+    _require_same_grid(assembly.grid, f.grid, g.grid)
+    return float(form_terms(assembly, f.values, g.values)[0])
+
+
+def form_norm(assembly: FormAssembly, f: VectorState) -> float:
+    """Graph norm of one state; see ``form_norms``."""
+    _require_same_grid(assembly.grid, f.grid)
+    return float(form_norms(assembly, f.values))
 
 
 def project_unit_ball(f: VectorState) -> VectorState:
@@ -139,10 +175,15 @@ def project_unit_ball(f: VectorState) -> VectorState:
     and 1-Lipschitz in the pointwise Euclidean norm, hence edge-jump
     contractive.
     """
-    s = f.component_norms()
+    return f.with_values(_unit_ball_projection(f.values))
+
+
+def _unit_ball_projection(values: np.ndarray) -> np.ndarray:
+    """``project_unit_ball`` on state values of shape (..., m, n_nodes)."""
+    s = np.sqrt((values**2).sum(axis=-2, keepdims=True))
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(s > 0.0, np.minimum(1.0, s) / np.where(s > 0.0, s, 1.0), 0.0)
-    return f.with_values(f.values * scale)
+    return values * scale
 
 
 def split_pos_neg(f: VectorState):
@@ -153,26 +194,19 @@ def split_pos_neg(f: VectorState):
     )
 
 
-def abs_field(f: VectorState) -> np.ndarray:
-    """Pointwise Euclidean modulus |f(x)|, shape (n_nodes,).
-
-    Satisfies the reverse triangle inequality across every edge:
-    | |f(b)| - |f(a)| | <= |f(b) - f(a)|, boundary half-edges included.
-    """
-    return f.component_norms()
-
-
 def edge_jump_norms(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Euclidean norm over components of the jump across each edge.
 
-    ``values`` is (m, n_nodes) or (n_nodes,); returns shape (d, n_cells).
-    Boundary half-edges (against the implicit zeros) are included.
+    ``values`` is (..., m, n_nodes), or (n_nodes,) for one component;
+    returns shape (d, ..., n_cells).  Boundary half-edges (against the
+    implicit zeros) are included.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[None, :]
-    diffs = axis_differences(grid, values)
-    return np.sqrt((diffs**2).sum(axis=1))
+    diffs = axis_differences(grid, values.reshape(-1, grid.n_nodes))
+    diffs = diffs.reshape((grid.d,) + values.shape[:-1] + (grid.n_cells,))
+    return np.sqrt((diffs**2).sum(axis=-2))
 
 
 def _require_diagonal(assembly: FormAssembly, allow_nondiagonal: bool, what: str):
@@ -195,8 +229,9 @@ def beurling_denny_gap(assembly: FormAssembly, f: VectorState, allow_nondiagonal
     _require_diagonal(assembly, allow_nondiagonal, "the projection contraction")
     if not assembly.potential_psd:
         raise ValueError("projection contraction needs a PSD potential")
-    pf = project_unit_ball(f)
-    return eval_form(assembly, f, f) - eval_form(assembly, pf, pf)
+    pair = np.stack([f.values, _unit_ball_projection(f.values)])
+    energy = form_terms(assembly, pair, pair)[0]
+    return float(energy[0] - energy[1])
 
 
 def pos_form_cross(assembly: FormAssembly, f: VectorState, allow_nondiagonal: bool = False) -> float:
@@ -216,11 +251,5 @@ def pos_form_cross(assembly: FormAssembly, f: VectorState, allow_nondiagonal: bo
 
 def continuity_ratio(assembly: FormAssembly, f: VectorState, g: VectorState) -> float:
     """|a(f, g)| / (||f||_form ||g||_form), bounded by 1 + eta_2 for PSD V."""
-    nf = form_norm(assembly, f)
-    ng = form_norm(assembly, g)
-    num = abs(eval_form(assembly, f, g))
-    if nf == 0.0 or ng == 0.0:
-        if num == 0.0:
-            return 0.0
-        raise ValueError("continuity ratio undefined: zero graph norm with nonzero pairing")
-    return num / (nf * ng)
+    _require_same_grid(assembly.grid, f.grid, g.grid)
+    return float(continuity_ratios(assembly, f.values, g.values))

@@ -401,5 +401,5 @@ def axis_differences(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     for i in range(d):
         hi = tuple(slice(1, None) if ax == i else slice(0, N + 1) for ax in range(d))
         diff = padded[(slice(None),) + hi] - padded[(slice(None),) + lo]
-        out[i] = diff.reshape(m, -1)
+        out[i] = diff.reshape(m, grid.n_cells)
     return out

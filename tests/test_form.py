@@ -1,7 +1,10 @@
 """Energy form evaluation, graph norm, and the two structural inequalities."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matschrod import checks
 from matschrod import (
     DiffusionField,
     EllipticityError,
@@ -9,14 +12,17 @@ from matschrod import (
     GuaranteeUnavailableError,
     PotentialField,
     VectorState,
-    abs_field,
     assemble_form,
+    assemble_operator,
     beurling_denny_gap,
     build_grid,
     continuity_ratio,
+    continuity_ratios,
     edge_jump_norms,
     eval_form,
     form_norm,
+    form_norms,
+    form_terms,
     mixed_norm,
     pos_form_cross,
     project_unit_ball,
@@ -158,7 +164,7 @@ def test_project_unit_ball_pointwise():
     np.testing.assert_allclose(pf.values[:, 0], [0.6, 0.8])  # scaled to norm 1
     np.testing.assert_allclose(pf.values[:, 1], [0.3, 0.4])  # inside: untouched
     np.testing.assert_allclose(pf.values[:, 2], [0.0, 0.0])
-    assert abs_field(pf).max() <= 1.0 + 1e-15
+    assert pf.component_norms().max() <= 1.0 + 1e-15
     ppf = project_unit_ball(pf)
     np.testing.assert_array_equal(ppf.values, pf.values)  # idempotent
 
@@ -169,8 +175,8 @@ def test_project_unit_ball_is_lipschitz():
     for _ in range(25):
         f = VectorState.random(grid, rng, scale=2.0)
         g = VectorState.random(grid, rng, scale=2.0)
-        jump_before = abs_field(f - g)
-        jump_after = abs_field(project_unit_ball(f) - project_unit_ball(g))
+        jump_before = (f - g).component_norms()
+        jump_after = (project_unit_ball(f) - project_unit_ball(g)).component_norms()
         assert np.all(jump_after <= jump_before + 1e-14)
 
 
@@ -184,12 +190,12 @@ def test_split_pos_neg_partition():
     np.testing.assert_array_equal(fp.values * fm.values, 0.0)
 
 
-def test_abs_field_reverse_triangle_per_edge():
+def test_component_norms_reverse_triangle_per_edge():
     rng = np.random.default_rng(7)
     grid = build_grid(2, 1.0, 5, 3)
     for _ in range(10):
         f = VectorState.random(grid, rng)
-        jumps_of_abs = edge_jump_norms(grid, abs_field(f))
+        jumps_of_abs = edge_jump_norms(grid, f.component_norms())
         jumps_of_f = edge_jump_norms(grid, f.values)
         assert np.all(jumps_of_abs <= jumps_of_f + 1e-14)
 
@@ -298,3 +304,124 @@ def test_pos_cross_energy_sign_random():
         a = assemble_form(dif, PotentialField(grid, samples), grid)
         f = VectorState.random(grid, rng)
         assert pos_form_cross(a, f) <= 1e-12
+
+
+# -- batched kernel ----------------------------------------------------------
+
+
+def _potential_energy(a, f, g):
+    return a.grid.cell_volume * np.einsum("nij,in,jn->", a.potential.samples, f.values, g.values)
+
+
+def _random_assembly(grid, rng, diagonal_q, psd_v):
+    if diagonal_q:
+        q = np.zeros((grid.n_cells, grid.d, grid.d))
+        idx = np.arange(grid.d)
+        q[:, idx, idx] = rng.uniform(0.2, 3.0, (grid.n_cells, grid.d))
+        diffusion = DiffusionField(grid, q)
+    else:
+        diffusion = _random_spd_diffusion(grid, rng)
+    if psd_v:
+        potential = _random_psd_potential(grid, rng)
+    else:
+        mats = rng.standard_normal((grid.n_nodes, grid.m, grid.m))
+        potential = PotentialField(grid, mats + mats.transpose(0, 2, 1) - np.eye(grid.m))
+    return assemble_form(diffusion, potential, grid)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from((1, 2, 3)),
+    m=st.integers(1, 3),
+    n_per_dim=st.integers(2, 5),
+    rows=st.integers(1, 3),
+    cols=st.integers(1, 3),
+    diagonal_q=st.booleans(),
+    psd_v=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_form_matches_single_states(d, m, n_per_dim, rows, cols, diagonal_q, psd_v, seed):
+    # oracles: the dense assembled matrices of the form and of the free form
+    # (Q = I, V = 0), and the potential sum written out node by node
+    rng = np.random.default_rng(seed)
+    grid = build_grid(d, 1.0, n_per_dim, m)
+    a = _random_assembly(grid, rng, diagonal_q, psd_v)
+    dense = assemble_operator(a).matrix.toarray()
+    free = assemble_operator(_free_form(grid)).matrix.toarray()
+    x = rng.standard_normal((rows, 1, m, grid.n_nodes))
+    y = rng.standard_normal((1, cols, m, grid.n_nodes))
+    energy, gradient, potential = form_terms(a, x, y)
+    assert energy.shape == gradient.shape == potential.shape == (rows, cols)
+    if a.potential_psd:
+        norms_x, norms_y = form_norms(a, x), form_norms(a, y)
+        ratios = continuity_ratios(a, x, y)
+        assert norms_x.shape == (rows, 1) and ratios.shape == (rows, cols)
+    else:
+        with pytest.raises(ValueError, match="PSD"):
+            form_norms(a, x)
+    for i in range(rows):
+        f = VectorState(grid, x[i, 0])
+        for j in range(cols):
+            g = VectorState(grid, y[0, j])
+            scale = np.abs(f.flat()) @ (np.abs(dense) + np.abs(free)) @ np.abs(g.flat())
+            tol = 1e-13 * scale
+            assert abs(energy[i, j] - f.flat() @ dense @ g.flat()) <= tol
+            assert abs(energy[i, j] - eval_form(a, f, g)) <= tol
+            assert abs(gradient[i, j] - f.flat() @ free @ g.flat()) <= tol
+            assert abs(potential[i, j] - _potential_energy(a, f, g)) <= tol
+            if not a.potential_psd:
+                continue
+            nf, ng = form_norm(a, f), form_norm(a, g)
+            graph_sq = mixed_norm(f, 2) ** 2 + f.flat() @ free @ f.flat() + _potential_energy(a, f, f)
+            assert nf == pytest.approx(np.sqrt(graph_sq), rel=1e-13)
+            assert norms_x[i, 0] == pytest.approx(nf, rel=1e-13)
+            assert norms_y[0, j] == pytest.approx(ng, rel=1e-13)
+            assert abs(ratios[i, j] - continuity_ratio(a, f, g)) <= tol / (nf * ng)
+
+
+def test_form_terms_empty_batch_and_shape_check():
+    grid = build_grid(2, 1.0, 3, 2)
+    a = _free_form(grid)
+    empty = np.zeros((0, grid.m, grid.n_nodes))
+    for term in form_terms(a, empty, empty):
+        assert term.shape == (0,)
+    with pytest.raises(ValueError, match="shape"):
+        form_terms(a, np.zeros((grid.n_nodes, grid.m)), np.zeros((grid.m, grid.n_nodes)))
+
+
+def _skewed(assembly, rng):
+    """Make the stored diffusion samples asymmetric, bypassing the field's checks."""
+    skew = rng.standard_normal(assembly.diffusion.samples.shape)
+    return assembly.diffusion.samples + (skew - skew.transpose(0, 2, 1))
+
+
+def test_batched_symmetry_gap_sees_asymmetric_diffusion(monkeypatch):
+    # negative control: a(f,g) and a(g,f) are separate evaluations, so an
+    # asymmetric Q shows up in the batch exactly as it does state by state
+    rng = np.random.default_rng(13)
+    grid = build_grid(2, 1.0, 4, 2)
+    a = assemble_form(_random_spd_diffusion(grid, rng), _random_psd_potential(grid, rng), grid)
+    monkeypatch.setattr(a.diffusion, "samples", _skewed(a, rng))
+    states = rng.standard_normal((6, 2, grid.m, grid.n_nodes))
+    energy = form_terms(a, states[:, :, None], states[:, None])[0]
+    for p in range(len(states)):
+        f, g = VectorState(grid, states[p, 0]), VectorState(grid, states[p, 1])
+        single_gap = eval_form(a, f, g) - eval_form(a, g, f)
+        assert abs(single_gap) > 1e-6 * max(abs(energy[p, 0, 0]), abs(energy[p, 1, 1]))
+        assert energy[p, 0, 1] - energy[p, 1, 0] == pytest.approx(single_gap, rel=1e-12)
+
+
+def test_form_axioms_fails_on_asymmetric_diffusion(monkeypatch):
+    rng = np.random.default_rng(14)
+
+    def skewed_form(diffusion, potential, grid):
+        a = assemble_form(diffusion, potential, grid)
+        if grid.d > 1:  # in 1-d every 1x1 sample is symmetric
+            monkeypatch.setattr(a.diffusion, "samples", _skewed(a, rng))
+        return a
+
+    monkeypatch.setattr(checks, "assemble_form", skewed_form)
+    passed, detail = checks.check_form_axioms(seed=1, n_configs=6, pairs_per_config=5)
+    assert not passed
+    assert detail["failures"] > 0
+    assert detail["worst_symmetry_gap"] > 1e-6

@@ -27,7 +27,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import QuadratureError
 from .form import assemble_form
@@ -42,7 +41,7 @@ from .grid import (
 )
 from .io import _jsonable
 from .operators import assemble_operator, eigen_lowest, pointwise_extremal_eigs, sandwich_check
-from .semigroup import positivity_probe
+from .semigroup import _simpson, positivity_probe
 
 __all__ = [
     "GalleryProblem",
@@ -438,9 +437,9 @@ def _antisym_ratio(n: int, points: int) -> dict:
     phi = smooth_bump_profile(x / n)
     dphi = smooth_bump_slope(x / n) / n
     w = 1.0 + x**2
-    cross = float(simpson(np.abs(x) / w * phi, x=x))
-    grad = float(simpson((dphi / np.sqrt(w) - phi * x / w**1.5) ** 2, x=x))
-    l2 = float(simpson(phi**2 / w, x=x))
+    cross = _simpson(np.abs(x) / w * phi, x)
+    grad = _simpson((dphi / np.sqrt(w) - phi * x / w**1.5) ** 2, x)
+    l2 = _simpson(phi**2 / w, x)
     return {"cross": cross, "gradient": grad, "l2": l2, "ratio": cross / (l2 + grad)}
 
 

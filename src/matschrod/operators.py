@@ -133,8 +133,28 @@ class SymmetricOperator:
         if self.dim > DENSE_LIMIT:
             raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {self.dim}")
         if self._dense_eig is None:
-            self._dense_eig = scipy.linalg.eigh(self.generator().toarray())
+            b = self.generator()
+            bands = _tridiagonal(b)
+            if bands is None:
+                self._dense_eig = scipy.linalg.eigh(b.toarray())
+            else:
+                self._dense_eig = scipy.linalg.eigh_tridiagonal(*bands)
         return self._dense_eig
+
+
+def _tridiagonal(b):
+    """(diagonal, off-diagonal) of B if its nonzeros lie on the central three diagonals.
+
+    Returns None otherwise; explicit stored zeros do not count.  A 1-d grid
+    with m = 1, or with a diagonal potential, qualifies: the component blocks
+    of the component-major ordering meet at an exact zero of the
+    off-diagonal, where LAPACK's tridiagonal solvers split the matrix, so
+    equal eigenvalues of different components come back orthogonal.
+    """
+    coo = b.tocoo()
+    if np.any(np.abs(coo.row - coo.col)[coo.data != 0] > 1):
+        return None
+    return b.diagonal(), b.diagonal(1)
 
 
 def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
@@ -234,7 +254,12 @@ def _eigen_dense(op: SymmetricOperator, k: int, tol: float) -> SpectrumReport:
     if op.dim > DENSE_LIMIT:
         raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {op.dim}")
     b = op.generator()
-    w, v = scipy.linalg.eigh(b.toarray(), subset_by_index=(0, k - 1))
+    bands = _tridiagonal(b)
+    if bands is None:
+        w, v = scipy.linalg.eigh(b.toarray(), subset_by_index=(0, k - 1))
+    else:
+        # bisection plus inverse iteration (LAPACK stebz/stein)
+        w, v = scipy.linalg.eigh_tridiagonal(*bands, select="i", select_range=(0, k - 1))
     res = np.linalg.norm(b @ v - v * w, axis=0)
     return SpectrumReport(
         eigenvalues=w,

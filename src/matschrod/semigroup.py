@@ -47,7 +47,6 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from numpy.polynomial import chebyshev as cheb
-from scipy.integrate import simpson
 
 from .errors import ConvergenceError
 from .grid import VectorState, _require_same_grid, mixed_norm, smooth_bump_profile
@@ -198,11 +197,34 @@ def _krylov_expm(op, v, t, kdim, tol):
 # -- polynomial Lanczos ----------------------------------------------------
 
 
+def _simpson(y, x) -> float:
+    """Composite Simpson's rule for samples y at an odd number of points x.
+
+    Term for term the odd-count rule of ``scipy.integrate.simpson`` (spacing
+    may vary from panel to panel), so results agree bit for bit without the
+    cost of importing ``scipy.integrate``.  An even point count raises.
+    """
+    y = np.asarray(y)
+    if y.size % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd number of points, got {y.size}")
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    h1divh0 = np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0)
+    panel = np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
+    tmp = hsum / 6.0 * (
+        y[:-2:2] * (2.0 - h1divh0) + y[1:-1:2] * (hsum * panel) + y[2::2] * (2.0 - h0divh1)
+    )
+    return float(np.sum(tmp))
+
+
 def _krylov_step_error(lam, weights, last_row, beta_next, tau) -> float:
     """Integral bound beta_k int_0^tau |u_k(s)| ds for one Krylov substep."""
     s = np.linspace(0.0, tau, 33)
     u_last = (last_row * weights) @ np.exp(-np.outer(lam, s))
-    return beta_next * float(simpson(np.abs(u_last), x=s))
+    return beta_next * _simpson(np.abs(u_last), s)
 
 
 def _polynomial_expm(b, v, t, kdim, c, tol):

@@ -1,12 +1,18 @@
 """End-to-end CLI runs: artifacts, exit codes, reproducibility."""
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import matschrod
 from matschrod import cli
 from matschrod.checks import run_checks
+from matschrod.semigroup import _simpson
 
 
 def _read_json(path):
@@ -367,3 +373,29 @@ def test_run_checks_records_broken_params_as_failure():
     record = results[0].verdict_record()
     assert record["name"] == "laplacian_spectrum"
     assert "runtime_s" not in record
+
+
+# -- start-up cost -----------------------------------------------------------------------------
+
+
+def test_cli_import_skips_scipy_integrate():
+    src = str(Path(matschrod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, matschrod.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_simpson_matches_scipy_bit_for_bit():
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(31)
+    for points in (3, 5, 33, 101, 2001):
+        for x in (np.linspace(-2.0, 3.0, points), np.sort(rng.uniform(-5.0, 5.0, points))):
+            y = rng.standard_normal(points)
+            assert _simpson(y, x) == float(simpson(y, x=x))
+
+
+def test_simpson_rejects_even_point_count():
+    with pytest.raises(ValueError, match="odd number"):
+        _simpson(np.ones(4), np.arange(4.0))

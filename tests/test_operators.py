@@ -3,6 +3,10 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matschrod.operators as operators_module
 from matschrod import (
@@ -242,6 +246,86 @@ def test_spectrum_report_csv_roundtrip(tmp_path):
     assert rows[0] == ["index", "eigenvalue", "residual"]
     values = np.array([float(r[1]) for r in rows[1:]])
     np.testing.assert_array_equal(values, report.eigenvalues)  # repr() is lossless
+
+
+# -- the tridiagonal path ----------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    N=st.integers(2, 300),
+    m=st.integers(1, 3),
+    shift=st.sampled_from((0.0, -1000.0)),
+    repeat_block=st.booleans(),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_tridiagonal_path_matches_dense_eigh(N, m, shift, repeat_block, seed, data):
+    # d = 1 with a diagonal V is tridiagonal; repeat_block gives every component
+    # the same potential, so each eigenvalue has exact multiplicity m
+    rng = np.random.default_rng(seed)
+    grid = build_grid(1, 2.0, N, m)
+    q = DiffusionField(grid, rng.uniform(0.2, 2.0, (grid.n_cells, 1, 1)))
+    v = rng.uniform(0.0, 5.0, (grid.n_nodes, m)) + shift
+    if repeat_block:
+        v[:] = v[:, :1]
+    pot = PotentialField(grid, v[:, :, None] * np.eye(m))
+    op = assemble_operator(assemble_form(q, pot, grid))
+    b = op.generator()
+    assert operators_module._tridiagonal(b) is not None
+    exact = scipy.linalg.eigh(b.toarray(), eigvals_only=True)
+    bnorm = op.generator_norm_bound()
+    k = data.draw(st.integers(1, op.dim), label="k")
+
+    report = eigen_lowest(op, k, method="dense")
+    vecs = report.eigenvectors
+    assert report.method == "dense"
+    np.testing.assert_allclose(report.eigenvalues, exact[:k], rtol=0, atol=1e-12 * bnorm)
+    assert np.all(report.residuals <= report.tol * bnorm)
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(k), 2) <= 1e-12
+
+    w, u = op.dense_eig()
+    np.testing.assert_allclose(w, exact, rtol=0, atol=1e-12 * bnorm)
+    assert np.all(np.linalg.norm(b @ u - u * w, axis=0) <= report.tol * bnorm)
+    assert np.linalg.norm(u.T @ u - np.eye(op.dim), 2) <= 1e-12
+
+
+def _spy_dense_solvers(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigh_tridiagonal"):
+        def spy(*args, _name=name, _fn=getattr(scipy.linalg, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "d, v_fn, solver",
+    [
+        (1, lambda x: np.array([[1.0, 0.3], [0.3, 2.0]]), "eigh"),  # coupled m = 2
+        (2, lambda x: np.array([[1.0]]), "eigh"),
+        (1, lambda x: np.diag([1.0, 2.0]), "eigh_tridiagonal"),
+    ],
+)
+def test_dense_solver_follows_matrix_structure(monkeypatch, d, v_fn, solver):
+    grid = build_grid(d, 1.0, 6, 2 if d == 1 else 1)
+    dif, pot = sample_fields(lambda x: np.eye(d), v_fn, grid)
+    op = assemble_operator(assemble_form(dif, pot, grid))
+    if solver == "eigh_tridiagonal":
+        # store the zero coupling of the diagonal potential explicitly, off the band
+        coo = op.matrix.tocoo()
+        n = grid.n_nodes
+        rows = np.concatenate([coo.row, np.arange(n), np.arange(n, 2 * n)])
+        cols = np.concatenate([coo.col, np.arange(n, 2 * n), np.arange(n)])
+        data = np.concatenate([coo.data, np.zeros(2 * n)])
+        op.matrix = sparse.csr_matrix((data, (rows, cols)), shape=coo.shape)
+        assert op.generator().nnz == coo.nnz + 2 * n
+    calls = _spy_dense_solvers(monkeypatch)
+    eigen_lowest(op, 3, method="dense")
+    op.dense_eig()
+    assert calls == [solver, solver]
 
 
 # -- pointwise extremal eigenvalues ------------------------------------------------

@@ -44,6 +44,7 @@ from .form import (
 )
 from .gallery import (
     GALLERY,
+    antisymmetric_continuity,
     degenerate_counterexample,
     harmonic_oscillator,
     antisymmetric_continuity_demo,
@@ -409,16 +410,18 @@ def check_counterexample_merge(seed=42, k=20, tol_rel=1e-8):
 
 
 def check_antisymmetric_continuity(seed=42, n_list=(1, 5, 10, 50, 100), min_tail_growth=1.3):
-    """Continuity ratios r_n increase and r_100 / r_10 >= 1.3.
+    """Continuity ratios r_n increase and the tail growth r_hi / r_lo >= 1.3.
 
-    Quadrature resolution is certified internally by step halving (any
-    disagreement beyond 1% raises instead of passing silently).
+    (lo, hi) is the gallery claim's ``tail_pair``, (10, 100) for the default
+    scales.  Quadrature resolution is certified internally by step halving
+    (any disagreement beyond 1% raises instead of passing silently).
     """
     records = antisymmetric_continuity_demo(n_list=n_list)
     ratios = [rec["ratio"] for rec in records]
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     n_list = list(n_list)
-    growth = ratios[n_list.index(100)] / ratios[n_list.index(10)]
+    lo, hi = antisymmetric_continuity(n_list).expected["continuity_ratios"]["tail_pair"]
+    growth = ratios[n_list.index(hi)] / ratios[n_list.index(lo)]
     worst_halving = max(rec["halving_disagreement"] for rec in records)
     passed = increasing and growth >= min_tail_growth and worst_halving <= 0.01
     return passed, {

@@ -287,16 +287,55 @@ def _factor_spd(matrix):
     )
 
 
+def _lanczos(apply, q, kmax, rng=None):
+    """Lanczos with full reorthogonalization on the Krylov space of ``apply`` from q.
+
+    The orthonormal basis is stored as the rows of a (kmax, n) array, so every
+    prefix is contiguous.  After each step the generator yields the views
+    (basis[:j+1], alphas[:j+1], betas[:j+1]); betas[j] couples the basis to
+    its next vector and is stored as 0 on breakdown (an invariant subspace).
+    There, with ``rng``, the basis continues from a fresh random direction
+    orthogonalized against it; without, the generator stops.
+    """
+    n = q.size
+    basis = np.empty((kmax, n))
+    alphas = np.empty(kmax)
+    betas = np.zeros(kmax)
+    q = q / np.linalg.norm(q)
+    for j in range(kmax):
+        basis[j] = q
+        rows = basis[: j + 1]
+        w = apply(q)
+        alphas[j] = q @ w
+        # full reorthogonalization (two passes), subsumes the three-term recurrence
+        for _ in range(2):
+            w -= rows.T @ (rows @ w)
+        beta = np.linalg.norm(w)
+        breakdown = beta <= 1e-14 * max(1.0, abs(alphas[0]))
+        if not breakdown:
+            betas[j] = beta
+            q = w / beta
+        yield rows, alphas[: j + 1], betas[: j + 1]
+        if breakdown:
+            if rng is None:
+                return
+            q = rng.standard_normal(n)
+            for _ in range(2):
+                q -= rows.T @ (rows @ q)
+            norm = np.linalg.norm(q)
+            if norm == 0.0:
+                return
+            q = q / norm
+
+
 def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> SpectrumReport:
     """Shift-invert Lanczos: largest eigenvalues of (B - sigma I)^-1 <-> smallest of B.
 
     The diffusion part of B is PSD, so B >= (min V) I and the shift
     sigma = min(-1, min V - 1) makes B - sigma I >= I.  That matrix is SPD,
-    so ``_factor_spd`` factors it Cholesky-like.
-
-    Full reorthogonalization against the whole basis every step (robustness
-    over speed at these problem sizes); on breakdown the basis is continued
-    with a fresh orthogonalized random direction.
+    so ``_factor_spd`` factors it Cholesky-like.  ``_lanczos`` runs with
+    full reorthogonalization (robustness over speed at these problem sizes)
+    and continues a broken-down basis from a fresh random direction.
     """
     b = op.generator()
     n = op.dim
@@ -305,38 +344,11 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     solve = _factor_spd(b - sigma * sparse.identity(n, format="csr")).solve
     rng = np.random.default_rng(seed)
     max_dim = min(n, max(8 * k, 160))
-    basis = np.empty((n, max_dim))
-    alphas = np.empty(max_dim)
-    betas = np.zeros(max_dim)
-
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
     report = None
-    for j in range(max_dim):
-        basis[:, j] = q
-        w = solve(q)
-        alphas[j] = q @ w
-        # full reorthogonalization (two passes), subsumes the three-term recurrence
-        for _ in range(2):
-            w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
-        beta = np.linalg.norm(w)
-        if beta <= 1e-14 * max(1.0, abs(alphas[0])):
-            # invariant subspace found: continue with a fresh direction
-            betas[j] = 0.0
-            q = rng.standard_normal(n)
-            for _ in range(2):
-                q -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ q)
-            norm = np.linalg.norm(q)
-            if norm == 0.0:
-                break
-            q = q / norm
-        else:
-            betas[j] = beta
-            q = w / beta
-        if j + 1 >= k and (j % 3 == 0 or j == max_dim - 1):
-            report = _ritz_report(
-                b, basis[:, : j + 1], alphas[: j + 1], betas[:j], k, tol, bnorm, j + 1, sigma
-            )
+    for basis, alphas, betas in _lanczos(solve, rng.standard_normal(n), max_dim, rng):
+        size = len(alphas)
+        if size >= k and (size % 3 == 1 or size == max_dim):
+            report = _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma)
             if np.all(report.residuals <= tol * bnorm):
                 return report
     raise ConvergenceError(
@@ -345,17 +357,14 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     )
 
 
-def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, iterations, sigma) -> SpectrumReport:
-    tri = np.diag(alphas)
-    if len(betas):
-        tri += np.diag(betas, 1) + np.diag(betas, -1)
-    theta, y = scipy.linalg.eigh(tri)
+def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma) -> SpectrumReport:
+    theta, y = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
     # largest theta of (B - sigma I)^-1 correspond to the smallest eigenvalues
     # of B, via lambda = 1/theta + sigma
     order = np.argsort(theta)[::-1][:k]
     theta = np.maximum(theta[order], 1e-300)
     lams = 1.0 / theta + sigma
-    vecs = basis @ y[:, order]
+    vecs = basis.T @ y[:, order]
     vecs /= np.linalg.norm(vecs, axis=0)
     res = np.linalg.norm(b @ vecs - vecs * lams, axis=0)
     asc = np.argsort(lams)
@@ -363,7 +372,7 @@ def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, iterations, sigma) -> S
         eigenvalues=lams[asc],
         residuals=res[asc],
         method="lanczos",
-        iterations=iterations,
+        iterations=len(alphas),
         tol=tol,
         matrix_norm=bnorm,
         shift=sigma,

@@ -1,7 +1,7 @@
-"""Regression pins for the batched form checks against the per-pair code."""
+"""Regression pins for the batched form checks, and check parameters."""
 import pytest
 
-from matschrod.checks import check_beurling_denny, check_form_axioms
+from matschrod.checks import check_beurling_denny, check_form_axioms, run_checks
 
 # Measured with the per-pair implementation (one VectorState.random draw and
 # one eval_form call per state), its worst-case fields starting at +-inf.
@@ -40,3 +40,12 @@ def test_beurling_denny_keeps_the_random_stream():
     passed, detail = check_beurling_denny(seed=7, n_configs=3, states_per_config=10)
     _assert_pinned(passed, detail, BEURLING_DENNY_SEED7)
 
+
+def test_antisymmetric_continuity_custom_scales_use_the_gallery_tail_pair():
+    # the gallery claim's tail pair for [1, 2, 4, 8] is (4, 8), not (10, 100)
+    params = {"antisymmetric_continuity": {"n_list": [1, 2, 4, 8]}}
+    (result,) = run_checks(["antisymmetric_continuity"], params)
+    assert "error" not in result.detail
+    ratios = result.detail["ratios"]
+    assert len(ratios) == 4
+    assert result.detail["tail_growth"] == ratios[3] / ratios[2]

@@ -236,6 +236,46 @@ def test_lanczos_unreachable_tolerance_raises_with_partial():
     np.testing.assert_allclose(partial.eigenvalues, _laplacian_eigs(grid)[:3], rtol=1e-9)
 
 
+# -- the Lanczos kernel ------------------------------------------------------------
+
+
+def test_lanczos_kernel_stops_on_an_invariant_subspace():
+    # e_0 + e_1 + e_2 spans a 3-dimensional invariant subspace of diag(1..20)
+    diag = np.arange(1.0, 21.0)
+    q = np.zeros(20)
+    q[:3] = 1.0
+    steps = [(len(a), b[-1]) for _, a, b in operators_module._lanczos(lambda x: diag * x, q, 10)]
+    assert [size for size, _ in steps] == [1, 2, 3]
+    assert steps[-1][1] == 0.0 and steps[0][1] > 0.0 and steps[1][1] > 0.0
+
+
+def test_lanczos_kernel_with_rng_restarts_to_kmax():
+    # ten distinct eigenvalues of multiplicity three: every Krylov space of a
+    # single vector breaks down after ten steps, so reaching kmax needs restarts
+    diag = np.repeat(np.arange(1.0, 11.0), 3)
+    rng = np.random.default_rng(0)
+    steps = list(operators_module._lanczos(lambda x: diag * x, rng.standard_normal(30), 25, rng))
+    basis, alphas, betas = steps[-1]
+    assert len(steps) == 25 and basis.shape == (25, 30) and len(alphas) == len(betas) == 25
+    assert betas[9] == 0.0
+    assert np.linalg.norm(basis @ basis.T - np.eye(25), 2) <= 1e-12
+
+
+@pytest.mark.parametrize("N, m, k", [(8, 2, 12), (8, 2, 16), (4, 3, 6)])
+def test_forced_lanczos_keeps_multiplicities(N, m, k):
+    # m identical components repeat every eigenvalue m times.  At N = 8
+    # roundoff leaks the other copies into the basis; at N = 4 the basis
+    # breaks down exactly after 4 steps, and only the restart finds them
+    grid = build_grid(1, 1.0, N, m)
+    dif, pot = sample_fields(lambda x: 1.0, lambda x: float(x @ x) * np.eye(m), grid)
+    op = assemble_operator(assemble_form(dif, pot, grid))
+    dense = eigen_lowest(op, k, method="dense")
+    lanc = eigen_lowest(op, k, method="lanczos")
+    np.testing.assert_array_equal(np.ptp(dense.eigenvalues.reshape(-1, m), axis=1) < 1e-12, True)
+    np.testing.assert_allclose(lanc.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12 * lanc.matrix_norm)
+    assert np.all(lanc.residuals <= lanc.tol * lanc.matrix_norm)
+
+
 def test_spectrum_report_csv_roundtrip(tmp_path):
     _, op = _free_operator(N=20)
     report = eigen_lowest(op, 5)

@@ -162,7 +162,8 @@ def test_krylov_absurd_tolerance_raises():
 
 
 def test_krylov_failure_carries_partial():
-    # mild t||B|| fails inside polynomial substeps, stiff t||B|| before the
+    # tol = 1e-30 is below the roundoff floor of both regimes, so mild t||B||
+    # fails before the polynomial substeps and stiff t||B|| before the
     # shift-invert factorization; either way the partial is a certified state
     grid, op = _harmonic_operator(N=20)
     stiff_grid = build_grid(1, 1.0, 100, 1)
@@ -215,6 +216,35 @@ def test_krylov_dispatch_by_stiffness(monkeypatch):
     assert calls == {"polynomial": 5, "shift-invert": 10}
 
 
+@pytest.mark.parametrize("v, t", [(-50.0, 0.2), (-20.0, 0.4), (-50.0, 0.3)])
+def test_polynomial_krylov_meets_tol_or_raises_under_growth(monkeypatch, v, t):
+    """V = v I multiplies e^{-tB} by e^{-tv} (2.2e4, 3.0e3 and 3.3e6 here).
+
+    Roundoff so amplified can exceed tol ||f|| while t ||B|| (1.3e3 to 2.6e3)
+    stays polynomial; the closed form e^{-tv} e^{-tB0} f, B0 the free
+    Dirichlet Laplacian in its sine eigenbasis, is the oracle.
+    """
+    calls = _spy_kernels(monkeypatch)
+    grid = build_grid(1, 1.0, 80, 2)
+    dif, pot = sample_fields(lambda x: 1.0, lambda x: v * np.eye(2), grid)
+    op = assemble_operator(assemble_form(dif, pot, grid))
+    f = VectorState.random(grid, np.random.default_rng(0))
+    config = PropagatorConfig(method="lanczos-expmv", krylov_dim=30, tol=1e-10)
+    N = grid.N
+    k = np.arange(1, N + 1)
+    lap = (4.0 / grid.h**2) * np.sin(k * np.pi / (2.0 * (N + 1))) ** 2
+    sines = np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(k, k) * np.pi / (N + 1))
+    exact = np.exp(-t * v) * ((f.values @ sines) * np.exp(-t * lap)) @ sines.T
+    try:
+        got = propagate(op, f, t, config)
+    except ConvergenceError as exc:
+        assert exc.partial["t_reached"] == 0.0
+        np.testing.assert_array_equal(exc.partial["state"].values, f.values)
+    else:
+        assert np.linalg.norm(got.values - exact) <= config.tol * np.linalg.norm(f.values)
+    assert calls == {"polynomial": 1, "shift-invert": 0}
+
+
 def _stiff_harmonic_operator():
     # ||B|| ~ 1640, so t = 0.7 with krylov_dim = 5 (bound 20^2) is stiff
     return _harmonic_operator(N=200, L=5.0)
@@ -224,14 +254,14 @@ def test_shift_invert_eigenvector_is_exact_by_breakdown(monkeypatch):
     grid, op = _stiff_harmonic_operator()
     calls = _spy_kernels(monkeypatch)
     sizes = []
-    basis = semigroup_module._lanczos_basis
+    kernel = semigroup_module._lanczos
 
-    def spy_basis(*args):
-        result = basis(*args)
-        sizes.append((result[0].shape[1], result[3]))
-        return result
+    def spy_kernel(*args):
+        *_, (basis, alphas, betas) = kernel(*args)
+        sizes.append((basis.shape[0], betas[-1] == 0.0))
+        yield basis, alphas, betas
 
-    monkeypatch.setattr(semigroup_module, "_lanczos_basis", spy_basis)
+    monkeypatch.setattr(semigroup_module, "_lanczos", spy_kernel)
     report = eigen_lowest(op, 2)
     krylov = PropagatorConfig(method="lanczos-expmv", krylov_dim=5)
     for i in range(2):

@@ -31,13 +31,12 @@ from .errors import ConfigError, ConvergenceError, QuadratureError
 from .form import assemble_form
 from .gallery import (
     GALLERY,
-    antisymmetric_continuity_demo,
     build_problem,
     list_gallery,
     spectrum_merge_check,
     validate_expected,
 )
-from .grid import VectorState, build_grid, mixed_norm, sample_fields, smooth_bump_profile
+from .grid import VectorState, build_grid, mixed_norm, sample_fields
 from .io import _jsonable
 from .operators import assemble_operator, eigen_lowest, sandwich_check
 from .semigroup import PropagatorConfig, default_config, propagate
@@ -172,6 +171,9 @@ def _expect_keys(section: dict, allowed: set, path: str):
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)} in section {path!r}")
+    missing = allowed - set(section)
+    if missing:
+        raise ConfigError(f"missing config keys {sorted(missing)} in section {path!r}")
 
 
 def _expect(cond: bool, message: str):
@@ -211,21 +213,21 @@ def _validate_kind_block(block: dict, kinds: dict, path: str) -> str:
 
 def _validate_config(config: dict):
     _expect_keys(config, set(DEFAULT_CONFIG), "")
+    for name, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict):
+            _expect_keys(config[name], set(default), name)
     _expect(isinstance(config["seed"], int), "seed must be an integer")
 
     grid = config["grid"]
-    _expect_keys(grid, {"d", "L", "N", "m"}, "grid")
     for key in ("d", "N", "m"):
         _expect(isinstance(grid[key], int), f"grid.{key} must be an integer")
     _expect(isinstance(grid["L"], (int, float)), "grid.L must be a number")
 
     coeff = config["coefficients"]
-    _expect_keys(coeff, {"q", "v"}, "coefficients")
     _validate_kind_block(coeff["q"], _Q_KIND_KEYS, "coefficients.q")
     _validate_kind_block(coeff["v"], _V_KIND_KEYS, "coefficients.v")
 
     solver = config["solver"]
-    _expect_keys(solver, {"k", "tol", "method", "sandwich"}, "solver")
     _expect(isinstance(solver["k"], int) and solver["k"] >= 1, "solver.k must be a positive integer")
     _expect(
         isinstance(solver["tol"], (int, float)) and solver["tol"] > 0,
@@ -238,9 +240,6 @@ def _validate_config(config: dict):
     _expect(isinstance(solver["sandwich"], bool), "solver.sandwich must be a boolean")
 
     prop = config["propagator"]
-    _expect_keys(
-        prop, {"method", "times", "krylov_dim", "cn_steps", "tol", "p_list"}, "propagator"
-    )
     _expect(
         prop["method"] in ("auto", "exact-dense", "lanczos-expmv", "crank-nicolson"),
         "propagator.method must be auto, exact-dense, lanczos-expmv or crank-nicolson",
@@ -258,7 +257,6 @@ def _validate_config(config: dict):
     )
 
     probes = config["probes"]
-    _expect_keys(probes, {"checks", "params"}, "probes")
     if probes["checks"] is not None:
         _expect(isinstance(probes["checks"], list), "probes.checks must be a list or null")
         unknown = [c for c in probes["checks"] if c not in CHECKS]
@@ -266,11 +264,9 @@ def _validate_config(config: dict):
     _expect(isinstance(probes["params"], dict), "probes.params must be an object")
 
     evolve = config["evolve"]
-    _expect_keys(evolve, {"initial_state"}, "evolve")
     _validate_kind_block(evolve["initial_state"], _STATE_KIND_KEYS, "evolve.initial_state")
 
     gallery = config["gallery"]
-    _expect_keys(gallery, {"name", "params", "check", "k", "tol_rel"}, "gallery")
     _expect(
         gallery["check"] in ("validate", "merge"),
         "gallery.check must be validate or merge",
@@ -278,11 +274,9 @@ def _validate_config(config: dict):
     _expect(isinstance(gallery["params"], dict), "gallery.params must be an object")
     _expect(isinstance(gallery["k"], int) and gallery["k"] >= 1, "gallery.k must be a positive integer")
 
-    output = config["output"]
-    _expect_keys(output, {"directory", "formats"}, "output")
+    formats = config["output"]["formats"]
     _expect(
-        isinstance(output["formats"], list)
-        and all(f in ("json", "csv", "dat") for f in output["formats"]),
+        isinstance(formats, list) and all(f in ("json", "csv", "dat") for f in formats),
         "output.formats entries must be json, csv or dat",
     )
 
@@ -359,18 +353,11 @@ def _initial_state(block: dict, grid, seed: int) -> VectorState:
         width = float(block.get("width", 0.5))
         _expect(width > 0, "evolve.initial_state.width must be positive")
         component = block.get("component")
-        radii = np.linalg.norm(grid.node_coords(), axis=1) / (width * grid.L)
-        profile = smooth_bump_profile(radii)
-        values = np.zeros((grid.m, grid.n_nodes))
-        if component is None:
-            values[:] = profile
-        else:
-            _expect(
-                isinstance(component, int) and 0 <= component < grid.m,
-                f"evolve.initial_state.component must be an integer below {grid.m}",
-            )
-            values[component] = profile
-        return VectorState(grid, values)
+        _expect(
+            component is None or (isinstance(component, int) and 0 <= component < grid.m),
+            f"evolve.initial_state.component must be an integer below {grid.m}",
+        )
+        return VectorState.bump(grid, width, component)
     if kind == "impulse":
         component = block.get("component", 0)
         _expect(
@@ -651,8 +638,10 @@ def _cmd_gallery(config: dict, outdir: Path) -> bool:
         ]
         return _write_verdicts(records, config, "gallery", outdir)
     result = validate_expected(problem, seed=config["seed"])
-    if "dat" in formats and "continuity_ratios" in result["claims"]:
-        records = antisymmetric_continuity_demo(problem.expected["continuity_ratios"]["n_list"])
+    continuity = result["claims"].get("continuity_ratios")
+    if "dat" in formats and continuity is not None:
+        n_list = problem.expected["continuity_ratios"]["n_list"]
+        records = [{"n": n, "ratio": r} for n, r in zip(n_list, continuity["ratios"])]
         emit_plot_data(records, "continuity-ratios", outdir / "continuity_ratios.dat")
     return _write_verdicts(
         [

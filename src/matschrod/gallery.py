@@ -558,16 +558,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
             detail = {"structural": structural, "offdiag_max": op.potential_offdiag_max}
             passed = structural == bool(target)
             if structural and op.dim <= _PROBE_DIM_LIMIT:
-                half = grid.L / 2.0
-                values = np.tile(
-                    smooth_bump_profile(
-                        np.linalg.norm(grid.node_coords(), axis=1) / half
-                    ),
-                    (grid.m, 1),
-                )
-                probe = positivity_probe(
-                    op, pot, [VectorState(grid, values)], (0.01, 0.1, 1.0)
-                )
+                probe = positivity_probe(op, pot, [VectorState.bump(grid)], (0.01, 0.1, 1.0))
                 detail["probe_verdict"] = probe.verdict
                 passed = passed and probe.verdict == "positive"
             claims[key] = {"passed": passed, **detail}
@@ -641,7 +632,11 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
                 "passed": increasing == bool(target["increasing"])
                 and growth >= target["min_tail_growth"],
                 "ratios": ratios,
-                "tail_growth": growth,
+                "increasing": increasing,
+                "tail_growth": float(growth),
+                "worst_halving_disagreement": float(
+                    max(rec["halving_disagreement"] for rec in records)
+                ),
             }
         else:
             raise ValueError(f"no validator for claim {key!r} of problem {problem.name!r}")

@@ -301,6 +301,18 @@ class VectorState:
         return cls(grid, vals)
 
     @classmethod
+    def bump(cls, grid: GridSpec, width: float = 0.5, component: int | None = None) -> "VectorState":
+        """Smooth bump ``smooth_bump_profile(|x| / (width L))`` on every
+        component, or on ``component`` only (the others zero)."""
+        profile = smooth_bump_profile(np.linalg.norm(grid.node_coords(), axis=1) / (width * grid.L))
+        vals = np.zeros((grid.m, grid.n_nodes))
+        if component is None:
+            vals[:] = profile
+        else:
+            vals[component] = profile
+        return cls(grid, vals)
+
+    @classmethod
     def random(cls, grid: GridSpec, rng: np.random.Generator, scale: float = 1.0) -> "VectorState":
         return cls(grid, scale * rng.standard_normal((grid.m, grid.n_nodes)))
 

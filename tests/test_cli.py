@@ -140,6 +140,16 @@ def test_kind_dependent_key_validation(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "flag, missing",
+    [('--grid={"d": 1}', "['L', 'N', 'm']"), ('--solver={"k": 3}', "['method', 'sandwich', 'tol']")],
+)
+def test_section_flag_missing_keys_is_config_error(tmp_path, capsys, flag, missing):
+    assert cli.main(["assemble", "--out", str(tmp_path), flag]) == 2
+    section = flag[2:].split("=")[0]
+    assert f"missing config keys {missing} in section {section!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind_first", [True, False])
 def test_dotted_kind_switch_drops_default_keys(tmp_path, kind_first):
     kind = "--evolve.initial_state.kind=impulse"
@@ -281,6 +291,8 @@ def test_gallery_validate_emits_continuity_dat(tmp_path):
     assert len(lines) == 4
     ratios = [float(line.split()[1]) for line in lines[1:]]
     assert ratios == sorted(ratios)
+    claim = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]["continuity_ratios"]
+    assert ratios == claim["ratios"]
 
 
 def test_gallery_unknown_name_and_check(tmp_path):

@@ -162,6 +162,17 @@ def test_impulse_and_from_function():
         VectorState.from_function(grid, lambda x: [1.0, 2.0, 3.0])
 
 
+def test_bump_state_on_all_or_one_component():
+    grid = build_grid(2, 1.5, 9, 3)
+    profile = smooth_bump_profile(np.linalg.norm(grid.node_coords(), axis=1) / (grid.L / 2.0))
+    assert profile.min() == 0.0 and profile.max() == 1.0  # plateau and support both on the grid
+    np.testing.assert_array_equal(VectorState.bump(grid).values, np.tile(profile, (3, 1)))
+    narrow = smooth_bump_profile(np.linalg.norm(grid.node_coords(), axis=1) / (0.25 * grid.L))
+    one = VectorState.bump(grid, width=0.25, component=1).values
+    np.testing.assert_array_equal(one[1], narrow)
+    assert not one[0].any() and not one[2].any()
+
+
 # -- mixed norms -----------------------------------------------------------
 
 

@@ -255,6 +255,12 @@ def _validate_config(config: dict):
         and all(p in (1, 2, 4, "inf") for p in prop["p_list"]),
         "propagator.p_list entries must be 1, 2, 4 or \"inf\"",
     )
+    for key in ("krylov_dim", "cn_steps"):
+        value = prop[key]
+        _expect(
+            isinstance(value, int) and not isinstance(value, bool),
+            f"propagator.{key} must be an integer",
+        )
 
     probes = config["probes"]
     if probes["checks"] is not None:
@@ -273,6 +279,10 @@ def _validate_config(config: dict):
     )
     _expect(isinstance(gallery["params"], dict), "gallery.params must be an object")
     _expect(isinstance(gallery["k"], int) and gallery["k"] >= 1, "gallery.k must be a positive integer")
+    _expect(
+        isinstance(gallery["tol_rel"], (int, float)) and 0 < gallery["tol_rel"] < float("inf"),
+        "gallery.tol_rel must be a finite positive number",
+    )
 
     formats = config["output"]["formats"]
     _expect(
@@ -400,8 +410,8 @@ def _propagator_config(block: dict, op) -> PropagatorConfig:
     return PropagatorConfig(
         method=method,
         times=tuple(block["times"]),
-        krylov_dim=int(block["krylov_dim"]),
-        cn_steps=int(block["cn_steps"]),
+        krylov_dim=block["krylov_dim"],
+        cn_steps=block["cn_steps"],
         tol=float(block["tol"]),
         p_list=p_list,
     )
@@ -464,6 +474,33 @@ def emit_plot_data(report, kind: str, path):
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_snapshots(snapshots: list, grid, path: Path):
+    """One CSV row per (time, component, node): ``t,node,x0..x{d-1},component,value``.
+
+    Floats are ``repr`` and lines end in CRLF, as ``csv.writer`` would write
+    them; no field needs quoting.  The ``node,x0..`` prefix is formatted once,
+    and each (time, component) block is written as one string.
+    """
+    prefixes = [
+        ",".join([str(node)] + [repr(c) for c in xs])
+        for node, xs in enumerate(grid.node_coords().tolist())
+    ]
+    header = ["t", "node"] + [f"x{i}" for i in range(grid.d)] + ["component", "value"]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t, state in snapshots:
+            for comp in range(grid.m):
+                head, tail = f"{_jsonable(t)},", f",{comp},"
+                fh.write(
+                    "".join(
+                        [
+                            f"{head}{prefix}{tail}{v!r}\r\n"
+                            for prefix, v in zip(prefixes, state.values[comp].tolist())
+                        ]
+                    )
+                )
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -541,21 +578,20 @@ def _cmd_evolve(config: dict, outdir: Path) -> bool:
     f0 = _initial_state(config["evolve"]["initial_state"], grid, config["seed"])
     norms_in = {p: mixed_norm(f0, p) for p in prop.p_list}
     formats = config["output"]["formats"]
-    coords = grid.node_coords()
     trace = []
     snapshots = [(0.0, f0)]
     for t in prop.times:
         ft = propagate(op, f0, t, prop)
         snapshots.append((t, ft))
         for p in prop.p_list:
-            ratio = mixed_norm(ft, p) / norms_in[p] if norms_in[p] > 0 else None
+            norm_out = mixed_norm(ft, p)
             trace.append(
                 {
                     "t": t,
                     "p": p,
                     "norm_in": norms_in[p],
-                    "norm_out": mixed_norm(ft, p),
-                    "ratio": ratio,
+                    "norm_out": norm_out,
+                    "ratio": norm_out / norms_in[p] if norms_in[p] > 0 else None,
                     "guaranteed": op.potential_psd and (p == 2.0 or op.q_diagonal),
                 }
             )
@@ -565,17 +601,7 @@ def _cmd_evolve(config: dict, outdir: Path) -> bool:
             writer.writerow(["t", "p", "norm_in", "norm_out", "ratio", "guaranteed"])
             for rec in trace:
                 writer.writerow([_jsonable(rec[c]) for c in ("t", "p", "norm_in", "norm_out", "ratio", "guaranteed")])
-        with open(outdir / "snapshots.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "node"] + [f"x{i}" for i in range(grid.d)] + ["component", "value"])
-            for t, state in snapshots:
-                for comp in range(grid.m):
-                    for node in range(grid.n_nodes):
-                        writer.writerow(
-                            [_jsonable(t), node]
-                            + [repr(float(c)) for c in coords[node]]
-                            + [comp, repr(float(state.values[comp, node]))]
-                        )
+        _write_snapshots(snapshots, grid, outdir / "snapshots.csv")
     if "dat" in formats:
         emit_plot_data(trace, "norm-traces", outdir / "norms.dat")
     guaranteed_bad = [

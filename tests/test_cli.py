@@ -127,6 +127,34 @@ def test_invalid_grid_parameters_are_config_errors(tmp_path):
     assert cli.main(["assemble", "--out", str(tmp_path), "--grid.N=1"]) == 2
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "Infinity", "NaN", '"1e-8"'])
+def test_gallery_tol_rel_must_be_finite_positive(tmp_path, capsys, value):
+    rc = cli.main(
+        [
+            "gallery", "--out", str(tmp_path),
+            "--name", "degenerate_counterexample", "--check", "merge",
+            f"--gallery.tol_rel={value}", '--gallery.params={"N": 40}',
+        ]
+    )
+    assert rc == 2
+    assert "gallery.tol_rel must be a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--propagator.krylov_dim=2.5", "propagator.krylov_dim must be an integer"),
+        ("--propagator.cn_steps=1.5", "propagator.cn_steps must be an integer"),
+        ("--propagator.cn_steps=true", "propagator.cn_steps must be an integer"),
+        ("--propagator.krylov_dim=1", "krylov_dim must be >= 2"),
+        ("--propagator.cn_steps=0", "cn_steps must be >= 1"),
+    ],
+)
+def test_propagator_step_counts_must_be_integers(tmp_path, capsys, flag, message):
+    assert cli.main(["evolve", "--out", str(tmp_path), flag]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_kind_dependent_key_validation(tmp_path):
     # width belongs to bump, not impulse
     rc = cli.main(
@@ -194,6 +222,74 @@ def test_evolve_artifacts_and_contraction(tmp_path):
     verdicts = _read_json(tmp_path / "verdicts.json")
     assert verdicts["records"][0]["name"] == "evolve-contraction"
     assert verdicts["records"][0]["detail"]["max_ratio"] <= 1.0 + 1e-8
+
+
+def _csv_writer_snapshots(snapshots, grid, path):
+    """snapshots.csv as a row-by-row ``csv.writer`` loop writes it."""
+    coords = grid.node_coords()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "node"] + [f"x{i}" for i in range(grid.d)] + ["component", "value"])
+        for t, state in snapshots:
+            for comp in range(grid.m):
+                for node in range(grid.n_nodes):
+                    writer.writerow(
+                        [t, node]
+                        + [repr(float(c)) for c in coords[node]]
+                        + [comp, repr(float(state.values[comp, node]))]
+                    )
+
+
+_SNAPSHOT_STATES = {
+    "bump": {"kind": "bump", "width": 0.3, "component": None},
+    "impulse": {"kind": "impulse", "node": 1, "component": 0},
+    "random": {"kind": "random", "scale": 1e-300},
+    "constant": {"kind": "constant", "vector": [-1.5, 0.0]},
+}
+
+
+@pytest.mark.parametrize("d, N", [(1, 12), (2, 6), (3, 4)])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind", sorted(_SNAPSHOT_STATES))
+def test_evolve_snapshots_match_csv_writer_bytes(tmp_path, monkeypatch, d, N, m, kind):
+    state = dict(_SNAPSHOT_STATES[kind])
+    if kind == "constant":
+        state["vector"] = state["vector"][:m]
+    snapshots = []
+    initial_state, propagate = cli._initial_state, cli.propagate
+
+    def record_initial(*args):
+        f0 = initial_state(*args)
+        snapshots.append((0.0, f0))
+        return f0
+
+    def record_propagate(op, f0, t, prop):
+        ft = propagate(op, f0, t, prop)
+        snapshots.append((t, ft))
+        return ft
+
+    monkeypatch.setattr(cli, "_initial_state", record_initial)
+    monkeypatch.setattr(cli, "propagate", record_propagate)
+    out = tmp_path / "out"
+    rc = cli.main(
+        [
+            "evolve", "--out", str(out), f"--grid.d={d}", f"--grid.N={N}", f"--grid.m={m}",
+            "--coefficients.v.kind=harmonic", "--coefficients.v.scale=1.0",
+            "--propagator.times=[0, 0.01, 1]", f"--evolve.initial_state={json.dumps(state)}",
+        ]
+    )
+    assert rc == 0
+    assert [t for t, _ in snapshots] == [0.0, 0, 0.01, 1]
+    values = np.concatenate([s.values.ravel() for _, s in snapshots])
+    if kind in ("bump", "impulse"):
+        assert np.any(values == 0.0)
+    if kind in ("random", "constant"):
+        assert np.any(values < 0.0)
+    if kind == "random":
+        assert np.any((values != 0.0) & (np.abs(values) < 1e-300))
+    reference = tmp_path / "reference.csv"
+    _csv_writer_snapshots(snapshots, snapshots[0][1].grid, reference)
+    assert (out / "snapshots.csv").read_bytes() == reference.read_bytes()
 
 
 def test_evolve_krylov_absurd_tolerance_exits_3(tmp_path):

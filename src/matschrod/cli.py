@@ -9,8 +9,10 @@ Configs are UTF-8 JSON over a fixed schema; unknown keys are rejected and
 every run echoes the fully resolved configuration to
 ``resolved-config.json``, which can be re-ingested to reproduce the run
 bit for bit (verdict files carry no timings).  Dotted flags override single
-values, e.g. ``--grid.N=500`` or ``--coefficients.v.kind=harmonic``; a
-switched kind drops the keys its block held only from the defaults.
+values, e.g. ``--grid.N=500`` or
+``--coefficients.v.kind=harmonic --coefficients.v.scale=1``; a kind's
+defaults are filled in after the file and every flag, so a switched kind
+starts from its own defaults.
 
 Exit codes: 0 all verdicts passed; 1 a verdict failed; 2 configuration
 error; 3 solver failure (non-convergence, under-resolved quadrature).
@@ -21,6 +23,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,6 +46,10 @@ from .semigroup import PropagatorConfig, default_config, propagate
 
 __all__ = ["main", "run", "emit_plot_data", "DEFAULT_CONFIG"]
 
+#: the schema: each plain setting must have the type of its default (a
+#: float default takes a finite positive number; ``gallery.name``, null by
+#: default, is checked by ``build_problem``); a kind block holds only its
+#: kind, and ``_KINDS`` gives its other keys
 DEFAULT_CONFIG = {
     "seed": 42,
     "grid": {"d": 1, "L": 1.0, "N": 64, "m": 1},
@@ -60,23 +67,49 @@ DEFAULT_CONFIG = {
         "p_list": [1, 2, 4, "inf"],
     },
     "probes": {"checks": None, "params": {}},
-    "evolve": {"initial_state": {"kind": "bump", "width": 0.5, "component": None}},
+    "evolve": {"initial_state": {"kind": "bump"}},
     "gallery": {"name": None, "params": {}, "check": "validate", "k": 20, "tol_rel": 1e-8},
     "output": {"directory": "matschrod-out", "formats": ["json", "csv", "dat"]},
 }
 
-#: config subtrees whose keys depend on a "kind"/name and are validated
-#: separately rather than against the defaults
-_OPEN_PATHS = {
-    "coefficients.q",
-    "coefficients.v",
-    "evolve.initial_state",
-    "probes.params",
-    "gallery.params",
+#: enumerated settings: one choice where the default is a string, otherwise a
+#: list of choices (or null, where the default is null)
+_CHOICES = {
+    "solver.method": ("auto", "dense", "lanczos"),
+    "propagator.method": ("auto", "exact-dense", "lanczos-expmv", "crank-nicolson"),
+    "propagator.p_list": (1, 2, 4, "inf"),
+    "probes.checks": tuple(CHECKS),
+    "gallery.check": ("validate", "merge"),
+    "output.formats": ("json", "csv", "dat"),
 }
 
-#: open subtrees whose keys follow their "kind"
-_KIND_BLOCKS = ("coefficients.q", "coefficients.v", "evolve.initial_state")
+#: a kind key that has no default
+_REQUIRED = object()
+
+#: kind blocks: each kind's accepted keys with their defaults
+_KINDS = {
+    "coefficients.q": {
+        "identity": {},
+        "scaled_identity": {"value": _REQUIRED},
+        "diagonal": {"entries": _REQUIRED},
+        "constant": {"matrix": _REQUIRED},
+    },
+    "coefficients.v": {
+        "zero": {},
+        "scaled_identity": {"value": _REQUIRED},
+        "constant": {"matrix": _REQUIRED},
+        "harmonic": {"scale": _REQUIRED},
+    },
+    "evolve.initial_state": {
+        "bump": {"width": 0.5, "component": None},
+        "impulse": {"node": None, "component": 0},
+        "random": {"scale": 1.0},
+        "constant": {"vector": _REQUIRED},
+    },
+}
+
+#: config subtrees whose keys are not fixed by DEFAULT_CONFIG
+_OPEN_PATHS = set(_KINDS) | {"probes.params", "gallery.params"}
 
 
 # -- config plumbing ----------------------------------------------------------
@@ -99,35 +132,6 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         else:
             base[key] = copy.deepcopy(value)
     return base
-
-
-def _lookup(tree, dotted: str):
-    for part in dotted.split("."):
-        if not isinstance(tree, dict) or part not in tree:
-            return None
-        tree = tree[part]
-    return tree
-
-
-def _apply_override(config: dict, dotted: str, value, defaulted: dict):
-    """Set one dotted flag; a switched kind drops its block's default keys.
-
-    ``defaulted`` maps each kind block to the keys it still holds from
-    DEFAULT_CONFIG.  Keys the user set (by flag or file) are never dropped,
-    so one the new kind does not accept is still rejected by validation.
-    """
-    block, _, key = dotted.rpartition(".")
-    current = _lookup(config, block)
-    if block in defaulted and isinstance(current, dict):
-        if key == "kind" and current.get("kind") != value:
-            for stale in defaulted[block]:
-                current.pop(stale, None)
-            defaulted[block].clear()
-        defaulted[block].discard(key)
-    for path, keys in defaulted.items():
-        if path == dotted or path.startswith(dotted + "."):
-            keys.clear()
-    _set_by_path(config, dotted, value)
 
 
 def _set_by_path(config: dict, dotted: str, value):
@@ -181,120 +185,93 @@ def _expect(cond: bool, message: str):
         raise ConfigError(message)
 
 
-_Q_KIND_KEYS = {
-    "identity": set(),
-    "scaled_identity": {"value"},
-    "diagonal": {"entries"},
-    "constant": {"matrix"},
-}
-_V_KIND_KEYS = {
-    "zero": set(),
-    "scaled_identity": {"value"},
-    "constant": {"matrix"},
-    "harmonic": {"scale"},
-}
-_STATE_KIND_KEYS = {
-    "bump": {"width", "component"},
-    "impulse": {"node", "component"},
-    "random": {"scale"},
-    "constant": {"vector"},
-}
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _validate_kind_block(block: dict, kinds: dict, path: str) -> str:
-    _expect_keys(block, set(block), path)  # shape check only; keys follow kind
-    _expect("kind" in block, f"section {path!r} needs a 'kind'")
-    kind = block["kind"]
-    _expect(kind in kinds, f"{path}.kind must be one of {sorted(kinds)}, got {kind!r}")
-    extra = set(block) - {"kind"} - kinds[kind]
+def _is_choice(value, choices) -> bool:
+    # bool is excluded because True == 1 would match the exponent 1
+    return not isinstance(value, bool) and value in choices
+
+
+def _check_setting(path: str, value, default):
+    """Check one plain setting against ``_CHOICES`` or the type of its default."""
+    if path in _CHOICES:
+        choices = _CHOICES[path]
+        if isinstance(default, str):
+            _expect(_is_choice(value, choices), f"{path} must be one of {list(choices)}, got {value!r}")
+        else:
+            _expect(
+                (value is None and default is None)
+                or (isinstance(value, list) and all(_is_choice(v, choices) for v in value)),
+                f"{path} entries must be one of {list(choices)}, got {value!r}",
+            )
+    elif isinstance(default, bool):
+        _expect(isinstance(value, bool), f"{path} must be a boolean")
+    elif isinstance(default, int):
+        _expect(isinstance(value, int) and not isinstance(value, bool), f"{path} must be an integer")
+    elif isinstance(default, float):
+        _expect(
+            _is_number(value) and math.isfinite(value) and value > 0,
+            f"{path} must be a finite positive number",
+        )
+    elif isinstance(default, str):
+        _expect(isinstance(value, str), f"{path} must be a string")
+    elif isinstance(default, list):  # propagator.times
+        _expect(
+            isinstance(value, list) and value and all(_is_number(v) for v in value),
+            f"{path} must be a nonempty list of numbers",
+        )
+
+
+def _fill_kind_block(block, kinds: dict, path: str):
+    """Check a kind block's keys and fill in the defaults of its kind."""
+    _expect(isinstance(block, dict), f"config section {path!r} must be an object")
+    kind = block.get("kind")
+    _expect(
+        isinstance(kind, str) and kind in kinds,
+        f"{path}.kind must be one of {sorted(kinds)}, got {kind!r}",
+    )
+    extra = set(block) - {"kind"} - set(kinds[kind])
     _expect(not extra, f"unknown keys {sorted(extra)} for {path}.kind={kind!r}")
-    return kind
+    for key, default in kinds[kind].items():
+        if key not in block:
+            _expect(default is not _REQUIRED, f"{path}.{key} is required for {path}.kind={kind!r}")
+            block[key] = default
+
+
+def _check_section(section, defaults: dict, path: str = ""):
+    _expect_keys(section, set(defaults), path)
+    for key, default in defaults.items():
+        here = f"{path}.{key}" if path else key
+        if here in _KINDS:
+            _fill_kind_block(section[key], _KINDS[here], here)
+        elif _is_open(here):
+            _expect(isinstance(section[key], dict), f"{here} must be an object")
+        elif isinstance(default, dict):
+            _check_section(section[key], default, here)
+        else:
+            _check_setting(here, section[key], default)
 
 
 def _validate_config(config: dict):
-    _expect_keys(config, set(DEFAULT_CONFIG), "")
-    for name, default in DEFAULT_CONFIG.items():
-        if isinstance(default, dict):
-            _expect_keys(config[name], set(default), name)
-    _expect(isinstance(config["seed"], int), "seed must be an integer")
+    """Check ``config`` against the schema, filling in kind defaults in place.
 
-    grid = config["grid"]
-    for key in ("d", "N", "m"):
-        _expect(isinstance(grid[key], int), f"grid.{key} must be an integer")
-    _expect(isinstance(grid["L"], (int, float)), "grid.L must be a number")
-
-    coeff = config["coefficients"]
-    _validate_kind_block(coeff["q"], _Q_KIND_KEYS, "coefficients.q")
-    _validate_kind_block(coeff["v"], _V_KIND_KEYS, "coefficients.v")
-
-    solver = config["solver"]
-    _expect(isinstance(solver["k"], int) and solver["k"] >= 1, "solver.k must be a positive integer")
-    _expect(
-        isinstance(solver["tol"], (int, float)) and solver["tol"] > 0,
-        "solver.tol must be positive",
-    )
-    _expect(
-        solver["method"] in ("auto", "dense", "lanczos"),
-        "solver.method must be auto, dense or lanczos",
-    )
-    _expect(isinstance(solver["sandwich"], bool), "solver.sandwich must be a boolean")
-
-    prop = config["propagator"]
-    _expect(
-        prop["method"] in ("auto", "exact-dense", "lanczos-expmv", "crank-nicolson"),
-        "propagator.method must be auto, exact-dense, lanczos-expmv or crank-nicolson",
-    )
-    _expect(
-        isinstance(prop["times"], list)
-        and prop["times"]
-        and all(isinstance(t, (int, float)) for t in prop["times"]),
-        "propagator.times must be a nonempty list of numbers",
-    )
-    _expect(
-        isinstance(prop["p_list"], list)
-        and all(p in (1, 2, 4, "inf") for p in prop["p_list"]),
-        "propagator.p_list entries must be 1, 2, 4 or \"inf\"",
-    )
-    for key in ("krylov_dim", "cn_steps"):
-        value = prop[key]
-        _expect(
-            isinstance(value, int) and not isinstance(value, bool),
-            f"propagator.{key} must be an integer",
-        )
-
-    probes = config["probes"]
-    if probes["checks"] is not None:
-        _expect(isinstance(probes["checks"], list), "probes.checks must be a list or null")
-        unknown = [c for c in probes["checks"] if c not in CHECKS]
-        _expect(not unknown, f"unknown checks {unknown}; known: {sorted(CHECKS)}")
-    _expect(isinstance(probes["params"], dict), "probes.params must be an object")
-
-    evolve = config["evolve"]
-    _validate_kind_block(evolve["initial_state"], _STATE_KIND_KEYS, "evolve.initial_state")
-
-    gallery = config["gallery"]
-    _expect(
-        gallery["check"] in ("validate", "merge"),
-        "gallery.check must be validate or merge",
-    )
-    _expect(isinstance(gallery["params"], dict), "gallery.params must be an object")
-    _expect(isinstance(gallery["k"], int) and gallery["k"] >= 1, "gallery.k must be a positive integer")
-    _expect(
-        isinstance(gallery["tol_rel"], (int, float)) and 0 < gallery["tol_rel"] < float("inf"),
-        "gallery.tol_rel must be a finite positive number",
-    )
-
-    formats = config["output"]["formats"]
-    _expect(
-        isinstance(formats, list) and all(f in ("json", "csv", "dat") for f in formats),
-        "output.formats entries must be json, csv or dat",
-    )
+    Value ranges are left to ``GridSpec`` and ``PropagatorConfig``, apart
+    from the two eigenvalue counts.
+    """
+    _check_section(config, DEFAULT_CONFIG)
+    for section in ("solver", "gallery"):
+        _expect(config[section]["k"] >= 1, f"{section}.k must be a positive integer")
 
 
 def resolve_config(config_path, overrides, seed=None, out=None) -> dict:
-    """Defaults, then file config, then dotted overrides, then --seed/--out."""
+    """Defaults, then file config, then dotted overrides, then --seed/--out.
+
+    Kind defaults are filled in last, so a switched kind never keeps keys of
+    the kind it replaced.
+    """
     config = copy.deepcopy(DEFAULT_CONFIG)
-    defaulted = {path: set(_lookup(config, path)) - {"kind"} for path in _KIND_BLOCKS}
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
@@ -306,11 +283,8 @@ def resolve_config(config_path, overrides, seed=None, out=None) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
         _merge(config, loaded)
-        for path in _KIND_BLOCKS:
-            if _lookup(loaded, path) is not None:
-                defaulted[path].clear()  # the file replaced the whole block
     for dotted, value in overrides:
-        _apply_override(config, dotted, value, defaulted)
+        _set_by_path(config, dotted, value)
     if seed is not None:
         config["seed"] = seed
     if out is not None:
@@ -360,21 +334,21 @@ def _v_callable(block: dict, m: int):
 def _initial_state(block: dict, grid, seed: int) -> VectorState:
     kind = block["kind"]
     if kind == "bump":
-        width = float(block.get("width", 0.5))
+        width = float(block["width"])
         _expect(width > 0, "evolve.initial_state.width must be positive")
-        component = block.get("component")
+        component = block["component"]
         _expect(
             component is None or (isinstance(component, int) and 0 <= component < grid.m),
             f"evolve.initial_state.component must be an integer below {grid.m}",
         )
         return VectorState.bump(grid, width, component)
     if kind == "impulse":
-        component = block.get("component", 0)
+        component = block["component"]
         _expect(
             isinstance(component, int) and 0 <= component < grid.m,
             f"evolve.initial_state.component must be an integer below {grid.m}",
         )
-        node = block.get("node")
+        node = block["node"]
         if node is not None:
             _expect(
                 isinstance(node, int) and 0 <= node < grid.n_nodes,
@@ -382,7 +356,7 @@ def _initial_state(block: dict, grid, seed: int) -> VectorState:
             )
         return VectorState.impulse(grid, node, np.eye(grid.m)[component])
     if kind == "random":
-        scale = float(block.get("scale", 1.0))
+        scale = float(block["scale"])
         return VectorState.random(grid, np.random.default_rng(seed), scale)
     vector = np.asarray(block["vector"], dtype=float)  # constant
     _expect(vector.shape == (grid.m,), f"evolve.initial_state.vector must have {grid.m} entries")

@@ -302,7 +302,7 @@ GALLERY = {
 
 def build_problem(name: str, **params) -> GalleryProblem:
     """Instantiate a gallery problem by name with builder keyword overrides."""
-    if name not in GALLERY:
+    if not isinstance(name, str) or name not in GALLERY:
         known = ", ".join(sorted(GALLERY))
         raise ValueError(f"unknown gallery problem {name!r}; known: {known}")
     return GALLERY[name](**params)

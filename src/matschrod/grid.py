@@ -324,8 +324,14 @@ class VectorState:
         return VectorState(self.grid, values)
 
     def component_norms(self) -> np.ndarray:
-        """Pointwise Euclidean norm over components, shape (n_nodes,)."""
-        return np.sqrt((self.values**2).sum(axis=0))
+        """Pointwise Euclidean norm over components, shape (n_nodes,).
+
+        Each node is scaled by a power of two near 1/max|v| before squaring,
+        so tiny states do not underflow to 0 and huge ones do not overflow;
+        power-of-two scaling is exact, so normal-range norms keep their bits.
+        """
+        _, exp = np.frexp(np.abs(self.values).max(axis=0))
+        return np.ldexp(np.sqrt((np.ldexp(self.values, -exp) ** 2).sum(axis=0)), exp)
 
     def __add__(self, other: "VectorState") -> "VectorState":
         _require_same_grid(self.grid, other.grid)

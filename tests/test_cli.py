@@ -155,6 +155,110 @@ def test_propagator_step_counts_must_be_integers(tmp_path, capsys, flag, message
     assert message in capsys.readouterr().err
 
 
+_INT = ("must be an integer", [True, 1.5, "3"])
+_FLOAT = ("must be a finite positive number", [True, 0, -1.0, float("inf"), float("nan"), "1e-8"])
+_ONE_OF = ("must be one of", [True, 1, "bogus"])
+_LIST_OF = ("entries must be one of", [[True], ["bogus"], "json", 1])
+
+#: every typed setting of DEFAULT_CONFIG, with values of the wrong type
+_BAD_SETTINGS = {
+    "seed": _INT,
+    "grid.d": _INT,
+    "grid.N": _INT,
+    "grid.m": _INT,
+    "grid.L": _FLOAT,
+    "solver.k": _INT,
+    "solver.tol": _FLOAT,
+    "solver.method": _ONE_OF,
+    "solver.sandwich": ("must be a boolean", [1, "true", None]),
+    "propagator.method": _ONE_OF,
+    "propagator.times": ("must be a nonempty list of numbers", [[], [True], 0.1, [0.1, "1"]]),
+    "propagator.krylov_dim": _INT,
+    "propagator.cn_steps": _INT,
+    "propagator.tol": _FLOAT,
+    "propagator.p_list": _LIST_OF,
+    "probes.checks": _LIST_OF,
+    "gallery.check": _ONE_OF,
+    "gallery.k": _INT,
+    "gallery.tol_rel": _FLOAT,
+    "output.directory": ("must be a string", [5, True, None]),
+    "output.formats": _LIST_OF,
+}
+
+
+def _typed_settings(tree, path=""):
+    for key, default in tree.items():
+        here = f"{path}.{key}" if path else key
+        if here in cli._OPEN_PATHS:
+            continue
+        if isinstance(default, dict):
+            yield from _typed_settings(default, here)
+        elif default is not None or here in cli._CHOICES:
+            yield here
+
+
+def test_bad_settings_table_covers_every_typed_setting():
+    assert sorted(_typed_settings(cli.DEFAULT_CONFIG)) == sorted(_BAD_SETTINGS)
+
+
+@pytest.mark.parametrize(
+    "setting, value, message",
+    [(s, v, m) for s, (m, values) in _BAD_SETTINGS.items() for v in values],
+    ids=repr,
+)
+def test_wrongly_typed_setting_is_config_error(tmp_path, monkeypatch, capsys, setting, value, message):
+    # through a config file, since --seed=... is the argparse flag; no --out,
+    # so output.directory is the value under test
+    monkeypatch.chdir(tmp_path)
+    section, _, key = setting.rpartition(".")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {key: value}} if section else {key: value}))
+    assert cli.main(["assemble", "--config", str(config)]) == 2
+    assert f"{setting} {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--solver.k=true", "--grid.m=true", "--grid.L=true", "--solver.tol=true",
+        "--propagator.tol=true", "--propagator.times=[true]", "--propagator.p_list=[true]",
+        "--grid.d=true", "--output.directory=5",
+    ],
+)
+def test_wrongly_typed_flag_is_config_error(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["evolve", "--grid.N=8", flag]) == 2
+    assert f"config error: {flag[2:].split('=')[0]} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "block, kind, key",
+    [
+        ("coefficients.q", "scaled_identity", "value"),
+        ("coefficients.q", "diagonal", "entries"),
+        ("coefficients.q", "constant", "matrix"),
+        ("coefficients.v", "scaled_identity", "value"),
+        ("coefficients.v", "constant", "matrix"),
+        ("coefficients.v", "harmonic", "scale"),
+        ("evolve.initial_state", "constant", "vector"),
+    ],
+)
+def test_kind_switch_without_required_key_is_config_error(tmp_path, capsys, block, kind, key):
+    assert cli.main(["evolve", "--out", str(tmp_path), f"--{block}.kind={kind}"]) == 2
+    assert f"{block}.{key} is required for {block}.kind={kind!r}" in capsys.readouterr().err
+
+
+def test_kind_switch_echoes_kind_defaults_that_reingest_to_the_same_run(tmp_path):
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    flags = ["--grid.N=16", "--evolve.initial_state.kind=impulse"]
+    assert cli.main(["evolve", "--out", str(out1)] + flags) == 0
+    resolved = _read_json(out1 / "resolved-config.json")
+    assert resolved["evolve"]["initial_state"] == {"kind": "impulse", "node": None, "component": 0}
+    assert cli.main(["evolve", "--config", str(out1 / "resolved-config.json"), "--out", str(out2)]) == 0
+    for name in ("snapshots.csv", "probes.csv", "norms.dat", "verdicts.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_kind_dependent_key_validation(tmp_path):
     # width belongs to bump, not impulse
     rc = cli.main(
@@ -292,6 +396,22 @@ def test_evolve_snapshots_match_csv_writer_bytes(tmp_path, monkeypatch, d, N, m,
     assert (out / "snapshots.csv").read_bytes() == reference.read_bytes()
 
 
+def test_evolve_tiny_state_has_nonzero_norms(tmp_path):
+    # the squares of a 1e-200 state underflow; the contraction probe must still see it
+    rc = cli.main(
+        [
+            "evolve", "--out", str(tmp_path), "--grid.d=3", "--grid.N=10", "--grid.m=2",
+            '--evolve.initial_state={"kind": "random", "scale": 1e-200}',
+        ]
+    )
+    assert rc == 0
+    with open(tmp_path / "probes.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 4
+    assert all(float(r["norm_in"]) > 0 and float(r["norm_out"]) > 0 and r["ratio"] for r in rows)
+    assert len((tmp_path / "norms.dat").read_text().strip().splitlines()) == 1 + 3
+
+
 def test_evolve_krylov_absurd_tolerance_exits_3(tmp_path):
     rc = cli.main(
         [
@@ -393,6 +513,7 @@ def test_gallery_validate_emits_continuity_dat(tmp_path):
 
 def test_gallery_unknown_name_and_check(tmp_path):
     assert cli.main(["gallery", "--out", str(tmp_path), "--name", "wat"]) == 2
+    assert cli.main(["gallery", "--out", str(tmp_path), "--gallery.name=[1]"]) == 2
     assert cli.main(["gallery", "--out", str(tmp_path), "--gallery.check=bogus"]) == 2
     assert (
         cli.main(

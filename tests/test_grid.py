@@ -210,6 +210,18 @@ def test_mixed_norm_large_p_no_overflow():
     assert mixed_norm(f, np.inf) == 2e100
 
 
+@pytest.mark.parametrize("k", [-900, -600, -520, -1, 0, 1, 520, 600, 900])
+@pytest.mark.parametrize("p", [1, 2, 4, np.inf])
+def test_mixed_norm_commutes_exactly_with_powers_of_two(k, p):
+    # squaring 2**-520 underflows and 2**520 overflows; the norm must not
+    grid = build_grid(2, 1.0, 6, 3)
+    f = VectorState.random(grid, np.random.default_rng(11))
+    # in the normal range the scaling is invisible: same bits as the plain formula
+    np.testing.assert_array_equal(f.component_norms(), np.sqrt((f.values**2).sum(axis=0)))
+    assert mixed_norm(f * 2.0**k, p) == 2.0**k * mixed_norm(f, p)
+    np.testing.assert_array_equal((f * 2.0**k).component_norms(), 2.0**k * f.component_norms())
+
+
 # -- bump profile -----------------------------------------------------------
 
 

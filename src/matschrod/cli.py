@@ -86,26 +86,50 @@ _CHOICES = {
 #: a kind key that has no default
 _REQUIRED = object()
 
-#: kind blocks: each kind's accepted keys with their defaults
+#: kind blocks: each kind's accepted keys with their defaults and types (keys
+#: of ``_KIND_TYPES``); ranges and shapes are checked where the grid is known
 _KINDS = {
     "coefficients.q": {
         "identity": {},
-        "scaled_identity": {"value": _REQUIRED},
-        "diagonal": {"entries": _REQUIRED},
-        "constant": {"matrix": _REQUIRED},
+        "scaled_identity": {"value": (_REQUIRED, "number")},
+        "diagonal": {"entries": (_REQUIRED, "numbers")},
+        "constant": {"matrix": (_REQUIRED, "matrix")},
     },
     "coefficients.v": {
         "zero": {},
-        "scaled_identity": {"value": _REQUIRED},
-        "constant": {"matrix": _REQUIRED},
-        "harmonic": {"scale": _REQUIRED},
+        "scaled_identity": {"value": (_REQUIRED, "number")},
+        "constant": {"matrix": (_REQUIRED, "matrix")},
+        "harmonic": {"scale": (_REQUIRED, "number")},
     },
     "evolve.initial_state": {
-        "bump": {"width": 0.5, "component": None},
-        "impulse": {"node": None, "component": 0},
-        "random": {"scale": 1.0},
-        "constant": {"vector": _REQUIRED},
+        "bump": {"width": (0.5, "number"), "component": (None, "index or null")},
+        "impulse": {"node": (None, "index or null"), "component": (0, "index")},
+        "random": {"scale": (1.0, "number")},
+        "constant": {"vector": (_REQUIRED, "numbers")},
     },
+}
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_finite_list(value) -> bool:
+    return isinstance(value, list) and all(_is_finite(v) for v in value)
+
+
+#: what each kind-key type accepts, and how a config error names it
+_KIND_TYPES = {
+    "number": (_is_finite, "a finite number"),
+    "numbers": (_is_finite_list, "a list of finite numbers"),
+    "matrix": (lambda v: isinstance(v, list) and all(_is_finite_list(r) for r in v),
+               "a list of lists of finite numbers"),
+    "index": (_is_index, "a nonnegative integer"),
+    "index or null": (lambda v: v is None or _is_index(v), "null or a nonnegative integer"),
 }
 
 #: config subtrees whose keys are not fixed by DEFAULT_CONFIG
@@ -234,10 +258,12 @@ def _fill_kind_block(block, kinds: dict, path: str):
     )
     extra = set(block) - {"kind"} - set(kinds[kind])
     _expect(not extra, f"unknown keys {sorted(extra)} for {path}.kind={kind!r}")
-    for key, default in kinds[kind].items():
+    for key, (default, kind_type) in kinds[kind].items():
         if key not in block:
             _expect(default is not _REQUIRED, f"{path}.{key} is required for {path}.kind={kind!r}")
             block[key] = default
+        accepts, description = _KIND_TYPES[kind_type]
+        _expect(accepts(block[key]), f"{path}.{key} must be {description}, got {block[key]!r}")
 
 
 def _check_section(section, defaults: dict, path: str = ""):
@@ -338,22 +364,18 @@ def _initial_state(block: dict, grid, seed: int) -> VectorState:
         _expect(width > 0, "evolve.initial_state.width must be positive")
         component = block["component"]
         _expect(
-            component is None or (isinstance(component, int) and 0 <= component < grid.m),
+            component is None or component < grid.m,
             f"evolve.initial_state.component must be an integer below {grid.m}",
         )
         return VectorState.bump(grid, width, component)
     if kind == "impulse":
         component = block["component"]
-        _expect(
-            isinstance(component, int) and 0 <= component < grid.m,
-            f"evolve.initial_state.component must be an integer below {grid.m}",
-        )
+        _expect(component < grid.m, f"evolve.initial_state.component must be an integer below {grid.m}")
         node = block["node"]
-        if node is not None:
-            _expect(
-                isinstance(node, int) and 0 <= node < grid.n_nodes,
-                f"evolve.initial_state.node must be an integer below {grid.n_nodes}",
-            )
+        _expect(
+            node is None or node < grid.n_nodes,
+            f"evolve.initial_state.node must be an integer below {grid.n_nodes}",
+        )
         return VectorState.impulse(grid, node, np.eye(grid.m)[component])
     if kind == "random":
         scale = float(block["scale"])
@@ -522,6 +544,9 @@ def _cmd_spectrum(config: dict, outdir: Path) -> bool:
                 "matrix_norm": report.matrix_norm,
                 "method": report.method,
                 "shift": report.shift,
+                "solve": report.solve,
+                "restarts": report.restarts,
+                "certified_count": report.certified_count,
             },
         }
     ]

@@ -16,11 +16,21 @@ identity the two share eigenvectors.
 Assembly accumulates only the lower triangle and mirrors it afterwards
 (S = L + L^T - diag L), which keeps S exactly symmetric in its stored
 entries — no floating-point symmetrization is ever applied.
+
+Shift-invert Lanczos solves with B - sigma I in one of two ways.  When Q is
+one constant diagonal matrix and V one constant matrix (every sample equal
+to the first), B is a Kronecker sum that the DST-I and the eigenvectors of
+V diagonalize: the solve takes O(n log n), and the same closed form counts
+the eigenvalues of B below any tau, which certifies that the Ritz values
+are the lowest k (restarting on what the count shows missing).  Every other
+operator is factored by sparse LU, and its result is certified by residuals
+only.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 import scipy.linalg
@@ -80,39 +90,37 @@ def _stiffness_lower_entries(grid: GridSpec, qcells: np.ndarray):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
+def _from_assembly(path: str):
+    """Read-only attribute of the operator's ``FormAssembly``, by dotted path."""
+    getter = attrgetter(path)
+    return property(lambda self: getter(self.assembly))
+
+
 class SymmetricOperator:
-    """Assembled sparse form matrix plus coefficient metadata.
+    """Assembled sparse form matrix and the ``FormAssembly`` it was built from.
 
     ``matrix`` is the form matrix S (CSR, exactly symmetric); ``generator()``
-    returns B = S / h^d.  ``potential_min_eigenvalue`` is the smallest
-    eigenvalue of the sampled V over all nodes, a lower bound for the
-    spectrum of B because the diffusion part is PSD.  The dense
+    returns B = S / h^d.  The grid and the coefficient metadata are read from
+    the (immutable) ``assembly``.  ``potential_min_eigenvalue`` is the
+    smallest eigenvalue of the sampled V over all nodes, a lower bound for
+    the spectrum of B because the diffusion part is PSD.  The dense
     eigendecomposition of B is cached lazily for repeated propagation at
     dimensions <= DENSE_LIMIT.
     """
 
-    def __init__(
-        self,
-        matrix: sparse.csr_matrix,
-        grid: GridSpec,
-        *,
-        ellipticity_lower: float,
-        ellipticity_upper: float,
-        q_diagonal: bool,
-        potential_psd: bool,
-        potential_offdiag_max: float,
-        potential_min_eigenvalue: float,
-    ):
+    def __init__(self, matrix: sparse.csr_matrix, assembly: FormAssembly):
         self.matrix = matrix
-        self.grid = grid
-        self.ellipticity_lower = ellipticity_lower
-        self.ellipticity_upper = ellipticity_upper
-        self.q_diagonal = q_diagonal
-        self.potential_psd = potential_psd
-        self.potential_offdiag_max = potential_offdiag_max
-        self.potential_min_eigenvalue = potential_min_eigenvalue
+        self.assembly = assembly
         self._generator = None
         self._dense_eig = None
+
+    grid = _from_assembly("grid")
+    ellipticity_lower = _from_assembly("ellipticity_lower")
+    ellipticity_upper = _from_assembly("ellipticity_upper")
+    q_diagonal = _from_assembly("q_diagonal")
+    potential_psd = _from_assembly("potential_psd")
+    potential_offdiag_max = _from_assembly("potential.offdiag_max")
+    potential_min_eigenvalue = _from_assembly("potential.min_eigenvalue")
 
     @property
     def dim(self) -> int:
@@ -186,23 +194,18 @@ def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
         shape=(m * n, m * n),
     ).tocsr()
     matrix = (lower + lower.T) - sparse.diags(lower.diagonal())
-    return SymmetricOperator(
-        matrix.tocsr(),
-        grid,
-        ellipticity_lower=assembly.ellipticity_lower,
-        ellipticity_upper=assembly.ellipticity_upper,
-        q_diagonal=assembly.q_diagonal,
-        potential_psd=assembly.potential_psd,
-        potential_offdiag_max=assembly.potential.offdiag_max,
-        potential_min_eigenvalue=assembly.potential.min_eigenvalue,
-    )
+    return SymmetricOperator(matrix.tocsr(), assembly)
 
 
 @dataclass
 class SpectrumReport:
     """Lowest eigenvalues of the generator with a-posteriori residuals.
 
-    ``shift`` is the Lanczos shift sigma (``None`` for the dense path).
+    ``shift`` is the Lanczos shift sigma and ``solve`` how B - sigma I was
+    solved, "separable" or "splu" (both ``None`` for the dense path).  On the
+    separable path ``restarts`` counts the deflated Lanczos reruns and
+    ``certified_count`` how many leading values the closed-form count
+    certifies as the lowest (k when returned); both are ``None`` otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -212,6 +215,9 @@ class SpectrumReport:
     tol: float
     matrix_norm: float
     shift: float | None = None
+    solve: str | None = None
+    restarts: int | None = None
+    certified_count: int | None = None
     eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self, path):
@@ -332,23 +338,40 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     """Shift-invert Lanczos: largest eigenvalues of (B - sigma I)^-1 <-> smallest of B.
 
     The diffusion part of B is PSD, so B >= (min V) I and the shift
-    sigma = min(-1, min V - 1) makes B - sigma I >= I.  That matrix is SPD,
-    so ``_factor_spd`` factors it Cholesky-like.  ``_lanczos`` runs with
-    full reorthogonalization (robustness over speed at these problem sizes)
-    and continues a broken-down basis from a fresh random direction.
+    sigma = min(-1, min V - 1) makes B - sigma I >= I.  For constant
+    coefficients ``_separable`` solves with it exactly and counts the
+    spectrum, and ``_certified_lanczos`` proves the result is the lowest k;
+    otherwise ``_factor_spd`` factors it Cholesky-like.  ``_lanczos`` runs
+    with full reorthogonalization (robustness over speed at these problem
+    sizes) and continues a broken-down basis from a fresh random direction.
     """
     b = op.generator()
     n = op.dim
     bnorm = op.generator_norm_bound()
     sigma = min(-1.0, op.potential_min_eigenvalue - 1.0)
-    solve = _factor_spd(b - sigma * sparse.identity(n, format="csr")).solve
+    separable = _separable(op)
+    if separable is None:
+        kind, solve = "splu", _factor_spd(b - sigma * sparse.identity(n, format="csr")).solve
+    else:
+        mu, w = separable
+        kind, solve = "separable", _separable_solve(mu, w, sigma)
     rng = np.random.default_rng(seed)
     max_dim = min(n, max(8 * k, 160))
+    report = _converge(b, solve, rng.standard_normal(n), rng, k, max_dim, tol, bnorm, sigma, kind)
+    if separable is None:
+        return report
+    return _certified_lanczos(b, solve, np.sort(mu, axis=None), rng, report, max_dim)
+
+
+def _converge(b, apply, q, rng, k, max_dim, tol, bnorm, sigma, kind, refine=None) -> SpectrumReport:
+    """Run ``_lanczos`` on ``apply`` until k Ritz pairs (after ``refine``) meet the tolerance."""
     report = None
-    for basis, alphas, betas in _lanczos(solve, rng.standard_normal(n), max_dim, rng):
+    for basis, alphas, betas in _lanczos(apply, q, max_dim, rng):
         size = len(alphas)
         if size >= k and (size % 3 == 1 or size == max_dim):
-            report = _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma)
+            report = _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma, kind)
+            if refine is not None:
+                report = refine(report)
             if np.all(report.residuals <= tol * bnorm):
                 return report
     raise ConvergenceError(
@@ -357,7 +380,7 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     )
 
 
-def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma) -> SpectrumReport:
+def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma, kind) -> SpectrumReport:
     theta, y = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
     # largest theta of (B - sigma I)^-1 correspond to the smallest eigenvalues
     # of B, via lambda = 1/theta + sigma
@@ -376,8 +399,116 @@ def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma) -> SpectrumRepor
         tol=tol,
         matrix_norm=bnorm,
         shift=sigma,
+        solve=kind,
         eigenvectors=vecs[:, asc],
     )
+
+
+def _separable(op: SymmetricOperator):
+    """Closed-form spectrum of B when Q is one constant diagonal matrix and V one constant matrix.
+
+    Then B = sum_i q_i K_i + V is a Kronecker sum: K_i, the 1-d Dirichlet
+    second difference along axis i, has eigenvalues (4/h^2) sin^2(j pi /
+    (2(N+1))) and the DST-I as eigenvectors, and V = W diag(lam) W^T.
+    Returns (mu, W), mu of shape (m, N, ..., N) holding the eigenvalue of the
+    mode (component c, wave numbers j_1..j_d); None for any other operator.
+    The test is exact: every sample must equal the first one.
+    """
+    qs, vs = op.assembly.diffusion.samples, op.assembly.potential.samples
+    if not (op.q_diagonal and np.all(qs == qs[0]) and np.all(vs == vs[0])):
+        return None
+    grid = op.grid
+    lam, w = np.linalg.eigh(vs[0])
+    j = np.arange(1, grid.N + 1)
+    sines = (4.0 / grid.h**2) * np.sin(j * np.pi / (2.0 * (grid.N + 1))) ** 2
+    mu = lam.reshape((grid.m,) + (1,) * grid.d)
+    for i, qi in enumerate(np.diagonal(qs[0])):
+        mu = mu + qi * sines.reshape([-1 if a == i + 1 else 1 for a in range(grid.d + 1)])
+    return mu, w
+
+
+def _separable_solve(mu, w, sigma):
+    """x -> (B - sigma I)^-1 x in O(n log n): W^T, DST-I, division, DST-I and W.
+
+    The orthonormal DST-I is its own inverse.  ``scipy.fft`` is imported
+    here, not at module level, because no other path needs it.
+    """
+    from scipy.fft import dstn
+
+    m, shape, axes = mu.shape[0], mu.shape, tuple(range(1, mu.ndim))
+    denom = mu - sigma
+
+    def solve(x):
+        y = (w.T @ x.reshape(m, -1)).reshape(shape)
+        y = dstn(dstn(y, type=1, axes=axes, norm="ortho") / denom, type=1, axes=axes, norm="ortho")
+        return (w @ y.reshape(m, -1)).ravel()
+
+    return solve
+
+
+def _certified_prefix(b, report, spectrum) -> int:
+    """How many leading Ritz values the exact count proves to be the lowest eigenvalues.
+
+    With V orthonormal to within e = ||V^T V - I||_2 and R = B V - V Theta,
+    Kahan's theorem (Parlett, The Symmetric Eigenvalue Problem, §11.5) puts
+    k eigenvalues of B within delta = ||R||_2 + (2 e + 64 eps) ||B|| of
+    theta_1 <= ... <= theta_k (64 eps ||B|| covers the roundoff of the
+    closed form), so mu_j <= theta_j + delta.  A count #{mu < theta_j -
+    delta} <= j - 1 gives mu_j >= theta_j - delta: theta_j is within delta
+    of the j-th lowest eigenvalue.  ``spectrum`` is the sorted closed form.
+    """
+    vecs, theta = report.eigenvectors, report.eigenvalues
+    k = len(theta)
+    drift = np.linalg.norm(vecs.T @ vecs - np.eye(k), 2)
+    slack = (2.0 * drift + 64.0 * np.finfo(float).eps) * report.matrix_norm
+    delta = np.linalg.norm(b @ vecs - vecs * theta, 2) + slack
+    ok = np.searchsorted(spectrum, theta - delta) <= np.arange(k)
+    return k if ok.all() else int(np.argmin(ok))
+
+
+def _certified_lanczos(b, solve, spectrum, rng, report, max_dim) -> SpectrumReport:
+    """Certify a converged Ritz report by the count, restarting on what it missed.
+
+    An exact solve keeps the symmetry of B, so the Krylov space of one start
+    vector holds a single vector of each eigenspace and repeated eigenvalues
+    are missed.  When the count shows a miss, the converged vectors are
+    locked, Lanczos reruns on x -> P solve(P x) with P the projector onto
+    their orthogonal complement, and Rayleigh-Ritz over the union of locked
+    and new Ritz vectors gives the next report.  At most k restarts; a
+    report the count still refuses raises ConvergenceError with it attached.
+    """
+    n, k = b.shape[0], len(report.eigenvalues)
+    tol, bnorm, sigma = report.tol, report.matrix_norm, report.shift
+    for restarts in range(k + 1):
+        report.restarts = restarts
+        report.certified_count = _certified_prefix(b, report, spectrum)
+        locked = report.eigenvectors
+        free = n - locked.shape[1]
+        if report.certified_count == k or restarts == k or free == 0:
+            break
+
+        def project(x, locked=locked):
+            return x - locked @ (locked.T @ x)
+
+        def union(ritz, locked=locked, done=report.iterations, step=restarts + 1):
+            basis, _ = np.linalg.qr(np.hstack([locked, ritz.eigenvectors]))
+            lams, y = scipy.linalg.eigh(basis.T @ (b @ basis), subset_by_index=(0, k - 1))
+            vecs = basis @ y
+            res = np.linalg.norm(b @ vecs - vecs * lams, axis=0)
+            return SpectrumReport(lams, res, "lanczos", done + ritz.iterations, tol, bnorm,
+                                  shift=sigma, solve="separable", restarts=step, eigenvectors=vecs)
+
+        report = _converge(
+            b, lambda x: project(solve(project(x))), project(rng.standard_normal(n)), rng,
+            min(k, free), min(free, max_dim), tol, bnorm, sigma, "separable", union,
+        )
+    if report.certified_count < k:
+        raise ConvergenceError(
+            f"Lanczos found {report.certified_count} of the lowest {k} eigenvalues "
+            f"after {report.restarts} restarts (the closed-form count shows the rest missing)",
+            partial=report,
+        )
+    return report
 
 
 def pointwise_extremal_eigs(potential: PotentialField):

@@ -82,6 +82,27 @@ def test_spectrum_with_sandwich_emits_dat(tmp_path):
     assert float(lo) <= float(lam) + 1e-8 and float(lam) <= float(hi) + 1e-8
 
 
+@pytest.mark.parametrize(
+    "flags, echo",
+    [
+        # the second copy of -37.67 needs one restart (see test_operators)
+        (["--grid.d=2", "--grid.N=61", "--coefficients.v.kind=scaled_identity",
+          "--coefficients.v.value=-50", "--solver.k=4"],
+         {"solve": "separable", "restarts": 1, "certified_count": 4}),
+        (["--grid.d=2", "--grid.N=20", "--coefficients.v.kind=harmonic",
+          "--coefficients.v.scale=1", "--solver.k=4"],
+         {"solve": "splu", "restarts": None, "certified_count": None}),
+    ],
+    ids=["separable", "splu"],
+)
+def test_spectrum_verdict_echoes_the_lanczos_solve(tmp_path, flags, echo):
+    rc = cli.main(["spectrum", "--out", str(tmp_path), "--solver.method=lanczos"] + flags)
+    assert rc == 0
+    detail = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]
+    assert {key: detail[key] for key in echo} == echo
+    assert detail["method"] == "lanczos"
+
+
 def test_spectrum_k_exceeding_dimension_is_config_error(tmp_path):
     rc = cli.main(["spectrum", "--out", str(tmp_path), "--grid.N=8", "--solver.k=100"])
     assert rc == 2
@@ -246,6 +267,27 @@ def test_wrongly_typed_flag_is_config_error(tmp_path, monkeypatch, capsys, flag)
 def test_kind_switch_without_required_key_is_config_error(tmp_path, capsys, block, kind, key):
     assert cli.main(["evolve", "--out", str(tmp_path), f"--{block}.kind={kind}"]) == 2
     assert f"{block}.{key} is required for {block}.kind={kind!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ('--coefficients.v={"kind":"harmonic","scale":null}', "v.scale must be a finite number"),
+        ('--coefficients.v={"kind":"harmonic","scale":[1]}', "v.scale must be a finite number"),
+        ('--coefficients.q={"kind":"scaled_identity","value":{"a":1}}', "q.value must be a finite number"),
+        ('--coefficients.v={"kind":"scaled_identity","value":"2"}', "v.value must be a finite number"),
+        ('--coefficients.q={"kind":"diagonal","entries":[1,null]}', "q.entries must be a list of finite"),
+        ('--coefficients.v={"kind":"constant","matrix":[1,2]}', "v.matrix must be a list of lists"),
+        ('--evolve.initial_state={"kind":"constant","vector":[true]}', "vector must be a list of finite"),
+        ('--evolve.initial_state={"kind":"random","scale":"big"}', "scale must be a finite number"),
+        ('--evolve.initial_state={"kind":"impulse","component":-1}', "component must be a nonnegative"),
+        ('--evolve.initial_state={"kind":"impulse","node":1.5}', "node must be null or a nonnegative"),
+        ('--evolve.initial_state={"kind":"bump","component":true}', "component must be null or a"),
+    ],
+)
+def test_wrongly_typed_kind_key_is_config_error(tmp_path, capsys, flag, message):
+    assert cli.main(["evolve", "--out", str(tmp_path), "--grid.N=8", flag]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_kind_switch_echoes_kind_defaults_that_reingest_to_the_same_run(tmp_path):
@@ -607,10 +649,25 @@ def test_run_checks_records_broken_params_as_failure():
 # -- start-up cost -----------------------------------------------------------------------------
 
 
-def test_cli_import_skips_scipy_integrate():
+@pytest.mark.parametrize(
+    "module, run",
+    [
+        ("scipy.integrate", None),
+        ("scipy.fft", None),
+        ("scipy.fft", ["assemble", "--grid.d=2", "--grid.N=8"]),
+        ("scipy.fft", ["evolve", "--grid.d=2", "--grid.N=8", "--grid.m=2"]),
+    ],
+    ids=["import-integrate", "import-fft", "assemble-fft", "evolve-fft"],
+)
+def test_cli_leaves_scipy_module_unloaded(tmp_path, module, run):
+    # scipy.integrate and scipy.fft each cost every process time and memory at
+    # import; only the separable eigensolver (scipy.fft) may load one
     src = str(Path(matschrod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, matschrod.cli; print('scipy.integrate' in sys.modules)"
+    probe = "import sys, matschrod.cli"
+    if run is not None:
+        probe += f"; assert matschrod.cli.main({run + ['--out', str(tmp_path)]!r}) == 0"
+    probe += f"; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 

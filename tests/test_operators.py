@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matschrod.operators as operators_module
@@ -152,9 +152,7 @@ def test_lanczos_matches_dense_on_confining_potential():
 
 
 def _constant_potential_operator(d, N, value, L=1.0):
-    grid = build_grid(d, L, N, 1)
-    dif, pot = sample_fields(lambda x: np.eye(d), lambda x: np.array([[value]]), grid)
-    return grid, assemble_operator(assemble_form(dif, pot, grid))
+    return _constant_operator(d, N, 1, np.eye(d), np.array([[value]]), L)
 
 
 def test_lanczos_shift_below_negative_potential_auto_path():
@@ -189,15 +187,7 @@ def test_lanczos_3d_coupled_matches_kronecker_sum():
     op = assemble_operator(assemble_form(dif, pot, grid))
     k = 10
     report = eigen_lowest(op, k, method="lanczos")
-    lap = _laplacian_eigs(grid)
-    exact = np.sort(
-        (
-            q[0] * lap[:, None, None, None]
-            + q[1] * lap[None, :, None, None]
-            + q[2] * lap[None, None, :, None]
-            + np.linalg.eigvalsh(vmat)[None, None, None, :]
-        ).ravel()
-    )
+    exact = _kronecker_sum_eigs(grid, q, vmat)
     assert np.all(np.diff(exact[: k + 1]) > 0.1)
     bound = report.tol * report.matrix_norm
     np.testing.assert_allclose(report.eigenvalues, exact[:k], rtol=0, atol=bound)
@@ -274,6 +264,141 @@ def test_forced_lanczos_keeps_multiplicities(N, m, k):
     np.testing.assert_array_equal(np.ptp(dense.eigenvalues.reshape(-1, m), axis=1) < 1e-12, True)
     np.testing.assert_allclose(lanc.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12 * lanc.matrix_norm)
     assert np.all(lanc.residuals <= lanc.tol * lanc.matrix_norm)
+
+
+# -- the separable (constant-coefficient) Lanczos solve ------------------------------
+
+
+def _constant_operator(d, N, m, q, vmat, L=1.0):
+    grid = build_grid(d, L, N, m)
+    dif, pot = sample_fields(lambda x: q, lambda x: vmat, grid)
+    return grid, assemble_operator(assemble_form(dif, pot, grid))
+
+
+def _kronecker_sum_eigs(grid, q_diag, vmat):
+    """Every eigenvalue of sum_i q_i K_i + V, sorted, by the closed form."""
+    lap = _laplacian_eigs(grid)
+    total = np.linalg.eigvalsh(vmat)
+    for qi in q_diag:
+        total = np.add.outer(total, qi * lap)
+    return np.sort(total, axis=None)
+
+
+def _constant_potential(kind, m, rng, level):
+    if kind == "scaled_identity":  # every eigenvalue repeated m times
+        return level * np.eye(m)
+    a = rng.standard_normal((m, m))
+    return (a + a.T) / 2.0 + (level if kind == "negative" else 0.0) * np.eye(m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 3),
+    m=st.integers(1, 3),
+    kind=st.sampled_from(("scaled_identity", "coupled", "negative")),
+    q=st.sampled_from((0.5, 1.0, 1.7)),
+    level=st.sampled_from((-50.0, -7.5, 0.0, 3.0)),
+    seed=st.integers(0, 2**16),
+    N=st.integers(2, 1500),
+    k=st.integers(1, 12),
+)
+@example(d=3, m=3, kind="scaled_identity", q=1.0, level=-50.0, seed=0, N=7, k=12)
+@example(d=2, m=2, kind="scaled_identity", q=1.7, level=-7.5, seed=0, N=27, k=12)
+@example(d=3, m=2, kind="negative", q=0.5, level=-50.0, seed=1, N=9, k=12)
+def test_separable_lanczos_matches_dense_eigh(d, m, kind, q, level, seed, N, k):
+    # isotropic Q makes the 1-d modes interchangeable across axes, so d > 1
+    # repeats eigenvalues exactly; an exact solve keeps that symmetry, and
+    # only the count and the deflated restart find the missing copies.  The
+    # dimension is capped at 1500, which is large enough for the Krylov space
+    # to hold more distinct eigenvalues than the basis size
+    N = min(N, int((1500 / m) ** (1 / d) + 1e-9))
+    vmat = _constant_potential(kind, m, np.random.default_rng(seed), level)
+    _, op = _constant_operator(d, N, m, q * np.eye(d), vmat)
+    k = min(k, op.dim)
+    dense = eigen_lowest(op, k, method="dense")
+    lanc = eigen_lowest(op, k, method="lanczos")
+    assert (lanc.method, lanc.solve, lanc.certified_count) == ("lanczos", "separable", k)
+    bound = lanc.tol * lanc.matrix_norm
+    assert np.all(lanc.residuals <= bound)
+    np.testing.assert_allclose(lanc.eigenvalues, dense.eigenvalues, rtol=0, atol=2.0 * np.sqrt(k) * bound)
+
+
+@pytest.mark.parametrize(
+    "d, N, m, method",
+    [
+        (1, 1000, 3, "dense"), (1, 1001, 3, "lanczos"),
+        (2, 54, 1, "dense"), (2, 55, 1, "lanczos"),
+        (3, 14, 1, "dense"), (3, 15, 1, "lanczos"),
+    ],
+)
+def test_auto_spectrum_across_dense_limit_with_multiplicities(d, N, m, method):
+    # dimensions just below and above DENSE_LIMIT = 3000; V = -50 I_m and an
+    # isotropic Q repeat the lowest eigenvalues up to six times
+    grid, op = _constant_operator(d, N, m, np.eye(d), -50.0 * np.eye(m))
+    k = 12
+    report = eigen_lowest(op, k)
+    assert report.method == method
+    exact = _kronecker_sum_eigs(grid, np.ones(d), -50.0 * np.eye(m))[:k]
+    assert np.min(np.diff(exact)) <= 1e-12 * np.abs(exact).max()  # a repeated value
+    bound = report.tol * report.matrix_norm
+    np.testing.assert_allclose(report.eigenvalues, exact, rtol=0, atol=2.0 * np.sqrt(k) * bound)
+    assert np.all(report.residuals <= bound)
+
+
+def _spy_factor_spd(monkeypatch):
+    calls = []
+    factor = operators_module._factor_spd
+
+    def spy(matrix):
+        calls.append(matrix.shape)
+        return factor(matrix)
+
+    monkeypatch.setattr(operators_module, "_factor_spd", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "q, v_fn, factored",
+    [
+        (np.diag([1.0, 1.37]), lambda x: np.array([[1.0, -0.4], [-0.4, 2.0]]), False),
+        (np.eye(2), lambda x: float(x @ x) * np.eye(2), True),  # harmonic V
+        (np.array([[1.0, 0.3], [0.3, 1.0]]), lambda x: np.eye(2), True),  # off-diagonal Q
+    ],
+    ids=["separable", "harmonic-v", "offdiagonal-q"],
+)
+def test_only_non_separable_operators_are_factored(monkeypatch, q, v_fn, factored):
+    grid = build_grid(2, 1.0, 12, 2)
+    dif, pot = sample_fields(lambda x: q, v_fn, grid)
+    op = assemble_operator(assemble_form(dif, pot, grid))
+    calls = _spy_factor_spd(monkeypatch)
+    report = eigen_lowest(op, 5, method="lanczos")
+    assert calls == ([(op.dim, op.dim)] if factored else [])
+    assert report.solve == ("splu" if factored else "separable")
+    assert (report.restarts is None) == factored and (report.certified_count is None) == factored
+
+
+def test_uncertifiable_separable_spectrum_raises_with_partial(monkeypatch):
+    # a count that never certifies anything: k restarts, then ConvergenceError
+    monkeypatch.setattr(operators_module, "_certified_prefix", lambda b, report, spectrum: 0)
+    _, op = _constant_operator(2, 10, 1, np.eye(2), np.array([[0.0]]))
+    with pytest.raises(ConvergenceError, match="found 0 of the lowest 3") as exc_info:
+        eigen_lowest(op, 3, method="lanczos")
+    partial = exc_info.value.partial
+    assert (partial.solve, partial.restarts, partial.certified_count) == ("separable", 3, 0)
+
+
+def test_certified_prefix_counts_missed_copies():
+    # the lowest values of the 2-d Laplacian minus 50 are -45.07, -37.67 x2,
+    # -30.28; a Ritz set without the second copy is certified up to index 1
+    grid, op = _constant_operator(2, 61, 1, np.eye(2), np.array([[-50.0]]))
+    b = op.generator()
+    exact = _kronecker_sum_eigs(grid, (1.0, 1.0), np.array([[-50.0]]))
+    full = eigen_lowest(op, 4, method="lanczos")
+    assert operators_module._certified_prefix(b, full, exact) == 4
+    dropped = eigen_lowest(op, 5, method="lanczos")
+    keep = [0, 1, 3, 4]
+    dropped.eigenvalues, dropped.eigenvectors = dropped.eigenvalues[keep], dropped.eigenvectors[:, keep]
+    assert operators_module._certified_prefix(b, dropped, exact) == 2
 
 
 def test_spectrum_report_csv_roundtrip(tmp_path):

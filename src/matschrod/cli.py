@@ -423,7 +423,8 @@ def _write_json(payload, path: Path):
 
 
 def _write_verdicts(records: list, config: dict, subcommand: str, outdir: Path) -> bool:
-    all_passed = all(rec["passed"] for rec in records)
+    """Write verdicts.json; a record whose ``passed`` is null gated nothing and does not fail."""
+    all_passed = all(rec["passed"] is not False for rec in records)
     _write_json(
         {
             "subcommand": subcommand,
@@ -603,20 +604,20 @@ def _cmd_evolve(config: dict, outdir: Path) -> bool:
         _write_snapshots(snapshots, grid, outdir / "snapshots.csv")
     if "dat" in formats:
         emit_plot_data(trace, "norm-traces", outdir / "norms.dat")
-    guaranteed_bad = [
-        rec for rec in trace if rec["guaranteed"] and rec["ratio"] is not None and rec["ratio"] > 1.0 + 1e-8
-    ]
-    records = [
-        {
-            "name": "evolve-contraction",
-            "passed": not guaranteed_bad,
-            "detail": {
-                "method": prop.method,
-                "violations": len(guaranteed_bad),
-                "max_ratio": max((r["ratio"] for r in trace if r["ratio"] is not None), default=None),
-            },
-        }
-    ]
+    gated = [rec for rec in trace if rec["guaranteed"] and rec["ratio"] is not None]
+    guaranteed_bad = [rec for rec in gated if rec["ratio"] > 1.0 + 1e-8]
+    detail = {
+        "method": prop.method,
+        "violations": len(guaranteed_bad),
+        "max_ratio": max((r["ratio"] for r in trace if r["ratio"] is not None), default=None),
+    }
+    if not gated:
+        detail["reason"] = (
+            "the initial state is zero" if not any(norms_in.values())
+            else "no (t, p) is guaranteed to contract: that needs a PSD potential, "
+            "and for p != 2 also a diagonal diffusion"
+        )
+    records = [{"name": "evolve-contraction", "passed": not guaranteed_bad if gated else None, "detail": detail}]
     return _write_verdicts(records, config, "evolve", outdir)
 
 

@@ -24,11 +24,14 @@ V diagonalize: the solve takes O(n log n), and the same closed form counts
 the eigenvalues of B below any tau, which certifies that the Ritz values
 are the lowest k (restarting on what the count shows missing).  Every other
 operator is factored by sparse LU, and its result is certified by residuals
-only.
+only.  ``_separable_map`` applies any function of such a B through the
+closed form; the solve and the semigroup's ``exact-separable`` propagator
+share it.
 """
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -104,8 +107,8 @@ class SymmetricOperator:
     the (immutable) ``assembly``.  ``potential_min_eigenvalue`` is the
     smallest eigenvalue of the sampled V over all nodes, a lower bound for
     the spectrum of B because the diffusion part is PSD.  The dense
-    eigendecomposition of B is cached lazily for repeated propagation at
-    dimensions <= DENSE_LIMIT.
+    eigendecomposition of B (dimensions <= DENSE_LIMIT) and the closed form
+    ``separable`` are cached lazily for repeated solves and propagation.
     """
 
     def __init__(self, matrix: sparse.csr_matrix, assembly: FormAssembly):
@@ -148,6 +151,11 @@ class SymmetricOperator:
             else:
                 self._dense_eig = scipy.linalg.eigh_tridiagonal(*bands)
         return self._dense_eig
+
+    @functools.cached_property
+    def separable(self):
+        """Cached closed form (mu, W) of ``_separable``, None when it does not apply."""
+        return _separable(self)
 
 
 def _tridiagonal(b):
@@ -349,7 +357,7 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     n = op.dim
     bnorm = op.generator_norm_bound()
     sigma = min(-1.0, op.potential_min_eigenvalue - 1.0)
-    separable = _separable(op)
+    separable = op.separable
     if separable is None:
         kind, solve = "splu", _factor_spd(b - sigma * sparse.identity(n, format="csr")).solve
     else:
@@ -427,23 +435,30 @@ def _separable(op: SymmetricOperator):
     return mu, w
 
 
-def _separable_solve(mu, w, sigma):
-    """x -> (B - sigma I)^-1 x in O(n log n): W^T, DST-I, division, DST-I and W.
+def _separable_map(mu, w, scale):
+    """x -> g(B) x in O(n log n) from the closed form (mu, W): W^T, DST-I, scale, DST-I and W.
 
-    The orthonormal DST-I is its own inverse.  ``scipy.fft`` is imported
-    here, not at module level, because no other path needs it.
+    ``scale`` maps the modal coefficients (shaped like mu) to their images
+    under g, e.g. a division by mu - sigma.  The orthonormal DST-I is its own
+    inverse.  ``scipy.fft`` is imported here, not at module level, because
+    only the separable paths need it.
     """
     from scipy.fft import dstn
 
     m, shape, axes = mu.shape[0], mu.shape, tuple(range(1, mu.ndim))
-    denom = mu - sigma
 
-    def solve(x):
+    def apply(x):
         y = (w.T @ x.reshape(m, -1)).reshape(shape)
-        y = dstn(dstn(y, type=1, axes=axes, norm="ortho") / denom, type=1, axes=axes, norm="ortho")
+        y = dstn(scale(dstn(y, type=1, axes=axes, norm="ortho")), type=1, axes=axes, norm="ortho")
         return (w @ y.reshape(m, -1)).ravel()
 
-    return solve
+    return apply
+
+
+def _separable_solve(mu, w, sigma):
+    """x -> (B - sigma I)^-1 x by ``_separable_map``, dividing by mu - sigma."""
+    denom = mu - sigma
+    return _separable_map(mu, w, lambda y: y / denom)
 
 
 def _certified_prefix(b, report, spectrum) -> int:

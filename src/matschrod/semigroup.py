@@ -1,12 +1,21 @@
 """Semigroup propagation e^{-tB} and measurement probes.
 
 B is the symmetric generator of a ``SymmetricOperator``, bounded below by
-c = min(0, min V) because its diffusion part is PSD.  Three propagators are
-available:
+c = min(0, min V) because its diffusion part is PSD.  Four propagators are
+available; ``default_config`` picks ``exact-dense`` up to DENSE_LIMIT, then
+``exact-separable`` for an operator with the closed form, and
+``lanczos-expmv`` for every other one:
 
 * ``exact-dense`` — full eigendecomposition, cached on the operator, for
   dimensions <= 3000.  All property verdicts should use this when the size
   permits.
+* ``exact-separable`` — when Q is one constant diagonal matrix and V one
+  constant matrix, W DST-I e^{-t mu} DST-I W^T from the closed form
+  ``operators._separable`` (cached on the operator), exact in O(n log n).
+  Forcing it on any other operator raises ValueError.  The benchmark's
+  ``evolve-2d`` takes this path, so its traced
+  ``semigroup.propagate_krylov_s`` reads 0 and the propagation time shows
+  up under ``semigroup.total_s``.
 * ``lanczos-expmv`` — Krylov projection on bases from ``operators._lanczos``,
   the eigensolver's row-layout kernel, in one of two regimes chosen from
   t ||B||_oo and ``krylov_dim``:
@@ -29,6 +38,8 @@ available:
     interpolant that depends on k only; one SPD factorization per call.
 
   A failure raises ConvergenceError with the state and time reached.
+  Both exact propagators raise it too, before any work, when e^{-t lambda_min}
+  overflows.
 * ``crank-nicolson`` — fixed-step trapezoidal fallback, second order.  A
   cross-check only; positivity and contraction verdicts never rely on it
   (the rational step can undershoot/overshoot sign structure).
@@ -53,7 +64,7 @@ from numpy.polynomial import chebyshev as cheb
 from .errors import ConvergenceError
 from .grid import VectorState, _require_same_grid, mixed_norm, smooth_bump_profile
 from .io import _jsonable
-from .operators import DENSE_LIMIT, SymmetricOperator, _factor_spd, _lanczos
+from .operators import DENSE_LIMIT, SymmetricOperator, _factor_spd, _lanczos, _separable_map
 
 __all__ = [
     "PropagatorConfig",
@@ -65,7 +76,9 @@ __all__ = [
     "violation_witness",
 ]
 
-_METHODS = ("exact-dense", "lanczos-expmv", "crank-nicolson")
+_METHODS = ("exact-dense", "exact-separable", "lanczos-expmv", "crank-nicolson")
+#: largest argument of exp with a finite result
+_EXP_MAX = float(np.log(np.finfo(float).max))
 _P_ALLOWED = (1.0, 2.0, 4.0, np.inf)
 
 
@@ -112,8 +125,13 @@ class PropagatorConfig:
 
 
 def default_config(op: SymmetricOperator, **kwargs) -> PropagatorConfig:
-    """Exact-dense when the dimension permits, Krylov otherwise."""
-    method = "exact-dense" if op.dim <= DENSE_LIMIT else "lanczos-expmv"
+    """Exact-dense when the dimension permits, else exact-separable where it applies, else Krylov."""
+    if op.dim <= DENSE_LIMIT:
+        method = "exact-dense"
+    elif op.separable is not None:
+        method = "exact-separable"
+    else:
+        method = "lanczos-expmv"
     return PropagatorConfig(method=method, **kwargs)
 
 
@@ -123,8 +141,9 @@ def default_config(op: SymmetricOperator, **kwargs) -> PropagatorConfig:
 def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: PropagatorConfig | None = None) -> VectorState:
     """Apply e^{-tB} to a state.
 
-    A Krylov failure raises ConvergenceError whose ``partial`` is
-    ``{"state": ..., "t_reached": ...}``, the furthest certified point.
+    A failure raises ConvergenceError whose ``partial`` is
+    ``{"state": ..., "t_reached": ...}``, the furthest certified point (f0
+    at 0 when an exact propagator would overflow).
     """
     _require_same_grid(op.grid, f0.grid)
     t = float(t)
@@ -137,7 +156,15 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
     x = f0.flat().copy()
     if config.method == "exact-dense":
         w, u = op.dense_eig()
+        _require_finite_growth(f0, t, w[0], config.method)
         y = u @ (np.exp(-t * w) * (u.T @ x))
+    elif config.method == "exact-separable":
+        if op.separable is None:
+            raise ValueError("exact-separable propagation needs one constant diagonal Q and one constant V")
+        mu, w = op.separable
+        _require_finite_growth(f0, t, mu.min(), config.method)
+        decay = np.exp(-t * mu)
+        y = _separable_map(mu, w, lambda z: z * decay)(x)
     elif config.method == "lanczos-expmv":
         try:
             y = _krylov_expm(op, x, t, config.krylov_dim, config.tol)
@@ -148,6 +175,16 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
     else:
         y = _crank_nicolson(op.generator(), x, t, config.cn_steps)
     return f0.with_values(y)
+
+
+def _require_finite_growth(f0, t, lam_min, method):
+    """Raise ConvergenceError when e^{-t lam_min}, the growth of e^{-tB}, overflows."""
+    if -t * lam_min > _EXP_MAX:
+        raise ConvergenceError(
+            f"{method} propagation overflows at t={t:g}: lambda_min(B) = {lam_min:.6g} gives a growth "
+            f"e^({-t * lam_min:.6g}) beyond the largest float",
+            partial={"state": f0.with_values(f0.values), "t_reached": 0.0},
+        )
 
 
 def _krylov_expm(op, v, t, kdim, tol):

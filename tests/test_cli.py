@@ -367,7 +367,27 @@ def test_evolve_artifacts_and_contraction(tmp_path):
     assert len(snap_rows) == 4 * 48  # (t=0 plus three times) x nodes x one component
     verdicts = _read_json(tmp_path / "verdicts.json")
     assert verdicts["records"][0]["name"] == "evolve-contraction"
+    assert verdicts["records"][0]["passed"] is True
     assert verdicts["records"][0]["detail"]["max_ratio"] <= 1.0 + 1e-8
+    assert "reason" not in verdicts["records"][0]["detail"]
+
+
+@pytest.mark.parametrize(
+    "flag, reason",
+    [
+        ('--evolve.initial_state={"kind":"random","scale":0}', "the initial state is zero"),
+        ('--coefficients.v={"kind":"scaled_identity","value":-3}', "needs a PSD potential"),
+    ],
+    ids=["zero-state", "negative-potential"],
+)
+def test_evolve_contraction_with_nothing_gated_is_null(tmp_path, flag, reason):
+    # no ratio is guaranteed to be at most 1, so the verdict tests nothing:
+    # null with a reason, which does not fail the run
+    assert cli.main(["evolve", "--out", str(tmp_path), flag]) == 0
+    verdicts = _read_json(tmp_path / "verdicts.json")
+    record = verdicts["records"][0]
+    assert record["passed"] is None and verdicts["all_passed"] is True
+    assert reason in record["detail"]["reason"]
 
 
 def _csv_writer_snapshots(snapshots, grid, path):
@@ -463,6 +483,22 @@ def test_evolve_krylov_absurd_tolerance_exits_3(tmp_path):
         ]
     )
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "grid_flags, method",
+    [([], "exact-dense"), (["--grid.d=2", "--grid.N=60"], "exact-separable")],  # dimension 64, 3600
+)
+def test_evolve_exact_overflow_exits_3_without_warnings(tmp_path, capsys, recwarn, grid_flags, method):
+    # lambda_min(B) is near -1000, so e^{-tB} overflows at t = 1: a solver
+    # failure, raised before any work, not a config error
+    rc = cli.main(
+        ["evolve", "--out", str(tmp_path)] + grid_flags
+        + ['--coefficients.v={"kind":"scaled_identity","value":-1000}', "--propagator.times=[1]"]
+    )
+    assert rc == 3
+    assert f"solver failure: {method} propagation overflows at t=1" in capsys.readouterr().err
+    assert not recwarn.list
 
 
 # -- verify -------------------------------------------------------------------------
@@ -661,7 +697,8 @@ def test_run_checks_records_broken_params_as_failure():
 )
 def test_cli_leaves_scipy_module_unloaded(tmp_path, module, run):
     # scipy.integrate and scipy.fft each cost every process time and memory at
-    # import; only the separable eigensolver (scipy.fft) may load one
+    # import; only the separable eigensolver and the separable propagator
+    # (both scipy.fft) may load one
     src = str(Path(matschrod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, matschrod.cli"

@@ -377,6 +377,35 @@ def test_only_non_separable_operators_are_factored(monkeypatch, q, v_fn, factore
     assert (report.restarts is None) == factored and (report.certified_count is None) == factored
 
 
+def _division_closure(mu, w, sigma):
+    """The separable solve as written before it shared ``_separable_map``."""
+    from scipy.fft import dstn
+
+    m, shape, axes = mu.shape[0], mu.shape, tuple(range(1, mu.ndim))
+    denom = mu - sigma
+
+    def solve(x):
+        y = (w.T @ x.reshape(m, -1)).reshape(shape)
+        y = dstn(dstn(y, type=1, axes=axes, norm="ortho") / denom, type=1, axes=axes, norm="ortho")
+        return (w @ y.reshape(m, -1)).ravel()
+
+    return solve
+
+
+@pytest.mark.parametrize("d, N, m", [(1, 30, 1), (2, 12, 3), (3, 8, 2)])
+def test_separable_solve_is_bit_identical_to_the_division_closure(d, N, m):
+    # the eigensolver's bytes (spectrum-3d's spectrum.csv) rest on dividing
+    # by mu - sigma, not multiplying by its reciprocal
+    rng = np.random.default_rng(d)
+    _, op = _constant_operator(d, N, m, np.diag([1.0, 1.37, 1.83][:d]), _constant_potential("coupled", m, rng, 0.0))
+    mu, w = op.separable
+    sigma = min(-1.0, op.potential_min_eigenvalue - 1.0)
+    x = rng.standard_normal(op.dim)
+    np.testing.assert_array_equal(
+        operators_module._separable_solve(mu, w, sigma)(x), _division_closure(mu, w, sigma)(x)
+    )
+
+
 def test_uncertifiable_separable_spectrum_raises_with_partial(monkeypatch):
     # a count that never certifies anything: k restarts, then ConvergenceError
     monkeypatch.setattr(operators_module, "_certified_prefix", lambda b, report, spectrum: 0)

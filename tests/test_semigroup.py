@@ -27,8 +27,10 @@ from matschrod import (
     strong_continuity_probe,
     violation_witness,
 )
+import matschrod.operators as operators_module
 from matschrod.checks import check_semigroup_structure
 from matschrod.semigroup import default_config
+from test_operators import _constant_operator, _constant_potential
 
 DENSE = PropagatorConfig(method="exact-dense")
 
@@ -75,10 +77,18 @@ def test_conjugate_exponents():
 
 
 def test_default_config_picks_dense_then_krylov(monkeypatch):
+    # dense up to DENSE_LIMIT; above it the closed form for constant
+    # coefficients and Krylov for the harmonic potential
     _, op = _harmonic_operator(N=20)
-    assert default_config(op).method == "exact-dense"
+    grid, constant = _constant_operator(2, 5, 2, np.diag([1.0, 1.7]), np.array([[1.0, -0.4], [-0.4, 2.0]]))
+    assert default_config(op).method == default_config(constant).method == "exact-dense"
     monkeypatch.setattr(semigroup_module, "DENSE_LIMIT", 10)
     assert default_config(op).method == "lanczos-expmv"
+    assert default_config(constant).method == "exact-separable"
+    f = VectorState.random(grid, np.random.default_rng(0))
+    np.testing.assert_allclose(
+        propagate(constant, f, 0.3).values, propagate(constant, f, 0.3, DENSE).values, rtol=0, atol=1e-13
+    )
 
 
 # -- propagators ------------------------------------------------------------------
@@ -120,6 +130,67 @@ def test_dense_propagator_matches_scipy_expm_multiply():
         ours = propagate(op, f, t, DENSE).flat()
         reference = spla.expm_multiply(-t * op.generator().tocsc(), f.flat())
         assert np.linalg.norm(ours - reference) <= 1e-9 * np.linalg.norm(f.flat())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 3),
+    m=st.integers(1, 3),
+    kind=st.sampled_from(("scaled_identity", "coupled", "negative")),
+    q=st.lists(st.sampled_from((0.5, 1.0, 1.7)), min_size=3, max_size=3),
+    level=st.sampled_from((-50.0, -7.5, 0.0, 3.0)),
+    t=st.floats(1e-3, 1.0),
+    seed=st.integers(0, 2**16),
+    N=st.integers(2, 40),
+)
+def test_exact_separable_matches_exact_dense(d, m, kind, q, level, t, seed, N):
+    # forced closed form against the dense eigendecomposition; "negative"
+    # reaches V <= -50, where ||e^{-tB}|| grows to e^{-tc}
+    N = min(N, int((600 / m) ** (1 / d) + 1e-9))
+    rng = np.random.default_rng(seed)
+    grid, op = _constant_operator(d, N, m, np.diag(q[:d]), _constant_potential(kind, m, rng, level), L=3.0)
+    f = VectorState.random(grid, rng)
+    got = propagate(op, f, t, PropagatorConfig(method="exact-separable"))
+    growth = np.exp(-t * min(0.0, op.potential_min_eigenvalue))
+    assert mixed_norm(got - propagate(op, f, t, DENSE), 2) <= 1e-12 * growth * mixed_norm(f, 2)
+
+
+def test_exact_separable_refuses_non_separable_operator():
+    grid, op = _harmonic_operator(N=20)
+    with pytest.raises(ValueError, match="exact-separable"):
+        propagate(op, VectorState.random(grid, np.random.default_rng(0)), 0.1,
+                  PropagatorConfig(method="exact-separable"))
+
+
+def test_exact_separable_computes_the_closed_form_once(monkeypatch):
+    calls = []
+    closed_form = operators_module._separable
+
+    def spy(op):
+        calls.append(op.dim)
+        return closed_form(op)
+
+    monkeypatch.setattr(operators_module, "_separable", spy)
+    grid, op = _constant_operator(2, 6, 2, np.diag([1.0, 1.7]), np.array([[1.0, -0.4], [-0.4, 2.0]]))
+    f = VectorState.random(grid, np.random.default_rng(0))
+    config = PropagatorConfig(method="exact-separable")
+    for t in config.times:
+        propagate(op, f, t, config)
+    assert calls == [op.dim]
+
+
+@pytest.mark.parametrize("method", ["exact-dense", "exact-separable"])
+def test_exact_propagators_raise_before_exp_overflows(method, recwarn):
+    # lambda_min(B) is near -1000, so e^{-tB} overflows for t above 0.71
+    grid, op = _constant_operator(1, 20, 1, np.eye(1), np.array([[-1000.0]]))
+    f = VectorState.random(grid, np.random.default_rng(0))
+    config = PropagatorConfig(method=method)
+    assert np.all(np.isfinite(propagate(op, f, 0.7, config).values))
+    with pytest.raises(ConvergenceError, match="overflows") as exc_info:
+        propagate(op, f, 0.72, config)
+    np.testing.assert_array_equal(exc_info.value.partial["state"].values, f.values)
+    assert exc_info.value.partial["t_reached"] == 0.0
+    assert not recwarn.list
 
 
 def test_krylov_matches_dense():

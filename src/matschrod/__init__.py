@@ -16,7 +16,6 @@ from .errors import (
     EllipticityError,
     EllipticityWarning,
     GridMismatchError,
-    GuaranteeUnavailableError,
     QuadratureError,
 )
 from .grid import (
@@ -28,24 +27,18 @@ from .grid import (
     build_grid,
     mixed_norm,
     sample_fields,
-    smooth_bump,
     smooth_bump_profile,
     smooth_bump_slope,
 )
 from .form import (
     FormAssembly,
     assemble_form,
-    beurling_denny_gap,
-    continuity_ratio,
     continuity_ratios,
     edge_jump_norms,
     eval_form,
     form_norm,
     form_norms,
     form_terms,
-    pos_form_cross,
-    project_unit_ball,
-    split_pos_neg,
 )
 from .operators import (
     SandwichReport,
@@ -94,7 +87,6 @@ __all__ = [
     "EllipticityError",
     "EllipticityWarning",
     "GridMismatchError",
-    "GuaranteeUnavailableError",
     "QuadratureError",
     "DiffusionField",
     "GridSpec",
@@ -104,22 +96,16 @@ __all__ = [
     "build_grid",
     "mixed_norm",
     "sample_fields",
-    "smooth_bump",
     "smooth_bump_profile",
     "smooth_bump_slope",
     "FormAssembly",
     "assemble_form",
-    "beurling_denny_gap",
-    "continuity_ratio",
     "continuity_ratios",
     "edge_jump_norms",
     "eval_form",
     "form_norm",
     "form_norms",
     "form_terms",
-    "pos_form_cross",
-    "project_unit_ball",
-    "split_pos_neg",
     "SandwichReport",
     "SpectrumReport",
     "SymmetricOperator",

@@ -62,7 +62,6 @@ DEFAULT_CONFIG = {
         "method": "auto",
         "times": [0.01, 0.1, 1.0],
         "krylov_dim": 30,
-        "cn_steps": 256,
         "tol": 1e-10,
         "p_list": [1, 2, 4, "inf"],
     },
@@ -76,7 +75,7 @@ DEFAULT_CONFIG = {
 #: list of choices (or null, where the default is null)
 _CHOICES = {
     "solver.method": ("auto", "dense", "lanczos"),
-    "propagator.method": ("auto", "exact-dense", "lanczos-expmv", "crank-nicolson"),
+    "propagator.method": ("auto", "exact-dense", "lanczos-expmv"),
     "propagator.p_list": (1, 2, 4, "inf"),
     "probes.checks": tuple(CHECKS),
     "gallery.check": ("validate", "merge"),
@@ -407,7 +406,6 @@ def _propagator_config(block: dict, op) -> PropagatorConfig:
         method=method,
         times=tuple(block["times"]),
         krylov_dim=block["krylov_dim"],
-        cn_steps=block["cn_steps"],
         tol=float(block["tol"]),
         p_list=p_list,
     )

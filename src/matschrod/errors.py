@@ -9,15 +9,6 @@ class EllipticityError(ValueError):
     """Diffusion samples are not uniformly positive definite."""
 
 
-class GuaranteeUnavailableError(ValueError):
-    """The requested inequality is only guaranteed for diagonal diffusion.
-
-    Raised by the projection/positivity helpers when the assembled diffusion
-    matrix has off-diagonal entries and the caller did not explicitly ask for
-    an informational (guarantee-free) evaluation.
-    """
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver did not reach its tolerance.
 

@@ -22,15 +22,14 @@ squared Euclidean jump of the full component vector):
 * the positive/negative parts of a state have non-positive cross energy
   whenever the potential's off-diagonal entries are <= 0.
 
-For non-diagonal Q the cross terms break the edge decomposition, so the
-corresponding helpers refuse to certify anything unless explicitly asked for
-an informational value.
+For non-diagonal Q the cross terms break the edge decomposition, so neither
+inequality is guaranteed there.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EllipticityError, GuaranteeUnavailableError
+from .errors import EllipticityError
 from .grid import (
     DiffusionField,
     GridSpec,
@@ -48,11 +47,6 @@ __all__ = [
     "continuity_ratios",
     "eval_form",
     "form_norm",
-    "project_unit_ball",
-    "split_pos_neg",
-    "beurling_denny_gap",
-    "pos_form_cross",
-    "continuity_ratio",
     "edge_jump_norms",
 ]
 
@@ -168,30 +162,17 @@ def form_norm(assembly: FormAssembly, f: VectorState) -> float:
     return float(form_norms(assembly, f.values))
 
 
-def project_unit_ball(f: VectorState) -> VectorState:
-    """Pointwise projection onto the closed unit ball of R^m.
+def _unit_ball_projection(values: np.ndarray) -> np.ndarray:
+    """Project state values (..., m, n_nodes) pointwise onto the closed unit ball of R^m.
 
     P f(x) = min(1, |f(x)|) * f(x)/|f(x)|, with 0 where f(x) = 0.  Idempotent,
     and 1-Lipschitz in the pointwise Euclidean norm, hence edge-jump
     contractive.
     """
-    return f.with_values(_unit_ball_projection(f.values))
-
-
-def _unit_ball_projection(values: np.ndarray) -> np.ndarray:
-    """``project_unit_ball`` on state values of shape (..., m, n_nodes)."""
     s = np.sqrt((values**2).sum(axis=-2, keepdims=True))
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(s > 0.0, np.minimum(1.0, s) / np.where(s > 0.0, s, 1.0), 0.0)
     return values * scale
-
-
-def split_pos_neg(f: VectorState):
-    """Componentwise positive and negative parts, f = f_plus - f_minus."""
-    return (
-        f.with_values(np.maximum(f.values, 0.0)),
-        f.with_values(np.maximum(-f.values, 0.0)),
-    )
 
 
 def edge_jump_norms(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -207,49 +188,3 @@ def edge_jump_norms(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     diffs = axis_differences(grid, values.reshape(-1, grid.n_nodes))
     diffs = diffs.reshape((grid.d,) + values.shape[:-1] + (grid.n_cells,))
     return np.sqrt((diffs**2).sum(axis=-2))
-
-
-def _require_diagonal(assembly: FormAssembly, allow_nondiagonal: bool, what: str):
-    if not assembly.q_diagonal and not allow_nondiagonal:
-        raise GuaranteeUnavailableError(
-            f"{what} is only guaranteed for diagonal diffusion; pass "
-            f"allow_nondiagonal=True for an informational value"
-        )
-
-
-def beurling_denny_gap(assembly: FormAssembly, f: VectorState, allow_nondiagonal: bool = False) -> float:
-    """a(f, f) - a(Pf, Pf) for the unit-ball projection P.
-
-    Nonnegative (up to roundoff, -1e-12 * (1 + |a(f,f)|)) whenever Q is
-    diagonal and V is PSD: the diffusion part contracts edge by edge and the
-    potential part contracts node by node.  Refuses non-diagonal Q unless
-    ``allow_nondiagonal`` — the value is then informational only.
-    """
-    _require_same_grid(assembly.grid, f.grid)
-    _require_diagonal(assembly, allow_nondiagonal, "the projection contraction")
-    if not assembly.potential_psd:
-        raise ValueError("projection contraction needs a PSD potential")
-    pair = np.stack([f.values, _unit_ball_projection(f.values)])
-    energy = form_terms(assembly, pair, pair)[0]
-    return float(energy[0] - energy[1])
-
-
-def pos_form_cross(assembly: FormAssembly, f: VectorState, allow_nondiagonal: bool = False) -> float:
-    """Cross energy a(f_plus, f_minus) of the positive/negative parts.
-
-    <= 0 (up to roundoff) when Q is diagonal and all off-diagonal potential
-    entries are <= 0; its sign is what decides positivity preservation of
-    the semigroup.
-    """
-    _require_same_grid(assembly.grid, f.grid)
-    _require_diagonal(assembly, allow_nondiagonal, "the positive-part cross bound")
-    if not assembly.potential.symmetric_input:
-        raise ValueError("positive-part cross energy needs a symmetric potential")
-    fp, fm = split_pos_neg(f)
-    return eval_form(assembly, fp, fm)
-
-
-def continuity_ratio(assembly: FormAssembly, f: VectorState, g: VectorState) -> float:
-    """|a(f, g)| / (||f||_form ||g||_form), bounded by 1 + eta_2 for PSD V."""
-    _require_same_grid(assembly.grid, f.grid, g.grid)
-    return float(continuity_ratios(assembly, f.values, g.values))

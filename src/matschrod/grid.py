@@ -38,7 +38,6 @@ __all__ = [
     "build_grid",
     "sample_fields",
     "mixed_norm",
-    "smooth_bump",
     "smooth_bump_profile",
     "smooth_bump_slope",
     "axis_differences",
@@ -278,17 +277,6 @@ class VectorState:
         return cls(grid, np.zeros((grid.m, grid.n_nodes)))
 
     @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "VectorState":
-        """Sample ``fn(x) -> (m,) vector (or scalar when m == 1)`` at the nodes."""
-        vals = np.empty((grid.n_nodes, grid.m))
-        for i, x in enumerate(grid.node_coords()):
-            v = np.atleast_1d(np.asarray(fn(x), dtype=float))
-            if v.shape != (grid.m,):
-                raise ValueError(f"state callable must return {grid.m} components, got {v.shape}")
-            vals[i] = v
-        return cls(grid, vals.T)
-
-    @classmethod
     def impulse(cls, grid: GridSpec, node: int | None = None, vector=None) -> "VectorState":
         """Kronecker impulse: one node carries ``vector`` (default e_0), rest zero."""
         if node is None:
@@ -392,12 +380,6 @@ def smooth_bump_slope(r) -> np.ndarray:
     u = np.clip(a - 1.0, 0.0, 1.0)
     inside = (a > 1.0) & (a < 2.0)
     return np.where(inside, -30.0 * u**2 * (u - 1.0) ** 2 * np.sign(r), 0.0)
-
-
-def smooth_bump(x) -> float:
-    """Bump value at a point: ``smooth_bump_profile(|x|_2)`` for x in R^d."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(smooth_bump_profile(np.linalg.norm(x)))
 
 
 def axis_differences(grid: GridSpec, values: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Semigroup propagation e^{-tB} and measurement probes.
 
 B is the symmetric generator of a ``SymmetricOperator``, bounded below by
-c = min(0, min V) because its diffusion part is PSD.  Four propagators are
+c = min(0, min V) because its diffusion part is PSD.  Three propagators are
 available; ``default_config`` picks ``exact-dense`` up to DENSE_LIMIT, then
 ``exact-separable`` for an operator with the closed form, and
 ``lanczos-expmv`` for every other one:
@@ -38,11 +38,10 @@ available; ``default_config`` picks ``exact-dense`` up to DENSE_LIMIT, then
     interpolant that depends on k only; one SPD factorization per call.
 
   A failure raises ConvergenceError with the state and time reached.
-  Both exact propagators raise it too, before any work, when e^{-t lambda_min}
-  overflows.
-* ``crank-nicolson`` — fixed-step trapezoidal fallback, second order.  A
-  cross-check only; positivity and contraction verdicts never rely on it
-  (the rational step can undershoot/overshoot sign structure).
+
+Every propagator raises ConvergenceError, before any work, when its growth
+bound overflows a float: e^{-t lambda_min} for the exact ones, e^{-tc} for
+Krylov.
 
 Probes record raw measurements (norm ratios, minimum components) together
 with the verdict thresholds, so every verdict can be recomputed from the
@@ -50,20 +49,16 @@ stored numbers.
 """
 from __future__ import annotations
 
-import csv
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import ConvergenceError
 from .grid import VectorState, _require_same_grid, mixed_norm, smooth_bump_profile
-from .io import _jsonable
 from .operators import DENSE_LIMIT, SymmetricOperator, _factor_spd, _lanczos, _separable_map
 
 __all__ = [
@@ -76,7 +71,7 @@ __all__ = [
     "violation_witness",
 ]
 
-_METHODS = ("exact-dense", "exact-separable", "lanczos-expmv", "crank-nicolson")
+_METHODS = ("exact-dense", "exact-separable", "lanczos-expmv")
 #: largest argument of exp with a finite result
 _EXP_MAX = float(np.log(np.finfo(float).max))
 _P_ALLOWED = (1.0, 2.0, 4.0, np.inf)
@@ -89,7 +84,6 @@ class PropagatorConfig:
     method: str = "exact-dense"
     times: tuple = (0.01, 0.1, 1.0)
     krylov_dim: int = 30
-    cn_steps: int = 256
     tol: float = 1e-10
     p_list: tuple = (1.0, 2.0, 4.0, np.inf)
 
@@ -104,8 +98,6 @@ class PropagatorConfig:
             raise ValueError(f"times must be nonnegative and strictly increasing, got {self.times}")
         if self.krylov_dim < 2:
             raise ValueError("krylov_dim must be >= 2")
-        if self.cn_steps < 1:
-            raise ValueError("cn_steps must be >= 1")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
         if not self.p_list or any(p not in _P_ALLOWED for p in self.p_list):
@@ -143,7 +135,7 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
 
     A failure raises ConvergenceError whose ``partial`` is
     ``{"state": ..., "t_reached": ...}``, the furthest certified point (f0
-    at 0 when an exact propagator would overflow).
+    at 0 when the growth bound would overflow).
     """
     _require_same_grid(op.grid, f0.grid)
     t = float(t)
@@ -165,24 +157,23 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
         _require_finite_growth(f0, t, mu.min(), config.method)
         decay = np.exp(-t * mu)
         y = _separable_map(mu, w, lambda z: z * decay)(x)
-    elif config.method == "lanczos-expmv":
+    else:
+        _require_finite_growth(f0, t, min(0.0, op.potential_min_eigenvalue), config.method)
         try:
             y = _krylov_expm(op, x, t, config.krylov_dim, config.tol)
         except ConvergenceError as exc:
             values, t_reached = exc.partial
             exc.partial = {"state": f0.with_values(values), "t_reached": t_reached}
             raise
-    else:
-        y = _crank_nicolson(op.generator(), x, t, config.cn_steps)
     return f0.with_values(y)
 
 
-def _require_finite_growth(f0, t, lam_min, method):
-    """Raise ConvergenceError when e^{-t lam_min}, the growth of e^{-tB}, overflows."""
-    if -t * lam_min > _EXP_MAX:
+def _require_finite_growth(f0, t, lam, method):
+    """Raise ConvergenceError when e^{-t lam}, lam <= lambda_min(B), overflows."""
+    if -t * lam > _EXP_MAX:
         raise ConvergenceError(
-            f"{method} propagation overflows at t={t:g}: lambda_min(B) = {lam_min:.6g} gives a growth "
-            f"e^({-t * lam_min:.6g}) beyond the largest float",
+            f"{method} propagation overflows at t={t:g}: the lower bound {lam:.6g} of B gives a growth "
+            f"e^({-t * lam:.6g}) beyond the largest float",
             partial={"state": f0.with_values(f0.values), "t_reached": 0.0},
         )
 
@@ -361,17 +352,6 @@ def _shift_invert_expm(b, v, t, c, tol):
     return basis.T @ (vecs @ (np.exp(-t * lam) * (vecs[0] * np.linalg.norm(v))))
 
 
-def _crank_nicolson(b, v, t, steps):
-    delta = t / steps
-    ident = sparse.identity(b.shape[0], format="csr")
-    lhs = spla.splu((ident + (delta / 2.0) * b).tocsc())
-    rhs = (ident - (delta / 2.0) * b).tocsr()
-    w = v.copy()
-    for _ in range(steps):
-        w = lhs.solve(rhs @ w)
-    return w
-
-
 # -- probe reports -------------------------------------------------------
 
 
@@ -392,42 +372,12 @@ class ProbeReport:
     witness: dict | None = None
     meta: dict = field(default_factory=dict)
 
-    def to_json(self, path):
-        payload = _jsonable(
-            {
-                "kind": self.kind,
-                "verdict": self.verdict,
-                "guaranteed": self.guaranteed,
-                "threshold": self.threshold,
-                "witness": self.witness,
-                "meta": self.meta,
-                "records": self.records,
-            }
-        )
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def to_csv(self, path):
-        if not self.records:
-            with open(path, "w", newline="") as fh:
-                fh.write("# empty probe report\n")
-            return
-        columns = list(self.records[0].keys())
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for rec in self.records:
-                writer.writerow([_jsonable(rec.get(c)) for c in columns])
-
     def recompute_verdict(self) -> str:
         if self.kind == "contraction":
-            ok = all(
-                rec["ratio"] <= 1.0 + self.threshold
-                for rec in self.records
-                if rec["guaranteed"] and rec["ratio"] is not None
-            )
-            return "pass" if ok else "fail"
+            gated = [rec["ratio"] for rec in self.records if rec["guaranteed"] and rec["ratio"] is not None]
+            if not gated:
+                return "untested"
+            return "pass" if all(ratio <= 1.0 + self.threshold for ratio in gated) else "fail"
         if self.kind == "strong-continuity":
             return "pass" if all(r["interpolation_ok"] and r["trend_ok"] for r in self.records) else "fail"
         if self.kind == "positivity":
@@ -449,7 +399,8 @@ def contraction_probe(op: SymmetricOperator, f_list, config: PropagatorConfig) -
     potential, and additionally for p in {1, 4, inf} when the diffusion is
     diagonal (p = 4 by interpolation between 2 and inf).  Zero states are
     recorded but skipped.  The verdict covers the guaranteed records only;
-    everything else is informational.
+    everything else is informational, and with no guaranteed record the
+    verdict is ``"untested"``.
     """
     slack = 1e-8
     records = []

@@ -165,10 +165,10 @@ def test_gallery_tol_rel_must_be_finite_positive(tmp_path, capsys, value):
     "flag, message",
     [
         ("--propagator.krylov_dim=2.5", "propagator.krylov_dim must be an integer"),
-        ("--propagator.cn_steps=1.5", "propagator.cn_steps must be an integer"),
-        ("--propagator.cn_steps=true", "propagator.cn_steps must be an integer"),
         ("--propagator.krylov_dim=1", "krylov_dim must be >= 2"),
-        ("--propagator.cn_steps=0", "cn_steps must be >= 1"),
+        # Crank-Nicolson and its step count are gone
+        ("--propagator.method=crank-nicolson", "propagator.method must be one of"),
+        ("--propagator.cn_steps=256", "unknown config key 'propagator.cn_steps'"),
     ],
 )
 def test_propagator_step_counts_must_be_integers(tmp_path, capsys, flag, message):
@@ -195,7 +195,6 @@ _BAD_SETTINGS = {
     "propagator.method": _ONE_OF,
     "propagator.times": ("must be a nonempty list of numbers", [[], [True], 0.1, [0.1, "1"]]),
     "propagator.krylov_dim": _INT,
-    "propagator.cn_steps": _INT,
     "propagator.tol": _FLOAT,
     "propagator.p_list": _LIST_OF,
     "probes.checks": _LIST_OF,
@@ -498,6 +497,20 @@ def test_evolve_exact_overflow_exits_3_without_warnings(tmp_path, capsys, recwar
     )
     assert rc == 3
     assert f"solver failure: {method} propagation overflows at t=1" in capsys.readouterr().err
+    assert not recwarn.list
+
+
+def test_evolve_krylov_overflow_exits_3_without_warnings(tmp_path, capsys, recwarn):
+    # dimension 3200 with a varying V takes lanczos-expmv, whose growth bound
+    # e^{-tc}, c = min V (about -1810), overflows at t = 1
+    rc = cli.main(
+        [
+            "evolve", "--out", str(tmp_path), "--grid.d=2", "--grid.N=40", "--grid.m=2",
+            "--coefficients.v.kind=harmonic", "--coefficients.v.scale=-1000", "--propagator.times=[1]",
+        ]
+    )
+    assert rc == 3
+    assert "solver failure: lanczos-expmv propagation overflows at t=1" in capsys.readouterr().err
     assert not recwarn.list
 
 

@@ -9,14 +9,11 @@ from matschrod import (
     DiffusionField,
     EllipticityError,
     EllipticityWarning,
-    GuaranteeUnavailableError,
     PotentialField,
     VectorState,
     assemble_form,
     assemble_operator,
-    beurling_denny_gap,
     build_grid,
-    continuity_ratio,
     continuity_ratios,
     edge_jump_norms,
     eval_form,
@@ -24,11 +21,9 @@ from matschrod import (
     form_norms,
     form_terms,
     mixed_norm,
-    pos_form_cross,
-    project_unit_ball,
     sample_fields,
-    split_pos_neg,
 )
+from matschrod.form import _unit_ball_projection
 
 
 def _free_form(grid):
@@ -143,30 +138,27 @@ def test_continuity_bound_random_sweep():
         for _ in range(20):
             f = VectorState.random(grid, rng)
             g = VectorState.random(grid, rng)
-            assert continuity_ratio(a, f, g) <= bound
+            assert continuity_ratios(a, f.values, g.values) <= bound
 
 
 def test_continuity_ratio_zero_cases():
     grid = build_grid(1, 1.0, 4, 1)
     a = _free_form(grid)
-    z = VectorState.zeros(grid)
-    assert continuity_ratio(a, z, z) == 0.0
-    assert continuity_ratio(a, z, VectorState.impulse(grid)) == 0.0
+    z = VectorState.zeros(grid).values
+    assert continuity_ratios(a, z, z) == 0.0
+    assert continuity_ratios(a, z, VectorState.impulse(grid).values) == 0.0
 
 
-# -- projection and splitting -------------------------------------------------
+# -- unit-ball projection -----------------------------------------------------
 
 
 def test_project_unit_ball_pointwise():
-    grid = build_grid(1, 1.0, 3, 2)
-    f = VectorState(grid, [[3.0, 0.3, 0.0], [4.0, 0.4, 0.0]])
-    pf = project_unit_ball(f)
-    np.testing.assert_allclose(pf.values[:, 0], [0.6, 0.8])  # scaled to norm 1
-    np.testing.assert_allclose(pf.values[:, 1], [0.3, 0.4])  # inside: untouched
-    np.testing.assert_allclose(pf.values[:, 2], [0.0, 0.0])
-    assert pf.component_norms().max() <= 1.0 + 1e-15
-    ppf = project_unit_ball(pf)
-    np.testing.assert_array_equal(ppf.values, pf.values)  # idempotent
+    pf = _unit_ball_projection(np.array([[3.0, 0.3, 0.0], [4.0, 0.4, 0.0]]))
+    np.testing.assert_allclose(pf[:, 0], [0.6, 0.8])  # scaled to norm 1
+    np.testing.assert_allclose(pf[:, 1], [0.3, 0.4])  # inside: untouched
+    np.testing.assert_allclose(pf[:, 2], [0.0, 0.0])
+    assert np.sqrt((pf**2).sum(axis=0)).max() <= 1.0 + 1e-15
+    np.testing.assert_array_equal(_unit_ball_projection(pf), pf)  # idempotent
 
 
 def test_project_unit_ball_is_lipschitz():
@@ -176,18 +168,9 @@ def test_project_unit_ball_is_lipschitz():
         f = VectorState.random(grid, rng, scale=2.0)
         g = VectorState.random(grid, rng, scale=2.0)
         jump_before = (f - g).component_norms()
-        jump_after = (project_unit_ball(f) - project_unit_ball(g)).component_norms()
+        diff = _unit_ball_projection(f.values) - _unit_ball_projection(g.values)
+        jump_after = f.with_values(diff).component_norms()
         assert np.all(jump_after <= jump_before + 1e-14)
-
-
-def test_split_pos_neg_partition():
-    rng = np.random.default_rng(6)
-    grid = build_grid(2, 1.0, 4, 2)
-    f = VectorState.random(grid, rng)
-    fp, fm = split_pos_neg(f)
-    assert np.all(fp.values >= 0) and np.all(fm.values >= 0)
-    np.testing.assert_array_equal((fp - fm).values, f.values)
-    np.testing.assert_array_equal(fp.values * fm.values, 0.0)
 
 
 def test_component_norms_reverse_triangle_per_edge():
@@ -210,12 +193,20 @@ def test_edge_jump_norms_hand_example():
 # -- Beurling-Deny gap ---------------------------------------------------------
 
 
+def _projection_gap(a, f):
+    """a(f, f) - a(Pf, Pf) for the unit-ball projection P, as ``checks`` computes it."""
+    pair = np.stack([f.values, _unit_ball_projection(f.values)])
+    energy = form_terms(a, pair, pair)[0]
+    return float(energy[0] - energy[1])
+
+
 def test_projection_gap_constant_modulus_oracle():
     # |f| = 2 everywhere: Pf = f/2, so a(Pf,Pf) = a(f,f)/4 and the gap is 3/4 a(f,f)
     grid = build_grid(1, 1.0, 30, 2)
     a = _free_form(grid)
-    f = VectorState.from_function(grid, lambda x: [2 * np.cos(x[0]), 2 * np.sin(x[0])])
-    gap = beurling_denny_gap(a, f)
+    x = grid.node_coords()[:, 0]
+    f = VectorState(grid, [2 * np.cos(x), 2 * np.sin(x)])
+    gap = _projection_gap(a, f)
     assert gap == pytest.approx(0.75 * eval_form(a, f, f), rel=1e-12)
 
 
@@ -231,28 +222,16 @@ def test_projection_gap_nonnegative_random():
             DiffusionField(grid, diag), _random_psd_potential(grid, rng), grid
         )
         f = VectorState.random(grid, rng, scale=2.0)
-        gap = beurling_denny_gap(a, f)
+        gap = _projection_gap(a, f)
         assert gap >= -1e-12 * (1.0 + abs(eval_form(a, f, f)))
 
 
-def test_projection_gap_gates():
-    rng = np.random.default_rng(9)
-    grid = build_grid(2, 1.0, 4, 2)
-    full_q = assemble_form(
-        _random_spd_diffusion(grid, rng), _random_psd_potential(grid, rng), grid
-    )
-    f = VectorState.random(grid, rng)
-    with pytest.raises(GuaranteeUnavailableError):
-        beurling_denny_gap(full_q, f)
-    assert isinstance(beurling_denny_gap(full_q, f, allow_nondiagonal=True), float)
-
-    dif, pot = sample_fields(lambda x: np.eye(2), lambda x: -np.eye(2), grid)
-    indefinite = assemble_form(dif, pot, grid)
-    with pytest.raises(ValueError, match="PSD"):
-        beurling_denny_gap(indefinite, f)
-
-
 # -- positive-part cross energy ------------------------------------------------
+
+
+def _pos_cross(a, f):
+    """Cross energy a(f_plus, f_minus) of the componentwise positive/negative parts."""
+    return float(form_terms(a, np.maximum(f.values, 0.0), np.maximum(-f.values, 0.0))[0])
 
 
 def test_pos_cross_energy_exact_coupling_oracle():
@@ -267,25 +246,8 @@ def test_pos_cross_energy_exact_coupling_oracle():
     phi = np.maximum(1.0 - np.abs(grid.axis_nodes()), 0.0)
     f = VectorState(grid, np.stack([phi, -phi]))
     expected = -grid.h * float((phi**2).sum())
-    assert pos_form_cross(a, f) == pytest.approx(expected, rel=1e-13)
+    assert _pos_cross(a, f) == pytest.approx(expected, rel=1e-13)
     assert expected < 0
-
-
-def test_pos_cross_energy_gates():
-    grid = build_grid(1, 1.0, 4, 2)
-    anti = np.tile(np.array([[0.0, -1.0], [1.0, 0.0]]), (grid.n_nodes, 1, 1))
-    dif, _ = sample_fields(lambda x: 1.0, lambda x: np.zeros((2, 2)), grid)
-    a = assemble_form(dif, PotentialField(grid, anti), grid)
-    with pytest.raises(ValueError, match="symmetric"):
-        pos_form_cross(a, VectorState.random(grid, np.random.default_rng(0)))
-
-    rng = np.random.default_rng(10)
-    grid2 = build_grid(2, 1.0, 3, 2)
-    full_q = assemble_form(
-        _random_spd_diffusion(grid2, rng), _random_psd_potential(grid2, rng), grid2
-    )
-    with pytest.raises(GuaranteeUnavailableError):
-        pos_form_cross(full_q, VectorState.random(grid2, rng))
 
 
 def test_pos_cross_energy_sign_random():
@@ -303,7 +265,7 @@ def test_pos_cross_energy_sign_random():
         dif, _ = sample_fields(lambda x: 1.0, lambda x: np.zeros((m, m)), grid)
         a = assemble_form(dif, PotentialField(grid, samples), grid)
         f = VectorState.random(grid, rng)
-        assert pos_form_cross(a, f) <= 1e-12
+        assert _pos_cross(a, f) <= 1e-12
 
 
 # -- batched kernel ----------------------------------------------------------
@@ -376,7 +338,7 @@ def test_batched_form_matches_single_states(d, m, n_per_dim, rows, cols, diagona
             assert nf == pytest.approx(np.sqrt(graph_sq), rel=1e-13)
             assert norms_x[i, 0] == pytest.approx(nf, rel=1e-13)
             assert norms_y[0, j] == pytest.approx(ng, rel=1e-13)
-            assert abs(ratios[i, j] - continuity_ratio(a, f, g)) <= tol / (nf * ng)
+            assert abs(ratios[i, j] - abs(eval_form(a, f, g)) / (nf * ng)) <= tol / (nf * ng)
 
 
 def test_form_terms_empty_batch_and_shape_check():

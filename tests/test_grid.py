@@ -12,7 +12,6 @@ from matschrod import (
     build_grid,
     mixed_norm,
     sample_fields,
-    smooth_bump,
     smooth_bump_profile,
     smooth_bump_slope,
 )
@@ -149,17 +148,17 @@ def test_vector_state_layout_and_arithmetic():
         f + other
 
 
-def test_impulse_and_from_function():
+def test_impulse_and_node_coordinate_states():
     grid = build_grid(1, 1.0, 3, 2)
     imp = VectorState.impulse(grid)
     assert imp.values[0, 1] == 1.0 and imp.values.sum() == 1.0
     imp2 = VectorState.impulse(grid, node=2, vector=[0.0, 3.0])
     assert imp2.values[1, 2] == 3.0
-    fn = VectorState.from_function(grid, lambda x: [x[0], -x[0]])
-    np.testing.assert_allclose(fn.values[0], grid.node_coords()[:, 0])
-    np.testing.assert_allclose(fn.values[1], -grid.node_coords()[:, 0])
-    with pytest.raises(ValueError, match="components"):
-        VectorState.from_function(grid, lambda x: [1.0, 2.0, 3.0])
+    x = grid.node_coords()[:, 0]
+    fn = VectorState(grid, [x, -x])
+    np.testing.assert_array_equal(fn.values, [[-0.5, 0.0, 0.5], [0.5, 0.0, -0.5]])
+    with pytest.raises(ValueError):
+        VectorState(grid, [x, x, x])
 
 
 def test_bump_state_on_all_or_one_component():
@@ -237,8 +236,6 @@ def test_bump_profile_plateau_support_and_smooth_seams():
         assert smooth_bump_slope(r0) == pytest.approx(float(fd), abs=1e-8)
     assert smooth_bump_slope(0.5) == 0.0
     assert smooth_bump_slope(2.5) == 0.0
-    assert smooth_bump([0.3, 0.4]) == 1.0
-    assert smooth_bump([3.0, 0.0]) == 0.0
 
 
 # -- forward differences ----------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import itertools
 import json
 import math
 import sys
@@ -39,7 +40,7 @@ from .gallery import (
     spectrum_merge_check,
     validate_expected,
 )
-from .grid import VectorState, build_grid, mixed_norm, sample_fields
+from .grid import DiffusionField, PotentialField, VectorState, build_grid, mixed_norm
 from .io import _jsonable
 from .operators import assemble_operator, eigen_lowest, sandwich_check
 from .semigroup import PropagatorConfig, default_config, propagate
@@ -321,8 +322,9 @@ def resolve_config(config_path, overrides, seed=None, out=None) -> dict:
 # -- coefficient and state builders -------------------------------------------
 
 
-def _q_callable(block: dict, d: int):
-    kind = block["kind"]
+def _q_samples(block: dict, grid) -> np.ndarray:
+    """Diffusion samples on the cell lattice; every Q kind is one constant matrix."""
+    kind, d = block["kind"], grid.d
     if kind == "identity":
         mat = np.eye(d)
     elif kind == "scaled_identity":
@@ -336,24 +338,26 @@ def _q_callable(block: dict, d: int):
     else:  # constant
         mat = np.asarray(block["matrix"], dtype=float)
         _expect(mat.shape == (d, d), f"coefficients.q.matrix must be {d}x{d}")
-    return lambda x: mat
+    return np.broadcast_to(mat, (grid.n_cells, d, d))
 
 
-def _v_callable(block: dict, m: int):
-    kind = block["kind"]
+def _v_samples(block: dict, grid) -> np.ndarray:
+    """Potential samples at the interior nodes."""
+    kind, m = block["kind"], grid.m
     if kind == "zero":
         mat = np.zeros((m, m))
-        return lambda x: mat
-    if kind == "scaled_identity":
+    elif kind == "scaled_identity":
         mat = float(block["value"]) * np.eye(m)
-        return lambda x: mat
-    if kind == "constant":
+    elif kind == "constant":
         mat = np.asarray(block["matrix"], dtype=float)
         _expect(mat.shape == (m, m), f"coefficients.v.matrix must be {m}x{m}")
-        return lambda x: mat
-    scale = float(block["scale"])  # harmonic
-    eye = np.eye(m)
-    return lambda x: scale * float(x @ x) * eye
+    else:  # harmonic, scale |x|^2
+        # matmul takes each x.x through the dot kernel of ``x @ x``, so the bits
+        # match a per-node loop; einsum and (x**2).sum(1) round differently
+        x = grid.node_coords()
+        r2 = np.matmul(x[:, None, :], x[:, :, None]).ravel()
+        return (float(block["scale"]) * r2)[:, None, None] * np.eye(m)
+    return np.broadcast_to(mat, (grid.n_nodes, m, m))
 
 
 def _initial_state(block: dict, grid, seed: int) -> VectorState:
@@ -390,9 +394,9 @@ def _build_operator(config: dict):
         grid = build_grid(g["d"], g["L"], g["N"], g["m"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    q_fn = _q_callable(config["coefficients"]["q"], grid.d)
-    v_fn = _v_callable(config["coefficients"]["v"], grid.m)
-    diffusion, potential = sample_fields(q_fn, v_fn, grid)
+    qs = _q_samples(config["coefficients"]["q"], grid)
+    vs = _v_samples(config["coefficients"]["v"], grid)
+    diffusion, potential = DiffusionField(grid, qs), PotentialField(grid, vs)
     op = assemble_operator(assemble_form(diffusion, potential, grid))
     return grid, diffusion, potential, op
 
@@ -476,11 +480,12 @@ def _write_snapshots(snapshots: list, grid, path: Path):
 
     Floats are ``repr`` and lines end in CRLF, as ``csv.writer`` would write
     them; no field needs quoting.  The ``node,x0..`` prefix is formatted once,
-    and each (time, component) block is written as one string.
+    from the N axis positions in the C order of ``node_coords``, and each
+    (time, component) block is written as one string.
     """
+    axis = [repr(c) for c in grid.axis_nodes().tolist()]
     prefixes = [
-        ",".join([str(node)] + [repr(c) for c in xs])
-        for node, xs in enumerate(grid.node_coords().tolist())
+        f"{node}," + ",".join(xs) for node, xs in enumerate(itertools.product(axis, repeat=grid.d))
     ]
     header = ["t", "node"] + [f"x{i}" for i in range(grid.d)] + ["component", "value"]
     with open(path, "w", newline="") as fh:

@@ -145,7 +145,7 @@ def _coerce_matrix(value, size: int, what: str) -> np.ndarray:
     return out
 
 
-def _check_symmetric(samples: np.ndarray, what: str) -> float:
+def _check_symmetric(samples: np.ndarray) -> float:
     """Return the largest absolute asymmetry max |M - M^T| over all samples."""
     return float(np.abs(samples - samples.transpose(0, 2, 1)).max()) if samples.size else 0.0
 
@@ -169,7 +169,7 @@ class DiffusionField:
             )
         if not np.all(np.isfinite(samples)):
             raise ValueError("diffusion samples must be finite")
-        asym = _check_symmetric(samples, "diffusion")
+        asym = _check_symmetric(samples)
         scale = max(1.0, float(np.abs(samples).max()))
         if asym > SYMMETRY_ATOL * scale:
             raise ValueError(f"diffusion samples are not symmetric (max asymmetry {asym:.3e})")
@@ -212,7 +212,7 @@ class PotentialField:
             )
         if not np.all(np.isfinite(samples)):
             raise ValueError("potential samples must be finite (singular potentials are rejected)")
-        asym = _check_symmetric(samples, "potential")
+        asym = _check_symmetric(samples)
         scale = max(1.0, float(np.abs(samples).max()))
         self.symmetric_input = bool(asym <= SYMMETRY_ATOL * scale)
         samples = 0.5 * (samples + samples.transpose(0, 2, 1))

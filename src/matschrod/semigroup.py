@@ -379,6 +379,8 @@ class ProbeReport:
                 return "untested"
             return "pass" if all(ratio <= 1.0 + self.threshold for ratio in gated) else "fail"
         if self.kind == "strong-continuity":
+            if not self.guaranteed:
+                return "untested"
             return "pass" if all(r["interpolation_ok"] and r["trend_ok"] for r in self.records) else "fail"
         if self.kind == "positivity":
             floor = -self.threshold
@@ -457,7 +459,10 @@ def strong_continuity_probe(
 
     and the deviations must decrease (within slack) along the given times
     taken in decreasing order — pass a dyadic sequence to probe the t -> 0
-    trend.
+    trend.  The factor 2 ||f||_oo bounds ||T(t)f - f||_oo only for an
+    L^oo-contractive semigroup (diagonal diffusion, PSD potential); for any
+    other operator the records are informational and the verdict is
+    ``"untested"``.
     """
     p = float(p)
     if p <= 2.0:

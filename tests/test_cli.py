@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, exit codes, reproducibility."""
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -311,6 +312,96 @@ def test_kind_dependent_key_validation(tmp_path):
     assert rc == 2
     rc = cli.main(["assemble", "--out", str(tmp_path), "--coefficients.v.kind=wat"])
     assert rc == 2
+
+
+# -- coefficient kinds ----------------------------------------------------------
+
+
+def _point_q_fn(block, d):
+    """The per-point diffusion callable the CLI sampled each kind through before."""
+    kind = block["kind"]
+    if kind == "identity":
+        mat = np.eye(d)
+    elif kind == "scaled_identity":
+        mat = float(block["value"]) * np.eye(d)
+    elif kind == "diagonal":
+        mat = np.diag(np.asarray(block["entries"], dtype=float))
+    else:
+        mat = np.asarray(block["matrix"], dtype=float)
+    return lambda x: mat
+
+
+def _point_v_fn(block, m):
+    """The per-point potential callable the CLI sampled each kind through before."""
+    kind = block["kind"]
+    if kind == "zero":
+        mat = np.zeros((m, m))
+        return lambda x: mat
+    if kind == "scaled_identity":
+        mat = float(block["value"]) * np.eye(m)
+        return lambda x: mat
+    if kind == "constant":
+        mat = np.asarray(block["matrix"], dtype=float)
+        return lambda x: mat
+    scale = float(block["scale"])
+    eye = np.eye(m)
+    return lambda x: scale * float(x @ x) * eye
+
+
+_Q_MATRIX = [[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 1.1]]
+_V_MATRIX = [[1.1, -0.3, 0.2], [-0.3, 2.7, 0.4], [0.2, 0.4, 0.9]]
+
+
+def _q_blocks(d):
+    return [
+        {"kind": "identity"},
+        {"kind": "scaled_identity", "value": 1.7},
+        {"kind": "diagonal", "entries": [1.0, 1.37, 1.83][:d]},
+        {"kind": "constant", "matrix": [row[:d] for row in _Q_MATRIX[:d]]},
+    ]
+
+
+def _v_blocks(m):
+    return [
+        {"kind": "zero"},
+        {"kind": "scaled_identity", "value": -0.7},
+        {"kind": "constant", "matrix": [row[:m] for row in _V_MATRIX[:m]]},
+        {"kind": "harmonic", "scale": 1.0},
+        {"kind": "harmonic", "scale": -0.6},
+        {"kind": "harmonic", "scale": 0.0},
+    ]
+
+
+# at L = 1.7 these grids hold nodes where (x**2).sum(1), einsum and
+# norm(x)**2 each round |x|^2 differently from x @ x; scale 1.0 keeps those bits
+@pytest.mark.parametrize("d, N", [(1, 9), (2, 7), (3, 5)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_coefficient_kinds_match_per_point_sampling_bit_for_bit(d, N, m):
+    grid_flags = [("grid.d", d), ("grid.N", N), ("grid.m", m), ("grid.L", 1.7)]
+    for q_block, v_block in itertools.product(_q_blocks(d), _v_blocks(m)):
+        config = cli.resolve_config(
+            None, grid_flags + [("coefficients.q", q_block), ("coefficients.v", v_block)]
+        )
+        grid, diffusion, potential, _ = cli._build_operator(config)
+        ref_q, ref_v = matschrod.sample_fields(_point_q_fn(q_block, d), _point_v_fn(v_block, m), grid)
+        assert np.array_equal(diffusion.samples, ref_q.samples), q_block
+        assert np.array_equal(potential.samples, ref_v.samples), v_block
+        assert not diffusion.samples.flags.writeable and not potential.samples.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ('--coefficients.q={"kind":"diagonal","entries":[1,2,3]}', "coefficients.q.entries must have 2 entries"),
+        ('--coefficients.q={"kind":"constant","matrix":[[1]]}', "coefficients.q.matrix must be 2x2"),
+        ('--coefficients.q={"kind":"scaled_identity","value":0}', "coefficients.q.value must be positive"),
+        ('--coefficients.v={"kind":"constant","matrix":[[1,0],[0,1]]}', "coefficients.v.matrix must be 3x3"),
+    ],
+)
+def test_coefficient_shape_errors_exit_2(tmp_path, capsys, flag, message):
+    rc = cli.main(["assemble", "--out", str(tmp_path), "--grid.d=2", "--grid.N=4", "--grid.m=3", flag])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

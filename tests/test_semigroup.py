@@ -478,6 +478,21 @@ def test_strong_continuity_eigenvector_closed_form():
     assert report.meta["theta"] == pytest.approx(0.5)
 
 
+def test_strong_continuity_without_contraction_is_untested():
+    # V = -3 is not PSD: T(t) grows like e^{3t}, so the factor 2||f||_oo of the
+    # bound is unfounded; a random state meets it anyway, a bump breaks it
+    grid = build_grid(1, 3.0, 30, 1)
+    dif, pot = sample_fields(lambda x: 1.0, lambda x: -3.0, grid)
+    op = assemble_operator(assemble_form(dif, pot, grid))
+    times = (0.0625, 0.125, 0.25, 0.5, 1.0)
+    met = strong_continuity_probe(op, VectorState.random(grid, np.random.default_rng(8)), times, p=4.0)
+    broken = strong_continuity_probe(op, VectorState.bump(grid, 0.5), times, p=4.0)
+    assert not met.guaranteed and not broken.guaranteed
+    assert all(r["interpolation_ok"] and r["trend_ok"] for r in met.records)
+    assert not all(r["interpolation_ok"] for r in broken.records)
+    assert met.verdict == broken.verdict == "untested"
+
+
 def test_strong_continuity_rejects_small_p():
     grid, op = _harmonic_operator(N=20)
     f = VectorState.random(grid, np.random.default_rng(8))

@@ -475,13 +475,19 @@ def emit_plot_data(report, kind: str, path):
     path.write_text("\n".join(lines) + "\n")
 
 
+#: rows of snapshots.csv joined into one string per write
+_SNAPSHOT_CHUNK_ROWS = 8192
+
+
 def _write_snapshots(snapshots: list, grid, path: Path):
     """One CSV row per (time, component, node): ``t,node,x0..x{d-1},component,value``.
 
     Floats are ``repr`` and lines end in CRLF, as ``csv.writer`` would write
     them; no field needs quoting.  The ``node,x0..`` prefix is formatted once,
     from the N axis positions in the C order of ``node_coords``, and each
-    (time, component) block is written as one string.
+    (time, component) block is written in slices of ``_SNAPSHOT_CHUNK_ROWS``
+    rows, one string per slice, so the text held at once stays bounded
+    whatever the grid size.
     """
     axis = [repr(c) for c in grid.axis_nodes().tolist()]
     prefixes = [
@@ -493,14 +499,11 @@ def _write_snapshots(snapshots: list, grid, path: Path):
         for t, state in snapshots:
             for comp in range(grid.m):
                 head, tail = f"{_jsonable(t)},", f",{comp},"
-                fh.write(
-                    "".join(
-                        [
-                            f"{head}{prefix}{tail}{v!r}\r\n"
-                            for prefix, v in zip(prefixes, state.values[comp].tolist())
-                        ]
-                    )
-                )
+                values = state.values[comp]
+                for start in range(0, len(prefixes), _SNAPSHOT_CHUNK_ROWS):
+                    stop = start + _SNAPSHOT_CHUNK_ROWS
+                    rows = zip(prefixes[start:stop], values[start:stop].tolist())
+                    fh.write("".join([f"{head}{prefix}{tail}{v!r}\r\n" for prefix, v in rows]))
 
 
 # -- subcommands ----------------------------------------------------------------

@@ -100,19 +100,20 @@ def _from_assembly(path: str):
 
 
 class SymmetricOperator:
-    """Assembled sparse form matrix and the ``FormAssembly`` it was built from.
+    """The operator of a ``FormAssembly``, with its sparse form matrix built on first use.
 
-    ``matrix`` is the form matrix S (CSR, exactly symmetric); ``generator()``
-    returns B = S / h^d.  The grid and the coefficient metadata are read from
-    the (immutable) ``assembly``.  ``potential_min_eigenvalue`` is the
-    smallest eigenvalue of the sampled V over all nodes, a lower bound for
-    the spectrum of B because the diffusion part is PSD.  The dense
-    eigendecomposition of B (dimensions <= DENSE_LIMIT) and the closed form
-    ``separable`` are cached lazily for repeated solves and propagation.
+    ``matrix`` is the form matrix S (CSR, exactly symmetric), assembled on
+    first access and cached; ``generator()`` returns B = S / h^d.  ``dim``,
+    the grid and the coefficient metadata are read from the (immutable)
+    ``assembly`` without building S, so the ``exact-separable`` propagator,
+    which reads none of S, never assembles it.  ``potential_min_eigenvalue``
+    is the smallest eigenvalue of the sampled V over all nodes, a lower
+    bound for the spectrum of B because the diffusion part is PSD.  The
+    dense eigendecomposition of B (dimensions <= DENSE_LIMIT) and the closed
+    form ``separable`` are cached lazily for repeated solves and propagation.
     """
 
-    def __init__(self, matrix: sparse.csr_matrix, assembly: FormAssembly):
-        self.matrix = matrix
+    def __init__(self, assembly: FormAssembly):
         self.assembly = assembly
         self._generator = None
         self._dense_eig = None
@@ -127,7 +128,12 @@ class SymmetricOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.grid.state_size
+
+    @functools.cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """The form matrix S, assembled on first access."""
+        return _assemble_matrix(self.assembly)
 
     def generator(self) -> sparse.csr_matrix:
         if self._generator is None:
@@ -174,16 +180,26 @@ def _tridiagonal(b):
 
 
 def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
-    """Assemble the sparse form matrix S with <S f, g> = a(f, g).
+    """The operator whose form matrix S satisfies <S f, g> = a(f, g).
 
-    The diffusion block is the same scalar stiffness for every component;
-    the potential contributes h^d V(x_a) coupling the components at each
-    node.  Refuses potentials whose raw samples were not symmetric.
+    Refuses potentials whose raw samples were not symmetric, here rather
+    than on first use; S itself is built by ``_assemble_matrix`` when
+    ``matrix`` is first read.
     """
     if not assembly.potential.symmetric_input:
         raise ValueError(
             "operator assembly needs a symmetric potential (the sampled input was not)"
         )
+    return SymmetricOperator(assembly)
+
+
+def _assemble_matrix(assembly: FormAssembly) -> sparse.csr_matrix:
+    """The sparse form matrix S with <S f, g> = a(f, g).
+
+    The diffusion block is the same scalar stiffness for every component;
+    the potential contributes h^d V(x_a) coupling the components at each
+    node.
+    """
     grid = assembly.grid
     n, m = grid.n_nodes, grid.m
     kr, kc, kv = _stiffness_lower_entries(grid, assembly.diffusion.samples)
@@ -202,7 +218,7 @@ def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
         shape=(m * n, m * n),
     ).tocsr()
     matrix = (lower + lower.T) - sparse.diags(lower.diagonal())
-    return SymmetricOperator(matrix.tocsr(), assembly)
+    return matrix.tocsr()
 
 
 @dataclass

@@ -12,6 +12,7 @@ import pytest
 
 import matschrod
 from matschrod import cli
+from matschrod import operators as operators_module
 from matschrod.checks import run_checks
 from matschrod.semigroup import _simpson
 
@@ -548,6 +549,24 @@ def test_evolve_snapshots_match_csv_writer_bytes(tmp_path, monkeypatch, d, N, m,
     assert (out / "snapshots.csv").read_bytes() == reference.read_bytes()
 
 
+@pytest.mark.parametrize("d, N", [(1, 2 * 8192 + 5), (2, 97)])
+def test_snapshot_writer_matches_csv_writer_across_chunk_boundaries(tmp_path, d, N):
+    # more nodes than one slice of rows and not a multiple of it, so a
+    # block is written in several slices, the last one short
+    grid = matschrod.build_grid(d, 3.0, N, 2)
+    assert grid.n_nodes > cli._SNAPSHOT_CHUNK_ROWS and grid.n_nodes % cli._SNAPSHOT_CHUNK_ROWS
+    rng = np.random.default_rng(N)
+    values = rng.standard_normal((3, 2, grid.n_nodes))
+    values[0, :, ::7] = 0.0
+    values[1] *= 1e-310  # subnormal, of either sign
+    values[2, 1, cli._SNAPSHOT_CHUNK_ROWS - 1 : cli._SNAPSHOT_CHUNK_ROWS + 1] = [-0.0, 5e-324]
+    snapshots = [(t, matschrod.VectorState(grid, v)) for t, v in zip((0.0, 0.01, 1.0), values)]
+    written, reference = tmp_path / "snapshots.csv", tmp_path / "reference.csv"
+    cli._write_snapshots(snapshots, grid, written)
+    _csv_writer_snapshots(snapshots, grid, reference)
+    assert written.read_bytes() == reference.read_bytes()
+
+
 def test_evolve_tiny_state_has_nonzero_norms(tmp_path):
     # the squares of a 1e-200 state underflow; the contraction probe must still see it
     rc = cli.main(
@@ -603,6 +622,60 @@ def test_evolve_krylov_overflow_exits_3_without_warnings(tmp_path, capsys, recwa
     assert rc == 3
     assert "solver failure: lanczos-expmv propagation overflows at t=1" in capsys.readouterr().err
     assert not recwarn.list
+
+
+# -- lazy assembly -----------------------------------------------------------------
+
+
+def _count_assemblies(monkeypatch):
+    calls = []
+    assemble = operators_module._assemble_matrix
+
+    def spy(assembly):
+        calls.append(assembly.grid.state_size)
+        return assemble(assembly)
+
+    monkeypatch.setattr(operators_module, "_assemble_matrix", spy)
+    return calls
+
+
+def test_separable_evolve_never_assembles_the_matrix(tmp_path, monkeypatch):
+    # dimension 3200 > DENSE_LIMIT: the closed form reads only the coefficient samples
+    calls = _count_assemblies(monkeypatch)
+    rc = cli.main(
+        [
+            "evolve", "--out", str(tmp_path), "--grid.d=2", "--grid.N=40", "--grid.m=2",
+            '--coefficients.q={"kind":"diagonal","entries":[1.0,1.7]}',
+            '--coefficients.v={"kind":"constant","matrix":[[1,-0.4],[-0.4,2]]}',
+        ]
+    )
+    assert rc == 0
+    assert _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]["method"] == "exact-separable"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, dim, method",
+    [
+        (["assemble", "--grid.N=32"], 32, None),
+        (["spectrum", "--grid.d=2", "--grid.N=12", "--grid.m=2", "--solver.method=lanczos"], 288, "separable"),
+        (["spectrum", "--grid.d=2", "--grid.N=12", "--coefficients.v.kind=harmonic",
+          "--coefficients.v.scale=1.0", "--solver.method=lanczos"], 144, "splu"),
+        (["spectrum", "--grid.N=40", "--solver.method=dense"], 40, "dense"),
+        (["evolve", "--grid.N=40", "--propagator.method=exact-dense"], 40, "exact-dense"),
+        (["evolve", "--grid.N=40", "--propagator.method=lanczos-expmv"], 40, "lanczos-expmv"),
+    ],
+    ids=["assemble", "spectrum-separable", "spectrum-lu", "spectrum-dense", "evolve-exact-dense", "evolve-krylov"],
+)
+def test_paths_that_read_the_matrix_assemble_it_once(tmp_path, monkeypatch, argv, dim, method):
+    calls = _count_assemblies(monkeypatch)
+    assert cli.main(argv[:1] + ["--out", str(tmp_path)] + argv[1:]) == 0
+    assert calls == [dim]
+    detail = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]
+    if argv[0] == "spectrum":
+        assert (detail["solve"] or detail["method"]) == method
+    elif argv[0] == "evolve":
+        assert detail["method"] == method
 
 
 # -- verify -------------------------------------------------------------------------

@@ -108,6 +108,24 @@ def test_assembly_rejects_asymmetric_potential_input():
         assemble_operator(a)
 
 
+def test_matrix_is_assembled_on_first_read_and_cached():
+    # assemble_operator refuses an asymmetric potential at call time (above),
+    # but builds S only when something reads it
+    _, op = _free_operator(N=9, d=2, m=2)
+    assert "matrix" not in op.__dict__
+    assert op.generator() is op.generator()
+    assert op.__dict__["matrix"] is op.matrix
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), N=st.integers(2, 12), m=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_dimension_needs_no_assembly_and_matches_the_matrix(d, N, m, seed):
+    grid = build_grid(d, 1.0, N, m)
+    op = _random_operator(grid, np.random.default_rng(seed))
+    assert op.dim == grid.state_size and "matrix" not in op.__dict__
+    assert op.dim == op.matrix.shape[0] == op.matrix.shape[1]
+
+
 def test_generator_scaling_and_norm_bound():
     grid, op = _free_operator(N=15)
     b = op.generator()

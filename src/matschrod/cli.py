@@ -551,9 +551,6 @@ def _cmd_spectrum(config: dict, outdir: Path) -> bool:
                 "matrix_norm": report.matrix_norm,
                 "method": report.method,
                 "shift": report.shift,
-                "solve": report.solve,
-                "restarts": report.restarts,
-                "certified_count": report.certified_count,
             },
         }
     ]

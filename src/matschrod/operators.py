@@ -17,16 +17,15 @@ Assembly accumulates only the lower triangle and mirrors it afterwards
 (S = L + L^T - diag L), which keeps S exactly symmetric in its stored
 entries — no floating-point symmetrization is ever applied.
 
-Shift-invert Lanczos solves with B - sigma I in one of two ways.  When Q is
-one constant diagonal matrix and V one constant matrix (every sample equal
-to the first), B is a Kronecker sum that the DST-I and the eigenvectors of
-V diagonalize: the solve takes O(n log n), and the same closed form counts
-the eigenvalues of B below any tau, which certifies that the Ritz values
-are the lowest k (restarting on what the count shows missing).  Every other
-operator is factored by sparse LU, and its result is certified by residuals
-only.  ``_separable_map`` applies any function of such a B through the
-closed form; the solve and the semigroup's ``exact-separable`` propagator
-share it.
+When Q is one constant diagonal matrix and V one constant matrix (every
+sample equal to the first), B is a Kronecker sum that the DST-I and the
+eigenvectors of V diagonalize, and ``_separable`` gives its whole spectrum in
+closed form.  The eigensolver reads the lowest k modes straight off it
+(checking their residuals against the assembled B), and the semigroup's
+``exact-separable`` propagator applies e^{-tB} through ``_separable_map``;
+both go through the one DST-I of ``_separable_basis``.  Every other operator
+that does not go dense runs shift-invert Lanczos on a sparse LU of
+B - sigma I, certified by residuals only.
 """
 from __future__ import annotations
 
@@ -225,11 +224,9 @@ def _assemble_matrix(assembly: FormAssembly) -> sparse.csr_matrix:
 class SpectrumReport:
     """Lowest eigenvalues of the generator with a-posteriori residuals.
 
-    ``shift`` is the Lanczos shift sigma and ``solve`` how B - sigma I was
-    solved, "separable" or "splu" (both ``None`` for the dense path).  On the
-    separable path ``restarts`` counts the deflated Lanczos reruns and
-    ``certified_count`` how many leading values the closed-form count
-    certifies as the lowest (k when returned); both are ``None`` otherwise.
+    ``method`` is "dense", "separable" (the closed form) or "lanczos";
+    ``shift`` is the Lanczos shift sigma and ``iterations`` the Lanczos basis
+    size (``None`` and 0 on the exact paths).
     """
 
     eigenvalues: np.ndarray
@@ -239,9 +236,6 @@ class SpectrumReport:
     tol: float
     matrix_norm: float
     shift: float | None = None
-    solve: str | None = None
-    restarts: int | None = None
-    certified_count: int | None = None
     eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self, path):
@@ -261,21 +255,29 @@ def eigen_lowest(
 ) -> SpectrumReport:
     """The k smallest generator eigenvalues, sorted ascending with multiplicity.
 
-    ``method`` is "dense" (direct solve, dimension <= DENSE_LIMIT), "lanczos"
-    (shift-invert Lanczos at shift sigma = min(-1, min V - 1), which lies
-    at least 1 below the spectrum, with full reorthogonalization and a start
-    vector drawn from ``seed``), or "auto" which picks dense when the
-    dimension permits.  Residuals ||B v - lambda v|| are measured against
-    ``matrix_norm`` (the infinity norm of B); non-convergence raises
-    ConvergenceError with the partial report attached.
+    ``method`` is "dense" (direct solve, dimension <= DENSE_LIMIT),
+    "lanczos", or "auto" which picks dense when the dimension permits.
+    "lanczos" reads a constant-coefficient operator (``separable``) straight
+    off its closed form; for every other operator it runs shift-invert
+    Lanczos at shift sigma = min(-1, min V - 1), which lies at least 1 below
+    the spectrum, with full reorthogonalization and a start vector drawn from
+    ``seed``.  Residuals ||B v - lambda v|| are measured against
+    ``matrix_norm`` (the infinity norm of B).  The exact paths (dense and
+    closed form) only report them; Lanczos iterates until they are at most
+    ``tol * matrix_norm`` and otherwise raises ConvergenceError with the
+    partial report attached.
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"need 1 <= k <= {op.dim}, got {k}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if method == "auto":
         method = "dense" if op.dim <= DENSE_LIMIT else "lanczos"
     if method == "dense":
         return _eigen_dense(op, k, tol)
     if method == "lanczos":
+        if op.separable is not None:
+            return _eigen_separable(op, k, tol)
         return _eigen_lanczos(op, k, tol, seed)
     raise ValueError(f"unknown eigensolver method {method!r}")
 
@@ -290,16 +292,29 @@ def _eigen_dense(op: SymmetricOperator, k: int, tol: float) -> SpectrumReport:
     else:
         # bisection plus inverse iteration (LAPACK stebz/stein)
         w, v = scipy.linalg.eigh_tridiagonal(*bands, select="i", select_range=(0, k - 1))
-    res = np.linalg.norm(b @ v - v * w, axis=0)
-    return SpectrumReport(
-        eigenvalues=w,
-        residuals=res,
-        method="dense",
-        iterations=0,
-        tol=tol,
-        matrix_norm=op.generator_norm_bound(),
-        eigenvectors=v,
-    )
+    return _exact_report(op, w, v, "dense", tol)
+
+
+def _eigen_separable(op: SymmetricOperator, k: int, tol: float) -> SpectrumReport:
+    """The k lowest modes of the closed form ``separable``, checked against the assembled B.
+
+    Ties keep the order of the flattened modes (a stable sort), so repeated
+    eigenvalues come back in a reproducible order.
+    """
+    op.generator()  # assemble B before the modes exist, so its peak does not hold them
+    mu, w = op.separable
+    order = np.argsort(mu, axis=None, kind="stable")[:k]
+    modes = np.zeros((k, mu.size))
+    modes[np.arange(k), order] = 1.0
+    _, synthesize = _separable_basis(mu, w)
+    vecs = synthesize(modes.reshape((k,) + mu.shape)).T
+    return _exact_report(op, mu.ravel()[order], vecs, "separable", tol)
+
+
+def _exact_report(op, lams, vecs, method, tol) -> SpectrumReport:
+    """The report of directly computed eigenpairs, with their residuals against the assembled B."""
+    res = np.linalg.norm(op.generator() @ vecs - vecs * lams, axis=0)
+    return SpectrumReport(lams, res, method, 0, tol, op.generator_norm_bound(), eigenvectors=vecs)
 
 
 def _factor_spd(matrix):
@@ -362,40 +377,24 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     """Shift-invert Lanczos: largest eigenvalues of (B - sigma I)^-1 <-> smallest of B.
 
     The diffusion part of B is PSD, so B >= (min V) I and the shift
-    sigma = min(-1, min V - 1) makes B - sigma I >= I.  For constant
-    coefficients ``_separable`` solves with it exactly and counts the
-    spectrum, and ``_certified_lanczos`` proves the result is the lowest k;
-    otherwise ``_factor_spd`` factors it Cholesky-like.  ``_lanczos`` runs
-    with full reorthogonalization (robustness over speed at these problem
-    sizes) and continues a broken-down basis from a fresh random direction.
+    sigma = min(-1, min V - 1) makes B - sigma I >= I, which ``_factor_spd``
+    factors Cholesky-like.  ``_lanczos`` runs with full reorthogonalization
+    (robustness over speed at these problem sizes) and continues a
+    broken-down basis from a fresh random direction; the Ritz pairs are
+    checked every third step until k of them meet the tolerance.
     """
     b = op.generator()
     n = op.dim
     bnorm = op.generator_norm_bound()
     sigma = min(-1.0, op.potential_min_eigenvalue - 1.0)
-    separable = op.separable
-    if separable is None:
-        kind, solve = "splu", _factor_spd(b - sigma * sparse.identity(n, format="csr")).solve
-    else:
-        mu, w = separable
-        kind, solve = "separable", _separable_solve(mu, w, sigma)
+    solve = _factor_spd(b - sigma * sparse.identity(n, format="csr")).solve
     rng = np.random.default_rng(seed)
     max_dim = min(n, max(8 * k, 160))
-    report = _converge(b, solve, rng.standard_normal(n), rng, k, max_dim, tol, bnorm, sigma, kind)
-    if separable is None:
-        return report
-    return _certified_lanczos(b, solve, np.sort(mu, axis=None), rng, report, max_dim)
-
-
-def _converge(b, apply, q, rng, k, max_dim, tol, bnorm, sigma, kind, refine=None) -> SpectrumReport:
-    """Run ``_lanczos`` on ``apply`` until k Ritz pairs (after ``refine``) meet the tolerance."""
     report = None
-    for basis, alphas, betas in _lanczos(apply, q, max_dim, rng):
+    for basis, alphas, betas in _lanczos(solve, rng.standard_normal(n), max_dim, rng):
         size = len(alphas)
         if size >= k and (size % 3 == 1 or size == max_dim):
-            report = _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma, kind)
-            if refine is not None:
-                report = refine(report)
+            report = _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma)
             if np.all(report.residuals <= tol * bnorm):
                 return report
     raise ConvergenceError(
@@ -404,7 +403,7 @@ def _converge(b, apply, q, rng, k, max_dim, tol, bnorm, sigma, kind, refine=None
     )
 
 
-def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma, kind) -> SpectrumReport:
+def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma) -> SpectrumReport:
     theta, y = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
     # largest theta of (B - sigma I)^-1 correspond to the smallest eigenvalues
     # of B, via lambda = 1/theta + sigma
@@ -423,7 +422,6 @@ def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma, kind) -> Spectru
         tol=tol,
         matrix_norm=bnorm,
         shift=sigma,
-        solve=kind,
         eigenvectors=vecs[:, asc],
     )
 
@@ -451,95 +449,43 @@ def _separable(op: SymmetricOperator):
     return mu, w
 
 
-def _separable_map(mu, w, scale):
-    """x -> g(B) x in O(n log n) from the closed form (mu, W): W^T, DST-I, scale, DST-I and W.
+def _separable_basis(mu, w):
+    """The analysis and synthesis halves of the closed form's eigenbasis: W and the DST-I.
 
-    ``scale`` maps the modal coefficients (shaped like mu) to their images
-    under g, e.g. a division by mu - sigma.  The orthonormal DST-I is its own
-    inverse.  ``scipy.fft`` is imported here, not at module level, because
-    only the separable paths need it.
+    ``analyse`` maps a flat state to its modal coefficients (shaped like
+    mu); ``synthesize`` maps coefficients of shape (..., *mu.shape), any
+    leading batch axes included, back to flat states of shape (..., n).  The
+    orthonormal DST-I is its own inverse, and it transforms in place: the
+    halves hold no more arrays at once than one fused map would, but
+    ``synthesize`` overwrites its argument, so pass it a temporary.
+    ``scipy.fft`` is imported here, not at module level, because only the
+    separable paths need it.
     """
     from scipy.fft import dstn
 
-    m, shape, axes = mu.shape[0], mu.shape, tuple(range(1, mu.ndim))
+    m, shape = mu.shape[0], mu.shape
 
-    def apply(x):
-        y = (w.T @ x.reshape(m, -1)).reshape(shape)
-        y = dstn(scale(dstn(y, type=1, axes=axes, norm="ortho")), type=1, axes=axes, norm="ortho")
-        return (w @ y.reshape(m, -1)).ravel()
+    def dst(y):
+        return dstn(y, type=1, axes=tuple(range(y.ndim - mu.ndim + 1, y.ndim)), norm="ortho", overwrite_x=True)
 
-    return apply
+    def analyse(x):
+        return dst((w.T @ x.reshape(m, -1)).reshape(shape))
+
+    def synthesize(y):
+        batch = y.shape[: y.ndim - mu.ndim]
+        return (w @ dst(y).reshape(batch + (m, -1))).reshape(batch + (-1,))
+
+    return analyse, synthesize
 
 
-def _separable_solve(mu, w, sigma):
-    """x -> (B - sigma I)^-1 x by ``_separable_map``, dividing by mu - sigma."""
-    denom = mu - sigma
-    return _separable_map(mu, w, lambda y: y / denom)
+def _separable_map(mu, w, scale):
+    """x -> g(B) x in O(n log n) from the closed form (mu, W): analysis, scale, synthesis.
 
-
-def _certified_prefix(b, report, spectrum) -> int:
-    """How many leading Ritz values the exact count proves to be the lowest eigenvalues.
-
-    With V orthonormal to within e = ||V^T V - I||_2 and R = B V - V Theta,
-    Kahan's theorem (Parlett, The Symmetric Eigenvalue Problem, §11.5) puts
-    k eigenvalues of B within delta = ||R||_2 + (2 e + 64 eps) ||B|| of
-    theta_1 <= ... <= theta_k (64 eps ||B|| covers the roundoff of the
-    closed form), so mu_j <= theta_j + delta.  A count #{mu < theta_j -
-    delta} <= j - 1 gives mu_j >= theta_j - delta: theta_j is within delta
-    of the j-th lowest eigenvalue.  ``spectrum`` is the sorted closed form.
+    ``scale`` maps the modal coefficients (shaped like mu) to their images
+    under g, e.g. a multiplication by e^{-t mu}.
     """
-    vecs, theta = report.eigenvectors, report.eigenvalues
-    k = len(theta)
-    drift = np.linalg.norm(vecs.T @ vecs - np.eye(k), 2)
-    slack = (2.0 * drift + 64.0 * np.finfo(float).eps) * report.matrix_norm
-    delta = np.linalg.norm(b @ vecs - vecs * theta, 2) + slack
-    ok = np.searchsorted(spectrum, theta - delta) <= np.arange(k)
-    return k if ok.all() else int(np.argmin(ok))
-
-
-def _certified_lanczos(b, solve, spectrum, rng, report, max_dim) -> SpectrumReport:
-    """Certify a converged Ritz report by the count, restarting on what it missed.
-
-    An exact solve keeps the symmetry of B, so the Krylov space of one start
-    vector holds a single vector of each eigenspace and repeated eigenvalues
-    are missed.  When the count shows a miss, the converged vectors are
-    locked, Lanczos reruns on x -> P solve(P x) with P the projector onto
-    their orthogonal complement, and Rayleigh-Ritz over the union of locked
-    and new Ritz vectors gives the next report.  At most k restarts; a
-    report the count still refuses raises ConvergenceError with it attached.
-    """
-    n, k = b.shape[0], len(report.eigenvalues)
-    tol, bnorm, sigma = report.tol, report.matrix_norm, report.shift
-    for restarts in range(k + 1):
-        report.restarts = restarts
-        report.certified_count = _certified_prefix(b, report, spectrum)
-        locked = report.eigenvectors
-        free = n - locked.shape[1]
-        if report.certified_count == k or restarts == k or free == 0:
-            break
-
-        def project(x, locked=locked):
-            return x - locked @ (locked.T @ x)
-
-        def union(ritz, locked=locked, done=report.iterations, step=restarts + 1):
-            basis, _ = np.linalg.qr(np.hstack([locked, ritz.eigenvectors]))
-            lams, y = scipy.linalg.eigh(basis.T @ (b @ basis), subset_by_index=(0, k - 1))
-            vecs = basis @ y
-            res = np.linalg.norm(b @ vecs - vecs * lams, axis=0)
-            return SpectrumReport(lams, res, "lanczos", done + ritz.iterations, tol, bnorm,
-                                  shift=sigma, solve="separable", restarts=step, eigenvectors=vecs)
-
-        report = _converge(
-            b, lambda x: project(solve(project(x))), project(rng.standard_normal(n)), rng,
-            min(k, free), min(free, max_dim), tol, bnorm, sigma, "separable", union,
-        )
-    if report.certified_count < k:
-        raise ConvergenceError(
-            f"Lanczos found {report.certified_count} of the lowest {k} eigenvalues "
-            f"after {report.restarts} restarts (the closed-form count shows the rest missing)",
-            partial=report,
-        )
-    return report
+    analyse, synthesize = _separable_basis(mu, w)
+    return lambda x: synthesize(scale(analyse(x)))
 
 
 def pointwise_extremal_eigs(potential: PotentialField):

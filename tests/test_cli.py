@@ -85,24 +85,25 @@ def test_spectrum_with_sandwich_emits_dat(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, echo",
+    "flags, method, shift",
     [
-        # the second copy of -37.67 needs one restart (see test_operators)
+        # constant coefficients: read off the closed form, every copy of -37.67
         (["--grid.d=2", "--grid.N=61", "--coefficients.v.kind=scaled_identity",
-          "--coefficients.v.value=-50", "--solver.k=4"],
-         {"solve": "separable", "restarts": 1, "certified_count": 4}),
+          "--coefficients.v.value=-50", "--solver.k=4"], "separable", None),
+        # harmonic V: shift-invert Lanczos on the sparse LU of B + I
         (["--grid.d=2", "--grid.N=20", "--coefficients.v.kind=harmonic",
-          "--coefficients.v.scale=1", "--solver.k=4"],
-         {"solve": "splu", "restarts": None, "certified_count": None}),
+          "--coefficients.v.scale=1", "--solver.k=4"], "lanczos", -1.0),
     ],
     ids=["separable", "splu"],
 )
-def test_spectrum_verdict_echoes_the_lanczos_solve(tmp_path, flags, echo):
+def test_spectrum_verdict_echoes_the_lanczos_solve(tmp_path, flags, method, shift):
     rc = cli.main(["spectrum", "--out", str(tmp_path), "--solver.method=lanczos"] + flags)
     assert rc == 0
     detail = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]
-    assert {key: detail[key] for key in echo} == echo
-    assert detail["method"] == "lanczos"
+    assert (detail["method"], detail["shift"]) == (method, shift)
+    assert not {"solve", "restarts", "certified_count"} & set(detail)
+    if method == "separable":
+        np.testing.assert_allclose(detail["eigenvalues"][1:3], [-37.67, -37.67], atol=5e-3)
 
 
 def test_spectrum_k_exceeding_dimension_is_config_error(tmp_path):
@@ -660,7 +661,7 @@ def test_separable_evolve_never_assembles_the_matrix(tmp_path, monkeypatch):
         (["assemble", "--grid.N=32"], 32, None),
         (["spectrum", "--grid.d=2", "--grid.N=12", "--grid.m=2", "--solver.method=lanczos"], 288, "separable"),
         (["spectrum", "--grid.d=2", "--grid.N=12", "--coefficients.v.kind=harmonic",
-          "--coefficients.v.scale=1.0", "--solver.method=lanczos"], 144, "splu"),
+          "--coefficients.v.scale=1.0", "--solver.method=lanczos"], 144, "lanczos"),
         (["spectrum", "--grid.N=40", "--solver.method=dense"], 40, "dense"),
         (["evolve", "--grid.N=40", "--propagator.method=exact-dense"], 40, "exact-dense"),
         (["evolve", "--grid.N=40", "--propagator.method=lanczos-expmv"], 40, "lanczos-expmv"),
@@ -670,12 +671,10 @@ def test_separable_evolve_never_assembles_the_matrix(tmp_path, monkeypatch):
 def test_paths_that_read_the_matrix_assemble_it_once(tmp_path, monkeypatch, argv, dim, method):
     calls = _count_assemblies(monkeypatch)
     assert cli.main(argv[:1] + ["--out", str(tmp_path)] + argv[1:]) == 0
+    # the closed form's residuals read B, so the separable spectrum assembles it too
     assert calls == [dim]
-    detail = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]
-    if argv[0] == "spectrum":
-        assert (detail["solve"] or detail["method"]) == method
-    elif argv[0] == "evolve":
-        assert detail["method"] == method
+    if method is not None:
+        assert _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]["method"] == method
 
 
 # -- verify -------------------------------------------------------------------------

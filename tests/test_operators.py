@@ -47,6 +47,26 @@ def _laplacian_eigs(grid):
     return (4.0 / grid.h**2) * np.sin(k * np.pi / (2.0 * (grid.N + 1))) ** 2
 
 
+#: weight of the x-dependent term TILT * x_0^2 I that the LU Lanczos tests add
+#: to a constant V: it makes the operator non-separable, so "lanczos" factors
+#: B - sigma I instead of reading the closed form, while the spectrum stays a
+#: Kronecker sum (``_kronecker_sum_eigs``) whose repeated values split
+TILT = 1e-3
+
+
+def _tilted_operator(d, N, m, q_diag, vmat, L=1.0):
+    grid = build_grid(d, L, N, m)
+    dif, pot = sample_fields(lambda x: np.diag(q_diag), lambda x: vmat + TILT * x[0] ** 2 * np.eye(m), grid)
+    return grid, assemble_operator(assemble_form(dif, pot, grid))
+
+
+def _tilted_line(N, value=0.0):
+    """The 1-d operator with V = value + TILT x^2, and its whole spectrum."""
+    vmat = np.array([[value]])
+    grid, op = _tilted_operator(1, N, 1, [1.0], vmat)
+    return op, _kronecker_sum_eigs(grid, [1.0], vmat, TILT)
+
+
 # -- assembly ------------------------------------------------------------------
 
 
@@ -150,11 +170,19 @@ def test_free_laplacian_spectrum_dense():
 
 
 def test_free_laplacian_spectrum_lanczos():
-    grid, op = _free_operator(N=150)
+    op, exact = _tilted_line(150)
     report = eigen_lowest(op, 10, method="lanczos")
     assert report.method == "lanczos"
-    assert report.shift == -1.0  # V = 0 keeps the default shift
+    assert report.shift == -1.0  # V >= 0 keeps the default shift
     assert report.iterations > 0
+    np.testing.assert_allclose(report.eigenvalues, exact[:10], rtol=1e-10)
+    assert np.all(report.residuals <= 1e-10 * report.matrix_norm)
+
+
+def test_free_laplacian_spectrum_closed_form():
+    grid, op = _free_operator(N=150)
+    report = eigen_lowest(op, 10, method="lanczos")
+    assert (report.method, report.shift, report.iterations) == ("separable", None, 0)
     np.testing.assert_allclose(report.eigenvalues, _laplacian_eigs(grid)[:10], rtol=1e-10)
     assert np.all(report.residuals <= 1e-10 * report.matrix_norm)
 
@@ -169,25 +197,34 @@ def test_lanczos_matches_dense_on_confining_potential():
     assert np.all(lanc.residuals <= 1e-10 * lanc.matrix_norm)
 
 
-def _constant_potential_operator(d, N, value, L=1.0):
-    return _constant_operator(d, N, 1, np.eye(d), np.array([[value]]), L)
-
-
 def test_lanczos_shift_below_negative_potential_auto_path():
     # dimension 3721 > DENSE_LIMIT, so "auto" runs Lanczos; a shift fixed at -1
-    # would sit inside the spectrum and return eigenpairs that are not the lowest
-    grid, op = _constant_potential_operator(d=2, N=61, value=-50.0)
+    # would sit inside the spectrum and return eigenpairs that are not the lowest.
+    # The tilt vanishes on the middle node, so min V = -50 exactly
+    grid, op = _tilted_operator(2, 61, 1, [1.0, 1.0], np.array([[-50.0]]))
     report = eigen_lowest(op, 4)
     assert report.method == "lanczos"
     assert report.shift == -51.0
-    lap = _laplacian_eigs(grid)
-    exact = np.sort(np.add.outer(lap, lap).ravel())[:4] - 50.0
+    exact = _kronecker_sum_eigs(grid, [1.0, 1.0], np.array([[-50.0]]), TILT)[:4]
     np.testing.assert_allclose(exact, [-45.07, -37.67, -37.67, -30.28], atol=5e-3)
     np.testing.assert_allclose(report.eigenvalues, exact, rtol=0, atol=report.tol * report.matrix_norm)
 
 
+def test_negative_potential_auto_path_reads_the_closed_form():
+    # the untilted operator above DENSE_LIMIT: both copies of -37.67, exactly
+    grid, op = _constant_operator(2, 61, 1, np.eye(2), np.array([[-50.0]]))
+    report = eigen_lowest(op, 4)
+    assert (report.method, report.shift) == ("separable", None)
+    lap = _laplacian_eigs(grid)
+    exact = np.sort(np.add.outer(lap, lap).ravel())[:4] - 50.0
+    np.testing.assert_allclose(exact, [-45.07, -37.67, -37.67, -30.28], atol=5e-3)
+    np.testing.assert_allclose(report.eigenvalues, exact, rtol=0, atol=1e-13 * report.matrix_norm)
+    assert report.eigenvalues[1] == report.eigenvalues[2]
+    assert np.all(report.residuals <= 1e-14 * report.matrix_norm)
+
+
 def test_lanczos_matches_dense_on_negative_potential():
-    _, op = _constant_potential_operator(d=1, N=200, value=-30.0)
+    op, _ = _tilted_line(200, -30.0)
     dense = eigen_lowest(op, 3, method="dense")
     lanc = eigen_lowest(op, 3, method="lanczos")
     np.testing.assert_allclose(dense.eigenvalues, [-27.53, -20.13, -7.80], atol=5e-3)
@@ -195,21 +232,29 @@ def test_lanczos_matches_dense_on_negative_potential():
     assert np.all(lanc.residuals <= lanc.tol * lanc.matrix_norm)
 
 
-def test_lanczos_3d_coupled_matches_kronecker_sum():
-    # B = K_q (x) I_2 + I (x) V with K_q the anisotropic 3-d Laplacian; the lowest
-    # 11 closed-form values are simple, so the comparison is index by index
+def _coupled_3d_matches_kronecker_sum(tilt):
+    # B = K_q (x) I_2 + I (x) V with K_q the anisotropic 3-d Laplacian (plus
+    # the tilt along x_0); the lowest 11 values are simple, so the comparison
+    # is index by index
     q = np.array([1.0, 1.37, 1.83])
     vmat = np.array([[1.0, -0.4], [-0.4, 2.0]])
-    grid = build_grid(3, 1.0, 8, 2)
-    dif, pot = sample_fields(lambda x: np.diag(q), lambda x: vmat, grid)
-    op = assemble_operator(assemble_form(dif, pot, grid))
+    grid, op = _tilted_operator(3, 8, 2, q, vmat) if tilt else _constant_operator(3, 8, 2, np.diag(q), vmat)
     k = 10
     report = eigen_lowest(op, k, method="lanczos")
-    exact = _kronecker_sum_eigs(grid, q, vmat)
+    exact = _kronecker_sum_eigs(grid, q, vmat, tilt)
     assert np.all(np.diff(exact[: k + 1]) > 0.1)
     bound = report.tol * report.matrix_norm
     np.testing.assert_allclose(report.eigenvalues, exact[:k], rtol=0, atol=bound)
     assert np.all(report.residuals <= bound)
+    return report
+
+
+def test_lanczos_3d_coupled_matches_kronecker_sum():
+    assert _coupled_3d_matches_kronecker_sum(TILT).method == "lanczos"
+
+
+def test_closed_form_3d_coupled_matches_kronecker_sum():
+    assert _coupled_3d_matches_kronecker_sum(0.0).method == "separable"
 
 
 def test_eigen_lowest_argument_errors():
@@ -222,12 +267,23 @@ def test_eigen_lowest_argument_errors():
         eigen_lowest(op, 2, method="qr")
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+def test_eigen_lowest_rejects_a_tolerance_no_residual_can_meet(tol):
+    # a dense report could never pass such a tolerance, and LU Lanczos would
+    # grind to its largest basis and raise ConvergenceError
+    _, free = _free_operator(N=40)
+    tilted, _ = _tilted_line(40)
+    for op, method in ((free, "dense"), (free, "lanczos"), (tilted, "lanczos")):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            eigen_lowest(op, 3, tol=tol, method=method)
+
+
 def test_auto_switches_to_lanczos_above_dense_limit(monkeypatch):
     monkeypatch.setattr(operators_module, "DENSE_LIMIT", 10)
-    grid, op = _free_operator(N=40)
+    op, exact = _tilted_line(40)
     report = eigen_lowest(op, 5)
     assert report.method == "lanczos"
-    np.testing.assert_allclose(report.eigenvalues, _laplacian_eigs(grid)[:5], rtol=1e-10)
+    np.testing.assert_allclose(report.eigenvalues, exact[:5], rtol=1e-10)
     with pytest.raises(ValueError, match="dense path"):
         eigen_lowest(op, 5, method="dense")
     with pytest.raises(ValueError, match="dense path"):
@@ -235,13 +291,23 @@ def test_auto_switches_to_lanczos_above_dense_limit(monkeypatch):
 
 
 def test_lanczos_unreachable_tolerance_raises_with_partial():
-    grid, op = _free_operator(N=50)
+    op, exact = _tilted_line(50)
     with pytest.raises(ConvergenceError) as exc_info:
         eigen_lowest(op, 3, tol=1e-30, method="lanczos")
     partial = exc_info.value.partial
     assert partial is not None
     # the partial report is still numerically sound, only the tolerance was absurd
-    np.testing.assert_allclose(partial.eigenvalues, _laplacian_eigs(grid)[:3], rtol=1e-9)
+    np.testing.assert_allclose(partial.eigenvalues, exact[:3], rtol=1e-9)
+
+
+def test_exact_paths_report_an_unreachable_tolerance_without_raising():
+    # dense and the closed form compute no iterate to refine: they return
+    # their residuals, and the caller compares them with tol * matrix_norm
+    _, op = _free_operator(N=50)
+    for method, expected in (("dense", "dense"), ("lanczos", "separable")):
+        report = eigen_lowest(op, 3, tol=1e-30, method=method)
+        assert report.method == expected and report.tol == 1e-30
+        assert np.all(report.residuals > report.tol * report.matrix_norm)
 
 
 # -- the Lanczos kernel ------------------------------------------------------------
@@ -284,7 +350,7 @@ def test_forced_lanczos_keeps_multiplicities(N, m, k):
     assert np.all(lanc.residuals <= lanc.tol * lanc.matrix_norm)
 
 
-# -- the separable (constant-coefficient) Lanczos solve ------------------------------
+# -- the constant-coefficient closed form ----------------------------------------------
 
 
 def _constant_operator(d, N, m, q, vmat, L=1.0):
@@ -293,12 +359,21 @@ def _constant_operator(d, N, m, q, vmat, L=1.0):
     return grid, assemble_operator(assemble_form(dif, pot, grid))
 
 
-def _kronecker_sum_eigs(grid, q_diag, vmat):
-    """Every eigenvalue of sum_i q_i K_i + V, sorted, by the closed form."""
+def _kronecker_sum_eigs(grid, q_diag, vmat, tilt=0.0):
+    """Every eigenvalue of sum_i q_i K_i + V + tilt x_0^2 I, sorted, as a Kronecker sum.
+
+    The first axis carries q_0 K_0 + tilt x_0^2, whose eigenvalues come from
+    a dense solve of that 1-d generator when the tilt is nonzero.
+    """
     lap = _laplacian_eigs(grid)
+    axes = [qi * lap for qi in q_diag]
+    if tilt:
+        line = build_grid(1, grid.L, grid.N, 1)
+        dif, pot = sample_fields(lambda x: q_diag[0], lambda x: tilt * x[0] ** 2, line)
+        axes[0] = np.linalg.eigvalsh(assemble_operator(assemble_form(dif, pot, line)).generator().toarray())
     total = np.linalg.eigvalsh(vmat)
-    for qi in q_diag:
-        total = np.add.outer(total, qi * lap)
+    for values in axes:
+        total = np.add.outer(total, values)
     return np.sort(total, axis=None)
 
 
@@ -325,20 +400,21 @@ def _constant_potential(kind, m, rng, level):
 @example(d=3, m=2, kind="negative", q=0.5, level=-50.0, seed=1, N=9, k=12)
 def test_separable_lanczos_matches_dense_eigh(d, m, kind, q, level, seed, N, k):
     # isotropic Q makes the 1-d modes interchangeable across axes, so d > 1
-    # repeats eigenvalues exactly; an exact solve keeps that symmetry, and
-    # only the count and the deflated restart find the missing copies.  The
-    # dimension is capped at 1500, which is large enough for the Krylov space
-    # to hold more distinct eigenvalues than the basis size
+    # repeats eigenvalues exactly; the closed form lists every copy.  The
+    # dimension is capped at 1500 so that dense eigh stays cheap
     N = min(N, int((1500 / m) ** (1 / d) + 1e-9))
     vmat = _constant_potential(kind, m, np.random.default_rng(seed), level)
     _, op = _constant_operator(d, N, m, q * np.eye(d), vmat)
     k = min(k, op.dim)
     dense = eigen_lowest(op, k, method="dense")
-    lanc = eigen_lowest(op, k, method="lanczos")
-    assert (lanc.method, lanc.solve, lanc.certified_count) == ("lanczos", "separable", k)
-    bound = lanc.tol * lanc.matrix_norm
-    assert np.all(lanc.residuals <= bound)
-    np.testing.assert_allclose(lanc.eigenvalues, dense.eigenvalues, rtol=0, atol=2.0 * np.sqrt(k) * bound)
+    closed = eigen_lowest(op, k, method="lanczos")
+    assert (closed.method, closed.iterations, closed.shift) == ("separable", 0, None)
+    bnorm = closed.matrix_norm
+    assert np.all(closed.residuals <= 1e-14 * bnorm)
+    vecs = closed.eigenvectors
+    assert vecs.shape == (op.dim, k)
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(k), 2) <= 1e-13
+    np.testing.assert_allclose(closed.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-13 * bnorm)
 
 
 @pytest.mark.parametrize(
@@ -351,11 +427,12 @@ def test_separable_lanczos_matches_dense_eigh(d, m, kind, q, level, seed, N, k):
 )
 def test_auto_spectrum_across_dense_limit_with_multiplicities(d, N, m, method):
     # dimensions just below and above DENSE_LIMIT = 3000; V = -50 I_m and an
-    # isotropic Q repeat the lowest eigenvalues up to six times
+    # isotropic Q repeat the lowest eigenvalues up to six times.  "auto"
+    # resolves to ``method``, and "lanczos" reads this operator off the closed form
     grid, op = _constant_operator(d, N, m, np.eye(d), -50.0 * np.eye(m))
     k = 12
     report = eigen_lowest(op, k)
-    assert report.method == method
+    assert report.method == {"dense": "dense", "lanczos": "separable"}[method]
     exact = _kronecker_sum_eigs(grid, np.ones(d), -50.0 * np.eye(m))[:k]
     assert np.min(np.diff(exact)) <= 1e-12 * np.abs(exact).max()  # a repeated value
     bound = report.tol * report.matrix_norm
@@ -363,15 +440,45 @@ def test_auto_spectrum_across_dense_limit_with_multiplicities(d, N, m, method):
     assert np.all(report.residuals <= bound)
 
 
-def _spy_factor_spd(monkeypatch):
+def _out_of_place_map(mu, w, scale):
+    """``_separable_map`` as written before its DST-I transformed in place."""
+    from scipy.fft import dstn
+
+    m, shape, axes = mu.shape[0], mu.shape, tuple(range(1, mu.ndim))
+
+    def apply(x):
+        y = (w.T @ x.reshape(m, -1)).reshape(shape)
+        y = dstn(scale(dstn(y, type=1, axes=axes, norm="ortho")), type=1, axes=axes, norm="ortho")
+        return (w @ y.reshape(m, -1)).ravel()
+
+    return apply
+
+
+@pytest.mark.parametrize("d, N, m", [(1, 30, 1), (2, 12, 3), (3, 8, 2)])
+def test_in_place_separable_map_is_bit_identical_and_keeps_its_input(d, N, m):
+    # exact-separable's bytes (evolve-2d's snapshots.csv) rest on the in-place
+    # DST-I computing what the out-of-place one did
+    rng = np.random.default_rng(d)
+    _, op = _constant_operator(d, N, m, np.diag([1.0, 1.37, 1.83][:d]), _constant_potential("coupled", m, rng, 0.0))
+    mu, w = op.separable
+    decay = np.exp(-0.1 * mu)
+    x = rng.standard_normal(op.dim)
+    kept = x.copy()
+    got = operators_module._separable_map(mu, w, lambda z: z * decay)(x)
+    np.testing.assert_array_equal(x, kept)
+    np.testing.assert_array_equal(got, _out_of_place_map(mu, w, lambda z: z * decay)(x))
+
+
+def _spy(monkeypatch, name):
+    """Record the calls of ``operators_module.<name>`` and pass them through."""
     calls = []
-    factor = operators_module._factor_spd
+    fn = getattr(operators_module, name)
 
-    def spy(matrix):
-        calls.append(matrix.shape)
-        return factor(matrix)
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(operators_module, "_factor_spd", spy)
+    monkeypatch.setattr(operators_module, name, spy)
     return calls
 
 
@@ -388,64 +495,11 @@ def test_only_non_separable_operators_are_factored(monkeypatch, q, v_fn, factore
     grid = build_grid(2, 1.0, 12, 2)
     dif, pot = sample_fields(lambda x: q, v_fn, grid)
     op = assemble_operator(assemble_form(dif, pot, grid))
-    calls = _spy_factor_spd(monkeypatch)
+    factor_calls, lanczos_calls = _spy(monkeypatch, "_factor_spd"), _spy(monkeypatch, "_lanczos")
     report = eigen_lowest(op, 5, method="lanczos")
-    assert calls == ([(op.dim, op.dim)] if factored else [])
-    assert report.solve == ("splu" if factored else "separable")
-    assert (report.restarts is None) == factored and (report.certified_count is None) == factored
-
-
-def _division_closure(mu, w, sigma):
-    """The separable solve as written before it shared ``_separable_map``."""
-    from scipy.fft import dstn
-
-    m, shape, axes = mu.shape[0], mu.shape, tuple(range(1, mu.ndim))
-    denom = mu - sigma
-
-    def solve(x):
-        y = (w.T @ x.reshape(m, -1)).reshape(shape)
-        y = dstn(dstn(y, type=1, axes=axes, norm="ortho") / denom, type=1, axes=axes, norm="ortho")
-        return (w @ y.reshape(m, -1)).ravel()
-
-    return solve
-
-
-@pytest.mark.parametrize("d, N, m", [(1, 30, 1), (2, 12, 3), (3, 8, 2)])
-def test_separable_solve_is_bit_identical_to_the_division_closure(d, N, m):
-    # the eigensolver's bytes (spectrum-3d's spectrum.csv) rest on dividing
-    # by mu - sigma, not multiplying by its reciprocal
-    rng = np.random.default_rng(d)
-    _, op = _constant_operator(d, N, m, np.diag([1.0, 1.37, 1.83][:d]), _constant_potential("coupled", m, rng, 0.0))
-    mu, w = op.separable
-    sigma = min(-1.0, op.potential_min_eigenvalue - 1.0)
-    x = rng.standard_normal(op.dim)
-    np.testing.assert_array_equal(
-        operators_module._separable_solve(mu, w, sigma)(x), _division_closure(mu, w, sigma)(x)
-    )
-
-
-def test_uncertifiable_separable_spectrum_raises_with_partial(monkeypatch):
-    # a count that never certifies anything: k restarts, then ConvergenceError
-    monkeypatch.setattr(operators_module, "_certified_prefix", lambda b, report, spectrum: 0)
-    _, op = _constant_operator(2, 10, 1, np.eye(2), np.array([[0.0]]))
-    with pytest.raises(ConvergenceError, match="found 0 of the lowest 3") as exc_info:
-        eigen_lowest(op, 3, method="lanczos")
-    partial = exc_info.value.partial
-    assert (partial.solve, partial.restarts, partial.certified_count) == ("separable", 3, 0)
-
-
-def test_certified_prefix_counts_missed_copies():
-    # the lowest values of the 2-d Laplacian minus 50 are -45.07, -37.67 x2,
-    # -30.28; a Ritz set without the second copy is certified up to index 1
-    grid, op = _constant_operator(2, 61, 1, np.eye(2), np.array([[-50.0]]))
-    b = op.generator()
-    exact = _kronecker_sum_eigs(grid, (1.0, 1.0), np.array([[-50.0]]))
-    full = eigen_lowest(op, 4, method="lanczos")
-    assert operators_module._certified_prefix(b, full, exact) == 4
-    dropped = eigen_lowest(op, 5, method="lanczos")
-    keep = [0, 1, 3, 4]
-    dropped.eigenvalues, dropped.eigenvectors = dropped.eigenvalues[keep], dropped.eigenvectors[:, keep]
-    assert operators_module._certified_prefix(b, dropped, exact) == 2
+    assert factor_calls == (["_factor_spd"] if factored else [])
+    assert lanczos_calls == (["_lanczos"] if factored else [])
+    assert report.method == ("lanczos" if factored else "separable")
 
 
 def test_spectrum_report_csv_roundtrip(tmp_path):

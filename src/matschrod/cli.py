@@ -502,8 +502,11 @@ def _write_snapshots(snapshots: list, grid, path: Path):
                 values = state.values[comp]
                 for start in range(0, len(prefixes), _SNAPSHOT_CHUNK_ROWS):
                     stop = start + _SNAPSHOT_CHUNK_ROWS
-                    rows = zip(prefixes[start:stop], values[start:stop].tolist())
-                    fh.write("".join([f"{head}{prefix}{tail}{v!r}\r\n" for prefix, v in rows]))
+                    rows = prefixes[start:stop]
+                    parts = [head, None, tail, None, "\r\n"] * len(rows)
+                    parts[1::5] = rows
+                    parts[3::5] = map(repr, values[start:stop].tolist())
+                    fh.write("".join(parts))
 
 
 # -- subcommands ----------------------------------------------------------------

@@ -23,9 +23,10 @@ eigenvectors of V diagonalize, and ``_separable`` gives its whole spectrum in
 closed form.  The eigensolver reads the lowest k modes straight off it
 (checking their residuals against the assembled B), and the semigroup's
 ``exact-separable`` propagator applies e^{-tB} through ``_separable_map``;
-both go through the one DST-I of ``_separable_basis``.  Every other operator
-that does not go dense runs shift-invert Lanczos on a sparse LU of
-B - sigma I, certified by residuals only.
+both go through the one DST-I of ``_separable_basis``, on numpy's FFT alone.
+Every other operator that does not go dense runs shift-invert Lanczos on a
+sparse LU of B - sigma I, certified by residuals only.  SciPy is imported
+by the functions that call it, so closed-form propagation never loads it.
 """
 from __future__ import annotations
 
@@ -35,9 +36,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError
 from .form import FormAssembly, assemble_form
@@ -55,6 +53,16 @@ __all__ = [
 
 #: largest matrix dimension handled by the dense eigensolver / propagator
 DENSE_LIMIT = 3000
+
+
+def __getattr__(name):
+    # ``operators.spla`` serves only perfbench/traced_cli.py, which wraps
+    # ``operators.spla.splu``; it goes when ROADMAP item 6 deletes that tracer
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _stiffness_lower_entries(grid: GridSpec, qcells: np.ndarray):
@@ -130,11 +138,11 @@ class SymmetricOperator:
         return self.grid.state_size
 
     @functools.cached_property
-    def matrix(self) -> sparse.csr_matrix:
+    def matrix(self):
         """The form matrix S, assembled on first access."""
         return _assemble_matrix(self.assembly)
 
-    def generator(self) -> sparse.csr_matrix:
+    def generator(self):
         if self._generator is None:
             self._generator = (self.matrix / self.grid.cell_volume).tocsr()
         return self._generator
@@ -149,6 +157,8 @@ class SymmetricOperator:
         if self.dim > DENSE_LIMIT:
             raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {self.dim}")
         if self._dense_eig is None:
+            import scipy.linalg
+
             b = self.generator()
             bands = _tridiagonal(b)
             if bands is None:
@@ -192,13 +202,15 @@ def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
     return SymmetricOperator(assembly)
 
 
-def _assemble_matrix(assembly: FormAssembly) -> sparse.csr_matrix:
-    """The sparse form matrix S with <S f, g> = a(f, g).
+def _assemble_matrix(assembly: FormAssembly):
+    """The sparse form matrix S (CSR) with <S f, g> = a(f, g).
 
     The diffusion block is the same scalar stiffness for every component;
     the potential contributes h^d V(x_a) coupling the components at each
     node.
     """
+    import scipy.sparse as sparse
+
     grid = assembly.grid
     n, m = grid.n_nodes, grid.m
     kr, kc, kv = _stiffness_lower_entries(grid, assembly.diffusion.samples)
@@ -285,6 +297,8 @@ def eigen_lowest(
 def _eigen_dense(op: SymmetricOperator, k: int, tol: float) -> SpectrumReport:
     if op.dim > DENSE_LIMIT:
         raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {op.dim}")
+    import scipy.linalg
+
     b = op.generator()
     bands = _tridiagonal(b)
     if bands is None:
@@ -324,6 +338,8 @@ def _factor_spd(matrix):
     without row interchanges: stable for SPD input, and it fills far less
     than a pivoted LU.
     """
+    import scipy.sparse.linalg as spla
+
     return spla.splu(
         matrix.tocsc(),
         permc_spec="MMD_AT_PLUS_A",
@@ -383,6 +399,8 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     broken-down basis from a fresh random direction; the Ritz pairs are
     checked every third step until k of them meet the tolerance.
     """
+    import scipy.sparse as sparse
+
     b = op.generator()
     n = op.dim
     bnorm = op.generator_norm_bound()
@@ -404,6 +422,8 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
 
 
 def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma) -> SpectrumReport:
+    import scipy.linalg
+
     theta, y = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
     # largest theta of (B - sigma I)^-1 correspond to the smallest eigenvalues
     # of B, via lambda = 1/theta + sigma
@@ -449,31 +469,38 @@ def _separable(op: SymmetricOperator):
     return mu, w
 
 
+def _dst1(y, ndim):
+    """Orthonormal DST-I over the last ``ndim`` axes of y; it is its own inverse.
+
+    Along an axis of length N, ``numpy.fft.rfft`` of the odd extension
+    (0, y, 0, -reversed y) is -2i sum_j y_j sin(pi j k / (N+1)).  Each pass
+    moves the transformed axis in front of the others, restoring their order.
+    """
+    for _ in range(ndim):
+        n = y.shape[-1]
+        z = np.zeros(y.shape[:-1] + (2 * n + 2,))
+        z[..., 1 : n + 1] = y
+        z[..., n + 2 :] = -y[..., ::-1]
+        y = np.moveaxis(np.fft.rfft(z).imag[..., 1 : n + 1], -1, -ndim) * -np.sqrt(0.5 / (n + 1))
+    return y
+
+
 def _separable_basis(mu, w):
     """The analysis and synthesis halves of the closed form's eigenbasis: W and the DST-I.
 
     ``analyse`` maps a flat state to its modal coefficients (shaped like
     mu); ``synthesize`` maps coefficients of shape (..., *mu.shape), any
-    leading batch axes included, back to flat states of shape (..., n).  The
-    orthonormal DST-I is its own inverse, and it transforms in place: the
-    halves hold no more arrays at once than one fused map would, but
-    ``synthesize`` overwrites its argument, so pass it a temporary.
-    ``scipy.fft`` is imported here, not at module level, because only the
-    separable paths need it.
+    leading batch axes included, back to flat states of shape (..., n).
+    Both go through the one ``_dst1`` and leave their arguments unchanged.
     """
-    from scipy.fft import dstn
-
-    m, shape = mu.shape[0], mu.shape
-
-    def dst(y):
-        return dstn(y, type=1, axes=tuple(range(y.ndim - mu.ndim + 1, y.ndim)), norm="ortho", overwrite_x=True)
+    m, shape, ndim = mu.shape[0], mu.shape, mu.ndim - 1
 
     def analyse(x):
-        return dst((w.T @ x.reshape(m, -1)).reshape(shape))
+        return _dst1((w.T @ x.reshape(m, -1)).reshape(shape), ndim)
 
     def synthesize(y):
         batch = y.shape[: y.ndim - mu.ndim]
-        return (w @ dst(y).reshape(batch + (m, -1))).reshape(batch + (-1,))
+        return (w @ _dst1(y, ndim).reshape(batch + (m, -1))).reshape(batch + (-1,))
 
     return analyse, synthesize
 

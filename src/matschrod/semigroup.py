@@ -11,11 +11,11 @@ available; ``default_config`` picks ``exact-dense`` up to DENSE_LIMIT, then
   permits.
 * ``exact-separable`` — when Q is one constant diagonal matrix and V one
   constant matrix, W DST-I e^{-t mu} DST-I W^T from the closed form
-  ``operators._separable`` (cached on the operator), exact in O(n log n).
-  Forcing it on any other operator raises ValueError.  The benchmark's
-  ``evolve-2d`` takes this path, so its traced
-  ``semigroup.propagate_krylov_s`` reads 0 and the propagation time shows
-  up under ``semigroup.total_s``.
+  ``operators._separable`` (cached on the operator), exact in O(n log n)
+  on numpy alone: only the Krylov propagators import SciPy.  Forcing it
+  on any other operator raises ValueError.  The benchmark's ``evolve-2d``
+  takes this path, so its traced ``semigroup.propagate_krylov_s`` reads 0
+  and the propagation time shows up under ``semigroup.total_s``.
 * ``lanczos-expmv`` — Krylov projection on bases from ``operators._lanczos``,
   the eigensolver's row-layout kernel, in one of two regimes chosen from
   t ||B||_oo and ``krylov_dim``:
@@ -53,8 +53,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import ConvergenceError
@@ -265,6 +263,8 @@ def _krylov_expm_fixed(b, v, t, kdim, c, budget):
     The defect of a substep started at t_done is amplified by at most
     e^{-c (t - t_done)} up to time t, since B >= c I with c <= 0.
     """
+    import scipy.linalg
+
     w = v.copy()
     t_done = 0.0
     steps = 0
@@ -335,6 +335,9 @@ def _shift_invert_expm(b, v, t, c, tol):
     so k is the smallest size whose bound meets tol ||v|| — independent of
     ||B|| and of t.
     """
+    import scipy.linalg
+    import scipy.sparse as sparse
+
     bound = 2.0 * np.exp(-t * c) * _rational_errors()
     fits = np.flatnonzero(bound <= tol)
     if fits.size == 0:

@@ -861,28 +861,44 @@ def test_run_checks_records_broken_params_as_failure():
 # -- start-up cost -----------------------------------------------------------------------------
 
 
+_SEPARABLE_EVOLVE = [
+    "evolve", "--grid.d=2", "--grid.N=40", "--grid.m=2",
+    '--coefficients.q={"kind":"diagonal","entries":[1.0,1.7]}',
+    '--coefficients.v={"kind":"constant","matrix":[[1,-0.4],[-0.4,2]]}',
+    '--output.formats=["json"]',
+]
+_ASSEMBLE = ["assemble", "--grid.d=2", "--grid.N=8"]
+
+
 @pytest.mark.parametrize(
-    "module, run",
+    "modules, run",
     [
-        ("scipy.integrate", None),
-        ("scipy.fft", None),
-        ("scipy.fft", ["assemble", "--grid.d=2", "--grid.N=8"]),
-        ("scipy.fft", ["evolve", "--grid.d=2", "--grid.N=8", "--grid.m=2"]),
+        (["scipy.integrate"], None),
+        (["scipy.fft"], None),
+        (["scipy.fft"], _ASSEMBLE),
+        (["scipy.fft"], ["evolve", "--grid.d=2", "--grid.N=8", "--grid.m=2"]),
+        (["scipy"], None),
+        (["scipy"], _SEPARABLE_EVOLVE),
+        (["scipy.linalg", "scipy.sparse.linalg"], _ASSEMBLE),
     ],
-    ids=["import-integrate", "import-fft", "assemble-fft", "evolve-fft"],
+    ids=[
+        "import-integrate", "import-fft", "assemble-fft", "evolve-fft",
+        "import-scipy", "separable-evolve-scipy", "assemble-linalg",
+    ],
 )
-def test_cli_leaves_scipy_module_unloaded(tmp_path, module, run):
-    # scipy.integrate and scipy.fft each cost every process time and memory at
-    # import; only the separable eigensolver and the separable propagator
-    # (both scipy.fft) may load one
+def test_cli_leaves_scipy_module_unloaded(tmp_path, modules, run):
+    # every scipy module costs each process time and memory at import, so each
+    # is imported by the function that calls it: a closed-form evolve (above
+    # DENSE_LIMIT) runs on numpy alone, assemble loads scipy.sparse only, and
+    # nothing loads scipy.fft or scipy.integrate
     src = str(Path(matschrod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, matschrod.cli"
     if run is not None:
         probe += f"; assert matschrod.cli.main({run + ['--out', str(tmp_path)]!r}) == 0"
-    probe += f"; print({module!r} in sys.modules)"
+    probe += f"; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_simpson_matches_scipy_bit_for_bit():

@@ -440,33 +440,53 @@ def test_auto_spectrum_across_dense_limit_with_multiplicities(d, N, m, method):
     assert np.all(report.residuals <= bound)
 
 
-def _out_of_place_map(mu, w, scale):
-    """``_separable_map`` as written before its DST-I transformed in place."""
+@pytest.mark.parametrize("d, N, m", [(1, 30, 1), (2, 12, 3), (3, 8, 2)])
+def test_separable_dst_matches_scipy_inverts_itself_and_keeps_its_input(d, N, m):
+    # the numpy DST-I agrees with scipy's orthonormal one to roundoff, not bit
+    # for bit: the two FFTs order their sums differently
     from scipy.fft import dstn
 
-    m, shape, axes = mu.shape[0], mu.shape, tuple(range(1, mu.ndim))
-
-    def apply(x):
-        y = (w.T @ x.reshape(m, -1)).reshape(shape)
-        y = dstn(scale(dstn(y, type=1, axes=axes, norm="ortho")), type=1, axes=axes, norm="ortho")
-        return (w @ y.reshape(m, -1)).ravel()
-
-    return apply
-
-
-@pytest.mark.parametrize("d, N, m", [(1, 30, 1), (2, 12, 3), (3, 8, 2)])
-def test_in_place_separable_map_is_bit_identical_and_keeps_its_input(d, N, m):
-    # exact-separable's bytes (evolve-2d's snapshots.csv) rest on the in-place
-    # DST-I computing what the out-of-place one did
     rng = np.random.default_rng(d)
     _, op = _constant_operator(d, N, m, np.diag([1.0, 1.37, 1.83][:d]), _constant_potential("coupled", m, rng, 0.0))
     mu, w = op.separable
+    y = rng.standard_normal(mu.shape)
+    bound = 8.0 * np.finfo(float).eps * np.linalg.norm(y)
+    got = operators_module._dst1(y, d)
+    assert np.max(np.abs(got - dstn(y, type=1, axes=tuple(range(1, d + 1)), norm="ortho"))) <= bound
+    assert np.max(np.abs(operators_module._dst1(got, d) - y)) <= bound
     decay = np.exp(-0.1 * mu)
     x = rng.standard_normal(op.dim)
     kept = x.copy()
-    got = operators_module._separable_map(mu, w, lambda z: z * decay)(x)
+    operators_module._separable_map(mu, w, lambda z: z * decay)(x)
     np.testing.assert_array_equal(x, kept)
-    np.testing.assert_array_equal(got, _out_of_place_map(mu, w, lambda z: z * decay)(x))
+
+
+def test_separable_dst_matches_the_dense_sine_matrix():
+    N = 37
+    j = np.arange(1, N + 1)
+    sines = np.sqrt(2.0 / (N + 1)) * np.sin(np.pi * np.outer(j, j) / (N + 1))
+    x = np.random.default_rng(5).standard_normal((3, N))
+    np.testing.assert_allclose(
+        operators_module._dst1(x, 1), x @ sines, rtol=0, atol=8.0 * np.finfo(float).eps * np.linalg.norm(x)
+    )
+
+
+def test_spla_is_scipy_sparse_linalg_and_its_splu_is_the_one_called(monkeypatch):
+    # perfbench/traced_cli.py wraps ``operators.spla.splu``, so the factor must
+    # go through that attribute
+    import scipy.sparse.linalg
+
+    assert operators_module.spla is scipy.sparse.linalg
+    calls = []
+    splu = operators_module.spla.splu
+
+    def wrapper(*args, **kwargs):
+        calls.append("splu")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(operators_module.spla, "splu", wrapper)
+    operators_module._factor_spd(sparse.identity(4, format="csr"))
+    assert calls == ["splu"]
 
 
 def _spy(monkeypatch, name):

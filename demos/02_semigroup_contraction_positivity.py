@@ -31,8 +31,7 @@ def coupled_operator(grid, sign):
         return np.array([[base, w], [w, base]])
 
     diffusion, potential = sample_fields(lambda x: np.eye(1), v_fn, grid)
-    op = assemble_operator(assemble_form(diffusion, potential, grid))
-    return op, potential
+    return assemble_operator(assemble_form(diffusion, potential, grid))
 
 
 def probe_states(grid, rng):
@@ -47,7 +46,7 @@ def main():
     grid = build_grid(d=1, L=6.0, N=160, m=2)
 
     # -- nonpositive coupling: contraction and certified positivity ----------
-    op, potential = coupled_operator(grid, sign=-1.0)
+    op = coupled_operator(grid, sign=-1.0)
     config = default_config(op, times=(0.05, 0.5, 2.0), p_list=(1.0, 2.0, 4.0, np.inf))
     states = probe_states(grid, rng)
 
@@ -57,19 +56,19 @@ def main():
     worst = max(r["ratio"] for r in report.records if r["ratio"] is not None)
     print(f"  worst ||T(t)f||_p / ||f||_p over p in {{1, 2, 4, oo}}: {worst:.12f}")
 
-    pos = positivity_probe(op, potential, [states[0]], (0.05, 0.5, 2.0))
+    pos = positivity_probe(op, [states[0]], (0.05, 0.5, 2.0))
     floor = min(r["min_component"] for r in pos.records)
     print(f"  positivity probe:  verdict = {pos.verdict!r} (guaranteed = {pos.guaranteed})")
     print(f"  smallest propagated component: {floor:.3e}")
     print()
 
     # -- positive coupling: positivity fails, with a witness ------------------
-    op, potential = coupled_operator(grid, sign=+1.0)
-    pos = positivity_probe(op, potential, [states[0]], (0.05, 0.5, 2.0))
+    op = coupled_operator(grid, sign=+1.0)
+    pos = positivity_probe(op, [states[0]], (0.05, 0.5, 2.0))
     print("positive off-diagonal coupling (same magnitude, opposite sign)")
     print(f"  positivity probe:  verdict = {pos.verdict!r}")
 
-    hunt = violation_witness(op, potential, i=0, j=1)
+    hunt = violation_witness(op, i=0, j=1)
     w = hunt.witness
     print(f"  witness hunt:      verdict = {hunt.verdict!r}")
     print(

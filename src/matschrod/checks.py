@@ -319,11 +319,11 @@ def check_positivity_dichotomy(seed=42, n_each=25):
             states = [VectorState.bump(grid)]
             raw = np.abs(rng.standard_normal((m, grid.n_nodes)))
             states.append(VectorState(grid, raw))
-            report = positivity_probe(op, potential, states, (0.01, 0.1, 1.0))
+            report = positivity_probe(op, states, (0.01, 0.1, 1.0))
             ok = report.verdict == "positive" and report.guaranteed
             records.append({"case": case, "kind": "nonpositive-coupling", "verdict": report.verdict})
         else:
-            report = violation_witness(op, potential, i, j)
+            report = violation_witness(op, i, j)
             ok = report.verdict == "violation-found"
             records.append(
                 {

@@ -40,10 +40,16 @@ from .gallery import (
     spectrum_merge_check,
     validate_expected,
 )
-from .grid import DiffusionField, PotentialField, VectorState, build_grid, mixed_norm
+from .grid import DiffusionField, PotentialField, VectorState, build_grid
 from .io import _jsonable
 from .operators import assemble_operator, eigen_lowest, sandwich_check
-from .semigroup import PropagatorConfig, default_config, propagate
+from .semigroup import (
+    PropagatorConfig,
+    _contraction_violations,
+    _norm_ratio_records,
+    default_config,
+    propagate,
+)
 
 __all__ = ["main", "run", "emit_plot_data", "DEFAULT_CONFIG"]
 
@@ -582,25 +588,9 @@ def _cmd_evolve(config: dict, outdir: Path) -> bool:
     grid, diffusion, potential, op = _build_operator(config)
     prop = _propagator_config(config["propagator"], op)
     f0 = _initial_state(config["evolve"]["initial_state"], grid, config["seed"])
-    norms_in = {p: mixed_norm(f0, p) for p in prop.p_list}
     formats = config["output"]["formats"]
-    trace = []
-    snapshots = [(0.0, f0)]
-    for t in prop.times:
-        ft = propagate(op, f0, t, prop)
-        snapshots.append((t, ft))
-        for p in prop.p_list:
-            norm_out = mixed_norm(ft, p)
-            trace.append(
-                {
-                    "t": t,
-                    "p": p,
-                    "norm_in": norms_in[p],
-                    "norm_out": norm_out,
-                    "ratio": norm_out / norms_in[p] if norms_in[p] > 0 else None,
-                    "guaranteed": op.potential_psd and (p == 2.0 or op.q_diagonal),
-                }
-            )
+    snapshots = [(0.0, f0)] + [(t, propagate(op, f0, t, prop)) for t in prop.times]
+    trace = _norm_ratio_records(op, f0, prop.p_list, snapshots[1:])
     if "csv" in formats:
         with open(outdir / "probes.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -610,20 +600,20 @@ def _cmd_evolve(config: dict, outdir: Path) -> bool:
         _write_snapshots(snapshots, grid, outdir / "snapshots.csv")
     if "dat" in formats:
         emit_plot_data(trace, "norm-traces", outdir / "norms.dat")
-    gated = [rec for rec in trace if rec["guaranteed"] and rec["ratio"] is not None]
-    guaranteed_bad = [rec for rec in gated if rec["ratio"] > 1.0 + 1e-8]
+    violations = _contraction_violations(trace)
     detail = {
         "method": prop.method,
-        "violations": len(guaranteed_bad),
+        "violations": len(violations or ()),
         "max_ratio": max((r["ratio"] for r in trace if r["ratio"] is not None), default=None),
     }
-    if not gated:
+    if violations is None:
         detail["reason"] = (
-            "the initial state is zero" if not any(norms_in.values())
+            "the initial state is zero" if not any(r["norm_in"] for r in trace)
             else "no (t, p) is guaranteed to contract: that needs a PSD potential, "
             "and for p != 2 also a diagonal diffusion"
         )
-    records = [{"name": "evolve-contraction", "passed": not guaranteed_bad if gated else None, "detail": detail}]
+    passed = None if violations is None else not violations
+    records = [{"name": "evolve-contraction", "passed": passed, "detail": detail}]
     return _write_verdicts(records, config, "evolve", outdir)
 
 

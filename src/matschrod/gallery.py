@@ -553,12 +553,11 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
             }
         elif key == "positivity_guaranteed":
             op = operator()
-            _, pot = fields()
-            structural = op.q_diagonal and op.potential_offdiag_max <= 0.0
+            structural = op.positivity_preserving
             detail = {"structural": structural, "offdiag_max": op.potential_offdiag_max}
             passed = structural == bool(target)
             if structural and op.dim <= _PROBE_DIM_LIMIT:
-                probe = positivity_probe(op, pot, [VectorState.bump(grid)], (0.01, 0.1, 1.0))
+                probe = positivity_probe(op, [VectorState.bump(grid)], (0.01, 0.1, 1.0))
                 detail["probe_verdict"] = probe.verdict
                 passed = passed and probe.verdict == "positive"
             claims[key] = {"passed": passed, **detail}

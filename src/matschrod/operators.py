@@ -113,11 +113,14 @@ class SymmetricOperator:
     first access and cached; ``generator()`` returns B = S / h^d.  ``dim``,
     the grid and the coefficient metadata are read from the (immutable)
     ``assembly`` without building S, so the ``exact-separable`` propagator,
-    which reads none of S, never assembles it.  ``potential_min_eigenvalue``
-    is the smallest eigenvalue of the sampled V over all nodes, a lower
-    bound for the spectrum of B because the diffusion part is PSD.  The
-    dense eigendecomposition of B (dimensions <= DENSE_LIMIT) and the closed
-    form ``separable`` are cached lazily for repeated solves and propagation.
+    which reads none of S, never assembles it.  ``contracts_in(p)`` and
+    ``positivity_preserving`` state the paper's two structural guarantees;
+    every probe and verdict that gates on one reads it from here.
+    ``potential_min_eigenvalue`` is the smallest eigenvalue of the sampled V
+    over all nodes, a lower bound for the spectrum of B because the
+    diffusion part is PSD.  The dense eigendecomposition of B (dimensions
+    <= DENSE_LIMIT) and the closed form ``separable`` are cached lazily for
+    repeated solves and propagation.
     """
 
     def __init__(self, assembly: FormAssembly):
@@ -136,6 +139,19 @@ class SymmetricOperator:
     @property
     def dim(self) -> int:
         return self.grid.state_size
+
+    def contracts_in(self, p: float) -> bool:
+        """Whether e^{-tB} contracts L^p: V must be PSD, and for p != 2 also Q diagonal.
+
+        For p in {1, inf} that makes the semigroup sub-Markovian; p = 4 then
+        follows by interpolation between 2 and inf.
+        """
+        return self.potential_psd and (p == 2.0 or self.q_diagonal)
+
+    @property
+    def positivity_preserving(self) -> bool:
+        """Whether e^{-tB} keeps nonnegative states nonnegative: Q diagonal, every v_ij <= 0 (i != j)."""
+        return self.q_diagonal and self.potential_offdiag_max <= 0.0
 
     @functools.cached_property
     def matrix(self):

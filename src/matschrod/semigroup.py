@@ -43,14 +43,17 @@ Every propagator raises ConvergenceError, before any work, when its growth
 bound overflows a float: e^{-t lambda_min} for the exact ones, e^{-tc} for
 Krylov.
 
-Probes record raw measurements (norm ratios, minimum components) together
-with the verdict thresholds, so every verdict can be recomputed from the
-stored numbers.
+Each probe draws its verdict where it measures, and reports it with the raw
+measurements (norm ratios, minimum components) and the threshold it
+allowed.  Whether a guarantee applies is read from the operator:
+``contracts_in(p)`` for the contraction and strong-continuity probes,
+``positivity_preserving`` for the positivity probe.  A probe that measured
+nothing reads ``"untested"``.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -62,6 +65,7 @@ from .operators import DENSE_LIMIT, SymmetricOperator, _factor_spd, _lanczos, _s
 __all__ = [
     "PropagatorConfig",
     "ProbeReport",
+    "default_config",
     "propagate",
     "contraction_probe",
     "strong_continuity_probe",
@@ -100,18 +104,6 @@ class PropagatorConfig:
             raise ValueError("tolerance must be positive")
         if not self.p_list or any(p not in _P_ALLOWED for p in self.p_list):
             raise ValueError(f"p_list must be a nonempty subset of {{1, 2, 4, inf}}, got {self.p_list}")
-
-    def conjugate_exponents(self) -> tuple:
-        """Hoelder conjugates p' = p/(p-1), with 1 <-> inf."""
-        out = []
-        for p in self.p_list:
-            if p == 1.0:
-                out.append(np.inf)
-            elif np.isinf(p):
-                out.append(1.0)
-            else:
-                out.append(p / (p - 1.0))
-        return tuple(out)
 
 
 def default_config(op: SymmetricOperator, **kwargs) -> PropagatorConfig:
@@ -355,96 +347,69 @@ def _shift_invert_expm(b, v, t, c, tol):
     return basis.T @ (vecs @ (np.exp(-t * lam) * (vecs[0] * np.linalg.norm(v))))
 
 
-# -- probe reports -------------------------------------------------------
+# -- probes --------------------------------------------------------------
+
+#: slack on a guaranteed contraction ratio ||T(t) f||_p / ||f||_p <= 1
+_CONTRACTION_SLACK = 1e-8
 
 
 @dataclass
 class ProbeReport:
-    """Raw probe measurements plus the verdict derived from them.
+    """A probe's raw measurements and the verdict it drew from them.
 
-    ``records`` is one dict per measurement; ``threshold`` is the slack used
-    by the verdict so that ``recompute_verdict()`` can reproduce it from the
-    stored numbers alone.
+    ``records`` is one dict per measurement and ``threshold`` the slack the
+    verdict allowed; ``guaranteed`` says whether the operator satisfies the
+    condition under which the theory promises a passing verdict.
     """
 
-    kind: str
     records: list
     verdict: str
     guaranteed: bool
     threshold: float
     witness: dict | None = None
-    meta: dict = field(default_factory=dict)
-
-    def recompute_verdict(self) -> str:
-        if self.kind == "contraction":
-            gated = [rec["ratio"] for rec in self.records if rec["guaranteed"] and rec["ratio"] is not None]
-            if not gated:
-                return "untested"
-            return "pass" if all(ratio <= 1.0 + self.threshold for ratio in gated) else "fail"
-        if self.kind == "strong-continuity":
-            if not self.guaranteed:
-                return "untested"
-            return "pass" if all(r["interpolation_ok"] and r["trend_ok"] for r in self.records) else "fail"
-        if self.kind == "positivity":
-            floor = -self.threshold
-            ok = all(rec["min_component"] >= floor for rec in self.records)
-            return "positive" if ok else "violations"
-        if self.kind == "violation-witness":
-            return "violation-found" if self.witness is not None else "not-found"
-        raise ValueError(f"unknown probe kind {self.kind!r}")
 
 
-# -- probes --------------------------------------------------------------
+def _norm_ratio_records(op: SymmetricOperator, f: VectorState, p_list, evolved) -> list:
+    """||f||_p, ||T(t) f||_p and their ratio, per (t, T(t) f) of ``evolved`` and p of ``p_list``.
+
+    A record is guaranteed to have ratio <= 1 when ``op.contracts_in(p)``;
+    a zero f has no ratio, so its records guarantee nothing.
+    """
+    norms_in = {p: mixed_norm(f, p) for p in p_list}
+    records = []
+    for t, ft in evolved:
+        for p in p_list:
+            norm_out = mixed_norm(ft, p)
+            ratio = norm_out / norms_in[p] if norms_in[p] > 0 else None
+            records.append({
+                "t": t, "p": p, "norm_in": norms_in[p], "norm_out": norm_out, "ratio": ratio,
+                "guaranteed": ratio is not None and op.contracts_in(p),
+            })
+    return records
+
+
+def _contraction_violations(records) -> list | None:
+    """The guaranteed records whose ratio is not within 1 + slack; None when no record is guaranteed."""
+    gated = [rec for rec in records if rec["guaranteed"]]
+    return [rec for rec in gated if not rec["ratio"] <= 1.0 + _CONTRACTION_SLACK] if gated else None
 
 
 def contraction_probe(op: SymmetricOperator, f_list, config: PropagatorConfig) -> ProbeReport:
     """Measure ||T(t) f||_p / ||f||_p over the configured times and exponents.
 
-    Ratios are guaranteed <= 1 (up to 1e-8 slack) for p = 2 with a PSD
-    potential, and additionally for p in {1, 4, inf} when the diffusion is
-    diagonal (p = 4 by interpolation between 2 and inf).  Zero states are
-    recorded but skipped.  The verdict covers the guaranteed records only;
-    everything else is informational, and with no guaranteed record the
-    verdict is ``"untested"``.
+    Ratios are guaranteed <= 1 (up to 1e-8 slack) where ``op.contracts_in(p)``.
+    Zero states are recorded but not propagated.  The verdict covers the
+    guaranteed records only; everything else is informational, and with no
+    guaranteed record the verdict is ``"untested"``.
     """
-    slack = 1e-8
     records = []
     for idx, f in enumerate(f_list):
-        norms_in = {p: mixed_norm(f, p) for p in config.p_list}
-        if norms_in[config.p_list[0]] == 0.0:
-            for t in config.times:
-                for p in config.p_list:
-                    records.append(
-                        {
-                            "f_index": idx, "t": t, "p": p, "norm_in": 0.0,
-                            "norm_out": 0.0, "ratio": None, "guaranteed": False,
-                            "note": "zero input skipped",
-                        }
-                    )
-            continue
-        for t in config.times:
-            gt = propagate(op, f, t, config)
-            for p in config.p_list:
-                guaranteed = op.potential_psd and (p == 2.0 or op.q_diagonal)
-                records.append(
-                    {
-                        "f_index": idx, "t": t, "p": p, "norm_in": norms_in[p],
-                        "norm_out": mixed_norm(gt, p),
-                        "ratio": mixed_norm(gt, p) / norms_in[p],
-                        "guaranteed": guaranteed, "note": "",
-                    }
-                )
-    report = ProbeReport(
-        kind="contraction",
-        records=records,
-        verdict="",
-        guaranteed=op.potential_psd and op.q_diagonal,
-        threshold=slack,
-        meta={"times": list(config.times), "p_list": list(config.p_list),
-              "conjugate_exponents": list(config.conjugate_exponents())},
-    )
-    report.verdict = report.recompute_verdict()
-    return report
+        zero = not f.values.any()
+        evolved = [(t, f if zero else propagate(op, f, t, config)) for t in config.times]
+        records += [{"f_index": idx, **rec} for rec in _norm_ratio_records(op, f, config.p_list, evolved)]
+    violations = _contraction_violations(records)
+    verdict = "untested" if violations is None else "fail" if violations else "pass"
+    return ProbeReport(records, verdict, op.contracts_in(np.inf), _CONTRACTION_SLACK)
 
 
 def strong_continuity_probe(
@@ -463,9 +428,9 @@ def strong_continuity_probe(
     and the deviations must decrease (within slack) along the given times
     taken in decreasing order — pass a dyadic sequence to probe the t -> 0
     trend.  The factor 2 ||f||_oo bounds ||T(t)f - f||_oo only for an
-    L^oo-contractive semigroup (diagonal diffusion, PSD potential); for any
-    other operator the records are informational and the verdict is
-    ``"untested"``.
+    L^oo-contractive semigroup (``op.contracts_in(inf)``); for any other
+    operator the records are informational, and the verdict is
+    ``"untested"``, as it is for an empty ``t_list``.
     """
     p = float(p)
     if p <= 2.0:
@@ -476,44 +441,36 @@ def strong_continuity_probe(
     ts = sorted(float(t) for t in t_list)
     if any(t < 0 for t in ts):
         raise ValueError("times must be nonnegative")
-    devs = []
-    for t in ts:
-        diff = propagate(op, f, t, config) - f
-        devs.append((t, mixed_norm(diff, p), mixed_norm(diff, 2)))
     records = []
     prev_dev = None
-    for t, dev_p, dev_2 in devs:
+    for t in ts:
+        diff = propagate(op, f, t, config) - f
+        dev_p, dev_2 = mixed_norm(diff, p), mixed_norm(diff, 2)
         bound = 2.0 ** (1.0 - theta) * sup_f ** (1.0 - theta) * dev_2**theta
-        trend_ok = True if prev_dev is None else dev_p >= prev_dev - slack
         records.append(
             {
                 "t": t, "p": p, "deviation_p": dev_p, "deviation_2": dev_2,
                 "interpolation_bound": bound,
                 "interpolation_ok": dev_p <= bound + 1e-12 * (1.0 + bound),
-                "trend_ok": trend_ok,
+                "trend_ok": prev_dev is None or dev_p >= prev_dev - slack,
             }
         )
         prev_dev = dev_p
-    report = ProbeReport(
-        kind="strong-continuity",
-        records=records,
-        verdict="",
-        guaranteed=op.potential_psd and op.q_diagonal,
-        threshold=slack,
-        meta={"theta": theta, "sup_norm": sup_f},
-    )
-    report.verdict = report.recompute_verdict()
-    return report
+    guaranteed = op.contracts_in(np.inf)
+    ok = all(r["interpolation_ok"] and r["trend_ok"] for r in records)
+    verdict = ("pass" if ok else "fail") if guaranteed and records else "untested"
+    return ProbeReport(records, verdict, guaranteed, slack)
 
 
-def positivity_probe(op: SymmetricOperator, vfield, f_list, t_list, config: PropagatorConfig | None = None) -> ProbeReport:
+def positivity_probe(op: SymmetricOperator, f_list, t_list, config: PropagatorConfig | None = None) -> ProbeReport:
     """Propagate nonnegative states and track the minimum component.
 
-    When every off-diagonal potential entry is <= 0 and the diffusion is
-    diagonal, the generator has no positive off-diagonal entries and the
-    propagated states stay nonnegative up to roundoff; the verdict then
-    certifies the guarantee.  Otherwise the verdict reports the measurements
-    only.  Negative inputs are rejected.
+    When ``op.positivity_preserving`` (diagonal diffusion, every off-diagonal
+    potential entry <= 0) the generator has no positive off-diagonal entries
+    and the propagated states stay nonnegative up to roundoff; the verdict
+    then certifies the guarantee.  Otherwise the verdict reports the
+    measurements only.  With no record, or only zero states, the verdict is
+    ``"untested"``.  Negative inputs are rejected.
     """
     f_list = list(f_list)
     for idx, f in enumerate(f_list):
@@ -528,22 +485,13 @@ def positivity_probe(op: SymmetricOperator, vfield, f_list, t_list, config: Prop
             records.append(
                 {"f_index": idx, "t": float(t), "min_component": float(gt.values.min())}
             )
-    guaranteed = op.q_diagonal and vfield.offdiag_max <= 0.0
-    report = ProbeReport(
-        kind="positivity",
-        records=records,
-        verdict="",
-        guaranteed=guaranteed,
-        threshold=threshold,
-        meta={"offdiag_max": vfield.offdiag_max, "q_diagonal": op.q_diagonal, "scale": scale},
-    )
-    report.verdict = report.recompute_verdict()
-    return report
+    ok = all(rec["min_component"] >= -threshold for rec in records)
+    verdict = ("positive" if ok else "violations") if records and scale > 0.0 else "untested"
+    return ProbeReport(records, verdict, op.positivity_preserving, threshold)
 
 
 def violation_witness(
     op: SymmetricOperator,
-    vfield,
     i: int,
     j: int,
     t_grid=None,
@@ -552,16 +500,17 @@ def violation_witness(
 ) -> ProbeReport:
     """Hunt for loss of positivity caused by a positive coupling v_ij > 0.
 
-    Starts from the nonnegative state f = bump * e_i centered where v_ij is
-    most positive; to leading order the propagated j-th component there is
-    -t v_ij(x) bump(x) < 0.  Sweeps a geometric time grid and returns the
-    first (t, node) whose j-th component drops below -delta_rel * ||f||_oo.
-    An unsuccessful sweep is reported explicitly, never silently.
+    Starts from the nonnegative state f = bump * e_i centered where the
+    operator's v_ij is most positive; to leading order the propagated j-th
+    component there is -t v_ij(x) bump(x) < 0.  Sweeps a geometric time grid
+    and returns the first (t, node) whose j-th component drops below
+    -delta_rel * ||f||_oo.  An unsuccessful sweep is reported explicitly,
+    never silently.
     """
     m = op.grid.m
     if not (0 <= i < m and 0 <= j < m) or i == j:
         raise ValueError(f"need distinct component indices below {m}, got ({i}, {j})")
-    coupling = vfield.samples[:, i, j]
+    coupling = op.assembly.potential.samples[:, i, j]
     if coupling.max() <= 0.0:
         raise ValueError(f"no node carries a positive ({i},{j}) coupling; nothing to witness")
     center = op.grid.node_coords()[int(np.argmax(coupling))]
@@ -579,7 +528,7 @@ def violation_witness(
         comp = gt.values[j]
         node = int(np.argmin(comp))
         records.append({"t": float(t), "min_component_j": float(comp[node]), "node": node})
-        if witness is None and comp[node] <= -delta:
+        if comp[node] <= -delta:
             witness = {
                 "t": float(t),
                 "node": node,
@@ -588,14 +537,4 @@ def violation_witness(
                 "coords": op.grid.node_coords()[node].tolist(),
             }
             break
-    report = ProbeReport(
-        kind="violation-witness",
-        records=records,
-        verdict="",
-        guaranteed=False,
-        threshold=delta,
-        witness=witness,
-        meta={"i": i, "j": j, "center": center.tolist(), "delta_rel": delta_rel},
-    )
-    report.verdict = report.recompute_verdict()
-    return report
+    return ProbeReport(records, "not-found" if witness is None else "violation-found", False, delta, witness)

@@ -482,6 +482,33 @@ def test_evolve_contraction_with_nothing_gated_is_null(tmp_path, flag, reason):
     assert reason in record["detail"]["reason"]
 
 
+def test_evolve_zero_state_guarantees_no_row(tmp_path):
+    # a zero state has no ratio, so no row of probes.csv is guaranteed to contract
+    flag = '--evolve.initial_state={"kind":"constant","vector":[0.0]}'
+    assert cli.main(["evolve", "--grid.N=16", "--out", str(tmp_path), flag]) == 0
+    with open(tmp_path / "probes.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 4
+    assert all(r["ratio"] == "" and r["guaranteed"] == "False" for r in rows)
+    assert _read_json(tmp_path / "verdicts.json") == {
+        "all_passed": True,
+        "records": [
+            {
+                "detail": {
+                    "max_ratio": None,
+                    "method": "exact-dense",
+                    "reason": "the initial state is zero",
+                    "violations": 0,
+                },
+                "name": "evolve-contraction",
+                "passed": None,
+            }
+        ],
+        "seed": 42,
+        "subcommand": "evolve",
+    }
+
+
 def _csv_writer_snapshots(snapshots, grid, path):
     """snapshots.csv as a row-by-row ``csv.writer`` loop writes it."""
     coords = grid.node_coords()

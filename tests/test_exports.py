@@ -1,5 +1,6 @@
 """Every public name of the package is used by the library, the benchmark or a demo."""
 import ast
+import importlib
 from pathlib import Path
 
 import matschrod
@@ -31,3 +32,18 @@ def test_every_export_is_used_outside_tests():
     used = set().union(*(_loaded_names(path) for path in files))
     dead = sorted(set(matschrod.__all__) - used)
     assert not dead, f"exported but used only by tests: {dead}"
+
+
+def test_package_imports_exactly_each_submodules_all():
+    # what ``from matschrod.<module> import *`` binds: ``__all__``, or without
+    # one (``errors``) every name that does not start with an underscore
+    tree = ast.parse((_ROOT / "src" / "matschrod" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    assert imported
+    for module, names in imported.items():
+        submodule = importlib.import_module(f"matschrod.{module}")
+        public = getattr(submodule, "__all__", [n for n in vars(submodule) if not n.startswith("_")])
+        assert names == set(public), f"matschrod.{module}"

@@ -68,13 +68,12 @@ DEFAULT_CONFIG = {
     "propagator": {
         "method": "auto",
         "times": [0.01, 0.1, 1.0],
-        "krylov_dim": 30,
         "tol": 1e-10,
         "p_list": [1, 2, 4, "inf"],
     },
     "probes": {"checks": None, "params": {}},
     "evolve": {"initial_state": {"kind": "bump"}},
-    "gallery": {"name": None, "params": {}, "check": "validate", "k": 20, "tol_rel": 1e-8},
+    "gallery": {"name": None, "params": {}, "check": "validate"},
     "output": {"directory": "matschrod-out", "formats": ["json", "csv", "dat"]},
 }
 
@@ -252,6 +251,7 @@ def _check_setting(path: str, value, default):
             isinstance(value, list) and value and all(_is_number(v) for v in value),
             f"{path} must be a nonempty list of numbers",
         )
+        _expect(all(_is_finite(v) for v in value), f"{path} entries must be finite, got {value!r}")
 
 
 def _fill_kind_block(block, kinds: dict, path: str):
@@ -290,11 +290,10 @@ def _validate_config(config: dict):
     """Check ``config`` against the schema, filling in kind defaults in place.
 
     Value ranges are left to ``GridSpec`` and ``PropagatorConfig``, apart
-    from the two eigenvalue counts.
+    from the eigenvalue count.
     """
     _check_section(config, DEFAULT_CONFIG)
-    for section in ("solver", "gallery"):
-        _expect(config[section]["k"] >= 1, f"{section}.k must be a positive integer")
+    _expect(config["solver"]["k"] >= 1, "solver.k must be a positive integer")
 
 
 def resolve_config(config_path, overrides, seed=None, out=None) -> dict:
@@ -415,7 +414,6 @@ def _propagator_config(block: dict, op) -> PropagatorConfig:
     return PropagatorConfig(
         method=method,
         times=tuple(block["times"]),
-        krylov_dim=block["krylov_dim"],
         tol=float(block["tol"]),
         p_list=p_list,
     )
@@ -646,9 +644,10 @@ def _cmd_gallery(config: dict, outdir: Path) -> bool:
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     if block["check"] == "merge":
-        report = spectrum_merge_check(
-            problem, k=block["k"], tol_rel=block["tol_rel"], seed=config["seed"]
-        )
+        claim = problem.expected.get("merge")
+        if claim is None:
+            raise ConfigError(f"gallery problem {problem.name!r} has no merge claim")
+        report = spectrum_merge_check(problem, k=claim["k"], tol_rel=claim["tol_rel"], seed=config["seed"])
         if "csv" in formats:
             report.to_csv(outdir / "merge.csv")
         records = [

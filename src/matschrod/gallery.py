@@ -374,7 +374,6 @@ def spectrum_merge_check(
     problem: GalleryProblem,
     k: int = 20,
     tol_rel: float = 1e-8,
-    method: str = "auto",
     seed: int = 42,
 ) -> MergeReport:
     """Compare the vector spectrum against the merged scalar-block spectra.
@@ -393,7 +392,7 @@ def spectrum_merge_check(
     op, _, _, _ = assemble_problem(problem)
     if k < 1 or k > op.dim:
         raise ValueError(f"need 1 <= k <= {op.dim}, got {k}")
-    vector = eigen_lowest(op, k, method=method, seed=seed).eigenvalues
+    vector = eigen_lowest(op, k, seed=seed).eigenvalues
     scalar_grid = build_grid(problem.d, problem.L, problem.N, 1)
     multiplicity = Counter(problem.block_multipliers)
     block_eigs = {}
@@ -404,7 +403,7 @@ def spectrum_merge_check(
 
         dif, pot = sample_fields(problem.q_fn, v_block, scalar_grid)
         block_op = assemble_operator(assemble_form(dif, pot, scalar_grid))
-        eigs = eigen_lowest(block_op, min(k, block_op.dim), method=method, seed=seed).eigenvalues
+        eigs = eigen_lowest(block_op, min(k, block_op.dim), seed=seed).eigenvalues
         block_eigs[c] = eigs
         candidates.extend(list(eigs) * multiplicity[c])
     merged = np.sort(np.asarray(candidates))[:k]

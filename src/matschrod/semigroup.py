@@ -18,17 +18,17 @@ available; ``default_config`` picks ``exact-dense`` up to DENSE_LIMIT, then
   and the propagation time shows up under ``semigroup.total_s``.
 * ``lanczos-expmv`` — Krylov projection on bases from ``operators._lanczos``,
   the eigensolver's row-layout kernel, in one of two regimes chosen from
-  t ||B||_oo and ``krylov_dim``:
+  t ||B||_oo alone:
 
-  - *polynomial* when t ||B|| <= (4 krylov_dim)^2.  Polynomial Lanczos needs
-    O(sqrt(t ||B||)) work (Hochbruck & Lubich, SINUM 34, 1997), so here a few
-    substeps cover t.  With basis V_k and tridiagonal T_k the defect of a
-    substep is beta_k |u_k(s)|, and the error is bounded by its time
-    integral times the amplification e^{-c (t - t_done)} up to t.  Substeps
-    are halved until the bound fits a proportional share of the budget
-    tol * ||f0||; if a subspace size cannot make progress it is doubled, and
-    after three sizes the propagator raises, as it does upfront for a tol
-    below the roundoff floor e^{-tc} 2e-13.
+  - *polynomial* when t ||B|| <= (4 _KRYLOV_DIM)^2 = 14400.  Polynomial
+    Lanczos needs O(sqrt(t ||B||)) work (Hochbruck & Lubich, SINUM 34,
+    1997), so here a few substeps cover t.  With basis V_k and tridiagonal
+    T_k the defect of a substep is beta_k |u_k(s)|, and the error is bounded
+    by its time integral times the amplification e^{-c (t - t_done)} up to
+    t.  Substeps are halved until the bound fits a proportional share of the
+    budget tol * ||f0||; if a subspace size cannot make progress it is
+    doubled (30, 60, 120), and after three sizes the propagator raises, as
+    it does upfront for a tol below the roundoff floor e^{-tc} 2e-13.
   - *shift-invert* above that.  Rayleigh-Ritz on the Krylov space of
     M^{-1}, M = I + gamma (B - c I) with gamma = t/10, converges
     independently of ||B|| (van den Eshof & Hochbruck, SISC 27, 2006).  The
@@ -85,7 +85,6 @@ class PropagatorConfig:
 
     method: str = "exact-dense"
     times: tuple = (0.01, 0.1, 1.0)
-    krylov_dim: int = 30
     tol: float = 1e-10
     p_list: tuple = (1.0, 2.0, 4.0, np.inf)
 
@@ -94,14 +93,12 @@ class PropagatorConfig:
         object.__setattr__(self, "p_list", tuple(float(p) for p in self.p_list))
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if any(t < 0 for t in self.times) or any(
+        if not all(np.isfinite(self.times)) or any(t < 0 for t in self.times) or any(
             a >= b for a, b in zip(self.times, self.times[1:])
         ):
-            raise ValueError(f"times must be nonnegative and strictly increasing, got {self.times}")
-        if self.krylov_dim < 2:
-            raise ValueError("krylov_dim must be >= 2")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+            raise ValueError(f"times must be finite, nonnegative and strictly increasing, got {self.times}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if not self.p_list or any(p not in _P_ALLOWED for p in self.p_list):
             raise ValueError(f"p_list must be a nonempty subset of {{1, 2, 4, inf}}, got {self.p_list}")
 
@@ -129,8 +126,8 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
     """
     _require_same_grid(op.grid, f0.grid)
     t = float(t)
-    if t < 0:
-        raise ValueError(f"propagation time must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"propagation time must be finite and nonnegative, got {t}")
     if t == 0.0:
         return f0.with_values(f0.values)
     if config is None:
@@ -150,7 +147,7 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
     else:
         _require_finite_growth(f0, t, min(0.0, op.potential_min_eigenvalue), config.method)
         try:
-            y = _krylov_expm(op, x, t, config.krylov_dim, config.tol)
+            y = _krylov_expm(op, x, t, config.tol)
         except ConvergenceError as exc:
             values, t_reached = exc.partial
             exc.partial = {"state": f0.with_values(values), "t_reached": t_reached}
@@ -168,20 +165,25 @@ def _require_finite_growth(f0, t, lam, method):
         )
 
 
-def _krylov_expm(op, v, t, kdim, tol):
-    """e^{-tB} v by Lanczos, shift-invert when t ||B|| is too stiff for kdim.
+#: first polynomial Lanczos subspace size; failures double it twice
+_KRYLOV_DIM = 30
+
+
+def _krylov_expm(op, v, t, tol):
+    """e^{-tB} v by Lanczos, shift-invert when t ||B|| is too stiff for polynomial Lanczos.
 
     A polynomial subspace of size k covers a step tau with tau ||B|| up to
-    about k^2.  ``4 kdim`` is the largest one tried, so above
-    t ||B|| = (4 kdim)^2 even it cannot cover t in one step, and the
-    shift-invert space, whose size does not depend on ||B||, takes over.
+    about k^2.  ``4 _KRYLOV_DIM`` is the largest one tried, so above
+    t ||B|| = (4 _KRYLOV_DIM)^2 = 14400 even it cannot cover t in one step,
+    and the shift-invert space, whose size does not depend on ||B||, takes
+    over.
     """
     if np.linalg.norm(v) == 0.0:
         return v.copy()
     c = min(0.0, op.potential_min_eigenvalue)  # lambda_min(B) >= c
-    if t * op.generator_norm_bound() > (4 * kdim) ** 2:
+    if t * op.generator_norm_bound() > (4 * _KRYLOV_DIM) ** 2:
         return _shift_invert_expm(op.generator(), v, t, c, tol)
-    return _polynomial_expm(op.generator(), v, t, kdim, c, tol)
+    return _polynomial_expm(op.generator(), v, t, c, tol)
 
 
 # -- polynomial Lanczos ----------------------------------------------------
@@ -222,7 +224,7 @@ def _krylov_step_error(lam, weights, last_row, beta_next, tau) -> float:
 _POLY_ROUNDOFF = 2e-13
 
 
-def _polynomial_expm(b, v, t, kdim, c, tol):
+def _polynomial_expm(b, v, t, c, tol):
     """Adaptive-substep polynomial Lanczos; enlarges the subspace on failure.
 
     The defect bound covers truncation only, so a tol below the roundoff
@@ -237,7 +239,7 @@ def _polynomial_expm(b, v, t, kdim, c, tol):
         )
     budget = tol * np.linalg.norm(v)
     best = (v, 0.0)
-    for k in (kdim, 2 * kdim, 4 * kdim):
+    for k in (_KRYLOV_DIM, 2 * _KRYLOV_DIM, 4 * _KRYLOV_DIM):
         w, t_done = _krylov_expm_fixed(b, v, t, min(k, v.size), c, budget)
         if t_done >= t:
             return w
@@ -412,13 +414,7 @@ def contraction_probe(op: SymmetricOperator, f_list, config: PropagatorConfig) -
     return ProbeReport(records, verdict, op.contracts_in(np.inf), _CONTRACTION_SLACK)
 
 
-def strong_continuity_probe(
-    op: SymmetricOperator,
-    f: VectorState,
-    t_list,
-    p: float,
-    config: PropagatorConfig | None = None,
-) -> ProbeReport:
+def strong_continuity_probe(op: SymmetricOperator, f: VectorState, t_list, p: float) -> ProbeReport:
     """Check ||T(t)f - f||_p -> 0 with the two-norm interpolation bound.
 
     For p > 2 and theta = 2/p each time must satisfy
@@ -430,7 +426,8 @@ def strong_continuity_probe(
     trend.  The factor 2 ||f||_oo bounds ||T(t)f - f||_oo only for an
     L^oo-contractive semigroup (``op.contracts_in(inf)``); for any other
     operator the records are informational, and the verdict is
-    ``"untested"``, as it is for an empty ``t_list``.
+    ``"untested"``, as it is for an empty ``t_list`` or a zero ``f``, whose
+    deviations and bounds are all 0.
     """
     p = float(p)
     if p <= 2.0:
@@ -444,7 +441,7 @@ def strong_continuity_probe(
     records = []
     prev_dev = None
     for t in ts:
-        diff = propagate(op, f, t, config) - f
+        diff = propagate(op, f, t) - f
         dev_p, dev_2 = mixed_norm(diff, p), mixed_norm(diff, 2)
         bound = 2.0 ** (1.0 - theta) * sup_f ** (1.0 - theta) * dev_2**theta
         records.append(
@@ -458,11 +455,11 @@ def strong_continuity_probe(
         prev_dev = dev_p
     guaranteed = op.contracts_in(np.inf)
     ok = all(r["interpolation_ok"] and r["trend_ok"] for r in records)
-    verdict = ("pass" if ok else "fail") if guaranteed and records else "untested"
+    verdict = ("pass" if ok else "fail") if guaranteed and records and sup_f > 0.0 else "untested"
     return ProbeReport(records, verdict, guaranteed, slack)
 
 
-def positivity_probe(op: SymmetricOperator, f_list, t_list, config: PropagatorConfig | None = None) -> ProbeReport:
+def positivity_probe(op: SymmetricOperator, f_list, t_list) -> ProbeReport:
     """Propagate nonnegative states and track the minimum component.
 
     When ``op.positivity_preserving`` (diagonal diffusion, every off-diagonal
@@ -481,7 +478,7 @@ def positivity_probe(op: SymmetricOperator, f_list, t_list, config: PropagatorCo
     records = []
     for idx, f in enumerate(f_list):
         for t in t_list:
-            gt = propagate(op, f, float(t), config)
+            gt = propagate(op, f, float(t))
             records.append(
                 {"f_index": idx, "t": float(t), "min_component": float(gt.values.min())}
             )
@@ -490,22 +487,21 @@ def positivity_probe(op: SymmetricOperator, f_list, t_list, config: PropagatorCo
     return ProbeReport(records, verdict, op.positivity_preserving, threshold)
 
 
-def violation_witness(
-    op: SymmetricOperator,
-    i: int,
-    j: int,
-    t_grid=None,
-    delta_rel: float = 1e-8,
-    config: PropagatorConfig | None = None,
-) -> ProbeReport:
+#: times swept by ``violation_witness``, and the depth below zero, relative
+#: to ||f||_oo, that a j-th component must reach to count as a witness
+_WITNESS_TIMES = tuple(np.geomspace(1e-3, 1.0, 13).tolist())
+_WITNESS_DELTA_REL = 1e-8
+
+
+def violation_witness(op: SymmetricOperator, i: int, j: int) -> ProbeReport:
     """Hunt for loss of positivity caused by a positive coupling v_ij > 0.
 
     Starts from the nonnegative state f = bump * e_i centered where the
     operator's v_ij is most positive; to leading order the propagated j-th
-    component there is -t v_ij(x) bump(x) < 0.  Sweeps a geometric time grid
+    component there is -t v_ij(x) bump(x) < 0.  Sweeps ``_WITNESS_TIMES``
     and returns the first (t, node) whose j-th component drops below
-    -delta_rel * ||f||_oo.  An unsuccessful sweep is reported explicitly,
-    never silently.
+    -``_WITNESS_DELTA_REL`` * ||f||_oo.  An unsuccessful sweep is reported
+    explicitly, never silently.
     """
     m = op.grid.m
     if not (0 <= i < m and 0 <= j < m) or i == j:
@@ -518,19 +514,17 @@ def violation_witness(
     values = np.zeros((m, op.grid.n_nodes))
     values[i] = smooth_bump_profile(radii)
     f = VectorState(op.grid, values)
-    delta = delta_rel * mixed_norm(f, np.inf)
-    if t_grid is None:
-        t_grid = np.geomspace(1e-3, 1.0, 13)
+    delta = _WITNESS_DELTA_REL * mixed_norm(f, np.inf)
     records = []
     witness = None
-    for t in t_grid:
-        gt = propagate(op, f, float(t), config)
+    for t in _WITNESS_TIMES:
+        gt = propagate(op, f, t)
         comp = gt.values[j]
         node = int(np.argmin(comp))
-        records.append({"t": float(t), "min_component_j": float(comp[node]), "node": node})
+        records.append({"t": t, "min_component_j": float(comp[node]), "node": node})
         if comp[node] <= -delta:
             witness = {
-                "t": float(t),
+                "t": t,
                 "node": node,
                 "component": j,
                 "value": float(comp[node]),

@@ -151,24 +151,23 @@ def test_invalid_grid_parameters_are_config_errors(tmp_path):
     assert cli.main(["assemble", "--out", str(tmp_path), "--grid.N=1"]) == 2
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "Infinity", "NaN", '"1e-8"'])
-def test_gallery_tol_rel_must_be_finite_positive(tmp_path, capsys, value):
-    rc = cli.main(
-        [
-            "gallery", "--out", str(tmp_path),
-            "--name", "degenerate_counterexample", "--check", "merge",
-            f"--gallery.tol_rel={value}", '--gallery.params={"N": 40}',
-        ]
-    )
-    assert rc == 2
-    assert "gallery.tol_rel must be a finite positive number" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["evolve"], "--propagator.krylov_dim=30"),
+        (["gallery", "--name", "degenerate_counterexample", "--check", "merge"], "--gallery.k=20"),
+        (["gallery", "--name", "degenerate_counterexample", "--check", "merge"], "--gallery.tol_rel=1e-8"),
+    ],
+)
+def test_removed_settings_are_unknown_keys(tmp_path, capsys, command, flag):
+    # the Krylov subspace size is fixed, and the merge reads k and tol_rel from its claim
+    assert cli.main(command + ["--out", str(tmp_path), flag]) == 2
+    assert f"unknown config key {flag[2:].split('=')[0]!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "flag, message",
     [
-        ("--propagator.krylov_dim=2.5", "propagator.krylov_dim must be an integer"),
-        ("--propagator.krylov_dim=1", "krylov_dim must be >= 2"),
         # Crank-Nicolson and its step count are gone
         ("--propagator.method=crank-nicolson", "propagator.method must be one of"),
         ("--propagator.cn_steps=256", "unknown config key 'propagator.cn_steps'"),
@@ -197,13 +196,10 @@ _BAD_SETTINGS = {
     "solver.sandwich": ("must be a boolean", [1, "true", None]),
     "propagator.method": _ONE_OF,
     "propagator.times": ("must be a nonempty list of numbers", [[], [True], 0.1, [0.1, "1"]]),
-    "propagator.krylov_dim": _INT,
     "propagator.tol": _FLOAT,
     "propagator.p_list": _LIST_OF,
     "probes.checks": _LIST_OF,
     "gallery.check": _ONE_OF,
-    "gallery.k": _INT,
-    "gallery.tol_rel": _FLOAT,
     "output.directory": ("must be a string", [5, True, None]),
     "output.formats": _LIST_OF,
 }
@@ -246,6 +242,7 @@ def test_wrongly_typed_setting_is_config_error(tmp_path, monkeypatch, capsys, se
         "--solver.k=true", "--grid.m=true", "--grid.L=true", "--solver.tol=true",
         "--propagator.tol=true", "--propagator.times=[true]", "--propagator.p_list=[true]",
         "--grid.d=true", "--output.directory=5",
+        "--propagator.times=[Infinity]", "--propagator.times=[0.1, NaN]",
     ],
 )
 def test_wrongly_typed_flag_is_config_error(tmp_path, monkeypatch, capsys, flag):
@@ -616,7 +613,7 @@ def test_evolve_krylov_absurd_tolerance_exits_3(tmp_path):
         [
             "evolve", "--out", str(tmp_path), "--grid.N=100",
             "--propagator.method=lanczos-expmv",
-            "--propagator.tol=1e-30", "--propagator.krylov_dim=2",
+            "--propagator.tol=1e-30",
         ]
     )
     assert rc == 3
@@ -764,13 +761,13 @@ def test_gallery_merge_subcommand(tmp_path):
         [
             "gallery", "--out", str(tmp_path),
             "--name", "degenerate_counterexample", "--check", "merge",
-            '--gallery.params={"N": 80, "L": 4.0}', "--gallery.k=10",
+            '--gallery.params={"N": 80, "L": 4.0}',
         ]
     )
     assert rc == 0
     with open(tmp_path / "merge.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 10
+    assert len(rows) == 20  # the claim's k
     assert all(float(r["deviation"]) <= float(r["tolerance"]) for r in rows)
 
 
@@ -792,8 +789,11 @@ def test_gallery_validate_emits_continuity_dat(tmp_path):
     assert ratios == claim["ratios"]
 
 
-def test_gallery_unknown_name_and_check(tmp_path):
+def test_gallery_unknown_name_and_check(tmp_path, capsys):
     assert cli.main(["gallery", "--out", str(tmp_path), "--name", "wat"]) == 2
+    # only a problem with a merge claim can be merged
+    assert cli.main(["gallery", "--out", str(tmp_path), "--name", "harmonic_oscillator", "--check", "merge"]) == 2
+    assert "gallery problem 'harmonic_oscillator' has no merge claim" in capsys.readouterr().err
     assert cli.main(["gallery", "--out", str(tmp_path), "--gallery.name=[1]"]) == 2
     assert cli.main(["gallery", "--out", str(tmp_path), "--gallery.check=bogus"]) == 2
     assert (

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import matschrod.semigroup as semigroup_module
@@ -59,12 +59,21 @@ def test_config_validation():
         PropagatorConfig(times=(-0.1, 1.0))
     with pytest.raises(ValueError, match="times"):
         PropagatorConfig(times=(1.0, 0.5))
-    with pytest.raises(ValueError, match="krylov_dim"):
-        PropagatorConfig(krylov_dim=1)
+    with pytest.raises(ValueError, match="times"):
+        PropagatorConfig(times=(0.1, np.inf))
+    with pytest.raises(ValueError, match="times"):
+        PropagatorConfig(times=(np.nan,))
+    # the Krylov subspace size is the constant _KRYLOV_DIM, not a setting
+    with pytest.raises(TypeError, match="krylov_dim"):
+        PropagatorConfig(krylov_dim=30)
     with pytest.raises(ValueError, match="method"):
         PropagatorConfig(method="crank-nicolson")
     with pytest.raises(ValueError, match="tolerance"):
         PropagatorConfig(tol=0.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        PropagatorConfig(tol=np.inf)
+    with pytest.raises(ValueError, match="tolerance"):
+        PropagatorConfig(tol=np.nan)
     with pytest.raises(ValueError, match="p_list"):
         PropagatorConfig(p_list=(3.0,))
     with pytest.raises(ValueError, match="p_list"):
@@ -97,6 +106,9 @@ def test_propagate_time_zero_and_errors():
     np.testing.assert_array_equal(out.values, f.values)
     with pytest.raises(ValueError, match="nonnegative"):
         propagate(op, f, -0.5)
+    for t in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="propagation time must be finite"):
+            propagate(op, f, t)
     with pytest.raises(GridMismatchError):
         propagate(op, VectorState.zeros(build_grid(1, 5.0, 21, 1)), 0.1)
 
@@ -188,12 +200,13 @@ def test_exact_propagators_raise_before_exp_overflows(method, recwarn):
     assert not recwarn.list
 
 
-@pytest.mark.parametrize("krylov_dim", [30, 2])  # polynomial, then shift-invert: t ||B|| is about 2800
-def test_krylov_raises_before_exp_overflows(krylov_dim):
+# polynomial at t ||B|| = 1000, then shift-invert at t ||B|| = 18881 > 14400
+@pytest.mark.parametrize("N", [20, 140], ids=["polynomial", "shift-invert"])
+def test_krylov_raises_before_exp_overflows(N):
     # c = min(0, min V) = -1000, so the growth bound e^{-tc} overflows at t = 1
-    grid, op = _constant_operator(1, 20, 1, np.eye(1), np.array([[-1000.0]]))
+    grid, op = _constant_operator(1, N, 1, np.eye(1), np.array([[-1000.0]]))
     f = VectorState.random(grid, np.random.default_rng(0))
-    config = PropagatorConfig(method="lanczos-expmv", krylov_dim=krylov_dim)
+    config = PropagatorConfig(method="lanczos-expmv")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="lanczos-expmv propagation overflows") as exc_info:
@@ -207,7 +220,7 @@ def test_krylov_matches_dense():
     dif, pot = sample_fields(lambda x: 1.0, lambda x: float(x @ x), grid)
     op = assemble_operator(assemble_form(dif, pot, grid))
     f = VectorState.random(grid, np.random.default_rng(4))
-    krylov = PropagatorConfig(method="lanczos-expmv", krylov_dim=30, tol=1e-10)
+    krylov = PropagatorConfig(method="lanczos-expmv", tol=1e-10)
     for t in (0.01, 0.5, 2.0):
         got = propagate(op, f, t, krylov).flat()
         want = propagate(op, f, t, DENSE).flat()
@@ -220,7 +233,7 @@ def test_krylov_eigenvector_is_exact_by_breakdown():
     report = eigen_lowest(op, 1)
     f = VectorState(grid, report.eigenvectors[:, 0])
     lam = report.eigenvalues[0]
-    krylov = PropagatorConfig(method="lanczos-expmv", krylov_dim=10)
+    krylov = PropagatorConfig(method="lanczos-expmv")
     got = propagate(op, f, 0.7, krylov)
     np.testing.assert_allclose(got.values, np.exp(-lam * 0.7) * f.values, rtol=1e-11)
 
@@ -236,20 +249,21 @@ def test_krylov_absurd_tolerance_raises():
     dif, pot = sample_fields(lambda x: 1.0, lambda x: 0.0, grid)
     op = assemble_operator(assemble_form(dif, pot, grid))
     f = VectorState.random(grid, np.random.default_rng(5))
-    config = PropagatorConfig(method="lanczos-expmv", krylov_dim=2, tol=1e-30)
+    config = PropagatorConfig(method="lanczos-expmv", tol=1e-30)
     with pytest.raises(ConvergenceError, match="subspace enlargements"):
         propagate(op, f, 1.0, config)
 
 
 def test_krylov_failure_carries_partial():
     # tol = 1e-30 is below the roundoff floor of both regimes, so mild t||B||
-    # fails before the polynomial substeps and stiff t||B|| before the
-    # shift-invert factorization; either way the partial is a certified state
+    # (17 here) fails before the polynomial substeps and stiff t||B|| (20200)
+    # before the shift-invert factorization; either way the partial is a
+    # certified state
     grid, op = _harmonic_operator(N=20)
-    stiff_grid = build_grid(1, 1.0, 100, 1)
+    stiff_grid = build_grid(1, 1.0, 200, 1)
     dif, pot = sample_fields(lambda x: 1.0, lambda x: 0.0, stiff_grid)
     stiff_op = assemble_operator(assemble_form(dif, pot, stiff_grid))
-    config = PropagatorConfig(method="lanczos-expmv", krylov_dim=2, tol=1e-30)
+    config = PropagatorConfig(method="lanczos-expmv", tol=1e-30)
     for g, o in ((grid, op), (stiff_grid, stiff_op)):
         f = VectorState.random(g, np.random.default_rng(5))
         with pytest.raises(ConvergenceError, match="subspace enlargements") as info:
@@ -275,7 +289,7 @@ def _spy_kernels(monkeypatch):
 
 
 def test_krylov_dispatch_by_stiffness(monkeypatch):
-    # t ||B|| <= (4 krylov_dim)^2 stays polynomial: a 2-d m=2 operator at the
+    # t ||B|| <= (4 * 30)^2 stays polynomial: a 2-d m=2 operator at the
     # evolve-2d mesh width h ~ 0.1 has t ||B|| ~ 1.2e3 at t=1, below 120^2
     calls = _spy_kernels(monkeypatch)
     grid = build_grid(2, 1.0, 20, 2)
@@ -296,6 +310,22 @@ def test_krylov_dispatch_by_stiffness(monkeypatch):
     assert calls == {"polynomial": 5, "shift-invert": 10}
 
 
+def test_krylov_regime_threshold_is_fixed(monkeypatch):
+    # one operator on either side of t ||B||_oo = (4 * 30)^2 = 14400
+    assert (4 * semigroup_module._KRYLOV_DIM) ** 2 == 14400
+    grid, op = _harmonic_operator(N=200, L=5.0)
+    f = VectorState.random(grid, np.random.default_rng(12))
+    krylov = PropagatorConfig(method="lanczos-expmv")
+    calls = _spy_kernels(monkeypatch)
+    expected = {"polynomial": 0, "shift-invert": 0}
+    for side, scale in (("polynomial", 1.0 - 1e-6), ("shift-invert", 1.0 + 1e-6)):
+        t = 14400.0 * scale / op.generator_norm_bound()
+        got = propagate(op, f, t, krylov)
+        expected[side] += 1
+        assert calls == expected
+        assert mixed_norm(got - propagate(op, f, t, DENSE), 2) <= 1e-10 * mixed_norm(f, 2)
+
+
 @pytest.mark.parametrize("v, t", [(-50.0, 0.2), (-20.0, 0.4), (-50.0, 0.3)])
 def test_polynomial_krylov_meets_tol_or_raises_under_growth(monkeypatch, v, t):
     """V = v I multiplies e^{-tB} by e^{-tv} (2.2e4, 3.0e3 and 3.3e6 here).
@@ -309,7 +339,7 @@ def test_polynomial_krylov_meets_tol_or_raises_under_growth(monkeypatch, v, t):
     dif, pot = sample_fields(lambda x: 1.0, lambda x: v * np.eye(2), grid)
     op = assemble_operator(assemble_form(dif, pot, grid))
     f = VectorState.random(grid, np.random.default_rng(0))
-    config = PropagatorConfig(method="lanczos-expmv", krylov_dim=30, tol=1e-10)
+    config = PropagatorConfig(method="lanczos-expmv", tol=1e-10)
     N = grid.N
     k = np.arange(1, N + 1)
     lap = (4.0 / grid.h**2) * np.sin(k * np.pi / (2.0 * (N + 1))) ** 2
@@ -325,8 +355,11 @@ def test_polynomial_krylov_meets_tol_or_raises_under_growth(monkeypatch, v, t):
     assert calls == {"polynomial": 1, "shift-invert": 0}
 
 
+#: with ||B|| ~ 1640 this is stiff: t ||B|| ~ 14760 > 14400
+_STIFF_T = 9.0
+
+
 def _stiff_harmonic_operator():
-    # ||B|| ~ 1640, so t = 0.7 with krylov_dim = 5 (bound 20^2) is stiff
     return _harmonic_operator(N=200, L=5.0)
 
 
@@ -343,11 +376,11 @@ def test_shift_invert_eigenvector_is_exact_by_breakdown(monkeypatch):
 
     monkeypatch.setattr(semigroup_module, "_lanczos", spy_kernel)
     report = eigen_lowest(op, 2)
-    krylov = PropagatorConfig(method="lanczos-expmv", krylov_dim=5)
+    krylov = PropagatorConfig(method="lanczos-expmv")
     for i in range(2):
         f = VectorState(grid, report.eigenvectors[:, i])
-        got = propagate(op, f, 0.7, krylov)
-        want = np.exp(-report.eigenvalues[i] * 0.7) * f.values
+        got = propagate(op, f, _STIFF_T, krylov)
+        want = np.exp(-report.eigenvalues[i] * _STIFF_T) * f.values
         np.testing.assert_allclose(got.values, want, rtol=1e-11, atol=1e-13 * np.abs(want).max())
     assert calls["shift-invert"] == 2
     assert sizes == [(1, True), (1, True)]
@@ -356,11 +389,11 @@ def test_shift_invert_eigenvector_is_exact_by_breakdown(monkeypatch):
 def test_shift_invert_zero_state(monkeypatch):
     grid, op = _stiff_harmonic_operator()
     calls = _spy_kernels(monkeypatch)
-    config = PropagatorConfig(method="lanczos-expmv", krylov_dim=5)
+    config = PropagatorConfig(method="lanczos-expmv")
     f = VectorState.random(grid, np.random.default_rng(11))
-    propagate(op, f, 0.7, config)
+    propagate(op, f, _STIFF_T, config)
     assert calls["shift-invert"] == 1
-    out = propagate(op, VectorState.zeros(grid), 0.7, config)
+    out = propagate(op, VectorState.zeros(grid), _STIFF_T, config)
     np.testing.assert_array_equal(out.values, 0.0)
 
 
@@ -370,11 +403,13 @@ def test_shift_invert_zero_state(monkeypatch):
     n_per_dim=st.integers(4, 12),
     m=st.integers(1, 3),
     t=st.floats(1e-3, 2.0),
-    krylov_dim=st.sampled_from((8, 30)),
     constant_v=st.one_of(st.none(), st.floats(-50.0, 0.0)),
     seed=st.integers(0, 2**16),
 )
-def test_krylov_matches_dense_property(d, n_per_dim, m, t, krylov_dim, constant_v, seed):
+# t ||B|| is about 78 (polynomial) and 5.6e4 (shift-invert)
+@example(d=2, n_per_dim=4, m=3, t=0.62, constant_v=None, seed=0)
+@example(d=1, n_per_dim=12, m=1, t=2.0, constant_v=None, seed=0)
+def test_krylov_matches_dense_property(d, n_per_dim, m, t, constant_v, seed):
     """Forced Krylov against exact-dense on both sides of the stiffness dispatch.
 
     ``constant_v`` None draws a random PSD potential, otherwise V = v I with
@@ -394,7 +429,9 @@ def test_krylov_matches_dense_property(d, n_per_dim, m, t, krylov_dim, constant_
         v = np.tile(constant_v * np.eye(m), (grid.n_nodes, 1, 1))
     op = assemble_operator(assemble_form(DiffusionField(grid, q), PotentialField(grid, v), grid))
     f = VectorState.random(grid, rng)
-    config = PropagatorConfig(method="lanczos-expmv", krylov_dim=krylov_dim, tol=1e-10)
+    config = PropagatorConfig(method="lanczos-expmv", tol=1e-10)
+    stiff = t * op.generator_norm_bound() > (4 * semigroup_module._KRYLOV_DIM) ** 2
+    event("shift-invert" if stiff else "polynomial")
     growth = np.exp(t * max(0.0, -op.potential_min_eigenvalue))
     try:
         got = propagate(op, f, t, config)
@@ -444,6 +481,8 @@ def test_probes_that_measure_nothing_are_untested():
     zero = positivity_probe(op, [VectorState.zeros(grid)] * 2, [0.1])
     assert zero.threshold == 0.0 and zero.verdict == "untested"
     assert strong_continuity_probe(op, f, [], p=4.0).verdict == "untested"
+    # a zero state has zero deviations and bounds at every time
+    assert strong_continuity_probe(op, VectorState.zeros(grid), [0.1, 0.2], p=4.0).verdict == "untested"
     # one nonzero state among zeros is a test
     assert positivity_probe(op, [VectorState.zeros(grid), f], [0.1]).verdict == "positive"
 
@@ -508,7 +547,7 @@ def test_strong_continuity_eigenvector_closed_form():
     lam = rep.eigenvalues[0]
     f = VectorState(grid, rep.eigenvectors[:, 0])
     times = [1.0 / 2**j for j in range(4, 0, -1)]
-    report = strong_continuity_probe(op, f, times, p=4.0, config=DENSE)
+    report = strong_continuity_probe(op, f, times, p=4.0)
     assert report.verdict == "pass"
     norm4 = mixed_norm(f, 4)
     for rec in report.records:
@@ -608,19 +647,10 @@ def test_violation_witness_argument_errors():
 
 
 def test_violation_witness_not_found_is_explicit():
-    # kill the coupling after sampling so the hunt legitimately fails
-    grid, _ = _coupled_operator(v12=0.5)
-    tampered = PotentialField(
-        grid, np.tile(np.array([[2.0, 1e-30], [1e-30, 2.0]]), (grid.n_nodes, 1, 1))
-    )
-    diag_op = assemble_operator(
-        assemble_form(
-            sample_fields(lambda x: 1.0, lambda x: np.zeros((2, 2)), grid)[0],
-            tampered,
-            grid,
-        )
-    )
-    report = violation_witness(diag_op, 0, 1, t_grid=[1e-6])
+    # v_12 = 1e-12 lowers the second component by about t * 1e-12, far above
+    # the -1e-8 ||f||_oo a witness needs, so the hunt legitimately fails
+    _, op = _coupled_operator(v12=1e-12)
+    report = violation_witness(op, 0, 1)
     assert report.verdict == "not-found"
     assert report.witness is None
-    assert len(report.records) == 1
+    assert [r["t"] for r in report.records] == list(semigroup_module._WITNESS_TIMES)

@@ -125,8 +125,9 @@ def _random_signed_offdiag_potential(rng, grid, positive_pair=None, amplitude=1.
 # -- individual checks --------------------------------------------------------
 
 
-def check_laplacian_spectrum(seed=42, N=200, k=20, rtol=1e-10):
+def check_laplacian_spectrum(seed=42):
     """Free 1-d spectrum vs the closed form (4/h^2) sin^2(k pi / (2(N+1)))."""
+    N, k, rtol = 200, 20, 1e-10
     grid = build_grid(1, 1.0, N, 1)
     diffusion = DiffusionField(grid, np.ones((grid.n_cells, 1, 1)))
     potential = PotentialField(grid, np.zeros((grid.n_nodes, 1, 1)))
@@ -144,35 +145,37 @@ def check_laplacian_spectrum(seed=42, N=200, k=20, rtol=1e-10):
     }
 
 
-def _claim(problem, key, seed, **overrides):
-    """Validate the single gallery claim ``key`` of ``problem``, its target
-    updated by ``overrides``; returns the claim's detail."""
-    target = {**problem.expected[key], **overrides}
-    return validate_expected(replace(problem, expected={key: target}), seed=seed)["claims"][key]
+def _claim(problem, key, seed):
+    """Validate the single gallery claim ``key`` of ``problem``; returns the
+    claim's detail."""
+    only = replace(problem, expected={key: problem.expected[key]})
+    return validate_expected(only, seed=seed)["claims"][key]
 
 
-def check_harmonic_oscillator(seed=42, L=10.0, N=2000, rtol=5e-3):
-    """Lowest five eigenvalues of -f'' + x^2 f within rtol of 1, 3, 5, 7, 9
+def check_harmonic_oscillator(seed=42):
+    """Lowest five eigenvalues of -f'' + x^2 f within 5e-3 of 1, 3, 5, 7, 9
     (the gallery's ``lowest_eigenvalues`` claim)."""
-    claim = _claim(harmonic_oscillator(L=L, N=N), "lowest_eigenvalues", seed, rtol=rtol)
+    problem = harmonic_oscillator()
+    claim = _claim(problem, "lowest_eigenvalues", seed)
     return claim["passed"], {
-        "L": L,
-        "N": N,
-        "rtol": rtol,
+        "L": problem.L,
+        "N": problem.N,
+        "rtol": problem.expected["lowest_eigenvalues"]["rtol"],
         "eigenvalues": claim["computed"],
         "max_rel_error": claim["max_rel_error"],
     }
 
 
-def check_form_axioms(seed=42, n_configs=100, pairs_per_config=100):
+def check_form_axioms(seed=42):
     """Accretivity, symmetry and continuity of the form on random draws.
 
-    Over n_configs random (grid, diagonal SPD Q, PSD V) and
-    pairs_per_config random (f, g) each: a(f,f) >= -1e-10 ||f||_2^2, the
+    Over 100 random (grid, diagonal SPD Q, PSD V) and 100 random (f, g)
+    each: a(f,f) >= -1e-10 ||f||_2^2, the
     symmetry gap |a(f,g) - a(g,f)| stays below 1e-12 relative to the
     quadratic terms, and the continuity ratio stays below 1 + eta_2 + 1e-10.
     """
     rng = np.random.default_rng(seed)
+    n_configs, pairs_per_config = 100, 100
     trials = failures = 0
     worst = {"accretivity": np.inf, "symmetry": 0.0, "continuity": -np.inf}
     for _ in range(n_configs):
@@ -208,13 +211,15 @@ def check_form_axioms(seed=42, n_configs=100, pairs_per_config=100):
     }
 
 
-def check_beurling_denny(seed=42, n_configs=20, states_per_config=50):
-    """Unit-ball projection never increases the energy (diagonal Q, PSD V).
+def check_beurling_denny(seed=42):
+    """Unit-ball projection never increases the energy (diagonal Q, PSD V),
+    over 50 states on each of 20 random operators.
 
     Also verifies the mechanism edge by edge: the projected state's jump
     across every lattice edge is no larger than the original's.
     """
     rng = np.random.default_rng(seed)
+    n_configs, states_per_config = 20, 50
     min_gap = np.inf
     max_edge_excess = -np.inf
     trials = failures = 0
@@ -245,7 +250,7 @@ def check_beurling_denny(seed=42, n_configs=20, states_per_config=50):
     }
 
 
-def check_contraction(seed=42, n_states=100, n_interpolation=50):
+def check_contraction(seed=42):
     """Mixed-norm contraction under exact-dense propagation.
 
     100 states (half nonnegative, half signed) across four diagonal-Q/PSD-V
@@ -263,7 +268,7 @@ def check_contraction(seed=42, n_states=100, n_interpolation=50):
         diffusion = _random_diagonal_diffusion(rng, grid)
         potential = _random_psd_potential(rng, grid)
         ops.append(assemble_operator(assemble_form(diffusion, potential, grid)))
-    per_op = n_states // len(ops)
+    per_op = 100 // len(ops)
     for op in ops:
         states = []
         for idx in range(per_op):
@@ -277,7 +282,7 @@ def check_contraction(seed=42, n_states=100, n_interpolation=50):
         )
     interpolation_ok = True
     worst_excess = -np.inf
-    for _ in range(n_interpolation):
+    for _ in range(50):
         f = VectorState.random(ops[0].grid, rng)
         report = strong_continuity_probe(ops[0], f, (0.0625, 0.125, 0.25, 0.5, 1.0), p=4.0)
         for rec in report.records:
@@ -292,15 +297,16 @@ def check_contraction(seed=42, n_states=100, n_interpolation=50):
     }
 
 
-def check_positivity_dichotomy(seed=42, n_each=25):
+def check_positivity_dichotomy(seed=42):
     """Sign of the off-diagonal coupling decides positivity, 50/50.
 
-    n_each potentials with every off-diagonal <= 0 must propagate
-    nonnegative states to min component >= -1e-10 * scale; n_each potentials
+    25 potentials with every off-diagonal <= 0 must propagate
+    nonnegative states to min component >= -1e-10 * scale; 25 potentials
     with a positive off-diagonal region must yield an explicit witness
     state/time with a component <= -1e-8 * ||f||_oo.
     """
     rng = np.random.default_rng(seed)
+    n_each = 25
     correct = 0
     records = []
     for case in range(2 * n_each):
@@ -341,19 +347,20 @@ def check_positivity_dichotomy(seed=42, n_each=25):
     }
 
 
-def check_eigenvalue_sandwich(seed=42, n_fields=5, n_increments=20, k=10):
+def check_eigenvalue_sandwich(seed=42):
     """Extremal-eigenvalue scalar operators bracket the vector spectrum.
 
-    n_fields random PSD potentials must pass the index-wise bracketing with
-    tol 1e-8 (relative); n_increments random PSD increments added to the
-    first potential must never lower any of the k lowest eigenvalues.
+    5 random PSD potentials must pass the index-wise bracketing with
+    tol 1e-8 (relative); 20 random PSD increments added to the
+    first potential must never lower any of the 10 lowest eigenvalues.
     """
     rng = np.random.default_rng(seed)
+    k = 10
     grid = build_grid(1, 1.2, 60, 2)
     diffusion = _random_diagonal_diffusion(rng, grid)
     reports = []
     potentials = []
-    for _ in range(n_fields):
+    for _ in range(5):
         potential = _random_psd_potential(rng, grid, scale=float(rng.uniform(0.5, 2.0)))
         potentials.append(potential)
         rep = sandwich_check(diffusion, potential, grid, k=k, tol_rel=1e-8, seed=seed)
@@ -364,7 +371,7 @@ def check_eigenvalue_sandwich(seed=42, n_fields=5, n_increments=20, k=10):
     ).eigenvalues
     monotone_ok = True
     worst_drop = -np.inf
-    for _ in range(n_increments):
+    for _ in range(20):
         bump = _random_psd_potential(rng, grid, scale=float(rng.uniform(0.1, 0.8)))
         perturbed = PotentialField(grid, base.samples + bump.samples)
         eigs = eigen_lowest(
@@ -385,7 +392,7 @@ def check_eigenvalue_sandwich(seed=42, n_fields=5, n_increments=20, k=10):
     }
 
 
-def check_counterexample_merge(seed=42, k=20, tol_rel=1e-8):
+def check_counterexample_merge(seed=42):
     """Coupled-copy spectra merge from scalar blocks; detuning breaks it.
 
     Each case is the gallery's ``merge`` claim; the detuned control declares
@@ -398,14 +405,14 @@ def check_counterexample_merge(seed=42, k=20, tol_rel=1e-8):
     }
     passed, detail = True, {}
     for label, problem in cases.items():
-        claim = _claim(problem, "merge", seed, k=k, tol_rel=tol_rel)
+        claim = _claim(problem, "merge", seed)
         passed = passed and claim["passed"]
         detail[f"{label}_passed"] = claim["merge_passed"]
         detail[f"{label}_max_deviation"] = claim["max_deviation"]
     return passed, detail
 
 
-def check_antisymmetric_continuity(seed=42, n_list=(1, 5, 10, 50, 100), min_tail_growth=1.3):
+def check_antisymmetric_continuity(seed=42):
     """Continuity ratios r_n increase and the tail growth r_hi / r_lo >= 1.3
     (the gallery's ``continuity_ratios`` claim).
 
@@ -413,14 +420,12 @@ def check_antisymmetric_continuity(seed=42, n_list=(1, 5, 10, 50, 100), min_tail
     Quadrature resolution is certified by step halving (any disagreement
     beyond 1% raises instead of passing silently).
     """
-    claim = _claim(
-        antisymmetric_continuity(n_list), "continuity_ratios", seed, min_tail_growth=min_tail_growth
-    )
+    claim = _claim(antisymmetric_continuity(), "continuity_ratios", seed)
     keys = ("ratios", "increasing", "tail_growth", "worst_halving_disagreement")
     return claim["passed"], {key: claim[key] for key in keys}
 
 
-def check_semigroup_structure(seed=42, n_states=5):
+def check_semigroup_structure(seed=42):
     """Identity at t=0, semigroup law, self-adjointness, Krylov agreement."""
     rng = np.random.default_rng(seed)
     grid = build_grid(1, 1.0, 300, 2)
@@ -434,7 +439,7 @@ def check_semigroup_structure(seed=42, n_states=5):
     law_worst = 0.0
     adjoint_worst = 0.0
     krylov_worst = 0.0
-    for _ in range(n_states):
+    for _ in range(5):
         f = VectorState.random(grid, rng)
         g = VectorState.random(grid, rng)
         identity_exact = identity_exact and np.array_equal(
@@ -500,16 +505,15 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, params=None, seed: int = 42) -> list:
+def run_checks(names=None, seed: int = 42) -> list:
     """Run the named checks (all by default) and collect CheckResults.
 
-    ``params`` maps check names to keyword overrides for the underlying
-    check functions.  A check that raises is recorded as failed with the
-    error message — it never aborts the remaining checks.
+    Each check runs at its pinned sizes and tolerances.  A check that raises
+    is recorded as failed with the error message — it never aborts the
+    remaining checks.
     """
     if names is None:
         names = list(CHECKS)
-    params = params or {}
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; known: {sorted(CHECKS)}")
@@ -517,7 +521,7 @@ def run_checks(names=None, params=None, seed: int = 42) -> list:
     for name in names:
         start = time.perf_counter()
         try:
-            passed, detail = CHECKS[name](seed=seed, **params.get(name, {}))
+            passed, detail = CHECKS[name](seed=seed)
         except Exception as exc:  # noqa: BLE001 - verdicts must record failures
             passed, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
         results.append(

@@ -71,21 +71,20 @@ DEFAULT_CONFIG = {
         "tol": 1e-10,
         "p_list": [1, 2, 4, "inf"],
     },
-    "probes": {"checks": None, "params": {}},
+    "probes": {"checks": None},
     "evolve": {"initial_state": {"kind": "bump"}},
     "gallery": {"name": None, "params": {}, "check": "validate"},
-    "output": {"directory": "matschrod-out", "formats": ["json", "csv", "dat"]},
+    "output": {"directory": "matschrod-out"},
 }
 
 #: enumerated settings: one choice where the default is a string, otherwise a
-#: list of choices (or null, where the default is null)
+#: nonempty list of distinct choices (or null, where the default is null)
 _CHOICES = {
     "solver.method": ("auto", "dense", "lanczos"),
     "propagator.method": ("auto", "exact-dense", "lanczos-expmv"),
     "propagator.p_list": (1, 2, 4, "inf"),
     "probes.checks": tuple(CHECKS),
     "gallery.check": ("validate", "merge"),
-    "output.formats": ("json", "csv", "dat"),
 }
 
 #: a kind key that has no default
@@ -138,7 +137,7 @@ _KIND_TYPES = {
 }
 
 #: config subtrees whose keys are not fixed by DEFAULT_CONFIG
-_OPEN_PATHS = set(_KINDS) | {"probes.params", "gallery.params"}
+_OPEN_PATHS = set(_KINDS) | {"gallery.params"}
 
 
 # -- config plumbing ----------------------------------------------------------
@@ -235,6 +234,10 @@ def _check_setting(path: str, value, default):
                 or (isinstance(value, list) and all(_is_choice(v, choices) for v in value)),
                 f"{path} entries must be one of {list(choices)}, got {value!r}",
             )
+            _expect(
+                value is None or 0 < len(value) == len(set(value)),
+                f"{path} must be a nonempty list of distinct entries, got {value!r}",
+            )
     elif isinstance(default, bool):
         _expect(isinstance(value, bool), f"{path} must be a boolean")
     elif isinstance(default, int):
@@ -290,9 +293,10 @@ def _validate_config(config: dict):
     """Check ``config`` against the schema, filling in kind defaults in place.
 
     Value ranges are left to ``GridSpec`` and ``PropagatorConfig``, apart
-    from the eigenvalue count.
+    from the seed and the eigenvalue count.
     """
     _check_section(config, DEFAULT_CONFIG)
+    _expect(config["seed"] >= 0, "seed must be a nonnegative integer")
     _expect(config["solver"]["k"] >= 1, "solver.k must be a positive integer")
 
 
@@ -545,9 +549,7 @@ def _cmd_spectrum(config: dict, outdir: Path) -> bool:
     if solver["k"] > op.dim:
         raise ConfigError(f"solver.k={solver['k']} exceeds the matrix dimension {op.dim}")
     report = eigen_lowest(op, solver["k"], tol=solver["tol"], method=solver["method"], seed=config["seed"])
-    formats = config["output"]["formats"]
-    if "csv" in formats:
-        report.to_csv(outdir / "spectrum.csv")
+    report.to_csv(outdir / "spectrum.csv")
     records = [
         {
             "name": "spectrum",
@@ -567,8 +569,7 @@ def _cmd_spectrum(config: dict, outdir: Path) -> bool:
         srep = sandwich_check(
             diffusion, potential, grid, k=solver["k"], method=solver["method"], seed=config["seed"]
         )
-        if "dat" in formats:
-            emit_plot_data(srep, "sandwich", outdir / "sandwich.dat")
+        emit_plot_data(srep, "sandwich", outdir / "sandwich.dat")
         records.append(
             {
                 "name": "sandwich",
@@ -586,18 +587,15 @@ def _cmd_evolve(config: dict, outdir: Path) -> bool:
     grid, diffusion, potential, op = _build_operator(config)
     prop = _propagator_config(config["propagator"], op)
     f0 = _initial_state(config["evolve"]["initial_state"], grid, config["seed"])
-    formats = config["output"]["formats"]
     snapshots = [(0.0, f0)] + [(t, propagate(op, f0, t, prop)) for t in prop.times]
     trace = _norm_ratio_records(op, f0, prop.p_list, snapshots[1:])
-    if "csv" in formats:
-        with open(outdir / "probes.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "p", "norm_in", "norm_out", "ratio", "guaranteed"])
-            for rec in trace:
-                writer.writerow([_jsonable(rec[c]) for c in ("t", "p", "norm_in", "norm_out", "ratio", "guaranteed")])
-        _write_snapshots(snapshots, grid, outdir / "snapshots.csv")
-    if "dat" in formats:
-        emit_plot_data(trace, "norm-traces", outdir / "norms.dat")
+    with open(outdir / "probes.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "p", "norm_in", "norm_out", "ratio", "guaranteed"])
+        for rec in trace:
+            writer.writerow([_jsonable(rec[c]) for c in ("t", "p", "norm_in", "norm_out", "ratio", "guaranteed")])
+    _write_snapshots(snapshots, grid, outdir / "snapshots.csv")
+    emit_plot_data(trace, "norm-traces", outdir / "norms.dat")
     violations = _contraction_violations(trace)
     detail = {
         "method": prop.method,
@@ -616,13 +614,12 @@ def _cmd_evolve(config: dict, outdir: Path) -> bool:
 
 
 def _cmd_verify(config: dict, outdir: Path) -> bool:
-    results = run_checks(config["probes"]["checks"], config["probes"]["params"], config["seed"])
-    if "csv" in config["output"]["formats"]:
-        with open(outdir / "probes.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check", "passed"])
-            for res in results:
-                writer.writerow([res.name, res.passed])
+    results = run_checks(config["probes"]["checks"], config["seed"])
+    with open(outdir / "probes.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["check", "passed"])
+        for res in results:
+            writer.writerow([res.name, res.passed])
     return _write_verdicts(
         [res.verdict_record() for res in results], config, "verify", outdir
     )
@@ -630,7 +627,6 @@ def _cmd_verify(config: dict, outdir: Path) -> bool:
 
 def _cmd_gallery(config: dict, outdir: Path) -> bool:
     block = config["gallery"]
-    formats = config["output"]["formats"]
     if block["name"] is None:
         _write_json(list_gallery(), outdir / "gallery.json")
         return _write_verdicts(
@@ -648,8 +644,7 @@ def _cmd_gallery(config: dict, outdir: Path) -> bool:
         if claim is None:
             raise ConfigError(f"gallery problem {problem.name!r} has no merge claim")
         report = spectrum_merge_check(problem, k=claim["k"], tol_rel=claim["tol_rel"], seed=config["seed"])
-        if "csv" in formats:
-            report.to_csv(outdir / "merge.csv")
+        report.to_csv(outdir / "merge.csv")
         records = [
             {
                 "name": f"gallery-merge-{problem.name}",
@@ -660,7 +655,7 @@ def _cmd_gallery(config: dict, outdir: Path) -> bool:
         return _write_verdicts(records, config, "gallery", outdir)
     result = validate_expected(problem, seed=config["seed"])
     continuity = result["claims"].get("continuity_ratios")
-    if "dat" in formats and continuity is not None:
+    if continuity is not None:
         n_list = problem.expected["continuity_ratios"]["n_list"]
         records = [{"n": n, "ratio": r} for n, r in zip(n_list, continuity["ratios"])]
         emit_plot_data(records, "continuity-ratios", outdir / "continuity_ratios.dat")

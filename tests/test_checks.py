@@ -1,13 +1,16 @@
-"""Regression pins for the batched form checks, check parameters, and the
-checks that report a gallery claim agreeing with that claim."""
+"""Regression pins for the batched form checks, the checks' one parameter,
+and the checks that report a gallery claim agreeing with that claim."""
+import inspect
+
 import pytest
 
 from matschrod.checks import (
+    CHECKS,
+    check_antisymmetric_continuity,
     check_beurling_denny,
     check_counterexample_merge,
     check_form_axioms,
     check_harmonic_oscillator,
-    run_checks,
 )
 from matschrod.gallery import (
     antisymmetric_continuity,
@@ -16,19 +19,20 @@ from matschrod.gallery import (
     validate_expected,
 )
 
-# Measured with the per-pair implementation (one VectorState.random draw and
-# one eval_form call per state), its worst-case fields starting at +-inf.
+# Measured at the checks' full sizes with the per-pair implementation (one
+# VectorState.random draw and one eval_form call per state), its worst-case
+# fields starting at +-inf.
 FORM_AXIOMS_SEED7 = {
-    "trials": 50,
+    "trials": 10000,
     "failures": 0,
-    "worst_accretivity_margin": 56.334725905038674,
-    "worst_symmetry_gap": 7.106113484442773e-17,
-    "worst_continuity_excess": -2.996561791146721,
+    "worst_accretivity_margin": 4.302978515945182,
+    "worst_symmetry_gap": 2.6188679333988984e-16,
+    "worst_continuity_excess": -1.7772177910234355,
 }
 BEURLING_DENNY_SEED7 = {
-    "trials": 30,
+    "trials": 1000,
     "failures": 0,
-    "min_gap": 633.7499269941707,
+    "min_gap": 0.2525377883779001,
     "max_edge_excess": 0.0,
 }
 
@@ -45,13 +49,19 @@ def _assert_pinned(passed, detail, pinned):
 
 
 def test_form_axioms_keeps_the_random_stream():
-    passed, detail = check_form_axioms(seed=7, n_configs=5, pairs_per_config=10)
+    passed, detail = check_form_axioms(seed=7)
     _assert_pinned(passed, detail, FORM_AXIOMS_SEED7)
 
 
 def test_beurling_denny_keeps_the_random_stream():
-    passed, detail = check_beurling_denny(seed=7, n_configs=3, states_per_config=10)
+    passed, detail = check_beurling_denny(seed=7)
     _assert_pinned(passed, detail, BEURLING_DENNY_SEED7)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_every_check_takes_only_the_seed(name):
+    # sizes and tolerances are pinned in each check's body, so no run can loosen a verdict
+    assert str(inspect.signature(CHECKS[name])) == "(seed=42)"
 
 
 # -- checks against the full gallery validation of the same problem ----------
@@ -59,24 +69,27 @@ def test_beurling_denny_keeps_the_random_stream():
 
 def test_antisymmetric_continuity_custom_scales_use_the_gallery_tail_pair():
     # the gallery claim's tail pair for [1, 2, 4, 8] is (4, 8), not (10, 100)
-    params = {"antisymmetric_continuity": {"n_list": [1, 2, 4, 8]}}
-    (result,) = run_checks(["antisymmetric_continuity"], params)
-    assert "error" not in result.detail
-    ratios = result.detail["ratios"]
+    claim = validate_expected(antisymmetric_continuity([1, 2, 4, 8]))["claims"]["continuity_ratios"]
+    ratios = claim["ratios"]
     assert len(ratios) == 4
-    assert result.detail["tail_growth"] == ratios[3] / ratios[2]
+    assert claim["tail_growth"] == ratios[3] / ratios[2]
+    assert claim["passed"] is True
+
+
+def test_antisymmetric_continuity_check_reports_the_gallery_claim():
     # every reported number is the full gallery validation's
-    problem = antisymmetric_continuity([1, 2, 4, 8])
-    claim = validate_expected(problem)["claims"]["continuity_ratios"]
-    assert result.passed is claim["passed"] is True
-    assert result.detail == {key: claim[key] for key in result.detail}
-    assert set(result.detail) == {"ratios", "increasing", "tail_growth", "worst_halving_disagreement"}
+    passed, detail = check_antisymmetric_continuity()
+    claim = validate_expected(antisymmetric_continuity())["claims"]["continuity_ratios"]
+    assert passed is claim["passed"] is True
+    assert detail == {key: claim[key] for key in detail}
+    assert set(detail) == {"ratios", "increasing", "tail_growth", "worst_halving_disagreement"}
 
 
 def test_harmonic_oscillator_check_reports_the_gallery_claim():
-    passed, detail = check_harmonic_oscillator(N=400)
-    claim = validate_expected(harmonic_oscillator(N=400))["claims"]["lowest_eigenvalues"]
+    passed, detail = check_harmonic_oscillator()
+    claim = validate_expected(harmonic_oscillator())["claims"]["lowest_eigenvalues"]
     assert passed is claim["passed"] is True
+    assert (detail["L"], detail["N"], detail["rtol"]) == (10.0, 2000, 5e-3)
     assert detail["eigenvalues"] == claim["computed"]
     assert detail["max_rel_error"] == claim["max_rel_error"]
 

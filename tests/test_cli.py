@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import matschrod
-from matschrod import cli
+from matschrod import checks, cli
 from matschrod import operators as operators_module
 from matschrod.checks import run_checks
 from matschrod.semigroup import _simpson
@@ -111,13 +111,6 @@ def test_spectrum_k_exceeding_dimension_is_config_error(tmp_path):
     assert rc == 2
 
 
-def test_formats_subset_suppresses_csv(tmp_path):
-    rc = cli.main(["spectrum", "--out", str(tmp_path), '--output.formats=["json"]'])
-    assert rc == 0
-    assert not (tmp_path / "spectrum.csv").exists()
-    assert (tmp_path / "verdicts.json").exists()
-
-
 # -- config errors ----------------------------------------------------------------
 
 
@@ -157,10 +150,13 @@ def test_invalid_grid_parameters_are_config_errors(tmp_path):
         (["evolve"], "--propagator.krylov_dim=30"),
         (["gallery", "--name", "degenerate_counterexample", "--check", "merge"], "--gallery.k=20"),
         (["gallery", "--name", "degenerate_counterexample", "--check", "merge"], "--gallery.tol_rel=1e-8"),
+        (["verify"], "--probes.params={}"),
+        (["spectrum"], '--output.formats=["json"]'),
     ],
 )
 def test_removed_settings_are_unknown_keys(tmp_path, capsys, command, flag):
-    # the Krylov subspace size is fixed, and the merge reads k and tol_rel from its claim
+    # the Krylov subspace size is fixed, the merge reads k and tol_rel from its
+    # claim, each check runs at its pinned sizes, and every run writes all its files
     assert cli.main(command + ["--out", str(tmp_path), flag]) == 2
     assert f"unknown config key {flag[2:].split('=')[0]!r}" in capsys.readouterr().err
 
@@ -201,7 +197,15 @@ _BAD_SETTINGS = {
     "probes.checks": _LIST_OF,
     "gallery.check": _ONE_OF,
     "output.directory": ("must be a string", [5, True, None]),
-    "output.formats": _LIST_OF,
+}
+
+#: settings of the right type whose value is out of range, or a list that is
+#: empty or repeats an entry
+_BAD_VALUES = {
+    "seed": ("must be a nonnegative integer", [-1]),
+    "solver.k": ("must be a positive integer", [0]),
+    "propagator.p_list": ("must be a nonempty list of distinct entries", [[], [2, 2], [4, 4.0]]),
+    "probes.checks": ("must be a nonempty list of distinct entries", [[], ["contraction", "contraction"]]),
 }
 
 
@@ -222,7 +226,7 @@ def test_bad_settings_table_covers_every_typed_setting():
 
 @pytest.mark.parametrize(
     "setting, value, message",
-    [(s, v, m) for s, (m, values) in _BAD_SETTINGS.items() for v in values],
+    [(s, v, m) for table in (_BAD_SETTINGS, _BAD_VALUES) for s, (m, values) in table.items() for v in values],
     ids=repr,
 )
 def test_wrongly_typed_setting_is_config_error(tmp_path, monkeypatch, capsys, setting, value, message):
@@ -243,6 +247,8 @@ def test_wrongly_typed_setting_is_config_error(tmp_path, monkeypatch, capsys, se
         "--propagator.tol=true", "--propagator.times=[true]", "--propagator.p_list=[true]",
         "--grid.d=true", "--output.directory=5",
         "--propagator.times=[Infinity]", "--propagator.times=[0.1, NaN]",
+        "--probes.checks=[]", '--probes.checks=["contraction","contraction"]',
+        "--propagator.p_list=[2,2]", "--seed=-1",
     ],
 )
 def test_wrongly_typed_flag_is_config_error(tmp_path, monkeypatch, capsys, flag):
@@ -722,14 +728,15 @@ def test_verify_subset_passes(tmp_path):
     assert lines[1] == "laplacian_spectrum,True"
 
 
-def test_verify_unattainable_tolerance_fails_honestly(tmp_path):
-    rc = cli.main(
-        [
-            "verify", "--out", str(tmp_path),
-            '--probes.checks=["laplacian_spectrum"]',
-            '--probes.params={"laplacian_spectrum": {"rtol": 1e-18}}',
-        ]
-    )
+def test_verify_unattainable_tolerance_fails_honestly(tmp_path, monkeypatch):
+    # eigenvalues off by a relative 1e-9 miss the pinned 1e-10
+    def perturbed(*args, **kwargs):
+        report = operators_module.eigen_lowest(*args, **kwargs)
+        report.eigenvalues = report.eigenvalues * (1.0 + 1e-9)
+        return report
+
+    monkeypatch.setattr(checks, "eigen_lowest", perturbed)
+    rc = cli.main(["verify", "--out", str(tmp_path), '--probes.checks=["laplacian_spectrum"]'])
     assert rc == 1
     verdicts = _read_json(tmp_path / "verdicts.json")
     assert verdicts["all_passed"] is False
@@ -875,14 +882,20 @@ def test_run_checks_unknown_name():
         run_checks(["nope"])
 
 
-def test_run_checks_records_broken_params_as_failure():
-    results = run_checks(["laplacian_spectrum"], {"laplacian_spectrum": {"bogus_kw": 1}})
-    assert len(results) == 1
+def test_run_checks_records_broken_params_as_failure(monkeypatch):
+    def broken(seed=42):
+        raise TypeError("broken check")
+
+    monkeypatch.setitem(checks.CHECKS, "laplacian_spectrum", broken)
+    results = run_checks(["laplacian_spectrum", "harmonic_oscillator"])
+    assert len(results) == 2
     assert not results[0].passed
-    assert "TypeError" in results[0].detail["error"]
+    assert results[0].detail == {"error": "TypeError: broken check"}
     record = results[0].verdict_record()
     assert record["name"] == "laplacian_spectrum"
     assert "runtime_s" not in record
+    # the failure does not stop the checks after it
+    assert results[1].name == "harmonic_oscillator" and results[1].passed is True
 
 
 # -- start-up cost -----------------------------------------------------------------------------
@@ -892,7 +905,6 @@ _SEPARABLE_EVOLVE = [
     "evolve", "--grid.d=2", "--grid.N=40", "--grid.m=2",
     '--coefficients.q={"kind":"diagonal","entries":[1.0,1.7]}',
     '--coefficients.v={"kind":"constant","matrix":[[1,-0.4],[-0.4,2]]}',
-    '--output.formats=["json"]',
 ]
 _ASSEMBLE = ["assemble", "--grid.d=2", "--grid.N=8"]
 

@@ -33,16 +33,10 @@ import numpy as np
 from .checks import CHECKS, run_checks
 from .errors import ConfigError, ConvergenceError, QuadratureError
 from .form import assemble_form
-from .gallery import (
-    GALLERY,
-    build_problem,
-    list_gallery,
-    spectrum_merge_check,
-    validate_expected,
-)
+from .gallery import GALLERY, build_problem, list_gallery, validate_expected
 from .grid import DiffusionField, PotentialField, VectorState, build_grid
 from .io import _jsonable
-from .operators import assemble_operator, eigen_lowest, sandwich_check
+from .operators import assemble_operator, eigen_lowest
 from .semigroup import (
     PropagatorConfig,
     _contraction_violations,
@@ -51,7 +45,7 @@ from .semigroup import (
     propagate,
 )
 
-__all__ = ["main", "run", "emit_plot_data", "DEFAULT_CONFIG"]
+__all__ = ["main", "run", "DEFAULT_CONFIG"]
 
 #: the schema: each plain setting must have the type of its default (a
 #: float default takes a finite positive number; ``gallery.name``, null by
@@ -64,7 +58,7 @@ DEFAULT_CONFIG = {
         "q": {"kind": "identity"},
         "v": {"kind": "zero"},
     },
-    "solver": {"k": 10, "tol": 1e-10, "method": "auto", "sandwich": False},
+    "solver": {"k": 10, "tol": 1e-10, "method": "auto"},
     "propagator": {
         "method": "auto",
         "times": [0.01, 0.1, 1.0],
@@ -73,7 +67,7 @@ DEFAULT_CONFIG = {
     },
     "probes": {"checks": None},
     "evolve": {"initial_state": {"kind": "bump"}},
-    "gallery": {"name": None, "params": {}, "check": "validate"},
+    "gallery": {"name": None, "params": {}},
     "output": {"directory": "matschrod-out"},
 }
 
@@ -84,7 +78,6 @@ _CHOICES = {
     "propagator.method": ("auto", "exact-dense", "lanczos-expmv"),
     "propagator.p_list": (1, 2, 4, "inf"),
     "probes.checks": tuple(CHECKS),
-    "gallery.check": ("validate", "merge"),
 }
 
 #: a kind key that has no default
@@ -447,40 +440,37 @@ def _write_verdicts(records: list, config: dict, subcommand: str, outdir: Path) 
     return all_passed
 
 
-def emit_plot_data(report, kind: str, path):
-    """Write a columnar .dat file (# header naming the columns).
-
-    Kinds: "sandwich" (index with the three eigenvalue series),
-    "norm-traces" (t with one max-ratio column per exponent) and
-    "continuity-ratios" (scale n with the ratio r_n).  Empty reports
-    produce a header-only file.
-    """
-    path = Path(path)
-    if kind == "sandwich":
-        lines = ["# index lower_eigenvalue vector_eigenvalue upper_eigenvalue"]
-        for n, (lo, lam, hi) in enumerate(zip(report.lower, report.eigenvalues, report.upper)):
-            lines.append(f"{n} {float(lo)!r} {float(lam)!r} {float(hi)!r}")
-    elif kind == "norm-traces":
-        records = [rec for rec in report if rec.get("ratio") is not None]
-        ps = sorted({rec["p"] for rec in records})
-        ts = sorted({rec["t"] for rec in records})
-        header = "# t " + " ".join(
-            "max_ratio_p=" + ("inf" if np.isinf(p) else f"{p:g}") for p in ps
-        )
-        lines = [header.rstrip()]
-        for t in ts:
-            cells = [repr(float(t))]
-            for p in ps:
-                ratios = [rec["ratio"] for rec in records if rec["t"] == t and rec["p"] == p]
-                cells.append(repr(max(ratios)))
-            lines.append(" ".join(cells))
-    elif kind == "continuity-ratios":
-        lines = ["# n ratio"]
-        for rec in report:
-            lines.append(f"{rec['n']} {rec['ratio']!r}")
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
+def _write_norm_traces(trace: list, path: Path):
+    """norms.dat: t with one max-ratio column per exponent; header only when
+    no record has a ratio."""
+    records = [rec for rec in trace if rec.get("ratio") is not None]
+    ps = sorted({rec["p"] for rec in records})
+    ts = sorted({rec["t"] for rec in records})
+    header = "# t " + " ".join("max_ratio_p=" + ("inf" if np.isinf(p) else f"{p:g}") for p in ps)
+    lines = [header.rstrip()]
+    for t in ts:
+        cells = [repr(float(t))]
+        for p in ps:
+            cells.append(repr(max(rec["ratio"] for rec in records if rec["t"] == t and rec["p"] == p)))
+        lines.append(" ".join(cells))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_continuity_ratios(n_list: list, ratios: list, path: Path):
+    """continuity_ratios.dat: the scale n with its ratio r_n."""
+    lines = ["# n ratio"] + [f"{n} {r!r}" for n, r in zip(n_list, ratios)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_merge(claim: dict, tol_rel: float, path: Path):
+    """merge.csv: per index the vector and merged eigenvalues, their deviation
+    and the tolerance tol_rel * (1 + |lambda_n|)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "vector_eigenvalue", "merged_eigenvalue", "deviation", "tolerance"])
+        rows = zip(claim["vector_eigenvalues"], claim["merged_eigenvalues"], claim["deviations"])
+        for n, (lam, mer, dev) in enumerate(rows):
+            writer.writerow([n, repr(lam), repr(mer), repr(dev), repr(tol_rel * (1.0 + abs(lam)))])
 
 
 #: rows of snapshots.csv joined into one string per write
@@ -544,7 +534,7 @@ def _cmd_assemble(config: dict, outdir: Path) -> bool:
 
 
 def _cmd_spectrum(config: dict, outdir: Path) -> bool:
-    grid, diffusion, potential, op = _build_operator(config)
+    _, _, _, op = _build_operator(config)
     solver = config["solver"]
     if solver["k"] > op.dim:
         raise ConfigError(f"solver.k={solver['k']} exceeds the matrix dimension {op.dim}")
@@ -563,23 +553,6 @@ def _cmd_spectrum(config: dict, outdir: Path) -> bool:
             },
         }
     ]
-    if solver["sandwich"]:
-        if not potential.psd:
-            raise ConfigError("solver.sandwich needs a PSD potential")
-        srep = sandwich_check(
-            diffusion, potential, grid, k=solver["k"], method=solver["method"], seed=config["seed"]
-        )
-        emit_plot_data(srep, "sandwich", outdir / "sandwich.dat")
-        records.append(
-            {
-                "name": "sandwich",
-                "passed": srep.passed,
-                "detail": {
-                    "max_lower_violation": srep.max_lower_violation,
-                    "max_upper_violation": srep.max_upper_violation,
-                },
-            }
-        )
     return _write_verdicts(records, config, "spectrum", outdir)
 
 
@@ -595,7 +568,7 @@ def _cmd_evolve(config: dict, outdir: Path) -> bool:
         for rec in trace:
             writer.writerow([_jsonable(rec[c]) for c in ("t", "p", "norm_in", "norm_out", "ratio", "guaranteed")])
     _write_snapshots(snapshots, grid, outdir / "snapshots.csv")
-    emit_plot_data(trace, "norm-traces", outdir / "norms.dat")
+    _write_norm_traces(trace, outdir / "norms.dat")
     violations = _contraction_violations(trace)
     detail = {
         "method": prop.method,
@@ -639,32 +612,22 @@ def _cmd_gallery(config: dict, outdir: Path) -> bool:
         problem = build_problem(block["name"], **block["params"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    if block["check"] == "merge":
-        claim = problem.expected.get("merge")
-        if claim is None:
-            raise ConfigError(f"gallery problem {problem.name!r} has no merge claim")
-        report = spectrum_merge_check(problem, k=claim["k"], tol_rel=claim["tol_rel"], seed=config["seed"])
-        report.to_csv(outdir / "merge.csv")
-        records = [
-            {
-                "name": f"gallery-merge-{problem.name}",
-                "passed": report.passed,
-                "detail": {"k": report.k, "max_deviation": float(report.deviations.max())},
-            }
-        ]
-        return _write_verdicts(records, config, "gallery", outdir)
     result = validate_expected(problem, seed=config["seed"])
-    continuity = result["claims"].get("continuity_ratios")
-    if continuity is not None:
-        n_list = problem.expected["continuity_ratios"]["n_list"]
-        records = [{"n": n, "ratio": r} for n, r in zip(n_list, continuity["ratios"])]
-        emit_plot_data(records, "continuity-ratios", outdir / "continuity_ratios.dat")
+    claims = result["claims"]
+    if "continuity_ratios" in claims:
+        _write_continuity_ratios(
+            problem.expected["continuity_ratios"]["n_list"],
+            claims["continuity_ratios"]["ratios"],
+            outdir / "continuity_ratios.dat",
+        )
+    if "merge" in claims:
+        _write_merge(claims["merge"], problem.expected["merge"]["tol_rel"], outdir / "merge.csv")
     return _write_verdicts(
         [
             {
                 "name": f"gallery-{problem.name}",
                 "passed": result["passed"],
-                "detail": result["claims"],
+                "detail": claims,
             }
         ],
         config,
@@ -699,10 +662,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, help_text in (
         ("assemble", "assemble the operator and report matrix statistics"),
-        ("spectrum", "compute the lowest eigenvalues (optionally with the sandwich brackets)"),
+        ("spectrum", "compute the lowest eigenvalues and their residual certificate"),
         ("evolve", "propagate an initial state and trace its mixed norms"),
         ("verify", "run the named theorem checks and write a verdict file"),
-        ("gallery", "list built-in problems or validate one of them"),
+        ("gallery", "list built-in problems, or validate every claim of one (--name)"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config file")
@@ -710,7 +673,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory overriding the config")
         if name == "gallery":
             p.add_argument("--name", default=None, help="gallery problem name")
-            p.add_argument("--check", default=None, choices=("validate", "merge"))
     return parser
 
 
@@ -720,11 +682,8 @@ def main(argv=None) -> int:
     try:
         overrides = _parse_override_tokens(leftover)
         config = resolve_config(args.config, overrides, seed=args.seed, out=args.out)
-        if args.subcommand == "gallery":
-            if getattr(args, "name", None) is not None:
-                config["gallery"]["name"] = args.name
-            if getattr(args, "check", None) is not None:
-                config["gallery"]["check"] = args.check
+        if args.subcommand == "gallery" and args.name is not None:
+            config["gallery"]["name"] = args.name
         return run(args.subcommand, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

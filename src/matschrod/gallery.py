@@ -22,7 +22,6 @@ silently.  The families:
 """
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -359,16 +358,6 @@ class MergeReport:
     deviations: np.ndarray
     passed: bool
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "vector_eigenvalue", "merged_eigenvalue", "deviation", "tolerance"])
-            for n, (lam, mer, dev) in enumerate(
-                zip(self.vector_eigenvalues, self.merged_eigenvalues, self.deviations)
-            ):
-                tol = self.tol_rel * (1.0 + abs(float(lam)))
-                writer.writerow([n, repr(float(lam)), repr(float(mer)), repr(float(dev)), repr(tol)])
-
 
 def spectrum_merge_check(
     problem: GalleryProblem,
@@ -582,6 +571,9 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
                 "passed": rep.passed == bool(target["passes"]),
                 "merge_passed": rep.passed,
                 "max_deviation": float(rep.deviations.max()),
+                "vector_eigenvalues": rep.vector_eigenvalues.tolist(),
+                "merged_eigenvalues": rep.merged_eigenvalues.tolist(),
+                "deviations": rep.deviations.tolist(),
             }
         elif key == "floor_offset":
             _, pot = fields()

@@ -563,7 +563,6 @@ def sandwich_check(
     grid: GridSpec,
     k: int,
     tol_rel: float = 1e-8,
-    method: str = "auto",
     seed: int = 42,
 ) -> SandwichReport:
     """Bracket the low spectrum by the extremal-eigenvalue scalar potentials.
@@ -590,7 +589,7 @@ def sandwich_check(
         else:
             vfield = PotentialField(grid, diag[:, None, None] * eye[None, :, :])
         opr = assemble_operator(assemble_form(diffusion, vfield, grid))
-        spectra.append(eigen_lowest(opr, k, method=method, seed=seed).eigenvalues)
+        spectra.append(eigen_lowest(opr, k, seed=seed).eigenvalues)
     lam, lam_lo, lam_hi = spectra
     tol = tol_rel * (1.0 + np.abs(lam))
     lo_viol = float(np.max(lam_lo - lam))

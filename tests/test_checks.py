@@ -9,6 +9,7 @@ from matschrod.checks import (
     check_antisymmetric_continuity,
     check_beurling_denny,
     check_counterexample_merge,
+    check_eigenvalue_sandwich,
     check_form_axioms,
     check_harmonic_oscillator,
 )
@@ -109,3 +110,12 @@ def test_counterexample_merge_check_reports_the_gallery_claims():
         assert detail[f"{label}_max_deviation"] == claim["max_deviation"], label
     assert detail["control_passed"] is False
 
+
+def test_eigenvalue_sandwich_brackets_are_strict():
+    # the one variable-V bracket verdict: with mu < V < nu somewhere, each bracket
+    # clears the spectrum by a margin, so the check cannot pass by comparing B with itself
+    passed, detail = check_eigenvalue_sandwich()
+    assert passed is True
+    assert detail["sandwich_passed"] == [True] * 5
+    assert detail["max_lower_violation"] <= -0.1
+    assert detail["max_upper_violation"] <= -0.1

@@ -63,27 +63,6 @@ def test_spectrum_matches_closed_form(tmp_path):
     assert detail["shift"] is None
 
 
-def test_spectrum_with_sandwich_emits_dat(tmp_path):
-    rc = cli.main(
-        [
-            "spectrum",
-            "--out", str(tmp_path),
-            "--grid.N=24", "--grid.m=2",
-            '--coefficients.v={"kind": "constant", "matrix": [[2.0, -0.5], [-0.5, 2.0]]}',
-            "--solver.k=6", "--solver.sandwich=true",
-        ]
-    )
-    assert rc == 0
-    verdicts = _read_json(tmp_path / "verdicts.json")
-    assert [r["name"] for r in verdicts["records"]] == ["spectrum", "sandwich"]
-    assert verdicts["all_passed"] is True
-    lines = (tmp_path / "sandwich.dat").read_text().strip().splitlines()
-    assert lines[0].startswith("# index")
-    assert len(lines) == 1 + 6
-    idx, lo, lam, hi = lines[1].split()
-    assert float(lo) <= float(lam) + 1e-8 and float(lam) <= float(hi) + 1e-8
-
-
 @pytest.mark.parametrize(
     "flags, method, shift",
     [
@@ -148,15 +127,18 @@ def test_invalid_grid_parameters_are_config_errors(tmp_path):
     "command, flag",
     [
         (["evolve"], "--propagator.krylov_dim=30"),
-        (["gallery", "--name", "degenerate_counterexample", "--check", "merge"], "--gallery.k=20"),
-        (["gallery", "--name", "degenerate_counterexample", "--check", "merge"], "--gallery.tol_rel=1e-8"),
+        (["gallery", "--name", "degenerate_counterexample"], "--gallery.k=20"),
+        (["gallery", "--name", "degenerate_counterexample"], "--gallery.tol_rel=1e-8"),
         (["verify"], "--probes.params={}"),
         (["spectrum"], '--output.formats=["json"]'),
+        (["spectrum"], "--solver.sandwich=true"),
+        (["gallery"], "--gallery.check=merge"),
     ],
 )
 def test_removed_settings_are_unknown_keys(tmp_path, capsys, command, flag):
     # the Krylov subspace size is fixed, the merge reads k and tol_rel from its
-    # claim, each check runs at its pinned sizes, and every run writes all its files
+    # claim, each check runs at its pinned sizes, every run writes all its files,
+    # the bracket is the eigenvalue_sandwich check's and the merge is the gallery's
     assert cli.main(command + ["--out", str(tmp_path), flag]) == 2
     assert f"unknown config key {flag[2:].split('=')[0]!r}" in capsys.readouterr().err
 
@@ -189,13 +171,11 @@ _BAD_SETTINGS = {
     "solver.k": _INT,
     "solver.tol": _FLOAT,
     "solver.method": _ONE_OF,
-    "solver.sandwich": ("must be a boolean", [1, "true", None]),
     "propagator.method": _ONE_OF,
     "propagator.times": ("must be a nonempty list of numbers", [[], [True], 0.1, [0.1, "1"]]),
     "propagator.tol": _FLOAT,
     "propagator.p_list": _LIST_OF,
     "probes.checks": _LIST_OF,
-    "gallery.check": _ONE_OF,
     "output.directory": ("must be a string", [5, True, None]),
 }
 
@@ -411,7 +391,7 @@ def test_coefficient_shape_errors_exit_2(tmp_path, capsys, flag, message):
 
 @pytest.mark.parametrize(
     "flag, missing",
-    [('--grid={"d": 1}', "['L', 'N', 'm']"), ('--solver={"k": 3}', "['method', 'sandwich', 'tol']")],
+    [('--grid={"d": 1}', "['L', 'N', 'm']"), ('--solver={"k": 3}', "['method', 'tol']")],
 )
 def test_section_flag_missing_keys_is_config_error(tmp_path, capsys, flag, missing):
     assert cli.main(["assemble", "--out", str(tmp_path), flag]) == 2
@@ -763,19 +743,36 @@ def test_gallery_list(tmp_path):
     ]
 
 
-def test_gallery_merge_subcommand(tmp_path):
+def _gallery_merge_run(tmp_path, params):
     rc = cli.main(
         [
             "gallery", "--out", str(tmp_path),
-            "--name", "degenerate_counterexample", "--check", "merge",
-            '--gallery.params={"N": 80, "L": 4.0}',
+            "--name", "degenerate_counterexample",
+            "--gallery.params=" + json.dumps(params),
         ]
     )
-    assert rc == 0
     with open(tmp_path / "merge.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
+    claim = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]["merge"]
+    return rc, rows, claim
+
+
+def test_gallery_validate_writes_merge_csv(tmp_path):
+    rc, rows, claim = _gallery_merge_run(tmp_path, {"N": 80, "L": 4.0})
+    assert rc == 0
     assert len(rows) == 20  # the claim's k
     assert all(float(r["deviation"]) <= float(r["tolerance"]) for r in rows)
+    assert [float(r["deviation"]) for r in rows] == claim["deviations"]
+    assert claim["merge_passed"] is True
+
+
+def test_gallery_detuned_merge_fails_as_its_claim_declares(tmp_path):
+    # the control's claim declares that the merge fails, so the run passes
+    rc, rows, claim = _gallery_merge_run(tmp_path, {"N": 80, "L": 4.0, "detune": 0.35})
+    assert rc == 0
+    assert any(float(r["deviation"]) > float(r["tolerance"]) for r in rows)
+    assert claim["merge_passed"] is False
+    assert claim["passed"] is True
 
 
 def test_gallery_validate_emits_continuity_dat(tmp_path):
@@ -798,11 +795,10 @@ def test_gallery_validate_emits_continuity_dat(tmp_path):
 
 def test_gallery_unknown_name_and_check(tmp_path, capsys):
     assert cli.main(["gallery", "--out", str(tmp_path), "--name", "wat"]) == 2
-    # only a problem with a merge claim can be merged
-    assert cli.main(["gallery", "--out", str(tmp_path), "--name", "harmonic_oscillator", "--check", "merge"]) == 2
-    assert "gallery problem 'harmonic_oscillator' has no merge claim" in capsys.readouterr().err
+    # validation is the one route: there is no --check argument
+    assert cli.main(["gallery", "--out", str(tmp_path), "--name", "degenerate_counterexample", "--check", "merge"]) == 2
+    assert "unrecognized argument '--check'" in capsys.readouterr().err
     assert cli.main(["gallery", "--out", str(tmp_path), "--gallery.name=[1]"]) == 2
-    assert cli.main(["gallery", "--out", str(tmp_path), "--gallery.check=bogus"]) == 2
     assert (
         cli.main(
             [
@@ -844,21 +840,16 @@ def test_resolved_config_reproduces_run_bit_for_bit(tmp_path):
     assert s1 == s2
 
 
-# -- plot data helper ------------------------------------------------------------------------
+# -- norms.dat writer ------------------------------------------------------------------------
 
 
-def test_emit_plot_data_norm_traces_empty_is_header_only(tmp_path):
+def test_norm_traces_empty_is_header_only(tmp_path):
     path = tmp_path / "empty.dat"
-    cli.emit_plot_data([], "norm-traces", path)
+    cli._write_norm_traces([], path)
     assert path.read_text() == "# t\n"
 
 
-def test_emit_plot_data_unknown_kind(tmp_path):
-    with pytest.raises(ValueError, match="unknown plot kind"):
-        cli.emit_plot_data([], "scatter", tmp_path / "x.dat")
-
-
-def test_emit_plot_data_norm_traces_columns(tmp_path):
+def test_norm_traces_columns(tmp_path):
     trace = [
         {"t": 0.1, "p": 2.0, "ratio": 0.9},
         {"t": 0.1, "p": np.inf, "ratio": 0.8},
@@ -867,7 +858,7 @@ def test_emit_plot_data_norm_traces_columns(tmp_path):
         {"t": 1.0, "p": np.inf, "ratio": None},  # skipped
     ]
     path = tmp_path / "norms.dat"
-    cli.emit_plot_data(trace, "norm-traces", path)
+    cli._write_norm_traces(trace, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "# t max_ratio_p=2 max_ratio_p=inf"
     assert lines[1].split() == ["0.1", "0.9", "0.8"]

@@ -35,7 +35,6 @@ from .errors import ConfigError, ConvergenceError, QuadratureError
 from .form import assemble_form
 from .gallery import GALLERY, build_problem, list_gallery, validate_expected
 from .grid import DiffusionField, PotentialField, VectorState, build_grid
-from .io import _jsonable
 from .operators import assemble_operator, eigen_lowest
 from .semigroup import (
     PropagatorConfig,
@@ -419,6 +418,26 @@ def _propagator_config(block: dict, op) -> PropagatorConfig:
 # -- artifact emission ---------------------------------------------------------
 
 
+def _jsonable(obj):
+    """Nested dicts/lists/arrays/numpy scalars -> JSON values; +-inf become strings."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        f = float(obj)
+        if np.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        return f
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
 def _write_json(payload, path: Path):
     with open(path, "w") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
@@ -522,7 +541,7 @@ def _cmd_assemble(config: dict, outdir: Path) -> bool:
         "ellipticity_upper": op.ellipticity_upper,
         "q_diagonal": op.q_diagonal,
         "potential_psd": op.potential_psd,
-        "potential_offdiag_max": op.potential_offdiag_max,
+        "potential_offdiag_max": op.potential.offdiag_max,
         "generator_norm_bound": op.generator_norm_bound(),
     }
     return _write_verdicts(

@@ -1,9 +1,9 @@
 """Built-in problem families, each carrying a machine-checkable fingerprint.
 
-Every problem bundles grid parameters, coefficient callables and an
-``expected`` dict of claims; ``validate_expected`` evaluates every claim with
-the solvers in this package, so nothing in a fingerprint can go stale
-silently.  The families:
+Every problem bundles grid parameters, its potential sampled at the grid's
+nodes (Q is the identity) and an ``expected`` dict of claims;
+``validate_expected`` evaluates every claim with the solvers in this package,
+so nothing in a fingerprint can go stale silently.  The families:
 
 * ``harmonic_oscillator`` — scalar benchmark with an analytic low spectrum
   (odd integers) and a sign-definite ground state.
@@ -30,15 +30,14 @@ import numpy as np
 from .errors import QuadratureError
 from .form import assemble_form
 from .grid import (
+    DiffusionField,
     GridSpec,
     PotentialField,
     VectorState,
     build_grid,
-    sample_fields,
     smooth_bump_profile,
     smooth_bump_slope,
 )
-from .io import _jsonable
 from .operators import assemble_operator, eigen_lowest, pointwise_extremal_eigs, sandwich_check
 from .semigroup import _simpson, positivity_probe
 
@@ -97,13 +96,15 @@ def coupling_eigenbasis(m: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GalleryProblem:
-    """A named problem: grid parameters, coefficients and expected claims.
+    """A named problem: grid parameters, sampled potential and expected claims.
 
-    ``expected`` maps claim names to JSON-safe claim parameters understood by
-    ``validate_expected``.  Problems with scalar-block structure additionally
-    carry the scalar factor ``v_scalar``, the exact diagonalizer
-    ``coupling_basis`` and the block multipliers c_k (the vector operator is
-    similar to the direct sum of scalar operators with potentials c_k v).
+    ``potential`` holds V at the nodes of ``grid()``; the diffusion is the
+    identity.  ``expected`` maps claim names to JSON-safe claim parameters
+    understood by ``validate_expected``.  Problems with scalar-block
+    structure additionally carry the node samples ``v_scalar`` of the scalar
+    factor v, the exact diagonalizer ``coupling_basis`` and the block
+    multipliers c_k (the vector operator is similar to the direct sum of
+    scalar operators with potentials c_k v).
     """
 
     name: str
@@ -111,11 +112,10 @@ class GalleryProblem:
     L: float
     N: int
     m: int
-    q_fn: object = field(repr=False)
-    v_fn: object = field(repr=False)
+    potential: PotentialField = field(repr=False)
     expected: dict = field(repr=False)
     notes: str = ""
-    v_scalar: object | None = field(default=None, repr=False)
+    v_scalar: np.ndarray | None = field(default=None, repr=False)
     coupling_basis: np.ndarray | None = field(default=None, repr=False)
     block_multipliers: tuple | None = None
 
@@ -123,13 +123,9 @@ class GalleryProblem:
         return build_grid(self.d, self.L, self.N, self.m)
 
 
-def _identity_q(d: int):
-    eye = np.eye(d)
-
-    def q_fn(x):
-        return eye
-
-    return q_fn
+def _identity_diffusion(grid: GridSpec) -> DiffusionField:
+    """Q = I sampled on the cell lattice of ``grid``."""
+    return DiffusionField(grid, np.broadcast_to(np.eye(grid.d), (grid.n_cells, grid.d, grid.d)))
 
 
 def harmonic_oscillator(L: float = 10.0, N: int = 2000) -> GalleryProblem:
@@ -138,14 +134,15 @@ def harmonic_oscillator(L: float = 10.0, N: int = 2000) -> GalleryProblem:
     Box truncation error is negligible for L >= 8 (the ground state decays
     like exp(-x^2/2)); smaller boxes distort the low eigenvalues.
     """
+    grid = build_grid(1, L, N, 1)
+    x = grid.axis_nodes()
     return GalleryProblem(
         name="harmonic_oscillator",
         d=1,
-        L=float(L),
-        N=int(N),
+        L=grid.L,
+        N=grid.N,
         m=1,
-        q_fn=_identity_q(1),
-        v_fn=lambda x: float(x @ x),
+        potential=PotentialField(grid, (x * x)[:, None, None]),
         expected={
             "lowest_eigenvalues": {"values": [1.0, 3.0, 5.0, 7.0, 9.0], "rtol": 5e-3},
             "eigenvalue_gap": {"value": 2.0, "count": 4, "rtol": 1e-2},
@@ -166,7 +163,8 @@ def degenerate_counterexample(
 ) -> GalleryProblem:
     """m coupled copies with potential v(x) * (complete-graph Laplacian).
 
-    The confining factor v must be nonnegative (checked sample by sample).
+    The confining factor v defaults to x^2; a callable ``v_scalar`` is
+    evaluated once per node, and a negative sample raises ValueError.
     The potential is PSD with pointwise smallest eigenvalue identically 0 —
     the sandwich lower bound degenerates to the free operator — yet the
     spectrum is the exact merge of one free scalar spectrum with m-1 copies
@@ -174,31 +172,27 @@ def degenerate_counterexample(
     detune * v(x) to the (0, 0) entry only, breaking the block structure; the
     merge claim is then expected to fail (negative control).
     """
-    if v_scalar is None:
-        v_scalar = lambda x: float(x @ x)  # noqa: E731 - default confining factor
     coupling = complete_graph_laplacian(m)
     bump = np.zeros((m, m))
     bump[0, 0] = 1.0
-
-    def checked_scalar(x):
-        value = float(v_scalar(x))
-        if value < 0:
-            raise ValueError(f"confining factor must be nonnegative, got {value:g} at x={x}")
-        return value
-
-    def v_fn(x):
-        value = checked_scalar(x)
-        return value * coupling + (detune * value) * bump
-
     detune = float(detune)
+    grid = build_grid(1, L, N, m)
+    if v_scalar is None:
+        x = grid.axis_nodes()
+        v = x * x
+    else:
+        v = np.array([float(v_scalar(x)) for x in grid.node_coords()])
+    if np.any(v < 0):
+        raise ValueError(f"confining factor must be nonnegative, got {v.min():g}")
     return GalleryProblem(
         name="degenerate_counterexample",
         d=1,
-        L=float(L),
-        N=int(N),
-        m=int(m),
-        q_fn=_identity_q(1),
-        v_fn=v_fn,
+        L=grid.L,
+        N=grid.N,
+        m=grid.m,
+        potential=PotentialField(
+            grid, v[:, None, None] * coupling + (detune * v)[:, None, None] * bump
+        ),
         expected={
             "potential_psd": True,
             "positivity_guaranteed": True,
@@ -209,7 +203,7 @@ def degenerate_counterexample(
             "PSD potential whose pointwise floor is identically zero"
             + (f"; block structure detuned by {detune:g}" if detune else "")
         ),
-        v_scalar=checked_scalar,
+        v_scalar=v,
         coupling_basis=coupling_eigenbasis(m),
         block_multipliers=(0.0,) + (float(m),) * (m - 1),
     )
@@ -228,19 +222,15 @@ def coupled_confining(L: float = 10.0, N: int = 220, m: int = 2) -> GalleryProbl
     if m < 2:
         raise ValueError(f"coupled problem needs at least 2 components, got {m}")
     coupling = -(np.ones((m, m)) - np.eye(m)) / (4.0 * (m - 1))
-    eye = np.eye(m)
-
-    def v_fn(x):
-        return (1.0 + float(x @ x)) * eye + coupling
-
+    grid = build_grid(1, L, N, m)
+    x = grid.axis_nodes()
     return GalleryProblem(
         name="coupled_confining",
         d=1,
-        L=float(L),
-        N=int(N),
-        m=int(m),
-        q_fn=_identity_q(1),
-        v_fn=v_fn,
+        L=grid.L,
+        N=grid.N,
+        m=grid.m,
+        potential=PotentialField(grid, (1.0 + x * x)[:, None, None] * np.eye(m) + coupling),
         expected={
             "potential_psd": True,
             "positivity_guaranteed": True,
@@ -265,19 +255,17 @@ def antisymmetric_continuity(n_list=(1, 5, 10, 50, 100)) -> GalleryProblem:
     if len(n_list) < 2:
         raise ValueError(f"need at least two scales for a growth claim, got {n_list}")
     tail_pair = [n_list[len(n_list) // 2], n_list[-1]]
-
-    def v_fn(x):
-        x0 = float(x[0])
-        return np.array([[0.0, -x0], [x0, 0.0]])
-
+    grid = build_grid(1, 5.0, 64, 2)
+    x = grid.axis_nodes()
+    samples = np.zeros((grid.n_nodes, 2, 2))
+    samples[:, 0, 1], samples[:, 1, 0] = -x, x
     return GalleryProblem(
         name="antisymmetric_continuity",
         d=1,
-        L=5.0,
-        N=64,
+        L=grid.L,
+        N=grid.N,
         m=2,
-        q_fn=_identity_q(1),
-        v_fn=v_fn,
+        potential=PotentialField(grid, samples),
         expected={
             "assembly_rejected": True,
             "continuity_ratios": {
@@ -308,33 +296,31 @@ def build_problem(name: str, **params) -> GalleryProblem:
 
 
 def assemble_problem(problem: GalleryProblem):
-    """Sample the coefficients and assemble the operator.
+    """Assemble the operator of the problem's samples with Q = I.
 
     Returns (operator, diffusion, potential, grid).  Raises ValueError for
     problems whose potential is legitimately rejected by assembly.
     """
     grid = problem.grid()
-    diffusion, potential = sample_fields(problem.q_fn, problem.v_fn, grid)
-    op = assemble_operator(assemble_form(diffusion, potential, grid))
-    return op, diffusion, potential, grid
+    diffusion = _identity_diffusion(grid)
+    op = assemble_operator(assemble_form(diffusion, problem.potential, grid))
+    return op, diffusion, problem.potential, grid
 
 
 def expected_record(problem: GalleryProblem) -> dict:
     """JSON-safe record of a problem's declared fingerprint."""
-    return _jsonable(
-        {
-            "name": problem.name,
-            "grid": {"d": problem.d, "L": problem.L, "N": problem.N, "m": problem.m},
-            "expected": problem.expected,
-            "block_multipliers": (
-                list(problem.block_multipliers) if problem.block_multipliers else None
-            ),
-            "coupling_basis": (
-                problem.coupling_basis.tolist() if problem.coupling_basis is not None else None
-            ),
-            "notes": problem.notes,
-        }
-    )
+    return {
+        "name": problem.name,
+        "grid": {"d": problem.d, "L": problem.L, "N": problem.N, "m": problem.m},
+        "expected": problem.expected,
+        "block_multipliers": (
+            list(problem.block_multipliers) if problem.block_multipliers else None
+        ),
+        "coupling_basis": (
+            problem.coupling_basis.tolist() if problem.coupling_basis is not None else None
+        ),
+        "notes": problem.notes,
+    }
 
 
 def list_gallery() -> list:
@@ -367,8 +353,8 @@ def spectrum_merge_check(
 ) -> MergeReport:
     """Compare the vector spectrum against the merged scalar-block spectra.
 
-    The problem must carry scalar-block structure (v_scalar and block
-    multipliers c_k): the candidate spectrum is the sorted union of the
+    The problem must carry scalar-block structure (the samples v_scalar and
+    block multipliers c_k): the candidate spectrum is the sorted union of the
     lowest k eigenvalues of each scalar operator with potential c_k v,
     repeated according to multiplicity.  Taking k from every block guarantees
     the first k merged values are exact, and they must agree index-wise with
@@ -383,14 +369,12 @@ def spectrum_merge_check(
         raise ValueError(f"need 1 <= k <= {op.dim}, got {k}")
     vector = eigen_lowest(op, k, seed=seed).eigenvalues
     scalar_grid = build_grid(problem.d, problem.L, problem.N, 1)
+    dif = _identity_diffusion(scalar_grid)
     multiplicity = Counter(problem.block_multipliers)
     block_eigs = {}
     candidates = []
     for c in sorted(multiplicity):
-        def v_block(x, _c=c):
-            return _c * problem.v_scalar(x)
-
-        dif, pot = sample_fields(problem.q_fn, v_block, scalar_grid)
+        pot = PotentialField(scalar_grid, (c * problem.v_scalar)[:, None, None])
         block_op = assemble_operator(assemble_form(dif, pot, scalar_grid))
         eigs = eigen_lowest(block_op, min(k, block_op.dim), seed=seed).eigenvalues
         block_eigs[c] = eigs
@@ -486,17 +470,12 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
     Returns {"name", "passed", "claims": {claim: {"passed", ...detail}}}.
     Unknown claim keys raise ValueError so fingerprints cannot dangle.
     """
-    grid = problem.grid()
-    state = {"fields": None, "op": None, "spectrum": None}
-
-    def fields():
-        if state["fields"] is None:
-            state["fields"] = sample_fields(problem.q_fn, problem.v_fn, grid)
-        return state["fields"]
+    grid, pot = problem.grid(), problem.potential
+    dif = _identity_diffusion(grid)
+    state = {"op": None, "spectrum": None}
 
     def operator():
         if state["op"] is None:
-            dif, pot = fields()
             state["op"] = assemble_operator(assemble_form(dif, pot, grid))
         return state["op"]
 
@@ -534,7 +513,6 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
             constant = bool(significant.min() * significant.max() > 0)
             claims[key] = {"passed": constant == bool(target), "sign_constant": constant}
         elif key == "potential_psd":
-            _, pot = fields()
             claims[key] = {
                 "passed": pot.psd == bool(target),
                 "min_eigenvalue": pot.min_eigenvalue,
@@ -542,7 +520,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
         elif key == "positivity_guaranteed":
             op = operator()
             structural = op.positivity_preserving
-            detail = {"structural": structural, "offdiag_max": op.potential_offdiag_max}
+            detail = {"structural": structural, "offdiag_max": pot.offdiag_max}
             passed = structural == bool(target)
             if structural and op.dim <= _PROBE_DIM_LIMIT:
                 probe = positivity_probe(op, [VectorState.bump(grid)], (0.01, 0.1, 1.0))
@@ -550,12 +528,10 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
                 passed = passed and probe.verdict == "positive"
             claims[key] = {"passed": passed, **detail}
         elif key == "extremal_fields":
-            _, pot = fields()
             mu, nu = pointwise_extremal_eigs(pot)
-            v_samples = np.array([problem.v_scalar(x) for x in grid.node_coords()])
             scale = 1.0 + float(np.abs(nu).max())
             floor_dev = float(np.abs(mu - target["floor"]).max())
-            ceil_dev = float(np.abs(nu - target["ceiling_multiplier"] * v_samples).max())
+            ceil_dev = float(np.abs(nu - target["ceiling_multiplier"] * problem.v_scalar).max())
             if target.get("exact", True):
                 passed = floor_dev <= 1e-10 * scale and ceil_dev <= 1e-10 * scale
             else:
@@ -576,13 +552,11 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
                 "deviations": rep.deviations.tolist(),
             }
         elif key == "floor_offset":
-            _, pot = fields()
             mu, _ = pointwise_extremal_eigs(pot)
             radii_sq = (grid.node_coords() ** 2).sum(axis=1)
             dev = float(np.abs(mu - radii_sq - target["value"]).max())
             claims[key] = {"passed": dev <= target["atol"], "max_deviation": dev}
         elif key == "sandwich":
-            dif, pot = fields()
             rep = sandwich_check(
                 dif, pot, grid, k=int(target["k"]), tol_rel=float(target["tol_rel"]), seed=seed
             )
@@ -594,7 +568,6 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
         elif key == "spread_exceeds_free":
             k = int(target["k"])
             lam = spectrum(k).eigenvalues[:k]
-            dif, _ = fields()
             free_pot = PotentialField(grid, np.zeros((grid.n_nodes, grid.m, grid.m)))
             free_op = assemble_operator(assemble_form(dif, free_pot, grid))
             free = eigen_lowest(free_op, k, seed=seed).eigenvalues

@@ -22,8 +22,9 @@ sample equal to the first), B is a Kronecker sum that the DST-I and the
 eigenvectors of V diagonalize, and ``_separable`` gives its whole spectrum in
 closed form.  The eigensolver reads the lowest k modes straight off it
 (checking their residuals against the assembled B), and the semigroup's
-``exact-separable`` propagator applies e^{-tB} through ``_separable_map``;
-both go through the one DST-I of ``_separable_basis``, on numpy's FFT alone.
+``exact-separable`` propagator applies e^{-tB} by analysis, scaling and
+synthesis; both go through the one DST-I of ``_separable_basis``, on numpy's
+FFT alone.
 Every other operator that does not go dense runs shift-invert Lanczos on a
 sparse LU of B - sigma I, certified by residuals only.  SciPy is imported
 by the functions that call it, so closed-form propagation never loads it.
@@ -33,7 +34,6 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -100,41 +100,25 @@ def _stiffness_lower_entries(grid: GridSpec, qcells: np.ndarray):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _from_assembly(path: str):
-    """Read-only attribute of the operator's ``FormAssembly``, by dotted path."""
-    getter = attrgetter(path)
-    return property(lambda self: getter(self.assembly))
-
-
-class SymmetricOperator:
-    """The operator of a ``FormAssembly``, with its sparse form matrix built on first use.
+class SymmetricOperator(FormAssembly):
+    """The operator of a form: the form itself, with its sparse matrix built on first use.
 
     ``matrix`` is the form matrix S (CSR, exactly symmetric), assembled on
     first access and cached; ``generator()`` returns B = S / h^d.  ``dim``,
-    the grid and the coefficient metadata are read from the (immutable)
-    ``assembly`` without building S, so the ``exact-separable`` propagator,
-    which reads none of S, never assembles it.  ``contracts_in(p)`` and
-    ``positivity_preserving`` state the paper's two structural guarantees;
-    every probe and verdict that gates on one reads it from here.
-    ``potential_min_eigenvalue`` is the smallest eigenvalue of the sampled V
-    over all nodes, a lower bound for the spectrum of B because the
-    diffusion part is PSD.  The dense eigendecomposition of B (dimensions
-    <= DENSE_LIMIT) and the closed form ``separable`` are cached lazily for
-    repeated solves and propagation.
+    the grid and the coefficient metadata are the form's own and need no S,
+    so the ``exact-separable`` propagator, which reads none of S, never
+    assembles it.  ``contracts_in(p)`` and ``positivity_preserving`` state the
+    paper's two structural guarantees; every probe and verdict that gates on
+    one reads it from here.  ``potential.min_eigenvalue``, the smallest
+    eigenvalue of the sampled V over all nodes, bounds the spectrum of B from
+    below because the diffusion part is PSD.  The dense eigendecomposition of
+    B (dimensions <= DENSE_LIMIT) and the closed form ``separable`` are cached
+    lazily for repeated solves and propagation.
     """
 
-    def __init__(self, assembly: FormAssembly):
-        self.assembly = assembly
-        self._generator = None
-        self._dense_eig = None
-
-    grid = _from_assembly("grid")
-    ellipticity_lower = _from_assembly("ellipticity_lower")
-    ellipticity_upper = _from_assembly("ellipticity_upper")
-    q_diagonal = _from_assembly("q_diagonal")
-    potential_psd = _from_assembly("potential_psd")
-    potential_offdiag_max = _from_assembly("potential.offdiag_max")
-    potential_min_eigenvalue = _from_assembly("potential.min_eigenvalue")
+    # caches, filled on first use
+    _generator = None
+    _dense_eig = None
 
     @property
     def dim(self) -> int:
@@ -151,12 +135,12 @@ class SymmetricOperator:
     @property
     def positivity_preserving(self) -> bool:
         """Whether e^{-tB} keeps nonnegative states nonnegative: Q diagonal, every v_ij <= 0 (i != j)."""
-        return self.q_diagonal and self.potential_offdiag_max <= 0.0
+        return self.q_diagonal and self.potential.offdiag_max <= 0.0
 
     @functools.cached_property
     def matrix(self):
         """The form matrix S, assembled on first access."""
-        return _assemble_matrix(self.assembly)
+        return _assemble_matrix(self)
 
     def generator(self):
         if self._generator is None:
@@ -215,7 +199,7 @@ def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
         raise ValueError(
             "operator assembly needs a symmetric potential (the sampled input was not)"
         )
-    return SymmetricOperator(assembly)
+    return SymmetricOperator(assembly.diffusion, assembly.potential, assembly.grid)
 
 
 def _assemble_matrix(assembly: FormAssembly):
@@ -420,7 +404,7 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     b = op.generator()
     n = op.dim
     bnorm = op.generator_norm_bound()
-    sigma = min(-1.0, op.potential_min_eigenvalue - 1.0)
+    sigma = min(-1.0, op.potential.min_eigenvalue - 1.0)
     solve = _factor_spd(b - sigma * sparse.identity(n, format="csr")).solve
     rng = np.random.default_rng(seed)
     max_dim = min(n, max(8 * k, 160))
@@ -472,7 +456,7 @@ def _separable(op: SymmetricOperator):
     mode (component c, wave numbers j_1..j_d); None for any other operator.
     The test is exact: every sample must equal the first one.
     """
-    qs, vs = op.assembly.diffusion.samples, op.assembly.potential.samples
+    qs, vs = op.diffusion.samples, op.potential.samples
     if not (op.q_diagonal and np.all(qs == qs[0]) and np.all(vs == vs[0])):
         return None
     grid = op.grid
@@ -519,16 +503,6 @@ def _separable_basis(mu, w):
         return (w @ _dst1(y, ndim).reshape(batch + (m, -1))).reshape(batch + (-1,))
 
     return analyse, synthesize
-
-
-def _separable_map(mu, w, scale):
-    """x -> g(B) x in O(n log n) from the closed form (mu, W): analysis, scale, synthesis.
-
-    ``scale`` maps the modal coefficients (shaped like mu) to their images
-    under g, e.g. a multiplication by e^{-t mu}.
-    """
-    analyse, synthesize = _separable_basis(mu, w)
-    return lambda x: synthesize(scale(analyse(x)))
 
 
 def pointwise_extremal_eigs(potential: PotentialField):

@@ -60,7 +60,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from .errors import ConvergenceError
 from .grid import VectorState, _require_same_grid, mixed_norm, smooth_bump_profile
-from .operators import DENSE_LIMIT, SymmetricOperator, _factor_spd, _lanczos, _separable_map
+from .operators import DENSE_LIMIT, SymmetricOperator, _factor_spd, _lanczos, _separable_basis
 
 __all__ = [
     "PropagatorConfig",
@@ -142,10 +142,10 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
             raise ValueError("exact-separable propagation needs one constant diagonal Q and one constant V")
         mu, w = op.separable
         _require_finite_growth(f0, t, mu.min(), config.method)
-        decay = np.exp(-t * mu)
-        y = _separable_map(mu, w, lambda z: z * decay)(x)
+        analyse, synthesize = _separable_basis(mu, w)
+        y = synthesize(analyse(x) * np.exp(-t * mu))
     else:
-        _require_finite_growth(f0, t, min(0.0, op.potential_min_eigenvalue), config.method)
+        _require_finite_growth(f0, t, min(0.0, op.potential.min_eigenvalue), config.method)
         try:
             y = _krylov_expm(op, x, t, config.tol)
         except ConvergenceError as exc:
@@ -180,7 +180,7 @@ def _krylov_expm(op, v, t, tol):
     """
     if np.linalg.norm(v) == 0.0:
         return v.copy()
-    c = min(0.0, op.potential_min_eigenvalue)  # lambda_min(B) >= c
+    c = min(0.0, op.potential.min_eigenvalue)  # lambda_min(B) >= c
     if t * op.generator_norm_bound() > (4 * _KRYLOV_DIM) ** 2:
         return _shift_invert_expm(op.generator(), v, t, c, tol)
     return _polynomial_expm(op.generator(), v, t, c, tol)
@@ -506,7 +506,7 @@ def violation_witness(op: SymmetricOperator, i: int, j: int) -> ProbeReport:
     m = op.grid.m
     if not (0 <= i < m and 0 <= j < m) or i == j:
         raise ValueError(f"need distinct component indices below {m}, got ({i}, {j})")
-    coupling = op.assembly.potential.samples[:, i, j]
+    coupling = op.potential.samples[:, i, j]
     if coupling.max() <= 0.0:
         raise ValueError(f"no node carries a positive ({i},{j}) coupling; nothing to witness")
     center = op.grid.node_coords()[int(np.argmax(coupling))]

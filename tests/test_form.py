@@ -351,6 +351,18 @@ def test_form_terms_empty_batch_and_shape_check():
         form_terms(a, np.zeros((grid.n_nodes, grid.m)), np.zeros((grid.m, grid.n_nodes)))
 
 
+def test_operator_evaluates_its_form_bit_for_bit():
+    # the operator is its form: form_terms reads the same samples either way
+    rng = np.random.default_rng(7)
+    grid = build_grid(2, 1.0, 4, 2)
+    a = _random_assembly(grid, rng, diagonal_q=False, psd_v=True)
+    op = assemble_operator(a)
+    x = rng.standard_normal((3, grid.m, grid.n_nodes))
+    y = rng.standard_normal((3, grid.m, grid.n_nodes))
+    for got, want in zip(form_terms(op, x, y), form_terms(a, x, y)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _skewed(assembly, rng):
     """Make the stored diffusion samples asymmetric, bypassing the field's checks."""
     skew = rng.standard_normal(assembly.diffusion.samples.shape)

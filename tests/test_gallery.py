@@ -7,10 +7,12 @@ import pytest
 import matschrod.gallery as gallery_module
 from matschrod import (
     GalleryProblem,
+    PotentialField,
     QuadratureError,
     antisymmetric_continuity,
     antisymmetric_continuity_demo,
     assemble_problem,
+    build_grid,
     build_problem,
     complete_graph_laplacian,
     coupled_confining,
@@ -72,9 +74,50 @@ def test_gallery_records_are_json_safe():
 
 
 def test_degenerate_rejects_negative_confining_factor():
-    problem = degenerate_counterexample(L=2.0, N=20, v_scalar=lambda x: float(x @ x) - 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        assemble_problem(problem)
+        degenerate_counterexample(L=2.0, N=20, v_scalar=lambda x: float(x @ x) - 1.0)
+
+
+def _bump(m):
+    bump = np.zeros((m, m))
+    bump[0, 0] = 1.0
+    return bump
+
+
+_COUPLED_W = -(np.ones((2, 2)) - np.eye(2)) / 4.0
+
+
+@pytest.mark.parametrize(
+    "build, formula",
+    [
+        (lambda: harmonic_oscillator(L=3.0, N=17), lambda x: [[float(x @ x)]]),
+        (
+            lambda: degenerate_counterexample(L=2.0, N=15, m=3),
+            lambda x: float(x @ x) * complete_graph_laplacian(3) + (0.0 * float(x @ x)) * _bump(3),
+        ),
+        (
+            lambda: degenerate_counterexample(L=2.0, N=15, m=2, detune=0.35),
+            lambda x: float(x @ x) * complete_graph_laplacian(2) + (0.35 * float(x @ x)) * _bump(2),
+        ),
+        (lambda: coupled_confining(L=3.0, N=13), lambda x: (1.0 + float(x @ x)) * np.eye(2) + _COUPLED_W),
+        (lambda: antisymmetric_continuity(), lambda x: np.array([[0.0, -float(x[0])], [float(x[0]), 0.0]])),
+    ],
+    ids=["harmonic", "degenerate-m3", "degenerate-detuned", "coupled", "antisymmetric"],
+)
+def test_builders_sample_their_formula_node_by_node(build, formula):
+    # the builders sample V with numpy over all nodes at once; node by node
+    # evaluation of the written-out formula gives the same bits
+    problem = build()
+    grid = problem.grid()
+    reference = PotentialField(grid, np.array([formula(x) for x in grid.node_coords()]))
+    assert problem.potential.grid == grid
+    np.testing.assert_array_equal(
+        problem.potential.samples.view(np.int64), reference.samples.view(np.int64)
+    )
+    assert problem.potential.symmetric_input == reference.symmetric_input
+    if problem.v_scalar is not None:
+        radii_sq = np.array([float(x @ x) for x in grid.node_coords()])
+        np.testing.assert_array_equal(problem.v_scalar.view(np.int64), radii_sq.view(np.int64))
 
 
 def test_antisymmetric_problem_is_rejected_by_assembly():
@@ -171,14 +214,14 @@ def test_antisym_demo_step_halving_guard(monkeypatch):
 
 
 def test_validate_expected_rejects_unknown_claims():
+    grid = build_grid(1, 1.0, 8, 1)
     problem = GalleryProblem(
         name="custom",
         d=1,
         L=1.0,
         N=8,
         m=1,
-        q_fn=lambda x: 1.0,
-        v_fn=lambda x: 0.0,
+        potential=PotentialField(grid, np.zeros((grid.n_nodes, 1, 1))),
         expected={"bogus_claim": 1},
     )
     with pytest.raises(ValueError, match="no validator for claim 'bogus_claim'"):

@@ -158,7 +158,7 @@ def test_exact_separable_matches_exact_dense(d, m, kind, q, level, t, seed, N):
     grid, op = _constant_operator(d, N, m, np.diag(q[:d]), _constant_potential(kind, m, rng, level), L=3.0)
     f = VectorState.random(grid, rng)
     got = propagate(op, f, t, PropagatorConfig(method="exact-separable"))
-    growth = np.exp(-t * min(0.0, op.potential_min_eigenvalue))
+    growth = np.exp(-t * min(0.0, op.potential.min_eigenvalue))
     assert mixed_norm(got - propagate(op, f, t, DENSE), 2) <= 1e-12 * growth * mixed_norm(f, 2)
 
 
@@ -432,7 +432,7 @@ def test_krylov_matches_dense_property(d, n_per_dim, m, t, constant_v, seed):
     config = PropagatorConfig(method="lanczos-expmv", tol=1e-10)
     stiff = t * op.generator_norm_bound() > (4 * semigroup_module._KRYLOV_DIM) ** 2
     event("shift-invert" if stiff else "polynomial")
-    growth = np.exp(t * max(0.0, -op.potential_min_eigenvalue))
+    growth = np.exp(t * max(0.0, -op.potential.min_eigenvalue))
     try:
         got = propagate(op, f, t, config)
     except ConvergenceError:

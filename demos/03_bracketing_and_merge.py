@@ -40,7 +40,7 @@ def main():
     print(f"  floor mu(x) in [{mu.min():.3f}, {mu.max():.3f}], "
           f"ceiling nu(x) in [{nu.min():.3f}, {nu.max():.3f}]")
 
-    report = sandwich_check(diffusion, potential, grid, k=8)
+    report = sandwich_check(assemble_operator(assemble_form(diffusion, potential, grid)), k=8)
     lo_margin, hi_margin = report.margins()
     print(f"  index-wise bracket lambda_n(mu I) <= lambda_n(V) <= lambda_n(nu I): "
           f"passed = {report.passed}")
@@ -55,7 +55,7 @@ def main():
     # -- complete-graph coupling: the spectrum is a merge of scalar blocks ---
     problem = build_problem("degenerate_counterexample", m=2, N=320)
     merge = spectrum_merge_check(problem, k=12)
-    print(f"complete-graph coupling v(x) = x^2, m = 2 components, N = {problem.N}")
+    print(f"complete-graph coupling v(x) = x^2, m = 2 components, N = {problem.potential.grid.N}")
     print("  block multipliers and lowest block eigenvalues:")
     for c, eigs in sorted(merge.block_eigenvalues.items()):
         head = ", ".join(f"{lam:.6f}" for lam in eigs[:4])

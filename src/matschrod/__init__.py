@@ -65,7 +65,6 @@ from .gallery import (
     MergeReport,
     antisymmetric_continuity,
     antisymmetric_continuity_demo,
-    assemble_problem,
     build_problem,
     complete_graph_laplacian,
     coupled_confining,
@@ -126,7 +125,6 @@ __all__ = [
     "MergeReport",
     "antisymmetric_continuity",
     "antisymmetric_continuity_demo",
-    "assemble_problem",
     "build_problem",
     "complete_graph_laplacian",
     "coupled_confining",

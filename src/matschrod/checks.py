@@ -158,8 +158,8 @@ def check_harmonic_oscillator(seed=42):
     problem = harmonic_oscillator()
     claim = _claim(problem, "lowest_eigenvalues", seed)
     return claim["passed"], {
-        "L": problem.L,
-        "N": problem.N,
+        "L": problem.potential.grid.L,
+        "N": problem.potential.grid.N,
         "rtol": problem.expected["lowest_eigenvalues"]["rtol"],
         "eigenvalues": claim["computed"],
         "max_rel_error": claim["max_rel_error"],
@@ -186,7 +186,7 @@ def check_form_axioms(seed=42):
         diffusion = _random_diagonal_diffusion(rng, grid)
         potential = _random_psd_potential(rng, grid, scale=float(rng.uniform(0.3, 1.5)))
         assembly = assemble_form(diffusion, potential, grid)
-        bound = 1.0 + assembly.ellipticity_upper + 1e-10
+        bound = 1.0 + diffusion.ellipticity_upper + 1e-10
         # the block draw consumes the generator exactly as pairs of
         # VectorState.random(f), VectorState.random(g) would
         states = rng.standard_normal((pairs_per_config, 2, grid.m, grid.n_nodes))
@@ -358,14 +358,12 @@ def check_eigenvalue_sandwich(seed=42):
     k = 10
     grid = build_grid(1, 1.2, 60, 2)
     diffusion = _random_diagonal_diffusion(rng, grid)
-    reports = []
-    potentials = []
+    ops = []
     for _ in range(5):
         potential = _random_psd_potential(rng, grid, scale=float(rng.uniform(0.5, 2.0)))
-        potentials.append(potential)
-        rep = sandwich_check(diffusion, potential, grid, k=k, tol_rel=1e-8, seed=seed)
-        reports.append(rep)
-    base = potentials[0]
+        ops.append(assemble_operator(assemble_form(diffusion, potential, grid)))
+    reports = [sandwich_check(op, k=k, tol_rel=1e-8, seed=seed) for op in ops]
+    base = ops[0].potential
     base_eigs = reports[0].eigenvalues
     monotone_ok = True
     worst_drop = -np.inf

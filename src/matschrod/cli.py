@@ -47,9 +47,10 @@ from .semigroup import (
 __all__ = ["main", "run", "DEFAULT_CONFIG"]
 
 #: the schema: each plain setting must have the type of its default (a
-#: float default takes a finite positive number; ``gallery.name``, null by
-#: default, is checked by ``build_problem``); a kind block holds only its
-#: kind, and ``_KINDS`` gives its other keys
+#: float default takes a finite positive number, and a tolerance at most its
+#: default; ``gallery.name``, null by default, is checked by
+#: ``build_problem``); a kind block holds only its kind, and ``_KINDS`` gives
+#: its other keys
 DEFAULT_CONFIG = {
     "seed": 42,
     "grid": {"d": 1, "L": 1.0, "N": 64, "m": 1},
@@ -285,11 +286,15 @@ def _validate_config(config: dict):
     """Check ``config`` against the schema, filling in kind defaults in place.
 
     Value ranges are left to ``GridSpec`` and ``PropagatorConfig``, apart
-    from the seed and the eigenvalue count.
+    from the seed, the eigenvalue count and the two tolerances, which a run
+    may tighten but not loosen.
     """
     _check_section(config, DEFAULT_CONFIG)
     _expect(config["seed"] >= 0, "seed must be a nonnegative integer")
     _expect(config["solver"]["k"] >= 1, "solver.k must be a positive integer")
+    for section in ("solver", "propagator"):
+        tol, default = config[section]["tol"], DEFAULT_CONFIG[section]["tol"]
+        _expect(tol <= default, f"{section}.tol must be at most its default {default!r}, got {tol!r}")
 
 
 def resolve_config(config_path, overrides, seed=None, out=None) -> dict:
@@ -397,9 +402,7 @@ def _build_operator(config: dict):
         raise ConfigError(str(exc)) from exc
     qs = _q_samples(config["coefficients"]["q"], grid)
     vs = _v_samples(config["coefficients"]["v"], grid)
-    diffusion, potential = DiffusionField(grid, qs), PotentialField(grid, vs)
-    op = assemble_operator(assemble_form(diffusion, potential, grid))
-    return grid, diffusion, potential, op
+    return assemble_operator(assemble_form(DiffusionField(grid, qs), PotentialField(grid, vs), grid))
 
 
 def _propagator_config(block: dict, op) -> PropagatorConfig:
@@ -481,6 +484,15 @@ def _write_continuity_ratios(n_list: list, ratios: list, path: Path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_spectrum(report, path: Path):
+    """spectrum.csv: per index the eigenvalue and its residual."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "eigenvalue", "residual"])
+        for k, (lam, res) in enumerate(zip(report.eigenvalues, report.residuals)):
+            writer.writerow([k, repr(float(lam)), repr(float(res))])
+
+
 def _write_merge(claim: dict, tol_rel: float, path: Path):
     """merge.csv: per index the vector and merged eigenvalues, their deviation
     and the tolerance tol_rel * (1 + |lambda_n|)."""
@@ -530,17 +542,17 @@ def _write_snapshots(snapshots: list, grid, path: Path):
 
 
 def _cmd_assemble(config: dict, outdir: Path) -> bool:
-    grid, diffusion, potential, op = _build_operator(config)
+    op = _build_operator(config)
     gap = op.matrix - op.matrix.T
     stats = {
         "dimension": op.dim,
         "nonzeros": int(op.matrix.nnz),
-        "h": grid.h,
+        "h": op.grid.h,
         "stored_symmetry_gap": float(np.abs(gap.data).max()) if gap.nnz else 0.0,
-        "ellipticity_lower": op.ellipticity_lower,
-        "ellipticity_upper": op.ellipticity_upper,
-        "q_diagonal": op.q_diagonal,
-        "potential_psd": op.potential_psd,
+        "ellipticity_lower": op.diffusion.ellipticity_lower,
+        "ellipticity_upper": op.diffusion.ellipticity_upper,
+        "q_diagonal": op.diffusion.diagonal,
+        "potential_psd": op.potential.psd,
         "potential_offdiag_max": op.potential.offdiag_max,
         "generator_norm_bound": op.generator_norm_bound(),
     }
@@ -553,12 +565,12 @@ def _cmd_assemble(config: dict, outdir: Path) -> bool:
 
 
 def _cmd_spectrum(config: dict, outdir: Path) -> bool:
-    _, _, _, op = _build_operator(config)
+    op = _build_operator(config)
     solver = config["solver"]
     if solver["k"] > op.dim:
         raise ConfigError(f"solver.k={solver['k']} exceeds the matrix dimension {op.dim}")
     report = eigen_lowest(op, solver["k"], tol=solver["tol"], method=solver["method"], seed=config["seed"])
-    report.to_csv(outdir / "spectrum.csv")
+    _write_spectrum(report, outdir / "spectrum.csv")
     records = [
         {
             "name": "spectrum",
@@ -576,9 +588,9 @@ def _cmd_spectrum(config: dict, outdir: Path) -> bool:
 
 
 def _cmd_evolve(config: dict, outdir: Path) -> bool:
-    grid, diffusion, potential, op = _build_operator(config)
+    op = _build_operator(config)
     prop = _propagator_config(config["propagator"], op)
-    f0 = _initial_state(config["evolve"]["initial_state"], grid, config["seed"])
+    f0 = _initial_state(config["evolve"]["initial_state"], op.grid, config["seed"])
     snapshots = [(0.0, f0)] + [(t, propagate(op, f0, t, prop)) for t in prop.times]
     trace = _norm_ratio_records(op, f0, prop.p_list, snapshots[1:])
     with open(outdir / "probes.csv", "w", newline="") as fh:
@@ -586,7 +598,7 @@ def _cmd_evolve(config: dict, outdir: Path) -> bool:
         writer.writerow(["t", "p", "norm_in", "norm_out", "ratio", "guaranteed"])
         for rec in trace:
             writer.writerow([_jsonable(rec[c]) for c in ("t", "p", "norm_in", "norm_out", "ratio", "guaranteed")])
-    _write_snapshots(snapshots, grid, outdir / "snapshots.csv")
+    _write_snapshots(snapshots, op.grid, outdir / "snapshots.csv")
     _write_norm_traces(trace, outdir / "norms.dat")
     violations = _contraction_violations(trace)
     detail = {

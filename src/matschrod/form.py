@@ -55,7 +55,9 @@ class FormAssembly:
     """Grid, sampled coefficients and the quadrature weights of the form.
 
     Every form quantity goes through ``form_terms``, which evaluates states
-    with any leading batch axes.  Immutable; evaluation is thread-safe.
+    with any leading batch axes.  The coefficient facts (ellipticity bounds,
+    a diagonal Q, a PSD V) are read off ``diffusion`` and ``potential``.
+    Immutable; evaluation is thread-safe.
     """
 
     def __init__(self, diffusion: DiffusionField, potential: PotentialField, grid: GridSpec):
@@ -68,10 +70,6 @@ class FormAssembly:
         self.grid = grid
         self.diffusion = diffusion
         self.potential = potential
-        self.ellipticity_lower = diffusion.ellipticity_lower
-        self.ellipticity_upper = diffusion.ellipticity_upper
-        self.q_diagonal = diffusion.diagonal
-        self.potential_psd = potential.psd
 
 
 def assemble_form(diffusion: DiffusionField, potential: PotentialField, grid: GridSpec) -> FormAssembly:
@@ -130,7 +128,7 @@ def form_norms(assembly: FormAssembly, x) -> np.ndarray:
     The gradient term is unweighted (no Q); requires a positive semidefinite
     potential, otherwise the square root may not exist.
     """
-    if not assembly.potential_psd:
+    if not assembly.potential.psd:
         raise ValueError(
             f"graph norm needs a PSD potential (smallest eigenvalue "
             f"{assembly.potential.min_eigenvalue:.3e})"

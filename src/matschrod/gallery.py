@@ -1,9 +1,9 @@
 """Built-in problem families, each carrying a machine-checkable fingerprint.
 
-Every problem bundles grid parameters, its potential sampled at the grid's
-nodes (Q is the identity) and an ``expected`` dict of claims;
-``validate_expected`` evaluates every claim with the solvers in this package,
-so nothing in a fingerprint can go stale silently.  The families:
+Every problem bundles its potential sampled at the nodes of its grid (Q is
+the identity), the operator of that potential and an ``expected`` dict of
+claims; ``validate_expected`` evaluates every claim with the solvers in this
+package, so nothing in a fingerprint can go stale silently.  The families:
 
 * ``harmonic_oscillator`` — scalar benchmark with an analytic low spectrum
   (odd integers) and a sign-definite ground state.
@@ -22,8 +22,9 @@ so nothing in a fingerprint can go stale silently.  The families:
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,7 +53,6 @@ __all__ = [
     "coupled_confining",
     "antisymmetric_continuity",
     "build_problem",
-    "assemble_problem",
     "expected_record",
     "list_gallery",
     "spectrum_merge_check",
@@ -96,22 +96,19 @@ def coupling_eigenbasis(m: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GalleryProblem:
-    """A named problem: grid parameters, sampled potential and expected claims.
+    """A named problem: sampled potential, its operator and expected claims.
 
-    ``potential`` holds V at the nodes of ``grid()``; the diffusion is the
-    identity.  ``expected`` maps claim names to JSON-safe claim parameters
-    understood by ``validate_expected``.  Problems with scalar-block
-    structure additionally carry the node samples ``v_scalar`` of the scalar
-    factor v, the exact diagonalizer ``coupling_basis`` and the block
-    multipliers c_k (the vector operator is similar to the direct sum of
-    scalar operators with potentials c_k v).
+    ``potential`` holds V at the nodes of ``potential.grid``, the problem's
+    one grid; the diffusion is the identity, and ``operator`` is the
+    assembled operator.  ``expected`` maps claim names to JSON-safe claim
+    parameters understood by ``validate_expected``.  Problems with
+    scalar-block structure additionally carry the node samples ``v_scalar``
+    of the scalar factor v, the exact diagonalizer ``coupling_basis`` and the
+    block multipliers c_k (the vector operator is similar to the direct sum
+    of scalar operators with potentials c_k v).
     """
 
     name: str
-    d: int
-    L: float
-    N: int
-    m: int
     potential: PotentialField = field(repr=False)
     expected: dict = field(repr=False)
     notes: str = ""
@@ -119,8 +116,15 @@ class GalleryProblem:
     coupling_basis: np.ndarray | None = field(default=None, repr=False)
     block_multipliers: tuple | None = None
 
-    def grid(self) -> GridSpec:
-        return build_grid(self.d, self.L, self.N, self.m)
+    @functools.cached_property
+    def operator(self):
+        """The operator of ``potential`` with Q = I, assembled once and cached.
+
+        Raises ValueError for a potential that assembly rejects; an exception
+        is not cached, so every access raises it again.
+        """
+        grid = self.potential.grid
+        return assemble_operator(assemble_form(_identity_diffusion(grid), self.potential, grid))
 
 
 def _identity_diffusion(grid: GridSpec) -> DiffusionField:
@@ -138,10 +142,6 @@ def harmonic_oscillator(L: float = 10.0, N: int = 2000) -> GalleryProblem:
     x = grid.axis_nodes()
     return GalleryProblem(
         name="harmonic_oscillator",
-        d=1,
-        L=grid.L,
-        N=grid.N,
-        m=1,
         potential=PotentialField(grid, (x * x)[:, None, None]),
         expected={
             "lowest_eigenvalues": {"values": [1.0, 3.0, 5.0, 7.0, 9.0], "rtol": 5e-3},
@@ -186,10 +186,6 @@ def degenerate_counterexample(
         raise ValueError(f"confining factor must be nonnegative, got {v.min():g}")
     return GalleryProblem(
         name="degenerate_counterexample",
-        d=1,
-        L=grid.L,
-        N=grid.N,
-        m=grid.m,
         potential=PotentialField(
             grid, v[:, None, None] * coupling + (detune * v)[:, None, None] * bump
         ),
@@ -226,10 +222,6 @@ def coupled_confining(L: float = 10.0, N: int = 220, m: int = 2) -> GalleryProbl
     x = grid.axis_nodes()
     return GalleryProblem(
         name="coupled_confining",
-        d=1,
-        L=grid.L,
-        N=grid.N,
-        m=grid.m,
         potential=PotentialField(grid, (1.0 + x * x)[:, None, None] * np.eye(m) + coupling),
         expected={
             "potential_psd": True,
@@ -261,10 +253,6 @@ def antisymmetric_continuity(n_list=(1, 5, 10, 50, 100)) -> GalleryProblem:
     samples[:, 0, 1], samples[:, 1, 0] = -x, x
     return GalleryProblem(
         name="antisymmetric_continuity",
-        d=1,
-        L=grid.L,
-        N=grid.N,
-        m=2,
         potential=PotentialField(grid, samples),
         expected={
             "assembly_rejected": True,
@@ -295,23 +283,12 @@ def build_problem(name: str, **params) -> GalleryProblem:
     return GALLERY[name](**params)
 
 
-def assemble_problem(problem: GalleryProblem):
-    """Assemble the operator of the problem's samples with Q = I.
-
-    Returns (operator, diffusion, potential, grid).  Raises ValueError for
-    problems whose potential is legitimately rejected by assembly.
-    """
-    grid = problem.grid()
-    diffusion = _identity_diffusion(grid)
-    op = assemble_operator(assemble_form(diffusion, problem.potential, grid))
-    return op, diffusion, problem.potential, grid
-
-
 def expected_record(problem: GalleryProblem) -> dict:
     """JSON-safe record of a problem's declared fingerprint."""
+    grid = problem.potential.grid
     return {
         "name": problem.name,
-        "grid": {"d": problem.d, "L": problem.L, "N": problem.N, "m": problem.m},
+        "grid": {"d": grid.d, "L": grid.L, "N": grid.N, "m": grid.m},
         "expected": problem.expected,
         "block_multipliers": (
             list(problem.block_multipliers) if problem.block_multipliers else None
@@ -364,11 +341,11 @@ def spectrum_merge_check(
         raise ValueError(
             f"problem {problem.name!r} has no scalar-block structure to merge against"
         )
-    op, _, _, _ = assemble_problem(problem)
+    op = problem.operator
     if k < 1 or k > op.dim:
         raise ValueError(f"need 1 <= k <= {op.dim}, got {k}")
     vector = eigen_lowest(op, k, seed=seed).eigenvalues
-    scalar_grid = build_grid(problem.d, problem.L, problem.N, 1)
+    scalar_grid = replace(op.grid, m=1)
     dif = _identity_diffusion(scalar_grid)
     multiplicity = Counter(problem.block_multipliers)
     block_eigs = {}
@@ -470,18 +447,12 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
     Returns {"name", "passed", "claims": {claim: {"passed", ...detail}}}.
     Unknown claim keys raise ValueError so fingerprints cannot dangle.
     """
-    grid, pot = problem.grid(), problem.potential
-    dif = _identity_diffusion(grid)
-    state = {"op": None, "spectrum": None}
-
-    def operator():
-        if state["op"] is None:
-            state["op"] = assemble_operator(assemble_form(dif, pot, grid))
-        return state["op"]
+    pot, grid = problem.potential, problem.potential.grid
+    state = {"spectrum": None}
 
     def spectrum(k):
         if state["spectrum"] is None or len(state["spectrum"].eigenvalues) < k:
-            state["spectrum"] = eigen_lowest(operator(), k, seed=seed)
+            state["spectrum"] = eigen_lowest(problem.operator, k, seed=seed)
         return state["spectrum"]
 
     claims = {}
@@ -518,7 +489,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
                 "min_eigenvalue": pot.min_eigenvalue,
             }
         elif key == "positivity_guaranteed":
-            op = operator()
+            op = problem.operator
             structural = op.positivity_preserving
             detail = {"structural": structural, "offdiag_max": pot.offdiag_max}
             passed = structural == bool(target)
@@ -558,7 +529,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
             claims[key] = {"passed": dev <= target["atol"], "max_deviation": dev}
         elif key == "sandwich":
             rep = sandwich_check(
-                dif, pot, grid, k=int(target["k"]), tol_rel=float(target["tol_rel"]), seed=seed
+                problem.operator, k=int(target["k"]), tol_rel=float(target["tol_rel"]), seed=seed
             )
             claims[key] = {
                 "passed": rep.passed,
@@ -569,7 +540,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
             k = int(target["k"])
             lam = spectrum(k).eigenvalues[:k]
             free_pot = PotentialField(grid, np.zeros((grid.n_nodes, grid.m, grid.m)))
-            free_op = assemble_operator(assemble_form(dif, free_pot, grid))
+            free_op = assemble_operator(assemble_form(problem.operator.diffusion, free_pot, grid))
             free = eigen_lowest(free_op, k, seed=seed).eigenvalues
             spread = float(lam[k - 1] - lam[0])
             free_spread = float(free[k - 1] - free[0])
@@ -580,7 +551,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
             }
         elif key == "assembly_rejected":
             try:
-                operator()
+                problem.operator
             except ValueError as exc:
                 claims[key] = {"passed": bool(target), "message": str(exc)}
             else:

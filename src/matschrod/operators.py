@@ -31,7 +31,6 @@ by the functions that call it, so closed-form propagation never loads it.
 """
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .form import FormAssembly, assemble_form
-from .grid import DiffusionField, GridSpec, PotentialField, _require_same_grid
+from .grid import GridSpec, PotentialField
 
 __all__ = [
     "SymmetricOperator",
@@ -130,12 +129,12 @@ class SymmetricOperator(FormAssembly):
         For p in {1, inf} that makes the semigroup sub-Markovian; p = 4 then
         follows by interpolation between 2 and inf.
         """
-        return self.potential_psd and (p == 2.0 or self.q_diagonal)
+        return self.potential.psd and (p == 2.0 or self.diffusion.diagonal)
 
     @property
     def positivity_preserving(self) -> bool:
         """Whether e^{-tB} keeps nonnegative states nonnegative: Q diagonal, every v_ij <= 0 (i != j)."""
-        return self.q_diagonal and self.potential.offdiag_max <= 0.0
+        return self.diffusion.diagonal and self.potential.offdiag_max <= 0.0
 
     @functools.cached_property
     def matrix(self):
@@ -249,13 +248,6 @@ class SpectrumReport:
     matrix_norm: float
     shift: float | None = None
     eigenvectors: np.ndarray | None = field(default=None, repr=False)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "eigenvalue", "residual"])
-            for k, (lam, res) in enumerate(zip(self.eigenvalues, self.residuals)):
-                writer.writerow([k, repr(float(lam)), repr(float(res))])
 
 
 def eigen_lowest(
@@ -457,7 +449,7 @@ def _separable(op: SymmetricOperator):
     The test is exact: every sample must equal the first one.
     """
     qs, vs = op.diffusion.samples, op.potential.samples
-    if not (op.q_diagonal and np.all(qs == qs[0]) and np.all(vs == vs[0])):
+    if not (op.diffusion.diagonal and np.all(qs == qs[0]) and np.all(vs == vs[0])):
         return None
     grid = op.grid
     lam, w = np.linalg.eigh(vs[0])
@@ -532,17 +524,12 @@ class SandwichReport:
 
 
 def sandwich_check(
-    diffusion: DiffusionField,
-    potential: PotentialField,
-    grid: GridSpec,
-    k: int,
-    tol_rel: float = 1e-8,
-    seed: int = 42,
+    op: SymmetricOperator, k: int, tol_rel: float = 1e-8, seed: int = 42
 ) -> SandwichReport:
-    """Bracket the low spectrum by the extremal-eigenvalue scalar potentials.
+    """Bracket the low spectrum of ``op`` by its extremal-eigenvalue scalar potentials.
 
-    Builds the vector operator for V plus the two vector-diagonal operators
-    with potentials mu(x) I and nu(x) I (mu/nu the pointwise smallest/largest
+    Builds the two vector-diagonal operators with the diffusion of ``op`` and
+    potentials mu(x) I and nu(x) I (mu/nu the pointwise smallest/largest
     eigenvalue of V) and checks, index by index with multiplicity,
 
         lambda_n(mu) - tol <= lambda_n(V) <= lambda_n(nu) + tol,
@@ -551,18 +538,12 @@ def sandwich_check(
     ordered (mu <= V <= nu pointwise), so the bracketing is a min-max
     consequence on the shared space.  Requires a PSD potential.
     """
-    _require_same_grid(grid, diffusion.grid, potential.grid)
-    if not potential.psd:
+    if not op.potential.psd:
         raise ValueError("sandwich comparison needs a PSD potential")
-    mu, nu = pointwise_extremal_eigs(potential)
-    eye = np.eye(grid.m)
-    spectra = []
-    for diag in (None, mu, nu):
-        if diag is None:
-            vfield = potential
-        else:
-            vfield = PotentialField(grid, diag[:, None, None] * eye[None, :, :])
-        opr = assemble_operator(assemble_form(diffusion, vfield, grid))
+    spectra = [eigen_lowest(op, k, seed=seed).eigenvalues]
+    for diag in pointwise_extremal_eigs(op.potential):
+        scalar = PotentialField(op.grid, diag[:, None, None] * np.eye(op.grid.m))
+        opr = assemble_operator(assemble_form(op.diffusion, scalar, op.grid))
         spectra.append(eigen_lowest(opr, k, seed=seed).eigenvalues)
     lam, lam_lo, lam_hi = spectra
     tol = tol_rel * (1.0 + np.abs(lam))

@@ -85,6 +85,18 @@ def test_spectrum_verdict_echoes_the_lanczos_solve(tmp_path, flags, method, shif
         np.testing.assert_allclose(detail["eigenvalues"][1:3], [-37.67, -37.67], atol=5e-3)
 
 
+def test_spectrum_csv_roundtrip(tmp_path):
+    op = cli._build_operator(cli.resolve_config(None, [("grid.N", 20)]))
+    report = matschrod.eigen_lowest(op, 5)
+    path = tmp_path / "spectrum.csv"
+    cli._write_spectrum(report, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "eigenvalue", "residual"]
+    values = np.array([float(r[1]) for r in rows[1:]])
+    np.testing.assert_array_equal(values, report.eigenvalues)  # repr() is lossless
+
+
 def test_spectrum_k_exceeding_dimension_is_config_error(tmp_path):
     rc = cli.main(["spectrum", "--out", str(tmp_path), "--grid.N=8", "--solver.k=100"])
     assert rc == 2
@@ -184,6 +196,8 @@ _BAD_SETTINGS = {
 _BAD_VALUES = {
     "seed": ("must be a nonnegative integer", [-1]),
     "solver.k": ("must be a positive integer", [0]),
+    "solver.tol": ("must be at most its default 1e-10", [1e-9, 0.9]),
+    "propagator.tol": ("must be at most its default 1e-10", [1e-6, 0.5]),
     "propagator.p_list": ("must be a nonempty list of distinct entries", [[], [2, 2], [4, 4.0]]),
     "probes.checks": ("must be a nonempty list of distinct entries", [[], ["contraction", "contraction"]]),
 }
@@ -218,6 +232,23 @@ def test_wrongly_typed_setting_is_config_error(tmp_path, monkeypatch, capsys, se
     config.write_text(json.dumps({section: {key: value}} if section else {key: value}))
     assert cli.main(["assemble", "--config", str(config)]) == 2
     assert f"{setting} {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        (["spectrum", "--grid.d=2", "--grid.N=30", "--grid.L=5", "--coefficients.v.kind=harmonic",
+          "--coefficients.v.scale=1", "--solver.k=6", "--solver.method=lanczos", "--solver.tol=0.9"],
+         "solver.tol"),
+        (["evolve", "--grid.d=2", "--grid.N=60", "--grid.L=5", "--coefficients.v.kind=harmonic",
+          "--coefficients.v.scale=1", "--propagator.tol=0.5"], "propagator.tol"),
+    ],
+    ids=["spectrum", "evolve"],
+)
+def test_loosened_tolerance_exits_2(tmp_path, capsys, command, setting):
+    # a looser tolerance let both runs pass with answers far from the default run's
+    assert cli.main(command + ["--out", str(tmp_path)]) == 2
+    assert f"config error: {setting} must be at most its default 1e-10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -367,11 +398,11 @@ def test_coefficient_kinds_match_per_point_sampling_bit_for_bit(d, N, m):
         config = cli.resolve_config(
             None, grid_flags + [("coefficients.q", q_block), ("coefficients.v", v_block)]
         )
-        grid, diffusion, potential, _ = cli._build_operator(config)
-        ref_q, ref_v = matschrod.sample_fields(_point_q_fn(q_block, d), _point_v_fn(v_block, m), grid)
-        assert np.array_equal(diffusion.samples, ref_q.samples), q_block
-        assert np.array_equal(potential.samples, ref_v.samples), v_block
-        assert not diffusion.samples.flags.writeable and not potential.samples.flags.writeable
+        op = cli._build_operator(config)
+        ref_q, ref_v = matschrod.sample_fields(_point_q_fn(q_block, d), _point_v_fn(v_block, m), op.grid)
+        assert np.array_equal(op.diffusion.samples, ref_q.samples), q_block
+        assert np.array_equal(op.potential.samples, ref_v.samples), v_block
+        assert not op.diffusion.samples.flags.writeable and not op.potential.samples.flags.writeable
 
 
 @pytest.mark.parametrize(

@@ -134,7 +134,7 @@ def test_continuity_bound_random_sweep():
         a = assemble_form(
             _random_spd_diffusion(grid, rng), _random_psd_potential(grid, rng), grid
         )
-        bound = 1.0 + a.ellipticity_upper + 1e-10
+        bound = 1.0 + a.diffusion.ellipticity_upper + 1e-10
         for _ in range(20):
             f = VectorState.random(grid, rng)
             g = VectorState.random(grid, rng)
@@ -314,7 +314,7 @@ def test_batched_form_matches_single_states(d, m, n_per_dim, rows, cols, diagona
     y = rng.standard_normal((1, cols, m, grid.n_nodes))
     energy, gradient, potential = form_terms(a, x, y)
     assert energy.shape == gradient.shape == potential.shape == (rows, cols)
-    if a.potential_psd:
+    if a.potential.psd:
         norms_x, norms_y = form_norms(a, x), form_norms(a, y)
         ratios = continuity_ratios(a, x, y)
         assert norms_x.shape == (rows, 1) and ratios.shape == (rows, cols)
@@ -331,7 +331,7 @@ def test_batched_form_matches_single_states(d, m, n_per_dim, rows, cols, diagona
             assert abs(energy[i, j] - eval_form(a, f, g)) <= tol
             assert abs(gradient[i, j] - f.flat() @ free @ g.flat()) <= tol
             assert abs(potential[i, j] - _potential_energy(a, f, g)) <= tol
-            if not a.potential_psd:
+            if not a.potential.psd:
                 continue
             nf, ng = form_norm(a, f), form_norm(a, g)
             graph_sq = mixed_norm(f, 2) ** 2 + f.flat() @ free @ f.flat() + _potential_energy(a, f, f)

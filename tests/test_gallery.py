@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import matschrod.gallery as gallery_module
+import matschrod.operators as operators_module
 from matschrod import (
     GalleryProblem,
     PotentialField,
     QuadratureError,
     antisymmetric_continuity,
     antisymmetric_continuity_demo,
-    assemble_problem,
     build_grid,
     build_problem,
     complete_graph_laplacian,
@@ -57,7 +57,7 @@ def test_coupling_eigenbasis_diagonalizes_exactly():
 
 def test_build_problem_lookup_and_params():
     problem = build_problem("harmonic_oscillator", N=100, L=6.0)
-    assert problem.N == 100 and problem.L == 6.0
+    assert problem.potential.grid == build_grid(1, 6.0, 100, 1)
     with pytest.raises(ValueError, match="unknown gallery problem"):
         build_problem("hydrogen")
 
@@ -108,9 +108,8 @@ def test_builders_sample_their_formula_node_by_node(build, formula):
     # the builders sample V with numpy over all nodes at once; node by node
     # evaluation of the written-out formula gives the same bits
     problem = build()
-    grid = problem.grid()
+    grid = problem.potential.grid
     reference = PotentialField(grid, np.array([formula(x) for x in grid.node_coords()]))
-    assert problem.potential.grid == grid
     np.testing.assert_array_equal(
         problem.potential.samples.view(np.int64), reference.samples.view(np.int64)
     )
@@ -121,8 +120,39 @@ def test_builders_sample_their_formula_node_by_node(build, formula):
 
 
 def test_antisymmetric_problem_is_rejected_by_assembly():
-    with pytest.raises(ValueError, match="symmetric"):
-        assemble_problem(antisymmetric_continuity())
+    # an exception is not cached: every access assembles and raises again
+    problem = antisymmetric_continuity()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="symmetric"):
+            problem.operator
+
+
+def test_problem_assembles_its_operator_once():
+    problem = coupled_confining(L=3.0, N=13)
+    op = problem.operator
+    assert op is problem.operator
+    assert op.grid == problem.potential.grid and op.potential is problem.potential
+    assert op.diffusion.diagonal and np.all(op.diffusion.samples == np.eye(1))
+
+
+@pytest.mark.parametrize(
+    "build, assemblies",
+    [(coupled_confining, 4), (degenerate_counterexample, 3)],
+    ids=["coupled_confining", "degenerate_counterexample"],
+)
+def test_validate_expected_assembles_each_operator_once(monkeypatch, build, assemblies):
+    # coupled_confining: its operator plus the sandwich's mu I and nu I and the
+    # free operator; degenerate_counterexample: its operator plus two scalar blocks
+    calls = []
+    assemble = operators_module._assemble_matrix
+
+    def spy(assembly):
+        calls.append(assembly)
+        return assemble(assembly)
+
+    monkeypatch.setattr(operators_module, "_assemble_matrix", spy)
+    assert validate_expected(build())["passed"]
+    assert len(calls) == assemblies
 
 
 # -- spectral merge -------------------------------------------------------------------
@@ -217,10 +247,6 @@ def test_validate_expected_rejects_unknown_claims():
     grid = build_grid(1, 1.0, 8, 1)
     problem = GalleryProblem(
         name="custom",
-        d=1,
-        L=1.0,
-        N=8,
-        m=1,
         potential=PotentialField(grid, np.zeros((grid.n_nodes, 1, 1))),
         expected={"bogus_claim": 1},
     )

@@ -1,5 +1,4 @@
 """Sparse matrix assembly, eigensolvers, and the scalar sandwich bracket."""
-import csv
 
 import numpy as np
 import pytest
@@ -524,18 +523,6 @@ def test_only_non_separable_operators_are_factored(monkeypatch, q, v_fn, factore
     assert report.method == ("lanczos" if factored else "separable")
 
 
-def test_spectrum_report_csv_roundtrip(tmp_path):
-    _, op = _free_operator(N=20)
-    report = eigen_lowest(op, 5)
-    path = tmp_path / "spectrum.csv"
-    report.to_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["index", "eigenvalue", "residual"]
-    values = np.array([float(r[1]) for r in rows[1:]])
-    np.testing.assert_array_equal(values, report.eigenvalues)  # repr() is lossless
-
-
 # -- the tridiagonal path ----------------------------------------------------------
 
 
@@ -643,7 +630,7 @@ def test_sandwich_degenerate_scalar_multiple():
     # V = c I: mu = nu = c, all three spectra are assembled identically
     grid = build_grid(1, 1.0, 30, 2)
     dif, pot = sample_fields(lambda x: 1.0, lambda x: 0.8 * np.eye(2), grid)
-    report = sandwich_check(dif, pot, grid, k=6)
+    report = sandwich_check(assemble_operator(assemble_form(dif, pot, grid)), k=6)
     assert report.passed
     np.testing.assert_allclose(report.lower, report.eigenvalues, rtol=1e-13)
     np.testing.assert_allclose(report.upper, report.eigenvalues, rtol=1e-13)
@@ -656,8 +643,11 @@ def test_sandwich_brackets_coupled_potential():
         lambda x: np.array([[1.5 + x[0] ** 2, 0.4], [0.4, 1.0]]),
         grid,
     )
-    report = sandwich_check(dif, pot, grid, k=8)
+    op = assemble_operator(assemble_form(dif, pot, grid))
+    report = sandwich_check(op, k=8)
     assert report.passed
+    # the bracketed spectrum is the operator's own, bit for bit
+    assert report.eigenvalues.tobytes() == eigen_lowest(op, 8).eigenvalues.tobytes()
     lo_margin, hi_margin = report.margins()
     assert np.all(lo_margin >= -report.tol_rel * (1 + np.abs(report.eigenvalues)))
     assert np.all(hi_margin >= -report.tol_rel * (1 + np.abs(report.eigenvalues)))
@@ -669,4 +659,4 @@ def test_sandwich_rejects_indefinite_potential():
     grid = build_grid(1, 1.0, 10, 2)
     dif, pot = sample_fields(lambda x: 1.0, lambda x: -np.eye(2), grid)
     with pytest.raises(ValueError, match="PSD"):
-        sandwich_check(dif, pot, grid, k=3)
+        sandwich_check(assemble_operator(assemble_form(dif, pot, grid)), k=3)

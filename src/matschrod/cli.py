@@ -543,12 +543,11 @@ def _write_snapshots(snapshots: list, grid, path: Path):
 
 def _cmd_assemble(config: dict, outdir: Path) -> bool:
     op = _build_operator(config)
-    gap = op.matrix - op.matrix.T
     stats = {
         "dimension": op.dim,
         "nonzeros": int(op.matrix.nnz),
         "h": op.grid.h,
-        "stored_symmetry_gap": float(np.abs(gap.data).max()) if gap.nnz else 0.0,
+        "stored_symmetry_gap": op.matrix.symmetry_gap(),
         "ellipticity_lower": op.diffusion.ellipticity_lower,
         "ellipticity_upper": op.diffusion.ellipticity_upper,
         "q_diagonal": op.diffusion.diagonal,

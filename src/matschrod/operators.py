@@ -1,4 +1,4 @@
-"""Sparse assembly of the operator and its low spectrum.
+"""Assembly of the operator and its low spectrum.
 
 Two scalings live side by side and must not be confused:
 
@@ -15,7 +15,11 @@ identity the two share eigenvectors.
 
 Assembly accumulates only the lower triangle and mirrors it afterwards
 (S = L + L^T - diag L), which keeps S exactly symmetric in its stored
-entries — no floating-point symmetrization is ever applied.
+entries — no floating-point symmetrization is ever applied.  S and B are
+``FormMatrix`` objects: canonical CSR arrays built and multiplied with numpy
+alone, to the bit as SciPy builds and multiplies them.  Their
+``tosparse()`` SciPy view serves the paths that load SciPy anyway: the
+sparse LU, the Lanczos eigensolver and the Krylov propagators.
 
 When Q is one constant diagonal matrix and V one constant matrix (every
 sample equal to the first), B is a Kronecker sum that the DST-I and the
@@ -27,7 +31,8 @@ synthesis; both go through the one DST-I of ``_separable_basis``, on numpy's
 FFT alone.
 Every other operator that does not go dense runs shift-invert Lanczos on a
 sparse LU of B - sigma I, certified by residuals only.  SciPy is imported
-by the functions that call it, so closed-form propagation never loads it.
+by the functions that call it, so ``matschrod assemble``, the closed-form
+spectrum and closed-form propagation never load it.
 """
 from __future__ import annotations
 
@@ -71,7 +76,8 @@ def _stiffness_lower_entries(grid: GridSpec, qcells: np.ndarray):
     (f(b+e_j) - f(b)); expanding gives four index pairs per (i, j).  Entries
     whose row index is below the column index are dropped — their mirror
     twins carry bit-identical values because Q is stored symmetric — and
-    endpoints on the boundary are dropped against the implicit zeros.
+    endpoints on the boundary are dropped against the implicit zeros, as
+    are the cross terms (i != j) of a Q whose q_ij vanishes in every cell.
     """
     N, d, h = grid.N, grid.d, grid.h
     base = np.indices((N + 1,) * d).reshape(d, -1)  # padded coords of cell corners
@@ -85,6 +91,8 @@ def _stiffness_lower_entries(grid: GridSpec, qcells: np.ndarray):
     shifts = np.eye(d, dtype=int)[:, :, None]
     for i in range(d):
         for j in range(d):
+            if i != j and not np.any(qcells[:, i, j]):
+                continue  # its entries are all +-0, which add nothing to any sum
             w = h ** (d - 2) * qcells[:, i, j]
             ends_i = ((base + shifts[i], 1.0), (base, -1.0))
             ends_j = ((base + shifts[j], 1.0), (base, -1.0))
@@ -99,11 +107,99 @@ def _stiffness_lower_entries(grid: GridSpec, qcells: np.ndarray):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
+def _sum_duplicates(keys, vals):
+    """Sorted distinct keys and the sums of their values, zero sums dropped.
+
+    The sort is stable and ``np.bincount`` adds each key's values in input
+    order: the order of SciPy's ``csr_sum_duplicates`` wherever its
+    ``std::sort`` of a row (an insertion sort up to 16 entries) keeps them.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    del order
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    sums = np.bincount(np.cumsum(first) - 1, weights=vals)
+    keys = keys[first]
+    keep = sums != 0
+    return keys[keep], sums[keep]
+
+
+class FormMatrix:
+    """A square sparse matrix as canonical CSR arrays, with numpy arithmetic.
+
+    Canonical: each row's column indices strictly increase and no stored
+    value is zero, as SciPy's sparse arithmetic leaves a CSR matrix.  Each
+    method gives the bits of its ``scipy.sparse.csr_matrix`` counterpart; ``@``
+    sums a row in stored order, as ``csr_matvec(s)`` does, but at large n
+    takes about five times as long, so the iterative solvers multiply through
+    ``tosparse()``, a SciPy matrix over the same arrays.
+    """
+
+    _sparse = None
+
+    def __init__(self, indptr, indices, data):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = (indptr.size - 1,) * 2
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @functools.cached_property
+    def _rows(self):
+        """The row index of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x):
+        """A x for a vector x, or column by column for an (n, k) block."""
+        if x.ndim == 2:
+            return np.stack([self @ col for col in x.T], axis=1)
+        return np.bincount(self._rows, weights=self.data * x[self.indices], minlength=self.shape[0])
+
+    def toarray(self):
+        out = np.zeros(self.shape)
+        out[self._rows, self.indices] = self.data
+        return out
+
+    def diagonal(self, k: int = 0):
+        """The k-th diagonal, zeros where nothing is stored."""
+        on = self.indices == self._rows + k
+        out = np.zeros(self.shape[0] - abs(k))
+        out[self._rows[on] + min(k, 0)] = self.data[on]
+        return out
+
+    def abs_row_sums(self):
+        """sum_j |a_ij| for every row i, reduced as SciPy's ``abs(A).sum(axis=1)`` does."""
+        out = np.zeros(self.shape[0])
+        filled = np.flatnonzero(np.diff(self.indptr))
+        out[filled] = np.add.reduceat(np.abs(self.data), self.indptr[filled])
+        return out
+
+    def symmetry_gap(self) -> float:
+        """max |a_ij - a_ji| over the stored entries, from the stored arrays and their transpose."""
+        n = self.shape[0]
+        rows, cols = self._rows, self.indices.astype(np.int64)
+        keys = np.concatenate([rows * n + cols, cols * n + rows])
+        _, gaps = _sum_duplicates(keys, np.concatenate([self.data, -self.data]))
+        return float(np.abs(gaps).max()) if gaps.size else 0.0
+
+    def tosparse(self):
+        """The same matrix as a ``scipy.sparse.csr_matrix`` over these arrays, cached."""
+        if self._sparse is None:
+            import scipy.sparse
+
+            self._sparse = scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        return self._sparse
+
+
 class SymmetricOperator(FormAssembly):
     """The operator of a form: the form itself, with its sparse matrix built on first use.
 
-    ``matrix`` is the form matrix S (CSR, exactly symmetric), assembled on
-    first access and cached; ``generator()`` returns B = S / h^d.  ``dim``,
+    ``matrix`` is the form matrix S (a ``FormMatrix``, exactly symmetric),
+    assembled on first access and cached; ``generator()`` returns
+    B = S / h^d on the same index arrays.  ``dim``,
     the grid and the coefficient metadata are the form's own and need no S,
     so the ``exact-separable`` propagator, which reads none of S, never
     assembles it.  ``contracts_in(p)`` and ``positivity_preserving`` state the
@@ -141,15 +237,16 @@ class SymmetricOperator(FormAssembly):
         """The form matrix S, assembled on first access."""
         return _assemble_matrix(self)
 
-    def generator(self):
+    def generator(self) -> FormMatrix:
         if self._generator is None:
-            self._generator = (self.matrix / self.grid.cell_volume).tocsr()
+            s = self.matrix
+            # SciPy divides a sparse matrix by a scalar as a product with its reciprocal
+            self._generator = FormMatrix(s.indptr, s.indices, s.data * (1.0 / self.grid.cell_volume))
         return self._generator
 
     def generator_norm_bound(self) -> float:
         """Infinity norm of the generator, an upper bound for its 2-norm."""
-        b = self.generator()
-        return float(np.max(np.abs(b).sum(axis=1)))
+        return float(np.max(self.generator().abs_row_sums()))
 
     def dense_eig(self):
         """Cached full eigendecomposition (w, U) of the generator."""
@@ -181,8 +278,7 @@ def _tridiagonal(b):
     off-diagonal, where LAPACK's tridiagonal solvers split the matrix, so
     equal eigenvalues of different components come back orthogonal.
     """
-    coo = b.tocoo()
-    if np.any(np.abs(coo.row - coo.col)[coo.data != 0] > 1):
+    if np.any(np.abs(b._rows - b.indices)[b.data != 0] > 1):
         return None
     return b.diagonal(), b.diagonal(1)
 
@@ -201,15 +297,13 @@ def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
     return SymmetricOperator(assembly.diffusion, assembly.potential, assembly.grid)
 
 
-def _assemble_matrix(assembly: FormAssembly):
-    """The sparse form matrix S (CSR) with <S f, g> = a(f, g).
+def _lower_entries(assembly: FormAssembly):
+    """COO entries (rows, cols, vals) of the lower triangle of S, repeated positions included.
 
     The diffusion block is the same scalar stiffness for every component;
     the potential contributes h^d V(x_a) coupling the components at each
     node.
     """
-    import scipy.sparse as sparse
-
     grid = assembly.grid
     n, m = grid.n_nodes, grid.m
     kr, kc, kv = _stiffness_lower_entries(grid, assembly.diffusion.samples)
@@ -217,18 +311,36 @@ def _assemble_matrix(assembly: FormAssembly):
     cols = [kc + w * n for w in range(m)]
     vals = [kv] * m
     nodes = np.arange(n)
-    vol = grid.cell_volume
     for i in range(m):
         for j in range(i + 1):
             rows.append(i * n + nodes)
             cols.append(j * n + nodes)
-            vals.append(vol * assembly.potential.samples[:, i, j])
-    lower = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m * n, m * n),
-    ).tocsr()
-    matrix = (lower + lower.T) - sparse.diags(lower.diagonal())
-    return matrix.tocsr()
+            vals.append(grid.cell_volume * assembly.potential.samples[:, i, j])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _assemble_matrix(assembly: FormAssembly) -> FormMatrix:
+    """The form matrix S with <S f, g> = a(f, g), built as SciPy builds it.
+
+    SciPy's ``L = coo_matrix(entries).tocsr()`` and ``(L + L.T) - diags(L.diagonal())``
+    sum the repeated positions of ``_lower_entries``, drop the zero sums and
+    mirror the rest; so does this, in numpy.  SciPy adds a row's repeats in
+    input order only in rows of up to 16 entries, so in the longer rows of a
+    3-d grid the two can differ in the last bits.
+    """
+    dim = assembly.grid.state_size
+    rows, cols, vals = _lower_entries(assembly)
+    lower, vals = _sum_duplicates(rows.astype(np.int64) * dim + cols, vals)
+    rows, cols = np.divmod(lower, dim)
+    off = rows != cols
+    keys, vals = _sum_duplicates(
+        np.concatenate([lower, cols[off] * dim + rows[off]]), np.concatenate([vals, vals[off]])
+    )
+    rows, cols = np.divmod(keys, dim)
+    index = np.int32 if max(vals.size, dim) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    return FormMatrix(indptr, cols.astype(index), vals)
 
 
 @dataclass
@@ -393,7 +505,7 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     """
     import scipy.sparse as sparse
 
-    b = op.generator()
+    b = op.generator().tosparse()
     n = op.dim
     bnorm = op.generator_norm_bound()
     sigma = min(-1.0, op.potential.min_eigenvalue - 1.0)

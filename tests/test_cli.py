@@ -39,6 +39,23 @@ def test_assemble_artifacts_and_symmetry(tmp_path):
     assert detail["dimension"] == 32
 
 
+def test_assemble_fails_on_a_stored_asymmetry(tmp_path, monkeypatch):
+    # negative control: one off-diagonal entry of S moved, its mirror kept
+    assemble = operators_module._assemble_matrix
+
+    def perturbed(assembly):
+        s = assemble(assembly)
+        data = s.data.copy()
+        data[np.flatnonzero(s.indices != s._rows)[0]] *= 1.0 + 1e-12
+        return operators_module.FormMatrix(s.indptr, s.indices, data)
+
+    monkeypatch.setattr(operators_module, "_assemble_matrix", perturbed)
+    assert cli.main(["assemble", "--out", str(tmp_path), "--grid.N=32"]) == 1
+    record = _read_json(tmp_path / "verdicts.json")["records"][0]
+    assert record["passed"] is False
+    assert record["detail"]["stored_symmetry_gap"] > 0.0
+
+
 def test_seed_flag_lands_in_verdicts(tmp_path):
     rc = cli.main(["assemble", "--out", str(tmp_path), "--seed", "7"])
     assert rc == 0
@@ -929,6 +946,13 @@ _SEPARABLE_EVOLVE = [
     '--coefficients.v={"kind":"constant","matrix":[[1,-0.4],[-0.4,2]]}',
 ]
 _ASSEMBLE = ["assemble", "--grid.d=2", "--grid.N=8"]
+#: dimension 3200 > DENSE_LIMIT, so eigen_lowest reads the closed form
+_SEPARABLE_SPECTRUM = [
+    "spectrum", "--grid.d=2", "--grid.N=40", "--grid.m=2",
+    '--coefficients.q={"kind":"diagonal","entries":[1.0,1.7]}',
+    '--coefficients.v={"kind":"constant","matrix":[[1,-0.4],[-0.4,2]]}',
+    "--solver.k=6",
+]
 
 
 @pytest.mark.parametrize(
@@ -940,18 +964,20 @@ _ASSEMBLE = ["assemble", "--grid.d=2", "--grid.N=8"]
         (["scipy.fft"], ["evolve", "--grid.d=2", "--grid.N=8", "--grid.m=2"]),
         (["scipy"], None),
         (["scipy"], _SEPARABLE_EVOLVE),
-        (["scipy.linalg", "scipy.sparse.linalg"], _ASSEMBLE),
+        (["scipy"], _ASSEMBLE),
+        (["scipy"], _SEPARABLE_SPECTRUM),
     ],
     ids=[
         "import-integrate", "import-fft", "assemble-fft", "evolve-fft",
-        "import-scipy", "separable-evolve-scipy", "assemble-linalg",
+        "import-scipy", "separable-evolve-scipy", "assemble-scipy", "separable-spectrum-scipy",
     ],
 )
 def test_cli_leaves_scipy_module_unloaded(tmp_path, modules, run):
     # every scipy module costs each process time and memory at import, so each
-    # is imported by the function that calls it: a closed-form evolve (above
-    # DENSE_LIMIT) runs on numpy alone, assemble loads scipy.sparse only, and
-    # nothing loads scipy.fft or scipy.integrate
+    # is imported by the function that calls it: assemble and the closed-form
+    # spectrum (above DENSE_LIMIT) build and multiply S with numpy alone, the
+    # closed-form evolve never builds S, and nothing loads scipy.fft or
+    # scipy.integrate
     src = str(Path(matschrod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, matschrod.cli"

@@ -84,7 +84,95 @@ def test_stored_matrix_exactly_symmetric():
     rng = np.random.default_rng(21)
     grid = build_grid(2, 1.0, 5, 2)
     op = _random_operator(grid, rng)
-    assert (op.matrix - op.matrix.T).nnz == 0
+    s = op.matrix.tosparse()
+    assert (s - s.T).nnz == 0
+    assert op.matrix.symmetry_gap() == 0.0
+
+
+def _form_matrix(rows, cols, data, shape):
+    """A FormMatrix over the canonical CSR arrays SciPy makes of COO entries."""
+    csr = sparse.csr_matrix((data, (rows, cols)), shape=shape)
+    return operators_module.FormMatrix(csr.indptr, csr.indices, csr.data)
+
+
+def _scipy_form_matrix(op):
+    """S as SciPy builds it from the lower-triangle entries of the assembly."""
+    rows, cols, vals = operators_module._lower_entries(op)
+    lower = sparse.coo_matrix((vals, (rows, cols)), shape=(op.dim, op.dim)).tocsr()
+    return ((lower + lower.T) - sparse.diags(lower.diagonal())).tocsr()
+
+
+def _coupled_operator(grid, rng, q_full=False):
+    """Random Q (diagonal unless ``q_full``) and a random symmetric coupled V, zero at some nodes."""
+    if q_full:
+        mats = rng.standard_normal((grid.n_cells, grid.d, grid.d))
+        q = np.einsum("nka,nkb->nab", mats, mats) + 0.2 * np.eye(grid.d)
+    else:
+        q = rng.uniform(0.2, 2.0, (grid.n_cells, grid.d))[:, :, None] * np.eye(grid.d)
+    vm = rng.standard_normal((grid.n_nodes, grid.m, grid.m))
+    vs = (vm + vm.transpose(0, 2, 1)) * (rng.random((grid.n_nodes, 1, 1)) < 0.8)
+    return assemble_operator(assemble_form(DiffusionField(grid, q), PotentialField(grid, vs), grid))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 3),
+    N=st.integers(2, 12),
+    m=st.integers(1, 3),
+    q_full=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_form_matrix_is_scipys_bit_for_bit(d, N, m, q_full, seed):
+    # a 3-d row with a full Q holds more than the 16 entries that SciPy sorts stably (next test)
+    rng = np.random.default_rng(seed)
+    grid = build_grid(d, 1.0, N, m)
+    op = _coupled_operator(grid, rng, q_full=q_full and d < 3)
+    ref = _scipy_form_matrix(op)
+    s = op.matrix
+    for ours, theirs in ((s, ref), (op.generator(), ref / grid.cell_volume)):
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    b = op.generator()
+    x = rng.standard_normal(op.dim)
+    basis = rng.standard_normal((3, op.dim))
+    assert (b @ x).tobytes() == (b.tosparse() @ x).tobytes()
+    assert (b @ basis.T).tobytes() == (b.tosparse() @ basis.T).tobytes()
+    assert b.abs_row_sums().tobytes() == np.asarray(abs(b.tosparse()).sum(axis=1)).ravel().tobytes()
+    for k in (0, 1, -1):
+        assert b.diagonal(k).tobytes() == b.tosparse().diagonal(k).tobytes()
+    assert b.toarray().tobytes() == b.tosparse().toarray().tobytes()
+    assert b.tosparse() is b.tosparse() and np.shares_memory(b.tosparse().data, b.data)
+
+
+def test_form_matrix_with_full_q_in_3d_is_scipys_up_to_summation_order():
+    # SciPy sorts a row of more than 16 entries unstably, so it may add the
+    # repeats of an entry in another order; each order errs by at most
+    # (repeats - 1) eps/2 times the sum of the repeats' magnitudes
+    rng = np.random.default_rng(24)
+    op = _coupled_operator(build_grid(3, 1.0, 6, 2), rng, q_full=True)
+    s, ref = op.matrix, _scipy_form_matrix(op)
+    assert s.indptr.tobytes() == ref.indptr.tobytes() and s.indices.tobytes() == ref.indices.tobytes()
+    rows, cols, vals = operators_module._lower_entries(op)
+    lower = sparse.coo_matrix((np.abs(vals), (rows, cols)), shape=s.shape).tocsr()
+    magnitude = (lower + sparse.triu(lower.T, 1)).tocsr()
+    magnitude.sort_indices()
+    assert magnitude.indices.tobytes() == s.indices.tobytes()
+    assert np.all(np.abs(s.data - ref.data) <= 16 * np.finfo(float).eps * magnitude.data)
+
+
+def test_symmetry_gap_reads_the_stored_arrays():
+    _, op = _free_operator(N=9, d=2, m=2)
+    coo = op.matrix.tosparse().tocoo()
+    i = int(np.flatnonzero(coo.row != coo.col)[0])
+    moved = coo.data.copy()
+    moved[i] *= 1.0 + 1e-12
+    perturbed = _form_matrix(coo.row, coo.col, moved, coo.shape)
+    assert perturbed.symmetry_gap() == abs(moved[i] - coo.data[i]) > 0.0
+    # a value stored at (0, n - 1) but not at (n - 1, 0)
+    n = coo.shape[0]
+    one_sided = _form_matrix(np.append(coo.row, 0), np.append(coo.col, n - 1), np.append(coo.data, 0.5), coo.shape)
+    assert one_sided.symmetry_gap() == 0.5
 
 
 def test_matrix_agrees_with_form_evaluation():
@@ -590,12 +678,12 @@ def test_dense_solver_follows_matrix_structure(monkeypatch, d, v_fn, solver):
     op = assemble_operator(assemble_form(dif, pot, grid))
     if solver == "eigh_tridiagonal":
         # store the zero coupling of the diagonal potential explicitly, off the band
-        coo = op.matrix.tocoo()
+        coo = op.matrix.tosparse().tocoo()
         n = grid.n_nodes
         rows = np.concatenate([coo.row, np.arange(n), np.arange(n, 2 * n)])
         cols = np.concatenate([coo.col, np.arange(n, 2 * n), np.arange(n)])
         data = np.concatenate([coo.data, np.zeros(2 * n)])
-        op.matrix = sparse.csr_matrix((data, (rows, cols)), shape=coo.shape)
+        op.matrix = _form_matrix(rows, cols, data, coo.shape)
         assert op.generator().nnz == coo.nnz + 2 * n
     calls = _spy_dense_solvers(monkeypatch)
     eigen_lowest(op, 3, method="dense")

@@ -13,11 +13,12 @@ Reported spectra and semigroup propagation always use B; quadratic-form
 identities always use S.  Since the mass weight is a scalar multiple of the
 identity the two share eigenvectors.
 
-Assembly accumulates only the lower triangle and mirrors it afterwards
-(S = L + L^T - diag L), which keeps S exactly symmetric in its stored
-entries — no floating-point symmetrization is ever applied.  S and B are
-``FormMatrix`` objects: canonical CSR arrays built and multiplied with numpy
-alone, to the bit as SciPy builds and multiplies them.  Their
+Assembly sums only the lower triangle, one dense band per stencil offset,
+and mirrors it afterwards (S = L + L^T - diag L), which keeps S exactly
+symmetric in its stored entries — no floating-point symmetrization is ever
+applied.  S and B are ``FormMatrix`` objects: canonical CSR arrays read off
+those bands and multiplied with numpy alone, to the bit as SciPy builds and
+multiplies them.  Their
 ``tosparse()`` SciPy view serves the paths that load SciPy anyway: the
 sparse LU, the Lanczos eigensolver and the Krylov propagators.
 
@@ -70,67 +71,47 @@ def __getattr__(name):
 
 
 def _stiffness_lower_entries(grid: GridSpec, qcells: np.ndarray):
-    """COO entries (lower triangle incl. diagonal) of the scalar stiffness.
+    """Lists (offset, rows, vals) of the scalar stiffness, lower triangle incl. diagonal.
 
     The quadratic form per cell is h^(d-2) sum_{i,j} Q_ij (f(b+e_i) - f(b))
-    (f(b+e_j) - f(b)); expanding gives four index pairs per (i, j).  Entries
-    whose row index is below the column index are dropped — their mirror
-    twins carry bit-identical values because Q is stored symmetric — and
-    endpoints on the boundary are dropped against the implicit zeros, as
-    are the cross terms (i != j) of a Q whose q_ij vanishes in every cell.
+    (f(b+e_j) - f(b)); expanding gives four corner pairs per (i, j), each one
+    list of entries (r, r + offset) with a fixed offset and each row at most
+    once.  Pairs whose offset is positive lie above the diagonal and are
+    dropped — their mirror twins carry bit-identical values because Q is
+    stored symmetric — and endpoints on the boundary are dropped against the
+    implicit zeros, as are the cross terms (i != j) of a Q whose q_ij
+    vanishes in every cell.
     """
     N, d, h = grid.N, grid.d, grid.h
     base = np.indices((N + 1,) * d).reshape(d, -1)  # padded coords of cell corners
+    # corner 0 is b, corner i + 1 is b + e_i; their node indices and validity, once each
+    corners = [base] + [base + np.eye(d, dtype=int)[:, i, None] for i in range(d)]
+    index = [np.ravel_multi_index(tuple(np.clip(c, 1, N) - 1), grid.shape) for c in corners]
+    valid = [np.all((c >= 1) & (c <= N), axis=0) for c in corners]
+    shift = [0] + [N ** (d - 1 - i) for i in range(d)]  # node index of corner k minus that of b
 
-    def node_index(coords):
-        valid = np.all((coords >= 1) & (coords <= N), axis=0)
-        clipped = np.clip(coords, 1, N) - 1
-        return np.ravel_multi_index(tuple(clipped), grid.shape), valid
-
-    rows, cols, vals = [], [], []
-    shifts = np.eye(d, dtype=int)[:, :, None]
+    lists = []
     for i in range(d):
         for j in range(d):
             if i != j and not np.any(qcells[:, i, j]):
                 continue  # its entries are all +-0, which add nothing to any sum
             w = h ** (d - 2) * qcells[:, i, j]
-            ends_i = ((base + shifts[i], 1.0), (base, -1.0))
-            ends_j = ((base + shifts[j], 1.0), (base, -1.0))
-            for pa, sa in ends_i:
-                for pb, sb in ends_j:
-                    r, ok_r = node_index(pa)
-                    c, ok_c = node_index(pb)
-                    keep = ok_r & ok_c & (r >= c)
-                    rows.append(r[keep])
-                    cols.append(c[keep])
-                    vals.append((sa * sb) * w[keep])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def _sum_duplicates(keys, vals):
-    """Sorted distinct keys and the sums of their values, zero sums dropped.
-
-    The sort is stable and ``np.bincount`` adds each key's values in input
-    order: the order of SciPy's ``csr_sum_duplicates`` wherever its
-    ``std::sort`` of a row (an insertion sort up to 16 entries) keeps them.
-    """
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    del order
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    sums = np.bincount(np.cumsum(first) - 1, weights=vals)
-    keys = keys[first]
-    keep = sums != 0
-    return keys[keep], sums[keep]
+            for a, sa in ((i + 1, 1.0), (0, -1.0)):
+                for b, sb in ((j + 1, 1.0), (0, -1.0)):
+                    offset = shift[b] - shift[a]
+                    if offset <= 0:
+                        keep = valid[a] & valid[b]
+                        lists.append((offset, index[a][keep], (sa * sb) * w[keep]))
+    return lists
 
 
 class FormMatrix:
     """A square sparse matrix as canonical CSR arrays, with numpy arithmetic.
 
     Canonical: each row's column indices strictly increase and no stored
-    value is zero, as SciPy's sparse arithmetic leaves a CSR matrix.  Each
+    value is zero, as SciPy's sparse arithmetic leaves a CSR matrix;
+    ``_assemble_matrix`` reads them off the dense bands of the stencil
+    offsets, which stacked in offset order are in column order.  Each
     method gives the bits of its ``scipy.sparse.csr_matrix`` counterpart; ``@``
     sums a row in stored order, as ``csr_matvec(s)`` does, but at large n
     takes about five times as long, so the iterative solvers multiply through
@@ -178,12 +159,28 @@ class FormMatrix:
         return out
 
     def symmetry_gap(self) -> float:
-        """max |a_ij - a_ji| over the stored entries, from the stored arrays and their transpose."""
+        """max |a_ij - a_ji| over the stored entries, read off the stored arrays band by band.
+
+        The stored entries are scattered into one dense row per stored
+        offset j - i, and each band is compared with its mirror band (the
+        entry (i, i + o) with (i + o, i)), or with 0 where no entry has the
+        mirror offset.  Its memory is n times the number of stored offsets.
+        """
         n = self.shape[0]
-        rows, cols = self._rows, self.indices.astype(np.int64)
-        keys = np.concatenate([rows * n + cols, cols * n + rows])
-        _, gaps = _sum_duplicates(keys, np.concatenate([self.data, -self.data]))
-        return float(np.abs(gaps).max()) if gaps.size else 0.0
+        rows = self._rows
+        offset = self.indices - rows
+        present = np.flatnonzero(np.bincount(offset + (n - 1), minlength=2 * n - 1)) - (n - 1)
+        bands = np.zeros((present.size, n))
+        bands[np.searchsorted(present, offset), rows] = self.data
+        band_of = dict(zip(present.tolist(), bands))
+        gaps = [0.0]
+        for o, band in band_of.items():
+            mirror = band_of.get(-o)
+            if mirror is None:
+                gaps.append(np.max(np.abs(band)))
+            elif o >= 0:
+                gaps.append(np.max(np.abs(band[: n - o] - mirror[o:])))
+        return float(np.max(gaps))
 
     def tosparse(self):
         """The same matrix as a ``scipy.sparse.csr_matrix`` over these arrays, cached."""
@@ -298,49 +295,55 @@ def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
 
 
 def _lower_entries(assembly: FormAssembly):
-    """COO entries (rows, cols, vals) of the lower triangle of S, repeated positions included.
+    """Lists (offset, rows, vals) of the lower triangle of S: entries (r, r + offset), offset <= 0.
 
     The diffusion block is the same scalar stiffness for every component;
     the potential contributes h^d V(x_a) coupling the components at each
-    node.
+    node.  Each list holds a row at most once, so repeated positions of S
+    are repeats across lists.
     """
     grid = assembly.grid
     n, m = grid.n_nodes, grid.m
-    kr, kc, kv = _stiffness_lower_entries(grid, assembly.diffusion.samples)
-    rows = [kr + w * n for w in range(m)]
-    cols = [kc + w * n for w in range(m)]
-    vals = [kv] * m
+    stiffness = _stiffness_lower_entries(grid, assembly.diffusion.samples)
+    lists = [(offset, rows + w * n, vals) for w in range(m) for offset, rows, vals in stiffness]
     nodes = np.arange(n)
     for i in range(m):
         for j in range(i + 1):
-            rows.append(i * n + nodes)
-            cols.append(j * n + nodes)
-            vals.append(grid.cell_volume * assembly.potential.samples[:, i, j])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+            lists.append(((j - i) * n, i * n + nodes, grid.cell_volume * assembly.potential.samples[:, i, j]))
+    return lists
 
 
 def _assemble_matrix(assembly: FormAssembly) -> FormMatrix:
-    """The form matrix S with <S f, g> = a(f, g), built as SciPy builds it.
+    """The form matrix S with <S f, g> = a(f, g), summed band by band.
 
-    SciPy's ``L = coo_matrix(entries).tocsr()`` and ``(L + L.T) - diags(L.diagonal())``
-    sum the repeated positions of ``_lower_entries``, drop the zero sums and
-    mirror the rest; so does this, in numpy.  SciPy adds a row's repeats in
-    input order only in rows of up to 16 entries, so in the longer rows of a
-    3-d grid the two can differ in the last bits.
+    Each list of ``_lower_entries`` is added, in order, into a dense band for
+    its offset, so every position sums its repeats in the order in which
+    SciPy's ``L = coo_matrix(entries).tocsr()`` adds them, wherever its sort
+    of a row keeps them in input order.  The bands are mirrored
+    (S = L + L^T - diag L), stacked in column order and read off row by row,
+    zero sums dropped: the canonical CSR arrays of
+    ``(L + L.T) - diags(L.diagonal())``.  SciPy sorts a row of more than 16
+    entries unstably, so in the longer rows of a 3-d grid with a full Q it
+    may add the repeats in another order and differ in the last bits.
     """
     dim = assembly.grid.state_size
-    rows, cols, vals = _lower_entries(assembly)
-    lower, vals = _sum_duplicates(rows.astype(np.int64) * dim + cols, vals)
-    rows, cols = np.divmod(lower, dim)
-    off = rows != cols
-    keys, vals = _sum_duplicates(
-        np.concatenate([lower, cols[off] * dim + rows[off]]), np.concatenate([vals, vals[off]])
-    )
-    rows, cols = np.divmod(keys, dim)
-    index = np.int32 if max(vals.size, dim) <= np.iinfo(np.int32).max else np.int64
+    lower = {}
+    for offset, rows, vals in _lower_entries(assembly):
+        band = lower.setdefault(offset, np.zeros(dim))
+        band[rows] += vals
+    offsets = sorted(lower) + [-o for o in sorted(lower, reverse=True) if o < 0]
+    bands = np.zeros((dim, len(offsets)))
+    for k, o in enumerate(offsets):
+        if o <= 0:
+            bands[:, k] = lower[o]
+        else:  # the entry (r, r + o) is the mirror of (r + o, r)
+            bands[: dim - o, k] = lower[-o][o:]
+    stored = bands != 0
+    cols = np.arange(dim)[:, None] + np.array(offsets)
+    index = np.int32 if max(np.count_nonzero(stored), dim) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(dim + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    return FormMatrix(indptr, cols.astype(index), vals)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    return FormMatrix(indptr, cols[stored].astype(index), bands[stored])
 
 
 @dataclass

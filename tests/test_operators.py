@@ -95,9 +95,56 @@ def _form_matrix(rows, cols, data, shape):
     return operators_module.FormMatrix(csr.indptr, csr.indices, csr.data)
 
 
+def _coo_entries(lists):
+    """The (offset, rows, vals) lists of ``_lower_entries``, concatenated as COO (rows, cols, vals)."""
+    return (
+        np.concatenate([rows for _, rows, _ in lists]),
+        np.concatenate([rows + offset for offset, rows, _ in lists]),
+        np.concatenate([vals for _, _, vals in lists]),
+    )
+
+
+def _sum_by_sorting(keys, vals):
+    """Sorted distinct keys and their sums, zero sums dropped: a stable sort, then in-order sums."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = np.concatenate([[True], keys[1:] != keys[:-1]])
+    sums = np.bincount(np.cumsum(first) - 1, weights=vals)
+    keep = sums != 0
+    return keys[first][keep], sums[keep]
+
+
+def _sorted_form_matrix(lists, dim):
+    """S built by sorting COO keys: the lower entries summed, zero sums dropped, mirrored and sorted."""
+    rows, cols, vals = _coo_entries(lists)
+    lower, vals = _sum_by_sorting(rows * dim + cols, vals)
+    rows, cols = np.divmod(lower, dim)
+    off = rows != cols
+    keys, vals = _sum_by_sorting(np.concatenate([lower, cols[off] * dim + rows[off]]), np.concatenate([vals, vals[off]]))
+    rows, cols = np.divmod(keys, dim)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    return operators_module.FormMatrix(indptr, cols.astype(np.int32), vals)
+
+
+def _sorted_symmetry_gap(s):
+    """max |a_ij - a_ji| by sorting the stored keys together with those of the transpose."""
+    n = s.shape[0]
+    rows, cols = s._rows, s.indices.astype(np.int64)
+    keys = np.concatenate([rows * n + cols, cols * n + rows])
+    _, gaps = _sum_by_sorting(keys, np.concatenate([s.data, -s.data]))
+    return float(np.abs(gaps).max()) if gaps.size else 0.0
+
+
+def _same_bytes(ours, theirs):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def _scipy_form_matrix(op):
     """S as SciPy builds it from the lower-triangle entries of the assembly."""
-    rows, cols, vals = operators_module._lower_entries(op)
+    rows, cols, vals = _coo_entries(operators_module._lower_entries(op))
     lower = sparse.coo_matrix((vals, (rows, cols)), shape=(op.dim, op.dim)).tocsr()
     return ((lower + lower.T) - sparse.diags(lower.diagonal())).tocsr()
 
@@ -130,9 +177,7 @@ def test_form_matrix_is_scipys_bit_for_bit(d, N, m, q_full, seed):
     ref = _scipy_form_matrix(op)
     s = op.matrix
     for ours, theirs in ((s, ref), (op.generator(), ref / grid.cell_volume)):
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(ours, name), getattr(theirs, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        _same_bytes(ours, theirs)
     b = op.generator()
     x = rng.standard_normal(op.dim)
     basis = rng.standard_normal((3, op.dim))
@@ -153,7 +198,7 @@ def test_form_matrix_with_full_q_in_3d_is_scipys_up_to_summation_order():
     op = _coupled_operator(build_grid(3, 1.0, 6, 2), rng, q_full=True)
     s, ref = op.matrix, _scipy_form_matrix(op)
     assert s.indptr.tobytes() == ref.indptr.tobytes() and s.indices.tobytes() == ref.indices.tobytes()
-    rows, cols, vals = operators_module._lower_entries(op)
+    rows, cols, vals = _coo_entries(operators_module._lower_entries(op))
     lower = sparse.coo_matrix((np.abs(vals), (rows, cols)), shape=s.shape).tocsr()
     magnitude = (lower + sparse.triu(lower.T, 1)).tocsr()
     magnitude.sort_indices()
@@ -161,18 +206,87 @@ def test_form_matrix_with_full_q_in_3d_is_scipys_up_to_summation_order():
     assert np.all(np.abs(s.data - ref.data) <= 16 * np.finfo(float).eps * magnitude.data)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 3),
+    N=st.integers(2, 10),
+    m=st.integers(1, 3),
+    q_full=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(d=3, N=6, m=2, q_full=True, seed=24)
+def test_form_matrix_is_the_sorted_sum_byte_for_byte(d, N, m, q_full, seed):
+    # the band sums add each position's repeats in the order of a stable sort
+    # of the COO keys, a 3-d full Q included, where SciPy's order differs
+    op = _coupled_operator(build_grid(d, 1.0, N, m), np.random.default_rng(seed), q_full=q_full)
+    _same_bytes(op.matrix, _sorted_form_matrix(operators_module._lower_entries(op), op.dim))
+
+
+def test_form_matrix_drops_repeats_that_cancel():
+    # h = 0.5: each diagonal entry is 2 + 2 from the two cells at a node,
+    # and h V = -4 cancels them exactly, so only the off-diagonal stays stored
+    grid = build_grid(1, 1.0, 3, 1)
+    dif, pot = sample_fields(lambda x: 1.0, lambda x: np.array([[-8.0]]), grid)
+    op = assemble_operator(assemble_form(dif, pot, grid))
+    _same_bytes(op.matrix, _sorted_form_matrix(operators_module._lower_entries(op), op.dim))
+    assert op.matrix.nnz == 4
+    assert np.array_equal(op.matrix.toarray(), -2.0 * (np.eye(3, k=1) + np.eye(3, k=-1)))
+
+
+def test_form_matrix_bytes_depend_on_the_order_of_the_lists():
+    # negative control for the exact test: the same lists summed in reverse order
+    op = _coupled_operator(build_grid(3, 1.0, 6, 2), np.random.default_rng(24), q_full=True)
+    reverse = _sorted_form_matrix(operators_module._lower_entries(op)[::-1], op.dim)
+    assert reverse.indices.tobytes() == op.matrix.indices.tobytes()
+    assert np.any(reverse.data != op.matrix.data)
+
+
 def test_symmetry_gap_reads_the_stored_arrays():
-    _, op = _free_operator(N=9, d=2, m=2)
+    grid = build_grid(2, 1.0, 9, 2)
+    op = _coupled_operator(grid, np.random.default_rng(3))
     coo = op.matrix.tosparse().tocoo()
-    i = int(np.flatnonzero(coo.row != coo.col)[0])
-    moved = coo.data.copy()
-    moved[i] *= 1.0 + 1e-12
-    perturbed = _form_matrix(coo.row, coo.col, moved, coo.shape)
-    assert perturbed.symmetry_gap() == abs(moved[i] - coo.data[i]) > 0.0
-    # a value stored at (0, n - 1) but not at (n - 1, 0)
     n = coo.shape[0]
+    for band in (1, grid.N, grid.n_nodes, -grid.n_nodes):  # grid neighbours and the coupling band
+        i = int(np.flatnonzero(coo.col - coo.row == band)[0])
+        moved = coo.data.copy()
+        moved[i] *= 1.0 + 1e-12
+        perturbed = _form_matrix(coo.row, coo.col, moved, coo.shape)
+        assert perturbed.symmetry_gap() == abs(moved[i] - coo.data[i]) > 0.0
+    # a value stored at (0, n - 1), whose mirror offset 1 - n has no band at all
     one_sided = _form_matrix(np.append(coo.row, 0), np.append(coo.col, n - 1), np.append(coo.data, 0.5), coo.shape)
     assert one_sided.symmetry_gap() == 0.5
+    # a value stored at (8, 9), across a grid line: band -1 exists but holds no (9, 8)
+    assert op.matrix.toarray()[9, 8] == 0.0
+    across = _form_matrix(np.append(coo.row, 8), np.append(coo.col, 9), np.append(coo.data, -0.25), coo.shape)
+    assert across.symmetry_gap() == 0.25
+    empty = operators_module.FormMatrix(np.zeros(n + 1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+    assert empty.symmetry_gap() == 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 3),
+    N=st.integers(2, 8),
+    m=st.integers(1, 3),
+    changes=st.integers(0, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_symmetry_gap_is_the_sorted_gap(d, N, m, changes, seed):
+    # stored values moved or zeroed, and values added at random positions
+    rng = np.random.default_rng(seed)
+    op = _coupled_operator(build_grid(d, 1.0, N, m), rng, q_full=True)
+    coo = op.matrix.tosparse().tocoo()
+    data = coo.data.copy()
+    picked = rng.integers(0, data.size, changes)
+    data[picked] *= 1.0 + rng.choice([0.0, 1e-15, 1e-9, -1.0], changes)
+    extra = rng.integers(0, op.dim, (2, changes))
+    perturbed = _form_matrix(
+        np.concatenate([coo.row, extra[0]]),
+        np.concatenate([coo.col, extra[1]]),
+        np.concatenate([data, rng.standard_normal(changes)]),
+        coo.shape,
+    )
+    assert perturbed.symmetry_gap() == _sorted_symmetry_gap(perturbed)
 
 
 def test_matrix_agrees_with_form_evaluation():

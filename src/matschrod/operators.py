@@ -16,11 +16,10 @@ identity the two share eigenvectors.
 Assembly sums only the lower triangle, one dense band per stencil offset,
 and mirrors it afterwards (S = L + L^T - diag L), which keeps S exactly
 symmetric in its stored entries — no floating-point symmetrization is ever
-applied.  S and B are ``FormMatrix`` objects: canonical CSR arrays read off
-those bands and multiplied with numpy alone, to the bit as SciPy builds and
-multiplies them.  Their
-``tosparse()`` SciPy view serves the paths that load SciPy anyway: the
-sparse LU, the Lanczos eigensolver and the Krylov propagators.
+applied.  S and B are ``FormMatrix`` objects that keep those bands and
+multiply with numpy alone, to the bit as SciPy multiplies the same CSR
+matrix; the eigensolvers and propagators use them directly, and only the
+sparse LU converts one, shifted, to SciPy's CSC format.
 
 When Q is one constant diagonal matrix and V one constant matrix (every
 sample equal to the first), B is a Kronecker sum that the DST-I and the
@@ -106,89 +105,87 @@ def _stiffness_lower_entries(grid: GridSpec, qcells: np.ndarray):
 
 
 class FormMatrix:
-    """A square sparse matrix as canonical CSR arrays, with numpy arithmetic.
+    """A square matrix stored as its bands: ``bands[k, r]`` is the entry (r, r + offsets[k]).
 
-    Canonical: each row's column indices strictly increase and no stored
-    value is zero, as SciPy's sparse arithmetic leaves a CSR matrix;
-    ``_assemble_matrix`` reads them off the dense bands of the stencil
-    offsets, which stacked in offset order are in column order.  Each
-    method gives the bits of its ``scipy.sparse.csr_matrix`` counterpart; ``@``
-    sums a row in stored order, as ``csr_matvec(s)`` does, but at large n
-    takes about five times as long, so the iterative solvers multiply through
-    ``tosparse()``, a SciPy matrix over the same arrays.
+    The offsets increase, and a band is 0 wherever its column falls outside
+    the matrix.  ``@`` (a vector, or an (n, k) block) adds ``band * x[shifted]``
+    band by band in offset order, which is the column order in which SciPy's
+    ``csr_matvec(s)`` sums a row, so both give the same bits; each band's row
+    and source slices are fixed at construction.  ``tocsc()`` is the one SciPy
+    conversion, for the sparse LU.
     """
 
-    _sparse = None
-
-    def __init__(self, indptr, indices, data):
-        self.indptr, self.indices, self.data = indptr, indices, data
-        self.shape = (indptr.size - 1,) * 2
+    def __init__(self, offsets, bands):
+        self.offsets, self.bands = tuple(offsets), bands
+        n = bands.shape[1]
+        self.shape = (n, n)
+        self._terms = []  # (rows, sources, band[rows]): entry (r, r + o) times x[r + o]
+        for o, band in zip(self.offsets, bands):
+            rows = slice(max(0, -o), n - max(0, o))
+            self._terms.append((rows, slice(rows.start + o, rows.stop + o), band[rows]))
 
     @property
     def nnz(self) -> int:
-        return self.data.size
-
-    @functools.cached_property
-    def _rows(self):
-        """The row index of every stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return int(np.count_nonzero(self.bands))
 
     def __matmul__(self, x):
-        """A x for a vector x, or column by column for an (n, k) block."""
-        if x.ndim == 2:
-            return np.stack([self @ col for col in x.T], axis=1)
-        return np.bincount(self._rows, weights=self.data * x[self.indices], minlength=self.shape[0])
+        """A x for a vector x, or for an (n, k) block."""
+        y = np.zeros(x.shape)
+        for rows, sources, band in self._terms:
+            part = y[rows]  # a view: += on it skips the copy back that y[rows] += ... makes
+            part += (band if x.ndim == 1 else band[:, None]) * x[sources]
+        return y
 
     def toarray(self):
         out = np.zeros(self.shape)
-        out[self._rows, self.indices] = self.data
+        for rows, sources, band in self._terms:
+            out[np.arange(rows.start, rows.stop), np.arange(sources.start, sources.stop)] = band
         return out
 
     def diagonal(self, k: int = 0):
-        """The k-th diagonal, zeros where nothing is stored."""
-        on = self.indices == self._rows + k
-        out = np.zeros(self.shape[0] - abs(k))
-        out[self._rows[on] + min(k, 0)] = self.data[on]
-        return out
+        """The k-th diagonal, zeros where no band is stored."""
+        if k not in self.offsets:
+            return np.zeros(self.shape[0] - abs(k))
+        return self._terms[self.offsets.index(k)][2].copy()
 
     def abs_row_sums(self):
-        """sum_j |a_ij| for every row i, reduced as SciPy's ``abs(A).sum(axis=1)`` does."""
+        """sum_j |a_ij| for every row i, reduced as SciPy's ``abs(A).sum(axis=1)`` does.
+
+        ``np.add.reduceat`` over each row's nonzeros in column order: a running
+        sum over the bands would differ in the last bit.
+        """
+        entries = np.abs(self.bands.T)  # row r's entries in column order
+        counts = np.count_nonzero(entries, axis=1)
+        filled = np.flatnonzero(counts)
         out = np.zeros(self.shape[0])
-        filled = np.flatnonzero(np.diff(self.indptr))
-        out[filled] = np.add.reduceat(np.abs(self.data), self.indptr[filled])
+        out[filled] = np.add.reduceat(entries[entries != 0], (np.cumsum(counts) - counts)[filled])
         return out
 
     def symmetry_gap(self) -> float:
-        """max |a_ij - a_ji| over the stored entries, read off the stored arrays band by band.
-
-        The stored entries are scattered into one dense row per stored
-        offset j - i, and each band is compared with its mirror band (the
-        entry (i, i + o) with (i + o, i)), or with 0 where no entry has the
-        mirror offset.  Its memory is n times the number of stored offsets.
-        """
+        """max |a_ij - a_ji|: each band against its mirror band, or against 0 where none is stored."""
         n = self.shape[0]
-        rows = self._rows
-        offset = self.indices - rows
-        present = np.flatnonzero(np.bincount(offset + (n - 1), minlength=2 * n - 1)) - (n - 1)
-        bands = np.zeros((present.size, n))
-        bands[np.searchsorted(present, offset), rows] = self.data
-        band_of = dict(zip(present.tolist(), bands))
         gaps = [0.0]
-        for o, band in band_of.items():
-            mirror = band_of.get(-o)
-            if mirror is None:
+        for o, band in zip(self.offsets, self.bands):
+            if -o not in self.offsets:
                 gaps.append(np.max(np.abs(band)))
-            elif o >= 0:
-                gaps.append(np.max(np.abs(band[: n - o] - mirror[o:])))
+            elif o > 0:  # the entry (r, r + o) against (r + o, r)
+                gaps.append(np.max(np.abs(band[: n - o] - self.bands[self.offsets.index(-o)][o:])))
         return float(np.max(gaps))
 
-    def tosparse(self):
-        """The same matrix as a ``scipy.sparse.csr_matrix`` over these arrays, cached."""
-        if self._sparse is None:
-            import scipy.sparse
+    def shifted(self, scale: float, shift: float) -> FormMatrix:
+        """scale A + shift I; A must store its diagonal band."""
+        bands = scale * self.bands
+        bands[self.offsets.index(0)] += shift
+        return FormMatrix(self.offsets, bands)
 
-            self._sparse = scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
-        return self._sparse
+    def tocsc(self):
+        """The same matrix as a ``scipy.sparse.csc_matrix``, zeros dropped; the input of the sparse LU."""
+        import scipy.sparse
+
+        columns = np.zeros_like(self.bands)  # DIA storage indexes each band by column
+        for column, (_, sources, band) in zip(columns, self._terms):
+            column[sources] = band
+        return scipy.sparse.dia_matrix((columns, self.offsets), shape=self.shape).tocsc()
 
 
 class SymmetricOperator(FormAssembly):
@@ -196,7 +193,7 @@ class SymmetricOperator(FormAssembly):
 
     ``matrix`` is the form matrix S (a ``FormMatrix``, exactly symmetric),
     assembled on first access and cached; ``generator()`` returns
-    B = S / h^d on the same index arrays.  ``dim``,
+    B = S / h^d on the same offsets.  ``dim``,
     the grid and the coefficient metadata are the form's own and need no S,
     so the ``exact-separable`` propagator, which reads none of S, never
     assembles it.  ``contracts_in(p)`` and ``positivity_preserving`` state the
@@ -238,7 +235,7 @@ class SymmetricOperator(FormAssembly):
         if self._generator is None:
             s = self.matrix
             # SciPy divides a sparse matrix by a scalar as a product with its reciprocal
-            self._generator = FormMatrix(s.indptr, s.indices, s.data * (1.0 / self.grid.cell_volume))
+            self._generator = FormMatrix(s.offsets, s.bands * (1.0 / self.grid.cell_volume))
         return self._generator
 
     def generator_norm_bound(self) -> float:
@@ -269,13 +266,14 @@ class SymmetricOperator(FormAssembly):
 def _tridiagonal(b):
     """(diagonal, off-diagonal) of B if its nonzeros lie on the central three diagonals.
 
-    Returns None otherwise; explicit stored zeros do not count.  A 1-d grid
-    with m = 1, or with a diagonal potential, qualifies: the component blocks
-    of the component-major ordering meet at an exact zero of the
-    off-diagonal, where LAPACK's tridiagonal solvers split the matrix, so
-    equal eigenvalues of different components come back orthogonal.
+    Returns None otherwise; a band farther out that holds only zeros does not
+    count.  A 1-d grid with m = 1, or with a diagonal potential, qualifies:
+    the component blocks of the component-major ordering meet at an exact
+    zero of the off-diagonal, where LAPACK's tridiagonal solvers split the
+    matrix, so equal eigenvalues of different components come back
+    orthogonal.
     """
-    if np.any(np.abs(b._rows - b.indices)[b.data != 0] > 1):
+    if any(np.any(band) for o, band in zip(b.offsets, b.bands) if abs(o) > 1):
         return None
     return b.diagonal(), b.diagonal(1)
 
@@ -317,14 +315,12 @@ def _assemble_matrix(assembly: FormAssembly) -> FormMatrix:
     """The form matrix S with <S f, g> = a(f, g), summed band by band.
 
     Each list of ``_lower_entries`` is added, in order, into a dense band for
-    its offset, so every position sums its repeats in the order in which
-    SciPy's ``L = coo_matrix(entries).tocsr()`` adds them, wherever its sort
-    of a row keeps them in input order.  The bands are mirrored
-    (S = L + L^T - diag L), stacked in column order and read off row by row,
-    zero sums dropped: the canonical CSR arrays of
-    ``(L + L.T) - diags(L.diagonal())``.  SciPy sorts a row of more than 16
-    entries unstably, so in the longer rows of a 3-d grid with a full Q it
-    may add the repeats in another order and differ in the last bits.
+    its offset, so every position sums its repeats in the order of a stable
+    sort of the COO keys, which is SciPy's ``L = coo_matrix(entries).tocsr()``
+    order wherever its sort of a row keeps them in input order (SciPy sorts a
+    row of more than 16 entries unstably, so in the longer rows of a 3-d grid
+    with a full Q it may differ in the last bits).  The bands are mirrored,
+    S = L + L^T - diag L.
     """
     dim = assembly.grid.state_size
     lower = {}
@@ -332,18 +328,13 @@ def _assemble_matrix(assembly: FormAssembly) -> FormMatrix:
         band = lower.setdefault(offset, np.zeros(dim))
         band[rows] += vals
     offsets = sorted(lower) + [-o for o in sorted(lower, reverse=True) if o < 0]
-    bands = np.zeros((dim, len(offsets)))
-    for k, o in enumerate(offsets):
+    bands = np.zeros((len(offsets), dim))
+    for band, o in zip(bands, offsets):
         if o <= 0:
-            bands[:, k] = lower[o]
+            band[:] = lower[o]
         else:  # the entry (r, r + o) is the mirror of (r + o, r)
-            bands[: dim - o, k] = lower[-o][o:]
-    stored = bands != 0
-    cols = np.arange(dim)[:, None] + np.array(offsets)
-    index = np.int32 if max(np.count_nonzero(stored), dim) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(dim + 1, dtype=index)
-    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-    return FormMatrix(indptr, cols[stored].astype(index), bands[stored])
+            band[: dim - o] = lower[-o][o:]
+    return FormMatrix(offsets, bands)
 
 
 @dataclass
@@ -506,13 +497,11 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     broken-down basis from a fresh random direction; the Ritz pairs are
     checked every third step until k of them meet the tolerance.
     """
-    import scipy.sparse as sparse
-
-    b = op.generator().tosparse()
+    b = op.generator()
     n = op.dim
     bnorm = op.generator_norm_bound()
     sigma = min(-1.0, op.potential.min_eigenvalue - 1.0)
-    solve = _factor_spd(b - sigma * sparse.identity(n, format="csr")).solve
+    solve = _factor_spd(b.shifted(1.0, -sigma)).solve
     rng = np.random.default_rng(seed)
     max_dim = min(n, max(8 * k, 160))
     report = None

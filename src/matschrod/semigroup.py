@@ -181,7 +181,7 @@ def _krylov_expm(op, v, t, tol):
     if np.linalg.norm(v) == 0.0:
         return v.copy()
     c = min(0.0, op.potential.min_eigenvalue)  # lambda_min(B) >= c
-    b = op.generator().tosparse()  # at large n SciPy multiplies about five times faster than FormMatrix
+    b = op.generator()
     if t * op.generator_norm_bound() > (4 * _KRYLOV_DIM) ** 2:
         return _shift_invert_expm(b, v, t, c, tol)
     return _polynomial_expm(b, v, t, c, tol)
@@ -267,7 +267,7 @@ def _krylov_expm_fixed(b, v, t, kdim, c, budget):
         nv = np.linalg.norm(w)
         if nv == 0.0:
             return w, t
-        *_, (basis, alphas, betas) = _lanczos(b.dot, w, kdim)
+        *_, (basis, alphas, betas) = _lanczos(b.__matmul__, w, kdim)
         lam, vecs = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
         weights = vecs[0] * nv
         beta_next = betas[-1]  # 0 on happy breakdown: the projection is exact
@@ -331,7 +331,6 @@ def _shift_invert_expm(b, v, t, c, tol):
     ||B|| and of t.
     """
     import scipy.linalg
-    import scipy.sparse as sparse
 
     bound = 2.0 * np.exp(-t * c) * _rational_errors()
     fits = np.flatnonzero(bound <= tol)
@@ -342,10 +341,8 @@ def _shift_invert_expm(b, v, t, c, tol):
             partial=(v, 0.0),
         )
     gamma = t / _SI_RATIO
-    n = v.size
-    shifted = (1.0 - gamma * c) * sparse.identity(n, format="csr") + gamma * b
-    lu = _factor_spd(shifted)
-    *_, (basis, _, _) = _lanczos(lu.solve, v, min(int(fits[0]) + 1, n))
+    lu = _factor_spd(b.shifted(gamma, 1.0 - gamma * c))
+    *_, (basis, _, _) = _lanczos(lu.solve, v, min(int(fits[0]) + 1, v.size))
     lam, vecs = scipy.linalg.eigh(basis @ (b @ basis.T))
     return basis.T @ (vecs @ (np.exp(-t * lam) * (vecs[0] * np.linalg.norm(v))))
 

@@ -45,9 +45,9 @@ def test_assemble_fails_on_a_stored_asymmetry(tmp_path, monkeypatch):
 
     def perturbed(assembly):
         s = assemble(assembly)
-        data = s.data.copy()
-        data[np.flatnonzero(s.indices != s._rows)[0]] *= 1.0 + 1e-12
-        return operators_module.FormMatrix(s.indptr, s.indices, data)
+        bands = s.bands.copy()
+        bands[s.offsets.index(1), 0] *= 1.0 + 1e-12  # the entry (0, 1)
+        return operators_module.FormMatrix(s.offsets, bands)
 
     monkeypatch.setattr(operators_module, "_assemble_matrix", perturbed)
     assert cli.main(["assemble", "--out", str(tmp_path), "--grid.N=32"]) == 1

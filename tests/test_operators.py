@@ -1,5 +1,7 @@
 """Sparse matrix assembly, eigensolvers, and the scalar sandwich bracket."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -84,15 +86,17 @@ def test_stored_matrix_exactly_symmetric():
     rng = np.random.default_rng(21)
     grid = build_grid(2, 1.0, 5, 2)
     op = _random_operator(grid, rng)
-    s = op.matrix.tosparse()
+    s = op.matrix.tocsc()
     assert (s - s.T).nnz == 0
     assert op.matrix.symmetry_gap() == 0.0
 
 
 def _form_matrix(rows, cols, data, shape):
-    """A FormMatrix over the canonical CSR arrays SciPy makes of COO entries."""
-    csr = sparse.csr_matrix((data, (rows, cols)), shape=shape)
-    return operators_module.FormMatrix(csr.indptr, csr.indices, csr.data)
+    """A FormMatrix of COO entries, repeats summed, with one band per offset cols - rows, and band 0."""
+    offsets = np.union1d(cols - rows, [0])
+    bands = np.zeros((offsets.size, shape[0]))
+    np.add.at(bands, (np.searchsorted(offsets, cols - rows), rows), data)
+    return operators_module.FormMatrix(offsets.tolist(), bands)
 
 
 def _coo_entries(lists):
@@ -115,7 +119,7 @@ def _sum_by_sorting(keys, vals):
 
 
 def _sorted_form_matrix(lists, dim):
-    """S built by sorting COO keys: the lower entries summed, zero sums dropped, mirrored and sorted."""
+    """CSR arrays of S built by sorting COO keys: the lower entries summed, zero sums dropped, mirrored and sorted."""
     rows, cols, vals = _coo_entries(lists)
     lower, vals = _sum_by_sorting(rows * dim + cols, vals)
     rows, cols = np.divmod(lower, dim)
@@ -124,19 +128,26 @@ def _sorted_form_matrix(lists, dim):
     rows, cols = np.divmod(keys, dim)
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    return operators_module.FormMatrix(indptr, cols.astype(np.int32), vals)
+    return SimpleNamespace(indptr=indptr, indices=cols.astype(np.int32), data=vals)
+
+
+def _csr(s):
+    """The CSR arrays of a FormMatrix, through its one SciPy conversion."""
+    return s.tocsc().tocsr()
 
 
 def _sorted_symmetry_gap(s):
-    """max |a_ij - a_ji| by sorting the stored keys together with those of the transpose."""
+    """max |a_ij - a_ji| by sorting the nonzero keys together with those of the transpose."""
     n = s.shape[0]
-    rows, cols = s._rows, s.indices.astype(np.int64)
+    coo = s.tocsc().tocoo()
+    rows, cols = coo.row.astype(np.int64), coo.col.astype(np.int64)
     keys = np.concatenate([rows * n + cols, cols * n + rows])
-    _, gaps = _sum_by_sorting(keys, np.concatenate([s.data, -s.data]))
+    _, gaps = _sum_by_sorting(keys, np.concatenate([coo.data, -coo.data]))
     return float(np.abs(gaps).max()) if gaps.size else 0.0
 
 
 def _same_bytes(ours, theirs):
+    assert ours.indices.dtype == np.int32
     for name in ("indptr", "indices", "data"):
         a, b = getattr(ours, name), getattr(theirs, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -175,19 +186,53 @@ def test_form_matrix_is_scipys_bit_for_bit(d, N, m, q_full, seed):
     grid = build_grid(d, 1.0, N, m)
     op = _coupled_operator(grid, rng, q_full=q_full and d < 3)
     ref = _scipy_form_matrix(op)
-    s = op.matrix
-    for ours, theirs in ((s, ref), (op.generator(), ref / grid.cell_volume)):
-        _same_bytes(ours, theirs)
+    for ours, theirs in ((op.matrix, ref), (op.generator(), ref / grid.cell_volume)):
+        _same_bytes(_csr(ours), theirs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 3),
+    N=st.integers(2, 10),
+    m=st.integers(1, 3),
+    q_full=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(d=3, N=6, m=2, q_full=True, seed=24)
+def test_band_arithmetic_is_scipys_bit_for_bit(d, N, m, q_full, seed):
+    # every method against SciPy's CSR of the same matrix, the shifted matrices
+    # of the LU included: B - sigma I (Lanczos) and (1 - gamma c) I + gamma B (Krylov)
+    rng = np.random.default_rng(seed)
+    op = _coupled_operator(build_grid(d, 1.0, N, m), rng, q_full=q_full)
     b = op.generator()
+    csr = _csr(b)
     x = rng.standard_normal(op.dim)
     basis = rng.standard_normal((3, op.dim))
-    assert (b @ x).tobytes() == (b.tosparse() @ x).tobytes()
-    assert (b @ basis.T).tobytes() == (b.tosparse() @ basis.T).tobytes()
-    assert b.abs_row_sums().tobytes() == np.asarray(abs(b.tosparse()).sum(axis=1)).ravel().tobytes()
+    assert (b @ x).tobytes() == (csr @ x).tobytes()
+    assert (b @ basis.T).tobytes() == (csr @ basis.T).tobytes()
+    assert (b @ basis.T.copy()).tobytes() == (csr @ basis.T.copy()).tobytes()
+    assert b.abs_row_sums().tobytes() == np.asarray(abs(csr).sum(axis=1)).ravel().tobytes()
     for k in (0, 1, -1):
-        assert b.diagonal(k).tobytes() == b.tosparse().diagonal(k).tobytes()
-    assert b.toarray().tobytes() == b.tosparse().toarray().tobytes()
-    assert b.tosparse() is b.tosparse() and np.shares_memory(b.tosparse().data, b.data)
+        assert b.diagonal(k).tobytes() == csr.diagonal(k).tobytes()
+    assert b.toarray().tobytes() == csr.toarray().tobytes()
+    identity = sparse.identity(op.dim, format="csr")
+    sigma = min(-1.0, op.potential.min_eigenvalue - 1.0)
+    _same_bytes(b.shifted(1.0, -sigma).tocsc(), (csr - sigma * identity).tocsc())
+    gamma, c = rng.uniform(1e-3, 10.0), min(0.0, op.potential.min_eigenvalue)
+    _same_bytes(b.shifted(gamma, 1.0 - gamma * c).tocsc(), ((1.0 - gamma * c) * identity + gamma * csr).tocsc())
+
+
+def test_abs_row_sums_is_not_a_running_band_sum():
+    # negative control: on the benchmark's spectrum-3d operator, summing the
+    # bands in offset order moves the maximum, which is the recorded matrix_norm
+    grid = build_grid(3, 1.0, 24, 2)
+    dif, pot = sample_fields(lambda x: np.diag([1.0, 1.37, 1.83]), lambda x: np.array([[1.0, -0.4], [-0.4, 2.0]]), grid)
+    b = assemble_operator(assemble_form(dif, pot, grid)).generator()
+    running = np.zeros(b.shape[0])
+    for band in np.abs(b.bands):
+        running += band
+    assert np.max(b.abs_row_sums()) == np.max(np.asarray(abs(_csr(b)).sum(axis=1)))
+    assert np.max(running) != np.max(b.abs_row_sums())
 
 
 def test_form_matrix_with_full_q_in_3d_is_scipys_up_to_summation_order():
@@ -196,7 +241,7 @@ def test_form_matrix_with_full_q_in_3d_is_scipys_up_to_summation_order():
     # (repeats - 1) eps/2 times the sum of the repeats' magnitudes
     rng = np.random.default_rng(24)
     op = _coupled_operator(build_grid(3, 1.0, 6, 2), rng, q_full=True)
-    s, ref = op.matrix, _scipy_form_matrix(op)
+    s, ref = _csr(op.matrix), _scipy_form_matrix(op)
     assert s.indptr.tobytes() == ref.indptr.tobytes() and s.indices.tobytes() == ref.indices.tobytes()
     rows, cols, vals = _coo_entries(operators_module._lower_entries(op))
     lower = sparse.coo_matrix((np.abs(vals), (rows, cols)), shape=s.shape).tocsr()
@@ -219,7 +264,7 @@ def test_form_matrix_is_the_sorted_sum_byte_for_byte(d, N, m, q_full, seed):
     # the band sums add each position's repeats in the order of a stable sort
     # of the COO keys, a 3-d full Q included, where SciPy's order differs
     op = _coupled_operator(build_grid(d, 1.0, N, m), np.random.default_rng(seed), q_full=q_full)
-    _same_bytes(op.matrix, _sorted_form_matrix(operators_module._lower_entries(op), op.dim))
+    _same_bytes(_csr(op.matrix), _sorted_form_matrix(operators_module._lower_entries(op), op.dim))
 
 
 def test_form_matrix_drops_repeats_that_cancel():
@@ -228,7 +273,7 @@ def test_form_matrix_drops_repeats_that_cancel():
     grid = build_grid(1, 1.0, 3, 1)
     dif, pot = sample_fields(lambda x: 1.0, lambda x: np.array([[-8.0]]), grid)
     op = assemble_operator(assemble_form(dif, pot, grid))
-    _same_bytes(op.matrix, _sorted_form_matrix(operators_module._lower_entries(op), op.dim))
+    _same_bytes(_csr(op.matrix), _sorted_form_matrix(operators_module._lower_entries(op), op.dim))
     assert op.matrix.nnz == 4
     assert np.array_equal(op.matrix.toarray(), -2.0 * (np.eye(3, k=1) + np.eye(3, k=-1)))
 
@@ -237,14 +282,16 @@ def test_form_matrix_bytes_depend_on_the_order_of_the_lists():
     # negative control for the exact test: the same lists summed in reverse order
     op = _coupled_operator(build_grid(3, 1.0, 6, 2), np.random.default_rng(24), q_full=True)
     reverse = _sorted_form_matrix(operators_module._lower_entries(op)[::-1], op.dim)
-    assert reverse.indices.tobytes() == op.matrix.indices.tobytes()
-    assert np.any(reverse.data != op.matrix.data)
+    s = _csr(op.matrix)
+    assert s.indices.dtype == reverse.indices.dtype == np.int32
+    assert reverse.indices.tobytes() == s.indices.tobytes()
+    assert np.any(reverse.data != s.data)
 
 
 def test_symmetry_gap_reads_the_stored_arrays():
     grid = build_grid(2, 1.0, 9, 2)
     op = _coupled_operator(grid, np.random.default_rng(3))
-    coo = op.matrix.tosparse().tocoo()
+    coo = op.matrix.tocsc().tocoo()
     n = coo.shape[0]
     for band in (1, grid.N, grid.n_nodes, -grid.n_nodes):  # grid neighbours and the coupling band
         i = int(np.flatnonzero(coo.col - coo.row == band)[0])
@@ -259,7 +306,7 @@ def test_symmetry_gap_reads_the_stored_arrays():
     assert op.matrix.toarray()[9, 8] == 0.0
     across = _form_matrix(np.append(coo.row, 8), np.append(coo.col, 9), np.append(coo.data, -0.25), coo.shape)
     assert across.symmetry_gap() == 0.25
-    empty = operators_module.FormMatrix(np.zeros(n + 1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+    empty = operators_module.FormMatrix([], np.zeros((0, n)))
     assert empty.symmetry_gap() == 0.0
 
 
@@ -275,7 +322,7 @@ def test_symmetry_gap_is_the_sorted_gap(d, N, m, changes, seed):
     # stored values moved or zeroed, and values added at random positions
     rng = np.random.default_rng(seed)
     op = _coupled_operator(build_grid(d, 1.0, N, m), rng, q_full=True)
-    coo = op.matrix.tosparse().tocoo()
+    coo = op.matrix.tocsc().tocoo()
     data = coo.data.copy()
     picked = rng.integers(0, data.size, changes)
     data[picked] *= 1.0 + rng.choice([0.0, 1e-15, 1e-9, -1.0], changes)
@@ -791,14 +838,15 @@ def test_dense_solver_follows_matrix_structure(monkeypatch, d, v_fn, solver):
     dif, pot = sample_fields(lambda x: np.eye(d), v_fn, grid)
     op = assemble_operator(assemble_form(dif, pot, grid))
     if solver == "eigh_tridiagonal":
-        # store the zero coupling of the diagonal potential explicitly, off the band
-        coo = op.matrix.tosparse().tocoo()
+        # store the zero coupling of the diagonal potential as all-zero bands at +-n
+        coo = op.matrix.tocsc().tocoo()
         n = grid.n_nodes
         rows = np.concatenate([coo.row, np.arange(n), np.arange(n, 2 * n)])
         cols = np.concatenate([coo.col, np.arange(n, 2 * n), np.arange(n)])
         data = np.concatenate([coo.data, np.zeros(2 * n)])
         op.matrix = _form_matrix(rows, cols, data, coo.shape)
-        assert op.generator().nnz == coo.nnz + 2 * n
+        assert {-n, n} <= set(op.matrix.offsets)
+        assert op.generator().nnz == coo.nnz
     calls = _spy_dense_solvers(monkeypatch)
     eigen_lowest(op, 3, method="dense")
     op.dense_eig()

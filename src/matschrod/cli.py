@@ -516,26 +516,29 @@ def _write_snapshots(snapshots: list, grid, path: Path):
     from the N axis positions in the C order of ``node_coords``, and each
     (time, component) block is written in slices of ``_SNAPSHOT_CHUNK_ROWS``
     rows, one string per slice, so the text held at once stays bounded
-    whatever the grid size.
+    whatever the grid size.  The values of a slice are formatted together by
+    ``repr_bytes``, byte for byte as ``repr`` formats each one.
     """
+    from ._float_repr import repr_bytes
+
     axis = [repr(c) for c in grid.axis_nodes().tolist()]
     prefixes = [
-        f"{node}," + ",".join(xs) for node, xs in enumerate(itertools.product(axis, repeat=grid.d))
+        f"{node},{','.join(xs)}".encode() for node, xs in enumerate(itertools.product(axis, repeat=grid.d))
     ]
     header = ["t", "node"] + [f"x{i}" for i in range(grid.d)] + ["component", "value"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
         for t, state in snapshots:
             for comp in range(grid.m):
-                head, tail = f"{_jsonable(t)},", f",{comp},"
+                head, tail = f"{_jsonable(t)},".encode(), f",{comp},".encode()
                 values = state.values[comp]
                 for start in range(0, len(prefixes), _SNAPSHOT_CHUNK_ROWS):
                     stop = start + _SNAPSHOT_CHUNK_ROWS
                     rows = prefixes[start:stop]
-                    parts = [head, None, tail, None, "\r\n"] * len(rows)
+                    parts = [head, None, tail, None, b"\r\n"] * len(rows)
                     parts[1::5] = rows
-                    parts[3::5] = map(repr, values[start:stop].tolist())
-                    fh.write("".join(parts))
+                    parts[3::5] = repr_bytes(values[start:stop])
+                    fh.write(b"".join(parts))
 
 
 # -- subcommands ----------------------------------------------------------------

@@ -145,6 +145,12 @@ def _coerce_matrix(value, size: int, what: str) -> np.ndarray:
     return out
 
 
+def _is_constant(samples: np.ndarray) -> bool:
+    """Whether every sample is bitwise equal to the first."""
+    bits = samples.reshape(len(samples), -1).view(np.uint64)
+    return bool(np.all(bits == bits[0]))
+
+
 def _check_symmetric(samples: np.ndarray) -> float:
     """Return the largest absolute asymmetry max |M - M^T| over all samples."""
     return float(np.abs(samples - samples.transpose(0, 2, 1)).max()) if samples.size else 0.0
@@ -158,7 +164,9 @@ class DiffusionField:
     downstream can use a non-symmetric diffusion.  The measured extreme
     eigenvalues over all samples are exposed as ``ellipticity_lower`` and
     ``ellipticity_upper``; a non-positive lower bound only warns here and is
-    turned into a hard error by form/operator assembly.
+    turned into a hard error by form/operator assembly.  ``constant`` records
+    whether every sample is bitwise equal to the first; then the bounds come
+    from that one sample.
     """
 
     def __init__(self, grid: GridSpec, samples):
@@ -177,10 +185,12 @@ class DiffusionField:
         samples.setflags(write=False)
         self.grid = grid
         self.samples = samples
-        eigs = np.linalg.eigvalsh(samples)
+        self.constant = _is_constant(samples)
+        distinct = samples[:1] if self.constant else samples
+        eigs = np.linalg.eigvalsh(distinct)
         self.ellipticity_lower = float(eigs[:, 0].min())
         self.ellipticity_upper = float(eigs[:, -1].max())
-        off = samples.copy()
+        off = distinct.copy()
         idx = np.arange(grid.d)
         off[:, idx, idx] = 0.0
         self.diagonal = bool(np.abs(off).max() == 0.0) if grid.d > 1 else True
@@ -202,6 +212,8 @@ class PotentialField:
     over all nodes is >= -1e-10, and ``offdiag_max`` is the largest
     off-diagonal entry over all nodes and component pairs (0 when m == 1),
     the quantity whose sign decides positivity preservation of the semigroup.
+    ``constant`` records whether every sample is bitwise equal to the first;
+    then these quantities come from that one sample.
     """
 
     def __init__(self, grid: GridSpec, samples):
@@ -219,12 +231,14 @@ class PotentialField:
         samples.setflags(write=False)
         self.grid = grid
         self.samples = samples
-        eigs = np.linalg.eigvalsh(samples)
+        self.constant = _is_constant(samples)
+        distinct = samples[:1] if self.constant else samples
+        eigs = np.linalg.eigvalsh(distinct)
         self.min_eigenvalue = float(eigs[:, 0].min())
         self.max_eigenvalue = float(eigs[:, -1].max())
         self.psd = bool(self.min_eigenvalue >= -1e-10)
         if grid.m > 1:
-            off = samples.copy()
+            off = distinct.copy()
             idx = np.arange(grid.m)
             off[:, idx, idx] = -np.inf
             self.offdiag_max = float(off.max())

@@ -550,17 +550,17 @@ def _separable(op: SymmetricOperator):
     (2(N+1))) and the DST-I as eigenvectors, and V = W diag(lam) W^T.
     Returns (mu, W), mu of shape (m, N, ..., N) holding the eigenvalue of the
     mode (component c, wave numbers j_1..j_d); None for any other operator.
-    The test is exact: every sample must equal the first one.
+    The test is exact: both fields must be ``constant``, every sample bitwise
+    equal to the first one.
     """
-    qs, vs = op.diffusion.samples, op.potential.samples
-    if not (op.diffusion.diagonal and np.all(qs == qs[0]) and np.all(vs == vs[0])):
+    if not (op.diffusion.diagonal and op.diffusion.constant and op.potential.constant):
         return None
     grid = op.grid
-    lam, w = np.linalg.eigh(vs[0])
+    lam, w = np.linalg.eigh(op.potential.samples[0])
     j = np.arange(1, grid.N + 1)
     sines = (4.0 / grid.h**2) * np.sin(j * np.pi / (2.0 * (grid.N + 1))) ** 2
     mu = lam.reshape((grid.m,) + (1,) * grid.d)
-    for i, qi in enumerate(np.diagonal(qs[0])):
+    for i, qi in enumerate(np.diagonal(op.diffusion.samples[0])):
         mu = mu + qi * sines.reshape([-1 if a == i + 1 else 1 for a in range(grid.d + 1)])
     return mu, w
 

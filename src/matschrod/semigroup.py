@@ -117,8 +117,18 @@ def default_config(op: SymmetricOperator, **kwargs) -> PropagatorConfig:
 # -- propagators ---------------------------------------------------------
 
 
+#: below this largest entry, eps max|f| is subnormal and a state is propagated scaled
+_TINY = 2.0**-970
+
+
 def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: PropagatorConfig | None = None) -> VectorState:
     """Apply e^{-tB} to a state.
+
+    A state whose largest entry is below 2^-970 is propagated scaled by a
+    power of 2 that brings that entry into [1/2, 1), and scaled back after:
+    unscaled, its roundoff eps max|f| would be subnormal, as coarse as
+    5e-4 of a 1e-320 state.  Both scalings are exact or round monotonically,
+    so a contracting result stays within its input.
 
     A failure raises ConvergenceError whose ``partial`` is
     ``{"state": ..., "t_reached": ...}``, the furthest certified point (f0
@@ -133,6 +143,10 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
     if config is None:
         config = default_config(op)
     x = f0.flat().copy()
+    peak = max(x.max(), -x.min())
+    scale = -int(np.frexp(peak)[1]) if 0.0 < peak < _TINY else 0
+    if scale:
+        x = np.ldexp(x, scale)
     if config.method == "exact-dense":
         w, u = op.dense_eig()
         _require_finite_growth(f0, t, w[0], config.method)
@@ -150,9 +164,9 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
             y = _krylov_expm(op, x, t, config.tol)
         except ConvergenceError as exc:
             values, t_reached = exc.partial
-            exc.partial = {"state": f0.with_values(values), "t_reached": t_reached}
+            exc.partial = {"state": f0.with_values(np.ldexp(values, -scale)), "t_reached": t_reached}
             raise
-    return f0.with_values(y)
+    return f0.with_values(np.ldexp(y, -scale) if scale else y)
 
 
 def _require_finite_growth(f0, t, lam, method):

@@ -9,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matschrod
 from matschrod import checks, cli
+from matschrod._float_repr import repr_bytes
 from matschrod import operators as operators_module
 from matschrod.checks import run_checks
 from matschrod.semigroup import _simpson
@@ -626,6 +629,52 @@ def test_snapshot_writer_matches_csv_writer_across_chunk_boundaries(tmp_path, d,
     assert written.read_bytes() == reference.read_bytes()
 
 
+def _reprs(values):
+    return [repr(float(v)).encode() for v in values]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(floats=st.lists(st.floats(), min_size=1, max_size=40), seed=st.integers(0, 2**32 - 1))
+def test_repr_bytes_is_repr(floats, seed):
+    # the drawn floats (nan, inf and subnormals included) among random bit
+    # patterns, in an array longer than one slice of snapshot rows
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2**64, cli._SNAPSHOT_CHUNK_ROWS + 3, dtype=np.uint64, endpoint=False).view(np.float64)
+    values[rng.choice(len(values), len(floats), replace=False)] = floats
+    assert repr_bytes(values) == _reprs(values)
+
+
+def _sweep():
+    """Powers of 2 and of 10 with both neighbours, the integers near 2^53 and 2^54, and ±0."""
+    powers = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)]
+    centres = np.array(powers)
+    near = [np.nextafter(centres, 0.0), centres, np.nextafter(centres, np.inf)]
+    integers = [2.0**53 + np.arange(-64, 65), 2.0**54 + 4.0 * np.arange(-64, 65)]
+    values = np.concatenate(near + integers + [np.array([0.0])])
+    return np.concatenate([values, -values])
+
+
+def test_repr_bytes_is_repr_on_the_sweep():
+    # the sweep holds a tie between the two closest shortest decimals, broken
+    # to the even one (2^50 + 1/4); a shortest decimal on an end of the
+    # rounding interval, in it for the even significand of 2^54 + 8, not for
+    # the odd one of 2^54 + 28; and both layouts either side of 1e16 and 1e-4
+    values = _sweep()
+    want = _reprs(values)
+    assert {b"1125899906842624.2", b"1.801439850948199e+16", b"1.8014398509482012e+16"} <= set(want)
+    assert {b"1e+16", b"9999999999999998.0", b"0.0001", b"9.999999999999999e-05"} <= set(want)
+    assert repr_bytes(values) == want
+    assert repr_bytes(values[::3]) == want[::3]
+    assert repr_bytes(values[:0]) == []
+
+
+def test_repr_bytes_is_repr_itself_without_short_float_repr(monkeypatch):
+    monkeypatch.setattr(sys, "float_repr_style", "legacy")
+    monkeypatch.setattr("matschrod._float_repr._shortest", None)
+    values = np.array([0.1, -2.5e-7, 1e22])
+    assert repr_bytes(values) == _reprs(values)
+
+
 def test_evolve_tiny_state_has_nonzero_norms(tmp_path):
     # the squares of a 1e-200 state underflow; the contraction probe must still see it
     rc = cli.main(
@@ -978,6 +1027,25 @@ def test_cli_leaves_scipy_module_unloaded(tmp_path, modules, run):
     # spectrum (above DENSE_LIMIT) build and multiply S with numpy alone, the
     # closed-form evolve never builds S, and nothing loads scipy.fft or
     # scipy.integrate
+    assert _loaded(tmp_path, modules, run) == "[]"
+
+
+@pytest.mark.parametrize(
+    "run, loaded",
+    [
+        (_ASSEMBLE, "[]"),
+        (_SEPARABLE_SPECTRUM, "[]"),
+        (["verify", '--probes.checks=["laplacian_spectrum"]'], "[]"),
+        (_SEPARABLE_EVOLVE, "['matschrod._float_repr']"),
+    ],
+    ids=["assemble", "spectrum", "verify", "evolve"],
+)
+def test_only_evolve_loads_the_bulk_float_formatter(tmp_path, run, loaded):
+    assert _loaded(tmp_path, ["matschrod._float_repr"], run) == loaded
+
+
+def _loaded(tmp_path, modules, run):
+    """Which of ``modules`` a fresh process has loaded after ``matschrod.cli.main(run)``, printed."""
     src = str(Path(matschrod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, matschrod.cli"
@@ -985,7 +1053,7 @@ def test_cli_leaves_scipy_module_unloaded(tmp_path, modules, run):
         probe += f"; assert matschrod.cli.main({run + ['--out', str(tmp_path)]!r}) == 0"
     probe += f"; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
 
 
 def test_simpson_matches_scipy_bit_for_bit():

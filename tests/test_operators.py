@@ -772,6 +772,32 @@ def test_only_non_separable_operators_are_factored(monkeypatch, q, v_fn, factore
     assert report.method == ("lanczos" if factored else "separable")
 
 
+def test_constant_is_bitwise_so_signed_zeros_are_not_separable():
+    # V = 0 * x_0 * I is -0.0 left of the origin and +0.0 right of it: equal
+    # values, other bits.  Such a field is not ``constant``, so the operator takes
+    # the general path; a constant field's bounds, read off its first sample,
+    # are those of every sample to the bit
+    grid = build_grid(2, 1.0, 12, 2)
+    q = np.array([[1.0, 0.3], [0.3, 1.7]])
+    fields = {
+        "signed": sample_fields(lambda x: q, lambda x: 0.0 * x[0] * np.eye(2), grid),
+        "plain": sample_fields(lambda x: q, lambda x: np.array([[1.0, -0.4], [-0.4, 2.0]]), grid),
+    }
+    assert np.any(np.signbit(fields["signed"][1].samples)) and not np.all(np.signbit(fields["signed"][1].samples))
+    assert [dif.constant for dif, _ in fields.values()] == [True, True]
+    assert [pot.constant for _, pot in fields.values()] == [False, True]
+    for dif, pot in fields.values():
+        qe, ve = np.linalg.eigvalsh(dif.samples), np.linalg.eigvalsh(pot.samples)
+        assert (dif.ellipticity_lower, dif.ellipticity_upper) == (qe[:, 0].min(), qe[:, -1].max())
+        assert (pot.min_eigenvalue, pot.max_eigenvalue) == (ve[:, 0].min(), ve[:, -1].max())
+        assert pot.offdiag_max == pot.samples[:, 0, 1].max()
+    diagonal_q = np.diag([1.0, 1.37])
+    for v_fn, separable in ((lambda x: 0.0 * x[0] * np.eye(2), False), (lambda x: 0.0 * np.eye(2), True)):
+        dif, pot = sample_fields(lambda x: diagonal_q, v_fn, grid)
+        op = assemble_operator(assemble_form(dif, pot, grid))
+        assert (operators_module._separable(op) is not None) == separable
+
+
 # -- the tridiagonal path ----------------------------------------------------------
 
 

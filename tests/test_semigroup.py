@@ -275,6 +275,32 @@ def test_krylov_failure_carries_partial():
         assert mixed_norm(partial["state"] - reached, 2) <= 1e-10 * mixed_norm(f, 2)
 
 
+@pytest.mark.parametrize("method", ["exact-dense", "exact-separable", "lanczos-expmv"])
+def test_subnormal_state_contracts_to_the_bit(method):
+    # Q = I and V = 0 contract in every L^p.  Unscaled, a state of 5e-323,
+    # ten subnormal ulps, was propagated in subnormal arithmetic: its entries
+    # grew past it on the dense and separable paths, and Krylov, whose norm
+    # underflowed to 0, returned it unchanged
+    grid, op = _constant_operator(2, 8, 2, np.eye(2), np.zeros((2, 2)))
+    f = VectorState(grid, np.full((2, grid.n_nodes), 5e-323))
+    config = PropagatorConfig(method=method)
+    for t in config.times:
+        got = propagate(op, f, t, config).values
+        want = np.ldexp(propagate(op, f * 2.0**1000, t, DENSE).values, -1000)
+        assert np.max(np.abs(got)) <= 5e-323
+        assert np.max(np.abs(got - want)) <= 5e-324  # one ulp
+
+
+def test_krylov_failure_partial_of_a_subnormal_state_is_scaled_back():
+    grid, op = _harmonic_operator(N=20)
+    f = VectorState.random(grid, np.random.default_rng(5)) * 1e-310
+    with pytest.raises(ConvergenceError, match="subspace enlargements") as info:
+        propagate(op, f, 0.5, PropagatorConfig(method="lanczos-expmv", tol=1e-30))
+    partial = info.value.partial
+    reached = propagate(op, f, partial["t_reached"], DENSE)
+    assert mixed_norm(partial["state"] - reached, 2) <= 1e-10 * mixed_norm(f, 2)
+
+
 def _spy_kernels(monkeypatch):
     calls = {"polynomial": 0, "shift-invert": 0}
     for name, key in (("_polynomial_expm", "polynomial"), ("_shift_invert_expm", "shift-invert")):

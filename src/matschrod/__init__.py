@@ -33,7 +33,6 @@ from .grid import (
 from .form import (
     FormAssembly,
     assemble_form,
-    continuity_ratios,
     edge_jump_norms,
     eval_form,
     form_norm,
@@ -99,7 +98,6 @@ __all__ = [
     "smooth_bump_slope",
     "FormAssembly",
     "assemble_form",
-    "continuity_ratios",
     "edge_jump_norms",
     "eval_form",
     "form_norm",

@@ -9,8 +9,9 @@ against a 126-bit power of ten bracket x and its rounding interval at one
 decimal scale, and the shortest decimal inside the interval is read off them.
 Each string is then cut from a padded row of its digits, 24 bytes at a time,
 and the point, the sign and the exponent are masked in word by word.
-Subnormals, infinities and nan, and every value on a build whose
-``float_repr_style`` is not ``"short"``, go to ``repr`` itself.
+Exact zeros are ``0.0`` and ``-0.0`` without any of that; subnormals,
+infinities and nan, and every value on a build whose ``float_repr_style`` is
+not ``"short"``, go to ``repr`` itself.
 """
 from __future__ import annotations
 
@@ -150,7 +151,14 @@ def repr_bytes(values) -> list:
         return [repr(v).encode() for v in values.tolist()]
     bits = values.view(np.uint64)
     magnitude = bits & _MASK_63
-    special = (magnitude >> 52 == 0x7FF) | ((magnitude < 2**52) & (magnitude != 0))  # inf, nan, subnormal
+    zero = magnitude == 0
+    if zero.any():
+        # only the nonzero values need digits; a slice without zeros skips this merge
+        out = np.full(len(values), b"0.0", dtype=object)
+        out[zero & (bits >> 63 != 0)] = b"-0.0"
+        out[~zero] = repr_bytes(values[~zero])
+        return out.tolist()
+    special = (magnitude >> 52 == 0x7FF) | (magnitude < 2**52)  # inf, nan, subnormal
     text = _layout((bits >> 63).astype(bool), *_digits(magnitude, special))
     out = text.view(f"S{_WIDTH}").ravel().tolist()
     for i in np.flatnonzero(special).tolist():
@@ -159,13 +167,12 @@ def repr_bytes(values) -> list:
 
 
 def _digits(magnitude, special):
-    """(lead, words, decpt, n) of |x|: x = 0.d1d2...d17 10^decpt with d1 = lead, d2..d17 the
-    bytes of the two words and n significant digits; a zero is 0.0 10^1 with n = 1."""
-    zero = magnitude == 0
-    # zeros and the special values are read as 1.0; zeros get their digits below
-    f, k = _shortest(np.where(zero | special, np.uint64(0x3FF0000000000000), magnitude))
+    """(lead, words, decpt, n) of |x| > 0: x = 0.d1d2...d17 10^decpt with d1 = lead, d2..d17 the
+    bytes of the two words and n significant digits."""
+    # the special values are read as 1.0
+    f, k = _shortest(np.where(special, np.uint64(0x3FF0000000000000), magnitude))
     short = f < 10**16
-    f = np.where(zero, 0, np.where(short, f * 10, f))  # now exactly 17 digits, or 0
+    f = np.where(short, f * 10, f)  # now exactly 17 digits
     lead = f // 10**16
     f = f - lead * 10**16
     high = f // 10**8
@@ -174,7 +181,7 @@ def _digits(magnitude, special):
     # are at most 9, so no word rounds up to a power of 2 as a float)
     zeros = (64 - np.frexp(words.astype(np.float64))[1]) // 8
     n = 17 - zeros[1] - (zeros[1] == 8) * zeros[0]
-    return lead, words, np.where(zero, 1, k + 17 - short), n
+    return lead, words, k + 17 - short, n
 
 
 def _layout(neg, lead, words, decpt, n):

@@ -44,7 +44,6 @@ __all__ = [
     "assemble_form",
     "form_terms",
     "form_norms",
-    "continuity_ratios",
     "eval_form",
     "form_norm",
     "edge_jump_norms",
@@ -137,15 +136,6 @@ def form_norms(assembly: FormAssembly, x) -> np.ndarray:
     _, gradient, potential = form_terms(assembly, x, x)
     sq = assembly.grid.cell_volume * (x**2).sum(axis=(-2, -1)) + gradient + potential
     return np.sqrt(np.maximum(sq, 0.0))
-
-
-def continuity_ratios(assembly: FormAssembly, x, y) -> np.ndarray:
-    """|a(x, y)| / (||x||_form ||y||_form) per batch entry; 0 where both vanish."""
-    num = np.abs(form_terms(assembly, x, y)[0])
-    den = form_norms(assembly, x) * form_norms(assembly, y)
-    if np.any((den == 0.0) & (num != 0.0)):
-        raise ValueError("continuity ratio undefined: zero graph norm with nonzero pairing")
-    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0.0)
 
 
 def eval_form(assembly: FormAssembly, f: VectorState, g: VectorState) -> float:

@@ -243,7 +243,12 @@ class SymmetricOperator(FormAssembly):
         return float(np.max(self.generator().abs_row_sums()))
 
     def dense_eig(self):
-        """Cached full eigendecomposition (w, U) of the generator."""
+        """Cached full eigendecomposition (w, U) of the generator.
+
+        LAPACK gets the transposed view of ``toarray()``, overwritable: B is
+        exactly symmetric, so the view is the same matrix, already in the
+        column-major order LAPACK reads, and no second copy of it is made.
+        """
         if self.dim > DENSE_LIMIT:
             raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {self.dim}")
         if self._dense_eig is None:
@@ -252,7 +257,7 @@ class SymmetricOperator(FormAssembly):
             b = self.generator()
             bands = _tridiagonal(b)
             if bands is None:
-                self._dense_eig = scipy.linalg.eigh(b.toarray())
+                self._dense_eig = scipy.linalg.eigh(b.toarray().T, overwrite_a=True)
             else:
                 self._dense_eig = scipy.linalg.eigh_tridiagonal(*bands)
         return self._dense_eig
@@ -393,6 +398,12 @@ def eigen_lowest(
 
 
 def _eigen_dense(op: SymmetricOperator, k: int, tol: float) -> SpectrumReport:
+    """The k lowest eigenpairs of B by a direct solve.
+
+    As in ``dense_eig``, LAPACK reads the transposed view of ``toarray()``
+    in place: B = S / h^d with S mirrored from its lower bands, so the view
+    holds the same matrix, and in column-major order it needs no copy.
+    """
     if op.dim > DENSE_LIMIT:
         raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {op.dim}")
     import scipy.linalg
@@ -400,7 +411,7 @@ def _eigen_dense(op: SymmetricOperator, k: int, tol: float) -> SpectrumReport:
     b = op.generator()
     bands = _tridiagonal(b)
     if bands is None:
-        w, v = scipy.linalg.eigh(b.toarray(), subset_by_index=(0, k - 1))
+        w, v = scipy.linalg.eigh(b.toarray().T, overwrite_a=True, subset_by_index=(0, k - 1))
     else:
         # bisection plus inverse iteration (LAPACK stebz/stein)
         w, v = scipy.linalg.eigh_tridiagonal(*bands, select="i", select_range=(0, k - 1))
@@ -411,15 +422,20 @@ def _eigen_separable(op: SymmetricOperator, k: int, tol: float) -> SpectrumRepor
     """The k lowest modes of the closed form ``separable``, checked against the assembled B.
 
     Ties keep the order of the flattened modes (a stable sort), so repeated
-    eigenvalues come back in a reproducible order.
+    eigenvalues come back in a reproducible order.  Each eigenvector is the
+    synthesis of its one-hot mode, one mode at a time, so the DST never holds
+    more than one state.
     """
     op.generator()  # assemble B before the modes exist, so its peak does not hold them
     mu, w = op.separable
     order = np.argsort(mu, axis=None, kind="stable")[:k]
-    modes = np.zeros((k, mu.size))
-    modes[np.arange(k), order] = 1.0
     _, synthesize = _separable_basis(mu, w)
-    vecs = synthesize(modes.reshape((k,) + mu.shape)).T
+    vecs = np.empty((op.dim, k))
+    mode = np.zeros(mu.shape)
+    for col, index in enumerate(order):
+        mode.flat[index] = 1.0
+        vecs[:, col] = synthesize(mode)
+        mode.flat[index] = 0.0
     return _exact_report(op, mu.ravel()[order], vecs, "separable", tol)
 
 
@@ -585,9 +601,9 @@ def _separable_basis(mu, w):
     """The analysis and synthesis halves of the closed form's eigenbasis: W and the DST-I.
 
     ``analyse`` maps a flat state to its modal coefficients (shaped like
-    mu); ``synthesize`` maps coefficients of shape (..., *mu.shape), any
-    leading batch axes included, back to flat states of shape (..., n).
-    Both go through the one ``_dst1`` and leave their arguments unchanged.
+    mu); ``synthesize`` maps coefficients shaped like mu back to a flat
+    state.  Both go through the one ``_dst1`` and leave their arguments
+    unchanged.
     """
     m, shape, ndim = mu.shape[0], mu.shape, mu.ndim - 1
 
@@ -595,8 +611,7 @@ def _separable_basis(mu, w):
         return _dst1((w.T @ x.reshape(m, -1)).reshape(shape), ndim)
 
     def synthesize(y):
-        batch = y.shape[: y.ndim - mu.ndim]
-        return (w @ _dst1(y, ndim).reshape(batch + (m, -1))).reshape(batch + (-1,))
+        return (w @ _dst1(y, ndim).reshape(m, -1)).ravel()
 
     return analyse, synthesize
 

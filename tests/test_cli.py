@@ -668,6 +668,13 @@ def test_repr_bytes_is_repr_on_the_sweep():
     assert repr_bytes(values[:0]) == []
 
 
+def test_repr_bytes_is_repr_on_slices_with_zeros():
+    # a slice that holds an exact zero formats only its nonzero values by Schubfach
+    slices = (np.zeros(5), np.array([-0.0, 0.0, -0.0]), np.array([0.0, 0.0, 2.5e-7, -0.0, np.nan, 5e-324, -1e300]))
+    for values in slices:
+        assert repr_bytes(values) == _reprs(values)
+
+
 def test_repr_bytes_is_repr_itself_without_short_float_repr(monkeypatch):
     monkeypatch.setattr(sys, "float_repr_style", "legacy")
     monkeypatch.setattr("matschrod._float_repr._shortest", None)

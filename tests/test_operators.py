@@ -1,5 +1,7 @@
 """Sparse matrix assembly, eigensolvers, and the scalar sandwich bracket."""
 
+import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -721,6 +723,53 @@ def test_separable_dst_matches_the_dense_sine_matrix():
     )
 
 
+def _batched_one_hot_vectors(mu, w, order):
+    """The closed form's eigenvectors as one DST of all k one-hot modes at once, (n, k)."""
+    k, m, ndim = len(order), mu.shape[0], mu.ndim - 1
+    modes = np.zeros((k, mu.size))
+    modes[np.arange(k), order] = 1.0
+    y = operators_module._dst1(modes.reshape((k,) + mu.shape), ndim)
+    return (w @ y.reshape(k, m, -1)).reshape(k, -1).T
+
+
+def _traced_peak(fn):
+    """Bytes that tracemalloc sees allocated at the peak of fn(), above those held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d, m, coupled", list(itertools.product((1, 2, 3), (1, 2, 3), (False, True))))
+def test_closed_form_synthesizes_mode_by_mode_as_the_batched_dst_did(d, m, coupled):
+    # a diagonal V has W = I; a coupled one mixes the components
+    rng = np.random.default_rng(10 * d + m)
+    vmat = _constant_potential("coupled", m, rng, 0.0) if coupled else np.diag(rng.uniform(0.0, 3.0, m))
+    _, op = _constant_operator(d, {1: 40, 2: 9, 3: 5}[d], m, np.diag([1.0, 1.37, 1.83][:d]), vmat)
+    k = 7
+    report = operators_module._eigen_separable(op, k, 1e-10)
+    mu, w = op.separable
+    order = np.argsort(mu, axis=None, kind="stable")[:k]
+    np.testing.assert_array_equal(report.eigenvalues, mu.ravel()[order])
+    assert report.eigenvectors.tobytes() == _batched_one_hot_vectors(mu, w, order).tobytes()
+
+
+def test_closed_form_eigenvectors_hold_no_batch_of_transforms():
+    # one mode at a time the peak is the report's few (n, k) arrays, about
+    # 3.5 n k doubles; a DST of all k one-hot modes at once holds about 8
+    _, op = _constant_operator(3, 16, 2, np.diag([1.0, 1.37, 1.83]), np.array([[1.0, -0.4], [-0.4, 2.0]]))
+    k = 10
+    op.generator()
+    mu, w = op.separable
+    bound = 5 * op.dim * k * 8
+    assert _traced_peak(lambda: eigen_lowest(op, k, method="lanczos")) <= bound
+    order = np.argsort(mu, axis=None, kind="stable")[:k]
+    assert _traced_peak(lambda: _batched_one_hot_vectors(mu, w, order)) > bound  # negative control
+
+
 def test_spla_is_scipy_sparse_linalg_and_its_splu_is_the_one_called(monkeypatch):
     # perfbench/traced_cli.py wraps ``operators.spla.splu``, so the factor must
     # go through that attribute
@@ -877,6 +926,41 @@ def test_dense_solver_follows_matrix_structure(monkeypatch, d, v_fn, solver):
     eigen_lowest(op, 3, method="dense")
     op.dense_eig()
     assert calls == [solver, solver]
+
+
+@pytest.mark.parametrize("d, m, q_full", list(itertools.product((1, 2, 3), (1, 2, 3), (False, True)))[2:])
+def test_dense_solves_read_the_transposed_view_bit_for_bit(d, m, q_full):
+    # d = 1, m = 1 (the two cases left out) is tridiagonal and never reaches dense eigh
+    grid = build_grid(d, 1.0, {1: 40, 2: 8, 3: 4}[d], m)
+    op = _coupled_operator(grid, np.random.default_rng(d + 3 * m), q_full)
+    b = op.generator()
+    assert operators_module._tridiagonal(b) is None
+    k = 6
+    w, v = scipy.linalg.eigh(b.toarray(), subset_by_index=(0, k - 1))
+    report = eigen_lowest(op, k, method="dense")
+    assert report.eigenvalues.tobytes() == w.tobytes() and report.eigenvectors.tobytes() == v.tobytes()
+    w, u = scipy.linalg.eigh(b.toarray())
+    got_w, got_u = op.dense_eig()
+    assert got_w.tobytes() == w.tobytes() and got_u.tobytes() == u.tobytes()
+
+
+def test_dense_solves_make_no_second_copy_of_the_matrix():
+    # LAPACK reads the dense B in place: beyond B itself (n^2 doubles) the
+    # subset solve allocates little, and the full solve one more n^2 for U
+    _, op = _tilted_operator(1, 400, 3, [1.0], np.array([[2.0, -0.5, 0.1], [-0.5, 1.0, 0.3], [0.1, 0.3, 1.5]]))
+    b = op.generator()
+    square = op.dim**2 * 8
+    assert op.dim >= 1200 and operators_module._tridiagonal(b) is None
+    assert _traced_peak(lambda: eigen_lowest(op, 10, method="dense")) <= 1.5 * square
+    assert _traced_peak(op.dense_eig) <= 2.5 * square
+    # negative controls: f2py copies B to column-major order unless it gets
+    # the transposed view and may overwrite it
+    for transpose, overwrite in ((False, False), (True, False), (False, True)):
+        def subset():
+            a = b.toarray()
+            scipy.linalg.eigh(a.T if transpose else a, overwrite_a=overwrite, subset_by_index=(0, 9))
+
+        assert _traced_peak(subset) > 1.5 * square
 
 
 # -- pointwise extremal eigenvalues ------------------------------------------------

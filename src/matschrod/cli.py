@@ -8,8 +8,8 @@ Usage:
 Configs are UTF-8 JSON over a fixed schema; unknown keys are rejected and
 every run echoes the fully resolved configuration to
 ``resolved-config.json``, which can be re-ingested to reproduce the run
-bit for bit (verdict files carry no timings).  Dotted flags override single
-values, e.g. ``--grid.N=500`` or
+bit for bit at the same OpenBLAS thread count (verdict files carry no
+timings).  Dotted flags override single values, e.g. ``--grid.N=500`` or
 ``--coefficients.v.kind=harmonic --coefficients.v.scale=1``; a kind's
 defaults are filled in after the file and every flag, so a switched kind
 starts from its own defaults.
@@ -396,10 +396,7 @@ def _initial_state(block: dict, grid, seed: int) -> VectorState:
 
 def _build_operator(config: dict):
     g = config["grid"]
-    try:
-        grid = build_grid(g["d"], g["L"], g["N"], g["m"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = build_grid(g["d"], g["L"], g["N"], g["m"])
     qs = _q_samples(config["coefficients"]["q"], grid)
     vs = _v_samples(config["coefficients"]["v"], grid)
     return assemble_operator(assemble_form(DiffusionField(grid, qs), PotentialField(grid, vs), grid))
@@ -447,19 +444,12 @@ def _write_json(payload, path: Path):
         fh.write("\n")
 
 
-def _write_verdicts(records: list, config: dict, subcommand: str, outdir: Path) -> bool:
-    """Write verdicts.json; a record whose ``passed`` is null gated nothing and does not fail."""
-    all_passed = all(rec["passed"] is not False for rec in records)
-    _write_json(
-        {
-            "subcommand": subcommand,
-            "seed": config["seed"],
-            "all_passed": all_passed,
-            "records": records,
-        },
-        outdir / "verdicts.json",
-    )
-    return all_passed
+def _write_csv(path: Path, header: list, rows):
+    """A CSV file of the header row and then ``rows``, as ``csv.writer`` writes them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_norm_traces(trace: list, path: Path):
@@ -476,32 +466,6 @@ def _write_norm_traces(trace: list, path: Path):
             cells.append(repr(max(rec["ratio"] for rec in records if rec["t"] == t and rec["p"] == p)))
         lines.append(" ".join(cells))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _write_continuity_ratios(n_list: list, ratios: list, path: Path):
-    """continuity_ratios.dat: the scale n with its ratio r_n."""
-    lines = ["# n ratio"] + [f"{n} {r!r}" for n, r in zip(n_list, ratios)]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_spectrum(report, path: Path):
-    """spectrum.csv: per index the eigenvalue and its residual."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue", "residual"])
-        for k, (lam, res) in enumerate(zip(report.eigenvalues, report.residuals)):
-            writer.writerow([k, repr(float(lam)), repr(float(res))])
-
-
-def _write_merge(claim: dict, tol_rel: float, path: Path):
-    """merge.csv: per index the vector and merged eigenvalues, their deviation
-    and the tolerance tol_rel * (1 + |lambda_n|)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "vector_eigenvalue", "merged_eigenvalue", "deviation", "tolerance"])
-        rows = zip(claim["vector_eigenvalues"], claim["merged_eigenvalues"], claim["deviations"])
-        for n, (lam, mer, dev) in enumerate(rows):
-            writer.writerow([n, repr(lam), repr(mer), repr(dev), repr(tol_rel * (1.0 + abs(lam)))])
 
 
 #: rows of snapshots.csv joined into one string per write
@@ -544,7 +508,7 @@ def _write_snapshots(snapshots: list, grid, path: Path):
 # -- subcommands ----------------------------------------------------------------
 
 
-def _cmd_assemble(config: dict, outdir: Path) -> bool:
+def _cmd_assemble(config: dict, outdir: Path) -> list:
     op = _build_operator(config)
     stats = {
         "dimension": op.dim,
@@ -558,22 +522,23 @@ def _cmd_assemble(config: dict, outdir: Path) -> bool:
         "potential_offdiag_max": op.potential.offdiag_max,
         "generator_norm_bound": op.generator_norm_bound(),
     }
-    return _write_verdicts(
-        [{"name": "assemble", "passed": stats["stored_symmetry_gap"] == 0.0, "detail": stats}],
-        config,
-        "assemble",
-        outdir,
-    )
+    return [{"name": "assemble", "passed": stats["stored_symmetry_gap"] == 0.0, "detail": stats}]
 
 
-def _cmd_spectrum(config: dict, outdir: Path) -> bool:
+def _cmd_spectrum(config: dict, outdir: Path) -> list:
     op = _build_operator(config)
     solver = config["solver"]
     if solver["k"] > op.dim:
         raise ConfigError(f"solver.k={solver['k']} exceeds the matrix dimension {op.dim}")
     report = eigen_lowest(op, solver["k"], tol=solver["tol"], method=solver["method"], seed=config["seed"])
-    _write_spectrum(report, outdir / "spectrum.csv")
-    records = [
+    # spectrum.csv: per index the eigenvalue and its residual
+    rows = enumerate(zip(report.eigenvalues, report.residuals))
+    _write_csv(
+        outdir / "spectrum.csv",
+        ["index", "eigenvalue", "residual"],
+        ([k, repr(float(lam)), repr(float(res))] for k, (lam, res) in rows),
+    )
+    return [
         {
             "name": "spectrum",
             "passed": bool(np.all(report.residuals <= solver["tol"] * report.matrix_norm)),
@@ -586,20 +551,16 @@ def _cmd_spectrum(config: dict, outdir: Path) -> bool:
             },
         }
     ]
-    return _write_verdicts(records, config, "spectrum", outdir)
 
 
-def _cmd_evolve(config: dict, outdir: Path) -> bool:
+def _cmd_evolve(config: dict, outdir: Path) -> list:
     op = _build_operator(config)
     prop = _propagator_config(config["propagator"], op)
     f0 = _initial_state(config["evolve"]["initial_state"], op.grid, config["seed"])
     snapshots = [(0.0, f0)] + [(t, propagate(op, f0, t, prop)) for t in prop.times]
     trace = _norm_ratio_records(op, f0, prop.p_list, snapshots[1:])
-    with open(outdir / "probes.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "p", "norm_in", "norm_out", "ratio", "guaranteed"])
-        for rec in trace:
-            writer.writerow([_jsonable(rec[c]) for c in ("t", "p", "norm_in", "norm_out", "ratio", "guaranteed")])
+    columns = ["t", "p", "norm_in", "norm_out", "ratio", "guaranteed"]
+    _write_csv(outdir / "probes.csv", columns, ([_jsonable(rec[c]) for c in columns] for rec in trace))
     _write_snapshots(snapshots, op.grid, outdir / "snapshots.csv")
     _write_norm_traces(trace, outdir / "norms.dat")
     violations = _contraction_violations(trace)
@@ -615,58 +576,42 @@ def _cmd_evolve(config: dict, outdir: Path) -> bool:
             "and for p != 2 also a diagonal diffusion"
         )
     passed = None if violations is None else not violations
-    records = [{"name": "evolve-contraction", "passed": passed, "detail": detail}]
-    return _write_verdicts(records, config, "evolve", outdir)
+    return [{"name": "evolve-contraction", "passed": passed, "detail": detail}]
 
 
-def _cmd_verify(config: dict, outdir: Path) -> bool:
+def _cmd_verify(config: dict, outdir: Path) -> list:
     results = run_checks(config["probes"]["checks"], config["seed"])
-    with open(outdir / "probes.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "passed"])
-        for res in results:
-            writer.writerow([res.name, res.passed])
-    return _write_verdicts(
-        [res.verdict_record() for res in results], config, "verify", outdir
-    )
+    _write_csv(outdir / "probes.csv", ["check", "passed"], ([res.name, res.passed] for res in results))
+    return [res.verdict_record() for res in results]
 
 
-def _cmd_gallery(config: dict, outdir: Path) -> bool:
+def _cmd_gallery(config: dict, outdir: Path) -> list:
     block = config["gallery"]
     if block["name"] is None:
         _write_json(list_gallery(), outdir / "gallery.json")
-        return _write_verdicts(
-            [{"name": "gallery-list", "passed": True, "detail": {"problems": sorted(GALLERY)}}],
-            config,
-            "gallery",
-            outdir,
-        )
+        return [{"name": "gallery-list", "passed": True, "detail": {"problems": sorted(GALLERY)}}]
     try:
         problem = build_problem(block["name"], **block["params"])
-    except (ValueError, TypeError) as exc:
+    except TypeError as exc:  # e.g. a parameter the builder does not take
         raise ConfigError(str(exc)) from exc
     result = validate_expected(problem, seed=config["seed"])
     claims = result["claims"]
     if "continuity_ratios" in claims:
-        _write_continuity_ratios(
-            problem.expected["continuity_ratios"]["n_list"],
-            claims["continuity_ratios"]["ratios"],
-            outdir / "continuity_ratios.dat",
-        )
+        # continuity_ratios.dat: the scale n with its ratio r_n
+        pairs = zip(problem.expected["continuity_ratios"]["n_list"], claims["continuity_ratios"]["ratios"])
+        lines = ["# n ratio"] + [f"{n} {r!r}" for n, r in pairs]
+        (outdir / "continuity_ratios.dat").write_text("\n".join(lines) + "\n")
     if "merge" in claims:
-        _write_merge(claims["merge"], problem.expected["merge"]["tol_rel"], outdir / "merge.csv")
-    return _write_verdicts(
-        [
-            {
-                "name": f"gallery-{problem.name}",
-                "passed": result["passed"],
-                "detail": claims,
-            }
-        ],
-        config,
-        "gallery",
-        outdir,
-    )
+        # merge.csv: per index the vector and merged eigenvalues, their
+        # deviation and the tolerance tol_rel * (1 + |lambda_n|)
+        merge, tol_rel = claims["merge"], problem.expected["merge"]["tol_rel"]
+        rows = enumerate(zip(merge["vector_eigenvalues"], merge["merged_eigenvalues"], merge["deviations"]))
+        _write_csv(
+            outdir / "merge.csv",
+            ["index", "vector_eigenvalue", "merged_eigenvalue", "deviation", "tolerance"],
+            ([n, repr(lam), repr(mer), repr(dev), repr(tol_rel * (1.0 + abs(lam)))] for n, (lam, mer, dev) in rows),
+        )
+    return [{"name": f"gallery-{problem.name}", "passed": result["passed"], "detail": claims}]
 
 
 _SUBCOMMANDS = {
@@ -679,11 +624,27 @@ _SUBCOMMANDS = {
 
 
 def run(subcommand: str, config: dict) -> int:
-    """Resolved-config entry point; returns the exit code."""
+    """Resolved-config entry point; returns the exit code.
+
+    Each subcommand writes its own artifacts and returns its verdict records.
+    verdicts.json is written from them once it returns, so a run that raises
+    leaves none.  A record whose ``passed`` is null
+    gated nothing and does not fail the run.
+    """
     outdir = Path(config["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(config, outdir / "resolved-config.json")
-    all_passed = _SUBCOMMANDS[subcommand](config, outdir)
+    records = _SUBCOMMANDS[subcommand](config, outdir)
+    all_passed = all(rec["passed"] is not False for rec in records)
+    _write_json(
+        {
+            "subcommand": subcommand,
+            "seed": config["seed"],
+            "all_passed": all_passed,
+            "records": records,
+        },
+        outdir / "verdicts.json",
+    )
     return 0 if all_passed else 1
 
 
@@ -718,13 +679,10 @@ def main(argv=None) -> int:
         if args.subcommand == "gallery" and args.name is not None:
             config["gallery"]["name"] = args.name
         return run(args.subcommand, config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ConvergenceError, QuadratureError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -158,32 +158,25 @@ def degenerate_counterexample(
     L: float = 6.0,
     N: int = 500,
     m: int = 2,
-    v_scalar=None,
     detune: float = 0.0,
 ) -> GalleryProblem:
     """m coupled copies with potential v(x) * (complete-graph Laplacian).
 
-    The confining factor v defaults to x^2; a callable ``v_scalar`` is
-    evaluated once per node, and a negative sample raises ValueError.
-    The potential is PSD with pointwise smallest eigenvalue identically 0 —
-    the sandwich lower bound degenerates to the free operator — yet the
-    spectrum is the exact merge of one free scalar spectrum with m-1 copies
-    of the scalar spectrum shifted by m v.  ``detune`` > 0 adds
-    detune * v(x) to the (0, 0) entry only, breaking the block structure; the
-    merge claim is then expected to fail (negative control).
+    The confining factor is v(x) = x^2.  The potential is PSD with
+    pointwise smallest eigenvalue identically 0 — the sandwich lower bound
+    degenerates to the free operator — yet the spectrum is the exact merge
+    of one free scalar spectrum with m-1 copies of the scalar spectrum
+    shifted by m v.  ``detune`` > 0 adds detune * v(x) to the (0, 0) entry
+    only, breaking the block structure; the merge claim is then expected to
+    fail (negative control).
     """
     coupling = complete_graph_laplacian(m)
     bump = np.zeros((m, m))
     bump[0, 0] = 1.0
     detune = float(detune)
     grid = build_grid(1, L, N, m)
-    if v_scalar is None:
-        x = grid.axis_nodes()
-        v = x * x
-    else:
-        v = np.array([float(v_scalar(x)) for x in grid.node_coords()])
-    if np.any(v < 0):
-        raise ValueError(f"confining factor must be nonnegative, got {v.min():g}")
+    x = grid.axis_nodes()
+    v = x * x
     return GalleryProblem(
         name="degenerate_counterexample",
         potential=PotentialField(
@@ -392,12 +385,16 @@ def _antisym_ratio(n: int, points: int) -> dict:
     return {"cross": cross, "gradient": grad, "l2": l2, "ratio": cross / (l2 + grad)}
 
 
-def antisymmetric_continuity_demo(n_list=(1, 5, 10, 50, 100), quad_points: int = 80001) -> list:
+#: quadrature points on [-2n, 2n] at the largest scale n of the demo
+_QUAD_POINTS = 80001
+
+
+def antisymmetric_continuity_demo(n_list=(1, 5, 10, 50, 100)) -> list:
     """Continuity ratios r_n of the antisymmetric-coupling sequence.
 
     For each n the three 1-d integrals (pairing, gradient energy, squared
     2-norm) are evaluated by Simpson quadrature on [-2n, 2n]; the step is
-    derived from ``quad_points`` at the largest n (capped at 0.01) and every
+    derived from ``_QUAD_POINTS`` at the largest n (capped at 0.01) and every
     ratio is re-evaluated at half the step — a relative disagreement beyond
     1% raises QuadratureError.  Returns one record per n with the refined
     ratio; the ratios grow like log n, so no graph-norm bound can hold.
@@ -407,9 +404,7 @@ def antisymmetric_continuity_demo(n_list=(1, 5, 10, 50, 100), quad_points: int =
         a >= b for a, b in zip(n_list, n_list[1:])
     ):
         raise ValueError(f"need strictly increasing positive scales, got {n_list}")
-    if quad_points < 11:
-        raise ValueError(f"need at least 11 quadrature points, got {quad_points}")
-    step = min(0.01, 4.0 * max(n_list) / (quad_points - 1))
+    step = min(0.01, 4.0 * max(n_list) / (_QUAD_POINTS - 1))
     records = []
     for n in n_list:
         points = int(np.ceil(4.0 * n / step)) + 1
@@ -421,7 +416,7 @@ def antisymmetric_continuity_demo(n_list=(1, 5, 10, 50, 100), quad_points: int =
         if disagreement > 0.01:
             raise QuadratureError(
                 f"step-halving changed r_{n} by {disagreement:.2%} (> 1%); "
-                f"increase quad_points (used {points})"
+                f"the quadrature is under-resolved at {points} points"
             )
         records.append(
             {

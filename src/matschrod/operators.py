@@ -243,29 +243,36 @@ class SymmetricOperator(FormAssembly):
         return float(np.max(self.generator().abs_row_sums()))
 
     def dense_eig(self):
-        """Cached full eigendecomposition (w, U) of the generator.
-
-        LAPACK gets the transposed view of ``toarray()``, overwritable: B is
-        exactly symmetric, so the view is the same matrix, already in the
-        column-major order LAPACK reads, and no second copy of it is made.
-        """
-        if self.dim > DENSE_LIMIT:
-            raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {self.dim}")
+        """Cached full eigendecomposition (w, U) of the generator, by ``_dense_eigh``."""
         if self._dense_eig is None:
-            import scipy.linalg
-
-            b = self.generator()
-            bands = _tridiagonal(b)
-            if bands is None:
-                self._dense_eig = scipy.linalg.eigh(b.toarray().T, overwrite_a=True)
-            else:
-                self._dense_eig = scipy.linalg.eigh_tridiagonal(*bands)
+            self._dense_eig = _dense_eigh(self)
         return self._dense_eig
 
     @functools.cached_property
     def separable(self):
         """Cached closed form (mu, W) of ``_separable``, None when it does not apply."""
         return _separable(self)
+
+
+def _dense_eigh(op: SymmetricOperator, k: int | None = None):
+    """Eigenpairs (w, U) of B by a direct solve: all of them, or the k lowest.
+
+    LAPACK gets the transposed view of ``toarray()``, overwritable: B is
+    exactly symmetric, so the view is the same matrix, already in the
+    column-major order LAPACK reads, and no second copy of it is made.
+    """
+    if op.dim > DENSE_LIMIT:
+        raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {op.dim}")
+    import scipy.linalg
+
+    # None selects every eigenpair, the default of both solvers
+    select, index = ("a", None) if k is None else ("i", (0, k - 1))
+    b = op.generator()
+    bands = _tridiagonal(b)
+    if bands is None:
+        return scipy.linalg.eigh(b.toarray().T, overwrite_a=True, subset_by_index=index)
+    # with k, bisection plus inverse iteration (LAPACK stebz/stein)
+    return scipy.linalg.eigh_tridiagonal(*bands, select=select, select_range=index)
 
 
 def _tridiagonal(b):
@@ -389,33 +396,12 @@ def eigen_lowest(
     if method == "auto":
         method = "dense" if op.dim <= DENSE_LIMIT else "lanczos"
     if method == "dense":
-        return _eigen_dense(op, k, tol)
+        return _exact_report(op, *_dense_eigh(op, k), "dense", tol)
     if method == "lanczos":
         if op.separable is not None:
             return _eigen_separable(op, k, tol)
         return _eigen_lanczos(op, k, tol, seed)
     raise ValueError(f"unknown eigensolver method {method!r}")
-
-
-def _eigen_dense(op: SymmetricOperator, k: int, tol: float) -> SpectrumReport:
-    """The k lowest eigenpairs of B by a direct solve.
-
-    As in ``dense_eig``, LAPACK reads the transposed view of ``toarray()``
-    in place: B = S / h^d with S mirrored from its lower bands, so the view
-    holds the same matrix, and in column-major order it needs no copy.
-    """
-    if op.dim > DENSE_LIMIT:
-        raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {op.dim}")
-    import scipy.linalg
-
-    b = op.generator()
-    bands = _tridiagonal(b)
-    if bands is None:
-        w, v = scipy.linalg.eigh(b.toarray().T, overwrite_a=True, subset_by_index=(0, k - 1))
-    else:
-        # bisection plus inverse iteration (LAPACK stebz/stein)
-        w, v = scipy.linalg.eigh_tridiagonal(*bands, select="i", select_range=(0, k - 1))
-    return _exact_report(op, w, v, "dense", tol)
 
 
 def _eigen_separable(op: SymmetricOperator, k: int, tol: float) -> SpectrumReport:

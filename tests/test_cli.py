@@ -108,9 +108,8 @@ def test_spectrum_verdict_echoes_the_lanczos_solve(tmp_path, flags, method, shif
 def test_spectrum_csv_roundtrip(tmp_path):
     op = cli._build_operator(cli.resolve_config(None, [("grid.N", 20)]))
     report = matschrod.eigen_lowest(op, 5)
-    path = tmp_path / "spectrum.csv"
-    cli._write_spectrum(report, path)
-    with open(path, newline="") as fh:
+    assert cli.main(["spectrum", "--out", str(tmp_path), "--grid.N=20", "--solver.k=5"]) == 0
+    with open(tmp_path / "spectrum.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["index", "eigenvalue", "residual"]
     values = np.array([float(r[1]) for r in rows[1:]])
@@ -120,6 +119,26 @@ def test_spectrum_csv_roundtrip(tmp_path):
 def test_spectrum_k_exceeding_dimension_is_config_error(tmp_path):
     rc = cli.main(["spectrum", "--out", str(tmp_path), "--grid.N=8", "--solver.k=100"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["spectrum", "--grid.N=8", "--solver.k=100"], "solver.k=100 exceeds the matrix dimension 8"),
+        (["assemble", "--grid.N=1"], "need at least 2 interior nodes per axis, got 1"),
+        (
+            ["gallery", "--name", "harmonic_oscillator", '--gallery.params={"bogus_param": 3}'],
+            "harmonic_oscillator() got an unexpected keyword argument 'bogus_param'",
+        ),
+    ],
+    ids=["k-above-dimension", "grid", "gallery-params"],
+)
+def test_failed_run_writes_resolved_config_but_no_verdicts(tmp_path, capsys, args, message):
+    # each subcommand raises after resolved-config.json is written, and run
+    # writes verdicts.json only from the records a subcommand returns
+    assert cli.main(args + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["resolved-config.json"]
 
 
 # -- config errors ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Problem gallery: coupling algebra, spectral merge, continuity ratios, claims."""
+import dataclasses
 import json
 
 import numpy as np
@@ -71,11 +72,6 @@ def test_gallery_records_are_json_safe():
     assert back[0]["grid"].keys() == {"d", "L", "N", "m"}
     single = expected_record(coupled_confining())
     assert json.loads(json.dumps(single))["name"] == "coupled_confining"
-
-
-def test_degenerate_rejects_negative_confining_factor():
-    with pytest.raises(ValueError, match="nonnegative"):
-        degenerate_counterexample(L=2.0, N=20, v_scalar=lambda x: float(x @ x) - 1.0)
 
 
 def _bump(m):
@@ -173,7 +169,11 @@ def test_merge_block_structure_small():
 
 def test_merge_zero_coupling_doubles_free_spectrum():
     # v = 0 kills the coupling entirely: every free eigenvalue appears twice
-    problem = degenerate_counterexample(L=3.0, N=60, m=2, v_scalar=lambda x: 0.0)
+    base = degenerate_counterexample(L=3.0, N=60, m=2)
+    grid = base.potential.grid
+    problem = dataclasses.replace(
+        base, potential=PotentialField(grid, np.zeros((grid.n_nodes, 2, 2))), v_scalar=np.zeros(grid.n_nodes)
+    )
     report = spectrum_merge_check(problem, k=10)
     assert report.passed
     lam = report.vector_eigenvalues
@@ -226,8 +226,6 @@ def test_antisym_demo_argument_validation():
         antisymmetric_continuity_demo(n_list=(5, 5))
     with pytest.raises(ValueError, match="strictly increasing"):
         antisymmetric_continuity_demo(n_list=(0, 3))
-    with pytest.raises(ValueError, match="quadrature points"):
-        antisymmetric_continuity_demo(n_list=(1, 2), quad_points=5)
 
 
 def test_antisym_demo_step_halving_guard(monkeypatch):

@@ -30,19 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import CHECKS, run_checks
 from .errors import ConfigError, ConvergenceError, QuadratureError
 from .form import assemble_form
-from .gallery import GALLERY, build_problem, list_gallery, validate_expected
 from .grid import DiffusionField, PotentialField, VectorState, build_grid
 from .operators import assemble_operator, eigen_lowest
-from .semigroup import (
-    PropagatorConfig,
-    _contraction_violations,
-    _norm_ratio_records,
-    default_config,
-    propagate,
-)
+
+# ``checks``, ``gallery`` and ``semigroup`` are imported by the subcommands
+# that run them, so a launch loads only the modules its subcommand needs
 
 __all__ = ["main", "run", "DEFAULT_CONFIG"]
 
@@ -71,13 +65,21 @@ DEFAULT_CONFIG = {
     "output": {"directory": "matschrod-out"},
 }
 
+
+def _check_names() -> tuple:
+    from .checks import CHECKS
+
+    return tuple(CHECKS)
+
+
 #: enumerated settings: one choice where the default is a string, otherwise a
-#: nonempty list of distinct choices (or null, where the default is null)
+#: nonempty list of distinct choices (or null, where the default is null); a
+#: function gives choices that are looked up only when the setting is not null
 _CHOICES = {
     "solver.method": ("auto", "dense", "lanczos"),
     "propagator.method": ("auto", "exact-dense", "lanczos-expmv"),
     "propagator.p_list": (1, 2, 4, "inf"),
-    "probes.checks": tuple(CHECKS),
+    "probes.checks": _check_names,
 }
 
 #: a kind key that has no default
@@ -218,17 +220,20 @@ def _is_choice(value, choices) -> bool:
 def _check_setting(path: str, value, default):
     """Check one plain setting against ``_CHOICES`` or the type of its default."""
     if path in _CHOICES:
+        if value is None and default is None:
+            return
         choices = _CHOICES[path]
+        if callable(choices):
+            choices = choices()
         if isinstance(default, str):
             _expect(_is_choice(value, choices), f"{path} must be one of {list(choices)}, got {value!r}")
         else:
             _expect(
-                (value is None and default is None)
-                or (isinstance(value, list) and all(_is_choice(v, choices) for v in value)),
+                isinstance(value, list) and all(_is_choice(v, choices) for v in value),
                 f"{path} entries must be one of {list(choices)}, got {value!r}",
             )
             _expect(
-                value is None or 0 < len(value) == len(set(value)),
+                0 < len(value) == len(set(value)),
                 f"{path} must be a nonempty list of distinct entries, got {value!r}",
             )
     elif isinstance(default, bool):
@@ -402,7 +407,9 @@ def _build_operator(config: dict):
     return assemble_operator(assemble_form(DiffusionField(grid, qs), PotentialField(grid, vs), grid))
 
 
-def _propagator_config(block: dict, op) -> PropagatorConfig:
+def _propagator_config(block: dict, op):
+    from .semigroup import PropagatorConfig, default_config
+
     method = block["method"]
     if method == "auto":
         method = default_config(op).method
@@ -554,6 +561,8 @@ def _cmd_spectrum(config: dict, outdir: Path) -> list:
 
 
 def _cmd_evolve(config: dict, outdir: Path) -> list:
+    from .semigroup import _contraction_violations, _norm_ratio_records, propagate
+
     op = _build_operator(config)
     prop = _propagator_config(config["propagator"], op)
     f0 = _initial_state(config["evolve"]["initial_state"], op.grid, config["seed"])
@@ -580,12 +589,16 @@ def _cmd_evolve(config: dict, outdir: Path) -> list:
 
 
 def _cmd_verify(config: dict, outdir: Path) -> list:
+    from .checks import run_checks
+
     results = run_checks(config["probes"]["checks"], config["seed"])
     _write_csv(outdir / "probes.csv", ["check", "passed"], ([res.name, res.passed] for res in results))
     return [res.verdict_record() for res in results]
 
 
 def _cmd_gallery(config: dict, outdir: Path) -> list:
+    from .gallery import GALLERY, build_problem, list_gallery, validate_expected
+
     block = config["gallery"]
     if block["name"] is None:
         _write_json(list_gallery(), outdir / "gallery.json")

@@ -170,11 +170,11 @@ def degenerate_counterexample(
     only, breaking the block structure; the merge claim is then expected to
     fail (negative control).
     """
+    grid = build_grid(1, L, N, m)
     coupling = complete_graph_laplacian(m)
     bump = np.zeros((m, m))
     bump[0, 0] = 1.0
     detune = float(detune)
-    grid = build_grid(1, L, N, m)
     x = grid.axis_nodes()
     v = x * x
     return GalleryProblem(
@@ -208,10 +208,10 @@ def coupled_confining(L: float = 10.0, N: int = 220, m: int = 2) -> GalleryProbl
     low spectrum: lambda_k - lambda_1 over k <= 10 exceeds the free box's
     spread.
     """
+    grid = build_grid(1, L, N, m)
     if m < 2:
         raise ValueError(f"coupled problem needs at least 2 components, got {m}")
     coupling = -(np.ones((m, m)) - np.eye(m)) / (4.0 * (m - 1))
-    grid = build_grid(1, L, N, m)
     x = grid.axis_nodes()
     return GalleryProblem(
         name="coupled_confining",
@@ -440,10 +440,20 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
     """Evaluate every expected claim of a problem with the package's solvers.
 
     Returns {"name", "passed", "claims": {claim: {"passed", ...detail}}}.
-    Unknown claim keys raise ValueError so fingerprints cannot dangle.
+    Unknown claim keys raise ValueError so fingerprints cannot dangle, and a
+    claim that needs more eigenvalues than the grid has unknowns raises a
+    ValueError naming N and the dimension.
     """
     pot, grid = problem.potential, problem.potential.grid
     state = {"spectrum": None}
+
+    def fits(key, k):
+        if k > grid.state_size:
+            raise ValueError(
+                f"claim {key!r} of problem {problem.name!r} needs {k} eigenvalues, but "
+                f"N={grid.N} gives dimension {grid.state_size}"
+            )
+        return k
 
     def spectrum(k):
         if state["spectrum"] is None or len(state["spectrum"].eigenvalues) < k:
@@ -454,7 +464,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
     for key, target in problem.expected.items():
         if key == "lowest_eigenvalues":
             values = np.asarray(target["values"], dtype=float)
-            computed = spectrum(len(values)).eigenvalues[: len(values)]
+            computed = spectrum(fits(key, len(values))).eigenvalues[: len(values)]
             errors = np.abs(computed - values) / np.abs(values)
             claims[key] = {
                 "passed": bool(np.all(errors <= target["rtol"])),
@@ -464,7 +474,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
             }
         elif key == "eigenvalue_gap":
             count = int(target["count"])
-            lam = spectrum(count + 1).eigenvalues[: count + 1]
+            lam = spectrum(fits(key, count + 1)).eigenvalues[: count + 1]
             gaps = np.diff(lam)
             errors = np.abs(gaps - target["value"]) / abs(target["value"])
             claims[key] = {
@@ -507,7 +517,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
             claims[key] = {"passed": passed, "floor_deviation": floor_dev, "ceiling_deviation": ceil_dev}
         elif key == "merge":
             rep = spectrum_merge_check(
-                problem, k=int(target["k"]), tol_rel=float(target["tol_rel"]), seed=seed
+                problem, k=fits(key, int(target["k"])), tol_rel=float(target["tol_rel"]), seed=seed
             )
             claims[key] = {
                 "passed": rep.passed == bool(target["passes"]),
@@ -524,7 +534,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
             claims[key] = {"passed": dev <= target["atol"], "max_deviation": dev}
         elif key == "sandwich":
             rep = sandwich_check(
-                problem.operator, k=int(target["k"]), tol_rel=float(target["tol_rel"]), seed=seed
+                problem.operator, k=fits(key, int(target["k"])), tol_rel=float(target["tol_rel"]), seed=seed
             )
             claims[key] = {
                 "passed": rep.passed,
@@ -532,7 +542,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
                 "max_upper_violation": rep.max_upper_violation,
             }
         elif key == "spread_exceeds_free":
-            k = int(target["k"])
+            k = fits(key, int(target["k"]))
             lam = spectrum(k).eigenvalues[:k]
             free_pot = PotentialField(grid, np.zeros((grid.n_nodes, grid.m, grid.m)))
             free_op = assemble_operator(assemble_form(problem.operator.diffusion, free_pot, grid))

@@ -65,13 +65,18 @@ class GridSpec:
     m: int
 
     def __post_init__(self):
+        for name in ("d", "N", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"grid {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a NumPy integer becomes an int
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if not (np.isfinite(self.L) and self.L > 0):
             raise ValueError(f"box half-width must be positive and finite, got {self.L}")
-        if int(self.N) != self.N or self.N < 2:
+        if self.N < 2:
             raise ValueError(f"need at least 2 interior nodes per axis, got {self.N}")
-        if int(self.m) != self.m or self.m < 1:
+        if self.m < 1:
             raise ValueError(f"need at least one component, got {self.m}")
 
     @property
@@ -126,8 +131,8 @@ class GridSpec:
 
 
 def build_grid(d: int, L: float, N: int, m: int) -> GridSpec:
-    """Validate parameters and construct a GridSpec."""
-    return GridSpec(d=d, L=float(L), N=int(N), m=int(m))
+    """Validate parameters and construct a GridSpec; d, N and m must be integers."""
+    return GridSpec(d=d, L=float(L), N=N, m=m)
 
 
 def _require_same_grid(*grids):
@@ -156,6 +161,25 @@ def _check_symmetric(samples: np.ndarray) -> float:
     return float(np.abs(samples - samples.transpose(0, 2, 1)).max()) if samples.size else 0.0
 
 
+def _symmetrize(samples: np.ndarray):
+    """(stored, constant, asymmetry, scale) of finite (n, k, k) samples.
+
+    ``stored`` is the read-only (M + M^T)/2 of every sample, and ``constant``
+    whether its samples are bitwise equal.  The asymmetry max |M - M^T| and
+    the scale max(1, max |M|) are those of the input.  Bitwise equal input
+    samples are measured and symmetrized once, and stored as a broadcast of
+    that one, so a constant field holds a single k x k matrix.
+    """
+    constant = _is_constant(samples)
+    distinct = samples[:1] if constant else samples
+    asym = _check_symmetric(distinct)
+    scale = max(1.0, float(np.abs(distinct).max()))
+    symmetric = 0.5 * (distinct + distinct.transpose(0, 2, 1))
+    stored = np.broadcast_to(symmetric, samples.shape) if constant else symmetric
+    stored.setflags(write=False)
+    return stored, constant or _is_constant(symmetric), asym, scale
+
+
 class DiffusionField:
     """Symmetric diffusion samples on the cell lattice, with ellipticity bounds.
 
@@ -166,26 +190,23 @@ class DiffusionField:
     ``ellipticity_upper``; a non-positive lower bound only warns here and is
     turned into a hard error by form/operator assembly.  ``constant`` records
     whether every sample is bitwise equal to the first; then the bounds come
-    from that one sample.
+    from that one sample, and equal input samples are stored as a read-only
+    broadcast of it.
     """
 
     def __init__(self, grid: GridSpec, samples):
-        samples = np.array(samples, dtype=float)
+        samples = np.asarray(samples, dtype=float)
         if samples.shape != (grid.n_cells, grid.d, grid.d):
             raise ValueError(
                 f"expected {(grid.n_cells, grid.d, grid.d)} diffusion samples, got {samples.shape}"
             )
         if not np.all(np.isfinite(samples)):
             raise ValueError("diffusion samples must be finite")
-        asym = _check_symmetric(samples)
-        scale = max(1.0, float(np.abs(samples).max()))
+        samples, self.constant, asym, scale = _symmetrize(samples)
         if asym > SYMMETRY_ATOL * scale:
             raise ValueError(f"diffusion samples are not symmetric (max asymmetry {asym:.3e})")
-        samples = 0.5 * (samples + samples.transpose(0, 2, 1))
-        samples.setflags(write=False)
         self.grid = grid
         self.samples = samples
-        self.constant = _is_constant(samples)
         distinct = samples[:1] if self.constant else samples
         eigs = np.linalg.eigvalsh(distinct)
         self.ellipticity_lower = float(eigs[:, 0].min())
@@ -213,25 +234,22 @@ class PotentialField:
     off-diagonal entry over all nodes and component pairs (0 when m == 1),
     the quantity whose sign decides positivity preservation of the semigroup.
     ``constant`` records whether every sample is bitwise equal to the first;
-    then these quantities come from that one sample.
+    then these quantities come from that one sample, and equal input samples
+    are stored as a read-only broadcast of it.
     """
 
     def __init__(self, grid: GridSpec, samples):
-        samples = np.array(samples, dtype=float)
+        samples = np.asarray(samples, dtype=float)
         if samples.shape != (grid.n_nodes, grid.m, grid.m):
             raise ValueError(
                 f"expected {(grid.n_nodes, grid.m, grid.m)} potential samples, got {samples.shape}"
             )
         if not np.all(np.isfinite(samples)):
             raise ValueError("potential samples must be finite (singular potentials are rejected)")
-        asym = _check_symmetric(samples)
-        scale = max(1.0, float(np.abs(samples).max()))
+        samples, self.constant, asym, scale = _symmetrize(samples)
         self.symmetric_input = bool(asym <= SYMMETRY_ATOL * scale)
-        samples = 0.5 * (samples + samples.transpose(0, 2, 1))
-        samples.setflags(write=False)
         self.grid = grid
         self.samples = samples
-        self.constant = _is_constant(samples)
         distinct = samples[:1] if self.constant else samples
         eigs = np.linalg.eigvalsh(distinct)
         self.min_eigenvalue = float(eigs[:, 0].min())

@@ -396,7 +396,8 @@ def eigen_lowest(
     if method == "auto":
         method = "dense" if op.dim <= DENSE_LIMIT else "lanczos"
     if method == "dense":
-        return _exact_report(op, *_dense_eigh(op, k), "dense", tol)
+        bnorm = op.generator_norm_bound()  # before the eigenvectors exist (see _exact_report)
+        return _exact_report(op, *_dense_eigh(op, k), "dense", tol, bnorm)
     if method == "lanczos":
         if op.separable is not None:
             return _eigen_separable(op, k, tol)
@@ -412,7 +413,8 @@ def _eigen_separable(op: SymmetricOperator, k: int, tol: float) -> SpectrumRepor
     synthesis of its one-hot mode, one mode at a time, so the DST never holds
     more than one state.
     """
-    op.generator()  # assemble B before the modes exist, so its peak does not hold them
+    # assemble and measure B before the modes exist, so neither peak holds them
+    bnorm = op.generator_norm_bound()
     mu, w = op.separable
     order = np.argsort(mu, axis=None, kind="stable")[:k]
     _, synthesize = _separable_basis(mu, w)
@@ -422,13 +424,25 @@ def _eigen_separable(op: SymmetricOperator, k: int, tol: float) -> SpectrumRepor
         mode.flat[index] = 1.0
         vecs[:, col] = synthesize(mode)
         mode.flat[index] = 0.0
-    return _exact_report(op, mu.ravel()[order], vecs, "separable", tol)
+    return _exact_report(op, mu.ravel()[order], vecs, "separable", tol, bnorm)
 
 
-def _exact_report(op, lams, vecs, method, tol) -> SpectrumReport:
-    """The report of directly computed eigenpairs, with their residuals against the assembled B."""
-    res = np.linalg.norm(op.generator() @ vecs - vecs * lams, axis=0)
-    return SpectrumReport(lams, res, method, 0, tol, op.generator_norm_bound(), eigenvectors=vecs)
+def _exact_report(op, lams, vecs, method, tol, bnorm) -> SpectrumReport:
+    """The report of directly computed eigenpairs, with their residuals against the assembled B.
+
+    ``bnorm`` is ``op.generator_norm_bound()``, which the callers measure
+    before the eigenvectors exist, so its temporaries never coexist with
+    them.  The residual columns B v_j - lambda_j v_j fill one C-ordered (n, k)
+    buffer, one column at a time, and ``np.linalg.norm(..., axis=0)``'s own
+    formula reduces it: each column is summed row by row, which a per-column
+    vector norm, summing in another order, would not reproduce bit for bit.
+    """
+    b = op.generator()
+    r = np.empty(vecs.shape)
+    for j, lam in enumerate(lams):
+        r[:, j] = b @ vecs[:, j] - vecs[:, j] * lam
+    r *= r
+    return SpectrumReport(lams, np.sqrt(np.add.reduce(r, axis=0)), method, 0, tol, bnorm, eigenvectors=vecs)
 
 
 def _factor_spd(matrix):

@@ -16,6 +16,7 @@ import matschrod
 from matschrod import checks, cli
 from matschrod._float_repr import repr_bytes
 from matschrod import operators as operators_module
+from matschrod import semigroup
 from matschrod.checks import run_checks
 from matschrod.semigroup import _simpson
 
@@ -594,7 +595,8 @@ def test_evolve_snapshots_match_csv_writer_bytes(tmp_path, monkeypatch, d, N, m,
     if kind == "constant":
         state["vector"] = state["vector"][:m]
     snapshots = []
-    initial_state, propagate = cli._initial_state, cli.propagate
+    # evolve imports ``propagate`` from the semigroup module when it runs
+    initial_state, propagate = cli._initial_state, semigroup.propagate
 
     def record_initial(*args):
         f0 = initial_state(*args)
@@ -607,7 +609,7 @@ def test_evolve_snapshots_match_csv_writer_bytes(tmp_path, monkeypatch, d, N, m,
         return ft
 
     monkeypatch.setattr(cli, "_initial_state", record_initial)
-    monkeypatch.setattr(cli, "propagate", record_propagate)
+    monkeypatch.setattr(semigroup, "propagate", record_propagate)
     out = tmp_path / "out"
     rc = cli.main(
         [
@@ -898,6 +900,38 @@ def test_gallery_detuned_merge_fails_as_its_claim_declares(tmp_path):
     assert claim["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("degenerate_counterexample", {"N": 2.5}, "grid N must be an integer, got 2.5"),
+        ("degenerate_counterexample", {"N": True}, "grid N must be an integer, got True"),
+        ("coupled_confining", {"m": 2.0}, "grid m must be an integer, got 2.0"),
+        (
+            "degenerate_counterexample",
+            {"N": 3},
+            "claim 'merge' of problem 'degenerate_counterexample' needs 20 eigenvalues, but N=3 gives dimension 6",
+        ),
+        (
+            "coupled_confining",
+            {"N": 4},
+            "claim 'sandwich' of problem 'coupled_confining' needs 10 eigenvalues, but N=4 gives dimension 8",
+        ),
+        (
+            "harmonic_oscillator",
+            {"N": 4},
+            "claim 'lowest_eigenvalues' of problem 'harmonic_oscillator' needs 5 eigenvalues, but N=4 gives dimension 4",
+        ),
+    ],
+    ids=["fractional-N", "bool-N", "float-m", "merge-k", "sandwich-k", "lowest-k"],
+)
+def test_gallery_params_the_grid_cannot_hold_exit_2(tmp_path, capsys, name, params, message):
+    # the error names the parameter, or N and the dimension a claim's count
+    # exceeds, not the claim's k, which no setting exposes
+    args = ["gallery", "--out", str(tmp_path), "--name", name, "--gallery.params=" + json.dumps(params)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_gallery_validate_emits_continuity_dat(tmp_path):
     rc = cli.main(
         [
@@ -1068,6 +1102,26 @@ def test_cli_leaves_scipy_module_unloaded(tmp_path, modules, run):
 )
 def test_only_evolve_loads_the_bulk_float_formatter(tmp_path, run, loaded):
     assert _loaded(tmp_path, ["matschrod._float_repr"], run) == loaded
+
+
+_HEAVY = ["matschrod.semigroup", "matschrod.gallery", "matschrod.checks"]
+
+
+@pytest.mark.parametrize(
+    "run, loaded",
+    [
+        (None, "[]"),
+        (_ASSEMBLE, "[]"),
+        (_SEPARABLE_SPECTRUM, "[]"),
+        (_SEPARABLE_EVOLVE, "['matschrod.semigroup']"),
+        (["verify", '--probes.checks=["laplacian_spectrum"]'], repr(_HEAVY)),
+    ],
+    ids=["import", "assemble", "spectrum", "evolve", "verify"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, run, loaded):
+    # the CLI imports semigroup, gallery and checks inside the subcommands
+    # that run them (checks imports the other two)
+    assert _loaded(tmp_path, _HEAVY, run) == loaded
 
 
 def _loaded(tmp_path, modules, run):

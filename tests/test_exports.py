@@ -1,7 +1,12 @@
 """Every public name of the package is used by the library, the benchmark or a demo."""
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import matschrod
 
@@ -37,13 +42,33 @@ def test_every_export_is_used_outside_tests():
 def test_package_imports_exactly_each_submodules_all():
     # what ``from matschrod.<module> import *`` binds: ``__all__``, or without
     # one (``errors``) every name that does not start with an underscore
-    tree = ast.parse((_ROOT / "src" / "matschrod" / "__init__.py").read_text(encoding="utf-8"))
-    imported = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
-    assert imported
-    for module, names in imported.items():
+    exported = {}
+    for name, module in matschrod._SUBMODULE.items():
+        exported.setdefault(module, set()).add(name)
+    assert exported
+    assert matschrod.__all__ == list(matschrod._SUBMODULE)
+    for module, names in exported.items():
         submodule = importlib.import_module(f"matschrod.{module}")
         public = getattr(submodule, "__all__", [n for n in vars(submodule) if not n.startswith("_")])
         assert names == set(public), f"matschrod.{module}"
+
+
+def test_every_export_is_its_submodules_own_object():
+    for name in matschrod.__all__:
+        submodule = importlib.import_module(f"matschrod.{matschrod._SUBMODULE[name]}")
+        assert getattr(matschrod, name) is getattr(submodule, name), name
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        matschrod.nonexistent
+
+
+def test_bare_import_loads_no_submodule():
+    src = str(Path(matschrod.__file__).resolve().parents[1])
+    probe = "import sys, matschrod; print(sorted(m for m in sys.modules if m.startswith('matschrod.')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -42,6 +42,22 @@ def test_grid_validation():
         build_grid(1, 1.0, 8, 0)
 
 
+@pytest.mark.parametrize("name", ["d", "N", "m"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3", None])
+def test_grid_refuses_a_count_that_is_not_an_integer(name, value):
+    # int(N) used to truncate 2.5 to a 2-node grid, and True passed as 1
+    params = {"d": 1, "L": 1.0, "N": 8, "m": 1, name: value}
+    with pytest.raises(ValueError, match=f"^grid {name} must be an integer, got {value!r}$"):
+        build_grid(**params)
+
+
+def test_grid_takes_numpy_integers_as_ints():
+    grid = build_grid(np.int64(2), 1.0, np.int32(5), np.uint8(3))
+    assert (grid.d, grid.N, grid.m) == (2, 5, 3)
+    assert all(type(v) is int for v in (grid.d, grid.N, grid.m))
+    assert grid == build_grid(2, 1.0, 5, 3)
+
+
 def test_node_and_cell_coordinates():
     grid = build_grid(1, 1.0, 3, 1)
     np.testing.assert_allclose(grid.node_coords()[:, 0], [-0.5, 0.0, 0.5], atol=1e-15)
@@ -115,6 +131,74 @@ def test_potential_field_rejects_nonfinite():
     samples[2] = np.inf
     with pytest.raises(ValueError, match="finite"):
         PotentialField(grid, samples)
+
+
+def _full_bounds(samples):
+    """Every bound of a field, the way it was measured on all n stored samples."""
+    sym = 0.5 * (samples + samples.transpose(0, 2, 1))
+    eigs = np.linalg.eigvalsh(sym)
+    k = samples.shape[1]
+    off = sym.copy()
+    off[:, np.arange(k), np.arange(k)] = 0.0
+    asym = np.abs(samples - samples.transpose(0, 2, 1)).max()
+    return sym, {
+        "lower": float(eigs[:, 0].min()),
+        "upper": float(eigs[:, -1].max()),
+        "offdiag_abs": float(np.abs(off).max()),
+        "offdiag_max": float(sym[:, ~np.eye(k, dtype=bool)].max()) if k > 1 else 0.0,
+        "symmetric": bool(asym <= 1e-12 * max(1.0, float(np.abs(samples).max()))),
+    }
+
+
+def _constant_samples(mat, n, materialized):
+    """n copies of ``mat``: a read-only broadcast, or a materialized array."""
+    samples = np.broadcast_to(mat, (n,) + mat.shape)
+    return samples.copy() if materialized else samples
+
+
+_Q_CONSTANT = np.array([[1.3, 0.2, -0.1], [0.2, 0.9, 0.05], [-0.1, 0.05, 1.7]])
+_V_CONSTANT = np.array([[1.0, -0.4, 0.3], [-0.4, 2.0, 0.1], [0.3, 0.1, -0.5]])
+
+
+@pytest.mark.parametrize("materialized", [False, True], ids=["broadcast", "materialized"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_constant_diffusion_stores_one_symmetrized_sample(materialized, d):
+    grid = build_grid(d, 1.0, 4, 1)
+    mat = _Q_CONSTANT[:d, :d].copy()
+    mat[0, -1] += 1e-14  # asymmetric within the tolerance, so storage changes bits
+    samples = _constant_samples(mat, grid.n_cells, materialized)
+    field = DiffusionField(grid, samples)
+    sym, bounds = _full_bounds(np.array(samples))
+    assert field.constant
+    assert not field.samples.flags.writeable and field.samples.strides[0] == 0
+    assert field.samples.tobytes() == sym.tobytes()
+    assert field.ellipticity_lower == bounds["lower"]
+    assert field.ellipticity_upper == bounds["upper"]
+    assert field.diagonal == (bounds["offdiag_abs"] == 0.0)
+    if d > 1:
+        mat[0, -1] += 0.5
+        with pytest.raises(ValueError, match="not symmetric"):
+            DiffusionField(grid, _constant_samples(mat, grid.n_cells, materialized))
+
+
+@pytest.mark.parametrize("materialized", [False, True], ids=["broadcast", "materialized"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("skew", [0.0, 1e-14, 0.5], ids=["symmetric", "within-tolerance", "asymmetric"])
+def test_constant_potential_stores_one_symmetrized_sample(materialized, m, skew):
+    grid = build_grid(2, 1.0, 5, m)
+    mat = _V_CONSTANT[:m, :m].copy()
+    mat[0, -1] += skew
+    samples = _constant_samples(mat, grid.n_nodes, materialized)
+    field = PotentialField(grid, samples)
+    sym, bounds = _full_bounds(np.array(samples))
+    assert field.constant
+    assert not field.samples.flags.writeable and field.samples.strides[0] == 0
+    assert field.samples.tobytes() == sym.tobytes()
+    assert field.min_eigenvalue == bounds["lower"]
+    assert field.max_eigenvalue == bounds["upper"]
+    assert field.psd == (bounds["lower"] >= -1e-10)
+    assert field.offdiag_max == bounds["offdiag_max"]
+    assert field.symmetric_input == bounds["symmetric"] == (skew != 0.5 or m == 1)
 
 
 def test_sample_fields_scalar_coercion_and_placement():

@@ -770,6 +770,28 @@ def test_closed_form_eigenvectors_hold_no_batch_of_transforms():
     assert _traced_peak(lambda: _batched_one_hot_vectors(mu, w, order)) > bound  # negative control
 
 
+def test_exact_residuals_keep_the_bits_of_the_whole_block_norm():
+    # the residuals fill one C-ordered (n, k) buffer column by column, yet
+    # equal np.linalg.norm(B V - V lambda, axis=0) bit for bit, for LAPACK's
+    # F-ordered eigenvectors and for the closed form's C-ordered ones alike
+    vmat = np.array([[1.0, -0.4], [-0.4, 2.0]])
+    _, coupled_line = _constant_operator(1, 1000, 2, np.eye(1), vmat)  # not tridiagonal: scipy eigh
+    _, box = _constant_operator(3, 9, 2, np.diag([1.0, 1.37, 1.83]), vmat)
+    per_column_differs = False
+    cases = [(coupled_line, "dense", 1), (coupled_line, "dense", 8), (box, "lanczos", 1), (box, "lanczos", 10)]
+    for op, method, k in cases:
+        report = eigen_lowest(op, k, method=method)
+        vecs, lams = report.eigenvectors, report.eigenvalues
+        assert report.method == {"dense": "dense", "lanczos": "separable"}[method]
+        if k > 1:
+            assert vecs.flags.f_contiguous if method == "dense" else vecs.flags.c_contiguous
+        r = op.generator() @ vecs - vecs * lams
+        assert report.residuals.tobytes() == np.linalg.norm(r, axis=0).tobytes()
+        per_column = np.array([np.linalg.norm(r[:, j]) for j in range(k)])
+        per_column_differs |= per_column.tobytes() != report.residuals.tobytes()
+    assert per_column_differs  # negative control: a per-column norm sums in another order
+
+
 def test_spla_is_scipy_sparse_linalg_and_its_splu_is_the_one_called(monkeypatch):
     # perfbench/traced_cli.py wraps ``operators.spla.splu``, so the factor must
     # go through that attribute

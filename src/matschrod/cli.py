@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import itertools
 import json
 import math
 import sys
@@ -479,23 +478,41 @@ def _write_norm_traces(trace: list, path: Path):
 _SNAPSHOT_CHUNK_ROWS = 8192
 
 
+def _node_prefixes(grid) -> list:
+    """The ``node,x0..x{d-1}`` field of every node, as bytes, in the C order of ``node_coords``.
+
+    Byte for byte ``f"{node},{','.join(map(repr, xs))}".encode()``, but cut
+    from one uint8 table, a row per node: the node's decimal digits, then for
+    each axis its position's ``,repr`` from a NUL-padded table of the N axis
+    positions, then a newline.  Dropping the NULs (the padding and the
+    leading zeros) leaves the lines of one text, which is split once.
+    """
+    n, d = grid.n_nodes, grid.d
+    # the digit of 10^k in 0 .. n-1 runs through 0-9 in runs of 10^k
+    places = [10**k for k in range(len(str(n - 1)) - 1, -1, -1)]
+    digits = [np.resize(np.repeat(np.frombuffer(b"0123456789", np.uint8), p), n) for p in places]
+    for column, p in zip(digits, places[:-1]):
+        column[:p] = 0  # leading zeros
+    axis = np.array([b"," + repr(c).encode() for c in grid.axis_nodes().tolist()]).view(np.uint8)
+    positions = [axis.reshape(grid.N, -1)[i] for i in np.indices((grid.N,) * d).reshape(d, n)]
+    table = np.column_stack(digits + positions + [np.full(n, ord("\n"), np.uint8)])
+    return table[table != 0].tobytes().split(b"\n")[:-1]
+
+
 def _write_snapshots(snapshots: list, grid, path: Path):
     """One CSV row per (time, component, node): ``t,node,x0..x{d-1},component,value``.
 
     Floats are ``repr`` and lines end in CRLF, as ``csv.writer`` would write
-    them; no field needs quoting.  The ``node,x0..`` prefix is formatted once,
-    from the N axis positions in the C order of ``node_coords``, and each
-    (time, component) block is written in slices of ``_SNAPSHOT_CHUNK_ROWS``
-    rows, one string per slice, so the text held at once stays bounded
-    whatever the grid size.  The values of a slice are formatted together by
-    ``repr_bytes``, byte for byte as ``repr`` formats each one.
+    them; no field needs quoting.  The ``node,x0..`` prefixes are built once
+    by ``_node_prefixes``, and each (time, component) block is written in
+    slices of ``_SNAPSHOT_CHUNK_ROWS`` rows, one string per slice, so the
+    text held at once stays bounded whatever the grid size.  The values of a
+    slice are formatted together by ``repr_bytes``, byte for byte as
+    ``repr`` formats each one.
     """
     from ._float_repr import repr_bytes
 
-    axis = [repr(c) for c in grid.axis_nodes().tolist()]
-    prefixes = [
-        f"{node},{','.join(xs)}".encode() for node, xs in enumerate(itertools.product(axis, repeat=grid.d))
-    ]
+    prefixes = _node_prefixes(grid)
     header = ["t", "node"] + [f"x{i}" for i in range(grid.d)] + ["component", "value"]
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\r\n")
@@ -517,11 +534,12 @@ def _write_snapshots(snapshots: list, grid, path: Path):
 
 def _cmd_assemble(config: dict, outdir: Path) -> list:
     op = _build_operator(config)
+    b = op.generator()  # S scaled entry by entry: its nonzeros and its symmetry are S's
     stats = {
         "dimension": op.dim,
-        "nonzeros": int(op.matrix.nnz),
+        "nonzeros": int(b.nnz),
         "h": op.grid.h,
-        "stored_symmetry_gap": op.matrix.symmetry_gap(),
+        "stored_symmetry_gap": b.symmetry_gap(),
         "ellipticity_lower": op.diffusion.ellipticity_lower,
         "ellipticity_upper": op.diffusion.ellipticity_upper,
         "q_diagonal": op.diffusion.diagonal,

@@ -16,7 +16,8 @@ identity the two share eigenvectors.
 Assembly sums only the lower triangle, one dense band per stencil offset,
 and mirrors it afterwards (S = L + L^T - diag L), which keeps S exactly
 symmetric in its stored entries — no floating-point symmetrization is ever
-applied.  S and B are ``FormMatrix`` objects that keep those bands and
+applied.  B, the operator's one stored matrix, is S with its bands scaled in
+place.  S and B are ``FormMatrix`` objects that keep those bands and
 multiply with numpy alone, to the bit as SciPy multiplies the same CSR
 matrix; the eigensolvers and propagators use them directly, and only the
 sparse LU converts one, shifted, to SciPy's CSC format.
@@ -57,6 +58,9 @@ __all__ = [
 
 #: largest matrix dimension handled by the dense eigensolver / propagator
 DENSE_LIMIT = 3000
+
+#: rows per block of ``FormMatrix.abs_row_sums``
+_ROW_BLOCK = 4096
 
 
 def __getattr__(name):
@@ -152,13 +156,17 @@ class FormMatrix:
         """sum_j |a_ij| for every row i, reduced as SciPy's ``abs(A).sum(axis=1)`` does.
 
         ``np.add.reduceat`` over each row's nonzeros in column order: a running
-        sum over the bands would differ in the last bit.
+        sum over the bands would differ in the last bit.  Rows are independent,
+        so they are reduced ``_ROW_BLOCK`` at a time, which bounds the
+        temporaries without moving a bit; a matrix of at most that many rows
+        is one block.
         """
-        entries = np.abs(self.bands.T)  # row r's entries in column order
-        counts = np.count_nonzero(entries, axis=1)
-        filled = np.flatnonzero(counts)
         out = np.zeros(self.shape[0])
-        out[filled] = np.add.reduceat(entries[entries != 0], (np.cumsum(counts) - counts)[filled])
+        for start in range(0, self.shape[0], _ROW_BLOCK):
+            entries = np.abs(self.bands[:, start : start + _ROW_BLOCK].T)  # row r's entries in column order
+            counts = np.count_nonzero(entries, axis=1)
+            filled = np.flatnonzero(counts)
+            out[start + filled] = np.add.reduceat(entries[entries != 0], (np.cumsum(counts) - counts)[filled])
         return out
 
     def symmetry_gap(self) -> float:
@@ -189,20 +197,22 @@ class FormMatrix:
 
 
 class SymmetricOperator(FormAssembly):
-    """The operator of a form: the form itself, with its sparse matrix built on first use.
+    """The operator of a form: the form itself, with its generator built on first use.
 
-    ``matrix`` is the form matrix S (a ``FormMatrix``, exactly symmetric),
-    assembled on first access and cached; ``generator()`` returns
-    B = S / h^d on the same offsets.  ``dim``,
-    the grid and the coefficient metadata are the form's own and need no S,
-    so the ``exact-separable`` propagator, which reads none of S, never
-    assembles it.  ``contracts_in(p)`` and ``positivity_preserving`` state the
-    paper's two structural guarantees; every probe and verdict that gates on
-    one reads it from here.  ``potential.min_eigenvalue``, the smallest
-    eigenvalue of the sampled V over all nodes, bounds the spectrum of B from
-    below because the diffusion part is PSD.  The dense eigendecomposition of
-    B (dimensions <= DENSE_LIMIT) and the closed form ``separable`` are cached
-    lazily for repeated solves and propagation.
+    ``generator()`` returns B = S / h^d (a ``FormMatrix``, exactly
+    symmetric), assembled on its first call and cached; B is the one stored
+    matrix.  ``matrix``, the form matrix S, is assembled anew on every read
+    and not stored: every solve, propagator, norm bound and residual reads
+    B.  ``dim``, the grid and the coefficient metadata are the form's
+    own and need no matrix, so the ``exact-separable`` propagator, which reads
+    none, never assembles one.  ``contracts_in(p)`` and
+    ``positivity_preserving`` state the paper's two structural guarantees;
+    every probe and verdict that gates on one reads it from here.
+    ``potential.min_eigenvalue``, the smallest eigenvalue of the sampled V
+    over all nodes, bounds the spectrum of B from below because the
+    diffusion part is PSD.  The dense eigendecomposition of B (dimensions
+    <= DENSE_LIMIT) and the closed form ``separable`` are cached lazily for
+    repeated solves and propagation.
     """
 
     # caches, filled on first use
@@ -226,16 +236,18 @@ class SymmetricOperator(FormAssembly):
         """Whether e^{-tB} keeps nonnegative states nonnegative: Q diagonal, every v_ij <= 0 (i != j)."""
         return self.diffusion.diagonal and self.potential.offdiag_max <= 0.0
 
-    @functools.cached_property
-    def matrix(self):
-        """The form matrix S, assembled on first access."""
+    @property
+    def matrix(self) -> FormMatrix:
+        """The form matrix S, assembled on every read; it is not stored."""
         return _assemble_matrix(self)
 
     def generator(self) -> FormMatrix:
+        """B = S / h^d: S assembled once and scaled in place, then cached."""
         if self._generator is None:
-            s = self.matrix
+            b = _assemble_matrix(self)
             # SciPy divides a sparse matrix by a scalar as a product with its reciprocal
-            self._generator = FormMatrix(s.offsets, s.bands * (1.0 / self.grid.cell_volume))
+            b.bands *= 1.0 / self.grid.cell_volume
+            self._generator = b
         return self._generator
 
     def generator_norm_bound(self) -> float:
@@ -294,8 +306,8 @@ def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
     """The operator whose form matrix S satisfies <S f, g> = a(f, g).
 
     Refuses potentials whose raw samples were not symmetric, here rather
-    than on first use; S itself is built by ``_assemble_matrix`` when
-    ``matrix`` is first read.
+    than on first use; the matrix itself is built by ``_assemble_matrix``
+    when ``generator()`` (or ``matrix``) is first read.
     """
     if not assembly.potential.symmetric_input:
         raise ValueError(
@@ -432,17 +444,20 @@ def _exact_report(op, lams, vecs, method, tol, bnorm) -> SpectrumReport:
 
     ``bnorm`` is ``op.generator_norm_bound()``, which the callers measure
     before the eigenvectors exist, so its temporaries never coexist with
-    them.  The residual columns B v_j - lambda_j v_j fill one C-ordered (n, k)
-    buffer, one column at a time, and ``np.linalg.norm(..., axis=0)``'s own
-    formula reduces it: each column is summed row by row, which a per-column
-    vector norm, summing in another order, would not reproduce bit for bit.
+    them.  Each residual column B v_j - lambda_j v_j is formed, squared and
+    summed on its own, in the order in which ``np.linalg.norm(R, axis=0)``
+    sums the columns of the C-ordered (n, k) block R: row by row for k >= 2
+    (a running sum, the last entry of ``cumsum``), pairwise for k = 1 (the
+    block is then one contiguous vector).  So the norms keep that formula's
+    bits, and no (n, k) block is held.
     """
     b = op.generator()
-    r = np.empty(vecs.shape)
+    sums = np.empty(len(lams))
     for j, lam in enumerate(lams):
-        r[:, j] = b @ vecs[:, j] - vecs[:, j] * lam
-    r *= r
-    return SpectrumReport(lams, np.sqrt(np.add.reduce(r, axis=0)), method, 0, tol, bnorm, eigenvectors=vecs)
+        r = b @ vecs[:, j] - vecs[:, j] * lam
+        r *= r
+        sums[j] = np.cumsum(r)[-1] if len(lams) > 1 else np.add.reduce(r)
+    return SpectrumReport(lams, np.sqrt(sums), method, 0, tol, bnorm, eigenvectors=vecs)
 
 
 def _factor_spd(matrix):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matschrod
@@ -648,6 +648,18 @@ def test_snapshot_writer_matches_csv_writer_across_chunk_boundaries(tmp_path, d,
     cli._write_snapshots(snapshots, grid, written)
     _csv_writer_snapshots(snapshots, grid, reference)
     assert written.read_bytes() == reference.read_bytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), N=st.integers(2, 40), L=st.floats(1e-6, 1e6))
+@example(d=1, N=10, L=1.0)  # n = 10: the first node with two digits is the last
+@example(d=2, N=10, L=3.0)  # n = 100
+@example(d=1, N=1001, L=1e-5)  # positions in exponent form
+def test_node_prefixes_are_the_per_node_format(d, N, L):
+    grid = matschrod.build_grid(d, L, N, 1)
+    axis = [repr(c) for c in grid.axis_nodes().tolist()]
+    expected = [f"{node},{','.join(xs)}".encode() for node, xs in enumerate(itertools.product(axis, repeat=d))]
+    assert cli._node_prefixes(grid) == expected
 
 
 def _reprs(values):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import matschrod.operators as operators_module
@@ -16,6 +16,7 @@ from matschrod import (
     ConvergenceError,
     DiffusionField,
     PotentialField,
+    PropagatorConfig,
     VectorState,
     assemble_form,
     assemble_operator,
@@ -23,6 +24,7 @@ from matschrod import (
     eigen_lowest,
     eval_form,
     pointwise_extremal_eigs,
+    propagate,
     sample_fields,
     sandwich_check,
 )
@@ -237,6 +239,46 @@ def test_abs_row_sums_is_not_a_running_band_sum():
     assert np.max(running) != np.max(b.abs_row_sums())
 
 
+def _whole_abs_row_sums(a):
+    """The absolute row sums reduced over every row in one pass, as one ``np.add.reduceat``."""
+    entries = np.abs(a.bands.T)
+    counts = np.count_nonzero(entries, axis=1)
+    filled = np.flatnonzero(counts)
+    out = np.zeros(a.shape[0])
+    out[filled] = np.add.reduceat(entries[entries != 0], (np.cumsum(counts) - counts)[filled])
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.integers(0, 3),
+    extra=st.integers(0, operators_module._ROW_BLOCK - 1),
+    offsets=st.sets(st.integers(-40, 40), min_size=1, max_size=9),
+    zero_bands=st.integers(0, 9),
+    zero_rows=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@example(blocks=2, extra=7, offsets={-3, 0, 3}, zero_bands=0, zero_rows=0.0, seed=0)  # n not a block multiple
+@example(blocks=2, extra=0, offsets={-1, 0, 1}, zero_bands=0, zero_rows=0.5, seed=1)  # n a block multiple
+@example(blocks=1, extra=5, offsets={0, 2}, zero_bands=2, zero_rows=0.0, seed=2)  # every band zero
+@example(blocks=0, extra=1, offsets={0}, zero_bands=0, zero_rows=0.0, seed=3)  # n = 1
+def test_abs_row_sums_in_row_blocks_keep_the_bits_of_one_pass(blocks, extra, offsets, zero_bands, zero_rows, seed):
+    # all-zero rows (with whole all-zero blocks), all-zero bands and any n,
+    # with magnitudes from 1e-20 to 1e20 so that any change of order shows
+    n = blocks * operators_module._ROW_BLOCK + extra
+    assume(n > 0)
+    rng = np.random.default_rng(seed)
+    offsets = sorted(offsets)
+    bands = rng.standard_normal((len(offsets), n)) * 10.0 ** rng.uniform(-20, 20, (len(offsets), n))
+    bands[: min(zero_bands, len(offsets))] = 0.0
+    bands[:, rng.random(n) < zero_rows] = 0.0
+    for band, o in zip(bands, offsets):  # a band is 0 wherever its column falls outside
+        band[max(0, n - o) :] = 0.0
+        band[: max(0, -o)] = 0.0
+    a = operators_module.FormMatrix(offsets, bands)
+    assert a.abs_row_sums().tobytes() == _whole_abs_row_sums(a).tobytes()
+
+
 def test_form_matrix_with_full_q_in_3d_is_scipys_up_to_summation_order():
     # SciPy sorts a row of more than 16 entries unstably, so it may add the
     # repeats of an entry in another order; each order errs by at most
@@ -378,13 +420,29 @@ def test_assembly_rejects_asymmetric_potential_input():
         assemble_operator(a)
 
 
-def test_matrix_is_assembled_on_first_read_and_cached():
+def test_generator_is_the_one_stored_matrix(monkeypatch):
     # assemble_operator refuses an asymmetric potential at call time (above),
-    # but builds S only when something reads it
-    _, op = _free_operator(N=9, d=2, m=2)
-    assert "matrix" not in op.__dict__
-    assert op.generator() is op.generator()
-    assert op.__dict__["matrix"] is op.matrix
+    # but assembles only when B is first read; the one matrix it assembles
+    # becomes B, so no S is stored beside it, whatever reads B afterwards
+    grid, op = _free_operator(N=9, d=2, m=2)
+    assembled = []
+    assemble = operators_module._assemble_matrix
+
+    def spy(assembly):
+        assembled.append(assemble(assembly))
+        return assembled[-1]
+
+    monkeypatch.setattr(operators_module, "_assemble_matrix", spy)
+    b = op.generator()
+    assert op.generator() is b
+    eigen_lowest(op, 3)
+    f0 = VectorState(grid, np.random.default_rng(0).standard_normal((grid.m, grid.n_nodes)))
+    for method in ("exact-dense", "lanczos-expmv"):
+        propagate(op, f0, 0.1, PropagatorConfig(method=method))
+    assert len(assembled) == 1 and assembled[0] is b and op.generator() is b
+    assert [v for v in vars(op).values() if isinstance(v, operators_module.FormMatrix)] == [b]
+    monkeypatch.undo()
+    assert b.bands.tobytes() == (op.matrix.bands * (1.0 / grid.cell_volume)).tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -757,28 +815,50 @@ def test_closed_form_synthesizes_mode_by_mode_as_the_batched_dst_did(d, m, coupl
     assert report.eigenvectors.tobytes() == _batched_one_hot_vectors(mu, w, order).tobytes()
 
 
-def test_closed_form_eigenvectors_hold_no_batch_of_transforms():
-    # one mode at a time the peak is the report's few (n, k) arrays, about
-    # 3.5 n k doubles; a DST of all k one-hot modes at once holds about 8
+def _exact_report_with_residual_block(op, lams, vecs, method, tol, bnorm):
+    """``_exact_report`` with the residual columns gathered in one (n, k) buffer first."""
+    b = op.generator()
+    r = np.empty(vecs.shape)
+    for j, lam in enumerate(lams):
+        r[:, j] = b @ vecs[:, j] - vecs[:, j] * lam
+    return operators_module.SpectrumReport(lams, np.linalg.norm(r, axis=0), method, 0, tol, bnorm, eigenvectors=vecs)
+
+
+def test_closed_form_eigenvectors_hold_no_batch_of_transforms(monkeypatch):
+    # one mode at a time and with no (n, k) residual block, the peak is the k
+    # eigenvectors, one mode's DST and less than three states beside them
+    # (1.95 n k doubles at n = 8192, k = 10); a DST of all k one-hot modes at
+    # once, or the residuals gathered in one (n, k) buffer (2.5 n k), hold more
     _, op = _constant_operator(3, 16, 2, np.diag([1.0, 1.37, 1.83]), np.array([[1.0, -0.4], [-0.4, 2.0]]))
     k = 10
     op.generator()
     mu, w = op.separable
-    bound = 5 * op.dim * k * 8
+    _, synthesize = operators_module._separable_basis(mu, w)
+    mode = np.zeros(mu.shape)
+    mode.flat[0] = 1.0
+    bound = 8 * op.dim * (k + 3) + _traced_peak(lambda: synthesize(mode))
     assert _traced_peak(lambda: eigen_lowest(op, k, method="lanczos")) <= bound
     order = np.argsort(mu, axis=None, kind="stable")[:k]
     assert _traced_peak(lambda: _batched_one_hot_vectors(mu, w, order)) > bound  # negative control
+    monkeypatch.setattr(operators_module, "_exact_report", _exact_report_with_residual_block)
+    assert _traced_peak(lambda: eigen_lowest(op, k, method="lanczos")) > bound  # negative control
 
 
 def test_exact_residuals_keep_the_bits_of_the_whole_block_norm():
-    # the residuals fill one C-ordered (n, k) buffer column by column, yet
-    # equal np.linalg.norm(B V - V lambda, axis=0) bit for bit, for LAPACK's
-    # F-ordered eigenvectors and for the closed form's C-ordered ones alike
+    # the residuals are summed one column at a time, yet equal
+    # np.linalg.norm(B V - V lambda, axis=0) bit for bit, for LAPACK's
+    # F-ordered eigenvectors and for the closed form's C-ordered ones alike,
+    # at k = 1 (a pairwise sum) and k >= 2 (a running sum), n even and odd
     vmat = np.array([[1.0, -0.4], [-0.4, 2.0]])
+    vmat3 = np.array([[2.0, -0.5, 0.1], [-0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
     _, coupled_line = _constant_operator(1, 1000, 2, np.eye(1), vmat)  # not tridiagonal: scipy eigh
+    _, odd_line = _constant_operator(1, 333, 3, np.eye(1), vmat3)  # n = 999
     _, box = _constant_operator(3, 9, 2, np.diag([1.0, 1.37, 1.83]), vmat)
+    _, odd_box = _constant_operator(3, 9, 1, np.diag([1.0, 1.37, 1.83]), np.array([[0.5]]))  # n = 729
     per_column_differs = False
-    cases = [(coupled_line, "dense", 1), (coupled_line, "dense", 8), (box, "lanczos", 1), (box, "lanczos", 10)]
+    cases = [(coupled_line, "dense", 1), (coupled_line, "dense", 2), (coupled_line, "dense", 8)]
+    cases += [(odd_line, "dense", 1), (odd_line, "dense", 5), (box, "lanczos", 1), (box, "lanczos", 2)]
+    cases += [(box, "lanczos", 10), (odd_box, "lanczos", 1), (odd_box, "lanczos", 7)]
     for op, method, k in cases:
         report = eigen_lowest(op, k, method=method)
         vecs, lams = report.eigenvectors, report.eigenvalues
@@ -935,13 +1015,13 @@ def test_dense_solver_follows_matrix_structure(monkeypatch, d, v_fn, solver):
     dif, pot = sample_fields(lambda x: np.eye(d), v_fn, grid)
     op = assemble_operator(assemble_form(dif, pot, grid))
     if solver == "eigh_tridiagonal":
-        # store the zero coupling of the diagonal potential as all-zero bands at +-n
+        # assemble the zero coupling of the diagonal potential as all-zero bands at +-n
         coo = op.matrix.tocsc().tocoo()
         n = grid.n_nodes
         rows = np.concatenate([coo.row, np.arange(n), np.arange(n, 2 * n)])
         cols = np.concatenate([coo.col, np.arange(n, 2 * n), np.arange(n)])
         data = np.concatenate([coo.data, np.zeros(2 * n)])
-        op.matrix = _form_matrix(rows, cols, data, coo.shape)
+        monkeypatch.setattr(operators_module, "_assemble_matrix", lambda a: _form_matrix(rows, cols, data, coo.shape))
         assert {-n, n} <= set(op.matrix.offsets)
         assert op.generator().nnz == coo.nnz
     calls = _spy_dense_solvers(monkeypatch)

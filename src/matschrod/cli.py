@@ -235,8 +235,6 @@ def _check_setting(path: str, value, default):
                 0 < len(value) == len(set(value)),
                 f"{path} must be a nonempty list of distinct entries, got {value!r}",
             )
-    elif isinstance(default, bool):
-        _expect(isinstance(value, bool), f"{path} must be a boolean")
     elif isinstance(default, int):
         _expect(isinstance(value, int) and not isinstance(value, bool), f"{path} must be an integer")
     elif isinstance(default, float):

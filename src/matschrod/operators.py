@@ -17,10 +17,11 @@ Assembly sums only the lower triangle, one dense band per stencil offset,
 and mirrors it afterwards (S = L + L^T - diag L), which keeps S exactly
 symmetric in its stored entries — no floating-point symmetrization is ever
 applied.  B, the operator's one stored matrix, is S with its bands scaled in
-place.  S and B are ``FormMatrix`` objects that keep those bands and
-multiply with numpy alone, to the bit as SciPy multiplies the same CSR
-matrix; the eigensolvers and propagators use them directly, and only the
-sparse LU converts one, shifted, to SciPy's CSC format.
+place, and its infinity norm is measured once, as B is built.  S and B are
+``FormMatrix`` objects that keep those bands and multiply with numpy alone,
+to the bit as SciPy multiplies the same CSR matrix; the eigensolvers and
+propagators use them directly, and only the sparse LU converts one,
+shifted, to SciPy's CSC format.
 
 When Q is one constant diagonal matrix and V one constant matrix (every
 sample equal to the first), B is a Kronecker sum that the DST-I and the
@@ -33,7 +34,9 @@ FFT alone.
 Every other operator that does not go dense runs shift-invert Lanczos on a
 sparse LU of B - sigma I, certified by residuals only.  SciPy is imported
 by the functions that call it, so ``matschrod assemble``, the closed-form
-spectrum and closed-form propagation never load it.
+spectrum and closed-form propagation never load it.  All three eigensolver
+paths (dense, closed form, Lanczos) hand their eigenpairs to the one
+certificate routine ``_report``.
 """
 from __future__ import annotations
 
@@ -200,7 +203,8 @@ class SymmetricOperator(FormAssembly):
     """The operator of a form: the form itself, with its generator built on first use.
 
     ``generator()`` returns B = S / h^d (a ``FormMatrix``, exactly
-    symmetric), assembled on its first call and cached; B is the one stored
+    symmetric), assembled on its first call and cached with the infinity
+    norm that ``generator_norm_bound()`` returns; B is the one stored
     matrix.  ``matrix``, the form matrix S, is assembled anew on every read
     and not stored: every solve, propagator, norm bound and residual reads
     B.  ``dim``, the grid and the coefficient metadata are the form's
@@ -217,6 +221,7 @@ class SymmetricOperator(FormAssembly):
 
     # caches, filled on first use
     _generator = None
+    _norm_bound = None
     _dense_eig = None
 
     @property
@@ -242,17 +247,18 @@ class SymmetricOperator(FormAssembly):
         return _assemble_matrix(self)
 
     def generator(self) -> FormMatrix:
-        """B = S / h^d: S assembled once and scaled in place, then cached."""
+        """B = S / h^d: S assembled once and scaled in place, then cached with its norm bound."""
         if self._generator is None:
             b = _assemble_matrix(self)
             # SciPy divides a sparse matrix by a scalar as a product with its reciprocal
             b.bands *= 1.0 / self.grid.cell_volume
-            self._generator = b
+            self._generator, self._norm_bound = b, float(np.max(b.abs_row_sums()))
         return self._generator
 
     def generator_norm_bound(self) -> float:
-        """Infinity norm of the generator, an upper bound for its 2-norm."""
-        return float(np.max(self.generator().abs_row_sums()))
+        """Infinity norm of the generator, an upper bound for its 2-norm, measured as B was built."""
+        self.generator()
+        return self._norm_bound
 
     def dense_eig(self):
         """Cached full eigendecomposition (w, U) of the generator, by ``_dense_eigh``."""
@@ -395,9 +401,10 @@ def eigen_lowest(
     off its closed form; for every other operator it runs shift-invert
     Lanczos at shift sigma = min(-1, min V - 1), which lies at least 1 below
     the spectrum, with full reorthogonalization and a start vector drawn from
-    ``seed``.  Residuals ||B v - lambda v|| are measured against
-    ``matrix_norm`` (the infinity norm of B).  The exact paths (dense and
-    closed form) only report them; Lanczos iterates until they are at most
+    ``seed``.  On every path ``_report`` measures the residuals
+    ||B v - lambda v|| one column at a time against ``matrix_norm`` (the
+    infinity norm of B, stored with B).  The exact paths (dense and closed
+    form) only report them; Lanczos iterates until they are at most
     ``tol * matrix_norm`` and otherwise raises ConvergenceError with the
     partial report attached.
     """
@@ -408,8 +415,7 @@ def eigen_lowest(
     if method == "auto":
         method = "dense" if op.dim <= DENSE_LIMIT else "lanczos"
     if method == "dense":
-        bnorm = op.generator_norm_bound()  # before the eigenvectors exist (see _exact_report)
-        return _exact_report(op, *_dense_eigh(op, k), "dense", tol, bnorm)
+        return _report(op, *_dense_eigh(op, k), "dense", tol)
     if method == "lanczos":
         if op.separable is not None:
             return _eigen_separable(op, k, tol)
@@ -425,10 +431,9 @@ def _eigen_separable(op: SymmetricOperator, k: int, tol: float) -> SpectrumRepor
     synthesis of its one-hot mode, one mode at a time, so the DST never holds
     more than one state.
     """
-    # assemble and measure B before the modes exist, so neither peak holds them
-    bnorm = op.generator_norm_bound()
+    op.generator()  # assembled before the modes exist, so its peak does not hold them
     mu, w = op.separable
-    order = np.argsort(mu, axis=None, kind="stable")[:k]
+    order = np.argsort(mu, axis=None, kind="stable")[:k].copy()  # not a view holding all n
     _, synthesize = _separable_basis(mu, w)
     vecs = np.empty((op.dim, k))
     mode = np.zeros(mu.shape)
@@ -436,18 +441,18 @@ def _eigen_separable(op: SymmetricOperator, k: int, tol: float) -> SpectrumRepor
         mode.flat[index] = 1.0
         vecs[:, col] = synthesize(mode)
         mode.flat[index] = 0.0
-    return _exact_report(op, mu.ravel()[order], vecs, "separable", tol, bnorm)
+    return _report(op, mu.ravel()[order], vecs, "separable", tol)
 
 
-def _exact_report(op, lams, vecs, method, tol, bnorm) -> SpectrumReport:
-    """The report of directly computed eigenpairs, with their residuals against the assembled B.
+def _report(op, lams, vecs, method, tol, iterations=0, shift=None) -> SpectrumReport:
+    """The certificate of eigenpairs from any path: their residuals against the assembled B.
 
-    ``bnorm`` is ``op.generator_norm_bound()``, which the callers measure
-    before the eigenvectors exist, so its temporaries never coexist with
-    them.  Each residual column B v_j - lambda_j v_j is formed, squared and
-    summed on its own, in the order in which ``np.linalg.norm(R, axis=0)``
-    sums the columns of the C-ordered (n, k) block R: row by row for k >= 2
-    (a running sum, the last entry of ``cumsum``), pairwise for k = 1 (the
+    The one place a ``SpectrumReport`` is made, for the dense, closed-form
+    and Lanczos eigenpairs alike; ``matrix_norm`` is the bound B stores.
+    Each residual column B v_j - lambda_j v_j is formed, squared and summed
+    on its own, in the order in which ``np.linalg.norm(R, axis=0)`` sums the
+    columns of the C-ordered (n, k) block R: row by row for k >= 2 (a
+    running sum, the last entry of ``cumsum``), pairwise for k = 1 (the
     block is then one contiguous vector).  So the norms keep that formula's
     bits, and no (n, k) block is held.
     """
@@ -457,7 +462,8 @@ def _exact_report(op, lams, vecs, method, tol, bnorm) -> SpectrumReport:
         r = b @ vecs[:, j] - vecs[:, j] * lam
         r *= r
         sums[j] = np.cumsum(r)[-1] if len(lams) > 1 else np.add.reduce(r)
-    return SpectrumReport(lams, np.sqrt(sums), method, 0, tol, bnorm, eigenvectors=vecs)
+    bound = op.generator_norm_bound()
+    return SpectrumReport(lams, np.sqrt(sums), method, iterations, tol, bound, shift, eigenvectors=vecs)
 
 
 def _factor_spd(matrix):
@@ -528,19 +534,17 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     broken-down basis from a fresh random direction; the Ritz pairs are
     checked every third step until k of them meet the tolerance.
     """
-    b = op.generator()
     n = op.dim
-    bnorm = op.generator_norm_bound()
     sigma = min(-1.0, op.potential.min_eigenvalue - 1.0)
-    solve = _factor_spd(b.shifted(1.0, -sigma)).solve
+    solve = _factor_spd(op.generator().shifted(1.0, -sigma)).solve
     rng = np.random.default_rng(seed)
     max_dim = min(n, max(8 * k, 160))
     report = None
     for basis, alphas, betas in _lanczos(solve, rng.standard_normal(n), max_dim, rng):
         size = len(alphas)
         if size >= k and (size % 3 == 1 or size == max_dim):
-            report = _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma)
-            if np.all(report.residuals <= tol * bnorm):
+            report = _report(op, *_ritz_pairs(basis, alphas, betas, k, sigma), "lanczos", tol, size, sigma)
+            if np.all(report.residuals <= tol * report.matrix_norm):
                 return report
     raise ConvergenceError(
         f"Lanczos did not converge to {k} eigenpairs within {max_dim} iterations",
@@ -548,7 +552,8 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
     )
 
 
-def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma) -> SpectrumReport:
+def _ritz_pairs(basis, alphas, betas, k, sigma):
+    """The k Ritz pairs (lams, vecs) of B nearest sigma, ascending, each vector normalized."""
     import scipy.linalg
 
     theta, y = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
@@ -559,18 +564,8 @@ def _ritz_report(b, basis, alphas, betas, k, tol, bnorm, sigma) -> SpectrumRepor
     lams = 1.0 / theta + sigma
     vecs = basis.T @ y[:, order]
     vecs /= np.linalg.norm(vecs, axis=0)
-    res = np.linalg.norm(b @ vecs - vecs * lams, axis=0)
     asc = np.argsort(lams)
-    return SpectrumReport(
-        eigenvalues=lams[asc],
-        residuals=res[asc],
-        method="lanczos",
-        iterations=len(alphas),
-        tol=tol,
-        matrix_norm=bnorm,
-        shift=sigma,
-        eigenvectors=vecs[:, asc],
-    )
+    return lams[asc], vecs[:, asc]
 
 
 def _separable(op: SymmetricOperator):

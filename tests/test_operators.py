@@ -445,6 +445,29 @@ def test_generator_is_the_one_stored_matrix(monkeypatch):
     assert b.bands.tobytes() == (op.matrix.bands * (1.0 / grid.cell_volume)).tobytes()
 
 
+def test_norm_bound_is_measured_once_when_the_generator_is_built(monkeypatch):
+    # B keeps its infinity norm: the norm bound, both eigensolver paths and
+    # every Krylov propagation read the stored value instead of reducing B again
+    grid, op = _tilted_operator(2, 12, 2, [1.0, 1.37], np.array([[1.0, -0.4], [-0.4, 2.0]]))
+    calls = []
+    abs_row_sums = operators_module.FormMatrix.abs_row_sums
+
+    def spy(matrix):
+        calls.append(matrix.shape)
+        return abs_row_sums(matrix)
+
+    monkeypatch.setattr(operators_module.FormMatrix, "abs_row_sums", spy)
+    bound = op.generator_norm_bound()
+    reports = [eigen_lowest(op, 3, method=method) for method in ("dense", "lanczos")]
+    assert [report.method for report in reports] == ["dense", "lanczos"]
+    f0 = VectorState(grid, np.random.default_rng(0).standard_normal((grid.m, grid.n_nodes)))
+    for t in (0.01, 0.1, 1.0):
+        propagate(op, f0, t, PropagatorConfig(method="lanczos-expmv"))
+    assert calls == [(op.dim, op.dim)]
+    assert all(report.matrix_norm == bound for report in reports)
+    assert bound == float(np.max(abs_row_sums(op.generator())))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(1, 3), N=st.integers(2, 12), m=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_dimension_needs_no_assembly_and_matches_the_matrix(d, N, m, seed):
@@ -815,13 +838,16 @@ def test_closed_form_synthesizes_mode_by_mode_as_the_batched_dst_did(d, m, coupl
     assert report.eigenvectors.tobytes() == _batched_one_hot_vectors(mu, w, order).tobytes()
 
 
-def _exact_report_with_residual_block(op, lams, vecs, method, tol, bnorm):
-    """``_exact_report`` with the residual columns gathered in one (n, k) buffer first."""
+def _report_with_residual_block(op, lams, vecs, method, tol, iterations=0, shift=None):
+    """``_report`` with the residual columns gathered in one (n, k) buffer first."""
     b = op.generator()
     r = np.empty(vecs.shape)
     for j, lam in enumerate(lams):
         r[:, j] = b @ vecs[:, j] - vecs[:, j] * lam
-    return operators_module.SpectrumReport(lams, np.linalg.norm(r, axis=0), method, 0, tol, bnorm, eigenvectors=vecs)
+    residuals = np.linalg.norm(r, axis=0)
+    return operators_module.SpectrumReport(
+        lams, residuals, method, iterations, tol, op.generator_norm_bound(), shift, eigenvectors=vecs
+    )
 
 
 def test_closed_form_eigenvectors_hold_no_batch_of_transforms(monkeypatch):
@@ -840,31 +866,35 @@ def test_closed_form_eigenvectors_hold_no_batch_of_transforms(monkeypatch):
     assert _traced_peak(lambda: eigen_lowest(op, k, method="lanczos")) <= bound
     order = np.argsort(mu, axis=None, kind="stable")[:k]
     assert _traced_peak(lambda: _batched_one_hot_vectors(mu, w, order)) > bound  # negative control
-    monkeypatch.setattr(operators_module, "_exact_report", _exact_report_with_residual_block)
+    monkeypatch.setattr(operators_module, "_report", _report_with_residual_block)
     assert _traced_peak(lambda: eigen_lowest(op, k, method="lanczos")) > bound  # negative control
 
 
 def test_exact_residuals_keep_the_bits_of_the_whole_block_norm():
     # the residuals are summed one column at a time, yet equal
-    # np.linalg.norm(B V - V lambda, axis=0) bit for bit, for LAPACK's
-    # F-ordered eigenvectors and for the closed form's C-ordered ones alike,
-    # at k = 1 (a pairwise sum) and k >= 2 (a running sum), n even and odd
+    # np.linalg.norm(B V - V lambda, axis=0) bit for bit, for the F-ordered
+    # eigenvectors of LAPACK and of the Ritz pairs of a non-separable
+    # operator and for the closed form's C-ordered ones alike, at k = 1 (a
+    # pairwise sum) and k >= 2 (a running sum), n even and odd
     vmat = np.array([[1.0, -0.4], [-0.4, 2.0]])
     vmat3 = np.array([[2.0, -0.5, 0.1], [-0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
     _, coupled_line = _constant_operator(1, 1000, 2, np.eye(1), vmat)  # not tridiagonal: scipy eigh
     _, odd_line = _constant_operator(1, 333, 3, np.eye(1), vmat3)  # n = 999
     _, box = _constant_operator(3, 9, 2, np.diag([1.0, 1.37, 1.83]), vmat)
     _, odd_box = _constant_operator(3, 9, 1, np.diag([1.0, 1.37, 1.83]), np.array([[0.5]]))  # n = 729
+    _, tilted = _tilted_operator(2, 40, 2, [1.0, 1.37], vmat)  # LU Lanczos
     per_column_differs = False
     cases = [(coupled_line, "dense", 1), (coupled_line, "dense", 2), (coupled_line, "dense", 8)]
     cases += [(odd_line, "dense", 1), (odd_line, "dense", 5), (box, "lanczos", 1), (box, "lanczos", 2)]
     cases += [(box, "lanczos", 10), (odd_box, "lanczos", 1), (odd_box, "lanczos", 7)]
+    cases += [(tilted, "lanczos", 1), (tilted, "lanczos", 10)]
     for op, method, k in cases:
         report = eigen_lowest(op, k, method=method)
         vecs, lams = report.eigenvectors, report.eigenvalues
-        assert report.method == {"dense": "dense", "lanczos": "separable"}[method]
+        separable = method == "lanczos" and op.separable is not None
+        assert report.method == ("separable" if separable else method)
         if k > 1:
-            assert vecs.flags.f_contiguous if method == "dense" else vecs.flags.c_contiguous
+            assert vecs.flags.c_contiguous if separable else vecs.flags.f_contiguous
         r = op.generator() @ vecs - vecs * lams
         assert report.residuals.tobytes() == np.linalg.norm(r, axis=0).tobytes()
         per_column = np.array([np.linalg.norm(r[:, j]) for j in range(k)])

@@ -5,14 +5,17 @@ Usage:
     matschrod <assemble|spectrum|evolve|verify|gallery>
               [--config FILE] [--seed N] [--out DIR] [--key.path=value ...]
 
-Configs are UTF-8 JSON over a fixed schema; unknown keys are rejected and
-every run echoes the fully resolved configuration to
-``resolved-config.json``, which can be re-ingested to reproduce the run
-bit for bit at the same OpenBLAS thread count (verdict files carry no
-timings).  Dotted flags override single values, e.g. ``--grid.N=500`` or
-``--coefficients.v.kind=harmonic --coefficients.v.scale=1``; a kind's
-defaults are filled in after the file and every flag, so a switched kind
-starts from its own defaults.
+Configs are UTF-8 JSON over a fixed schema.  A run resolves its config in
+this order: the defaults, then the ``--config`` file, then the dotted flags
+(e.g. ``--grid.N=500`` or ``--coefficients.v.kind=harmonic
+--coefficients.v.scale=1``), then ``--seed``, ``--out`` and ``--name``,
+which set ``seed``, ``output.directory`` and ``gallery.name``, and last the
+defaults of each kind, so a switched kind starts from its own defaults.
+Only validation, which runs on the resolved config, knows which keys
+exist: it rejects an unknown key by its dotted path.  Every run echoes the
+resolved config to ``resolved-config.json``, which can be re-ingested to
+reproduce the run bit for bit at the same OpenBLAS thread count (verdict
+files carry no timings).
 
 Exit codes: 0 all verdicts passed; 1 a verdict failed; 2 configuration
 error; 3 solver failure (non-convergence, under-resolved quadrature).
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import itertools
 import json
 import math
 import sys
@@ -43,7 +47,7 @@ __all__ = ["main", "run", "DEFAULT_CONFIG"]
 #: float default takes a finite positive number, and a tolerance at most its
 #: default; ``gallery.name``, null by default, is checked by
 #: ``build_problem``); a kind block holds only its kind, and ``_KINDS`` gives
-#: its other keys
+#: its other keys; ``gallery.params`` is the one free-form section
 DEFAULT_CONFIG = {
     "seed": 42,
     "grid": {"d": 1, "L": 1.0, "N": 64, "m": 1},
@@ -130,48 +134,25 @@ _KIND_TYPES = {
     "index or null": (lambda v: v is None or _is_index(v), "null or a nonnegative integer"),
 }
 
-#: config subtrees whose keys are not fixed by DEFAULT_CONFIG
-_OPEN_PATHS = set(_KINDS) | {"gallery.params"}
-
-
 # -- config plumbing ----------------------------------------------------------
 
 
-def _is_open(path: str) -> bool:
-    return any(path == p or path.startswith(p + ".") for p in _OPEN_PATHS)
-
-
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict):
+    """Merge ``override`` into ``base``, section by section."""
     for key, value in override.items():
-        here = f"{path}.{key}" if path else key
-        if key not in base:
-            if _is_open(path or here):
-                base[key] = copy.deepcopy(value)
-                continue
-            raise ConfigError(f"unknown config key {here!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict) and not _is_open(here):
-            _merge(base[key], value, here)
+        if isinstance(base.get(key), dict) and isinstance(value, dict):
+            _merge(base[key], value)
         else:
-            base[key] = copy.deepcopy(value)
-    return base
+            base[key] = value
 
 
 def _set_by_path(config: dict, dotted: str, value):
-    parts = dotted.split(".")
+    *sections, last = dotted.split(".")
     node = config
-    for depth, part in enumerate(parts[:-1]):
-        here = ".".join(parts[: depth + 1])
-        if part not in node:
-            if _is_open(here):
-                node[part] = {}
-            else:
-                raise ConfigError(f"unknown config key {here!r}")
-        node = node[part]
+    for depth, part in enumerate(sections):
+        node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise ConfigError(f"config key {here!r} is not a section")
-    last = parts[-1]
-    if last not in node and not _is_open(dotted) and not _is_open(".".join(parts[:-1])):
-        raise ConfigError(f"unknown config key {dotted!r}")
+            raise ConfigError(f"config key {'.'.join(sections[: depth + 1])!r} is not a section")
     node[last] = value
 
 
@@ -192,11 +173,13 @@ def _parse_override_tokens(tokens: list) -> list:
 
 
 def _expect_keys(section: dict, allowed: set, path: str):
+    """The one check of key names: unknown keys are named by their dotted path."""
     if not isinstance(section, dict):
         raise ConfigError(f"config section {path!r} must be an object")
-    unknown = set(section) - allowed
+    unknown = sorted(set(section) - allowed)
     if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)} in section {path!r}")
+        here = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ConfigError(f"unknown config key {here!r}")
     missing = allowed - set(section)
     if missing:
         raise ConfigError(f"missing config keys {sorted(missing)} in section {path!r}")
@@ -276,7 +259,7 @@ def _check_section(section, defaults: dict, path: str = ""):
         here = f"{path}.{key}" if path else key
         if here in _KINDS:
             _fill_kind_block(section[key], _KINDS[here], here)
-        elif _is_open(here):
+        elif here == "gallery.params":  # the builder's keyword arguments
             _expect(isinstance(section[key], dict), f"{here} must be an object")
         elif isinstance(default, dict):
             _check_section(section[key], default, here)
@@ -299,11 +282,12 @@ def _validate_config(config: dict):
         _expect(tol <= default, f"{section}.tol must be at most its default {default!r}, got {tol!r}")
 
 
-def resolve_config(config_path, overrides, seed=None, out=None) -> dict:
-    """Defaults, then file config, then dotted overrides, then --seed/--out.
+def resolve_config(config_path, overrides) -> dict:
+    """Defaults, then the file config, then the ``(dotted key, value)`` overrides in order.
 
-    Kind defaults are filled in last, so a switched kind never keeps keys of
-    the kind it replaced.
+    Only validation knows the schema: it rejects unknown keys and fills in
+    kind defaults last, so a switched kind never keeps keys of the kind it
+    replaced.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if config_path is not None:
@@ -319,10 +303,6 @@ def resolve_config(config_path, overrides, seed=None, out=None) -> dict:
         _merge(config, loaded)
     for dotted, value in overrides:
         _set_by_path(config, dotted, value)
-    if seed is not None:
-        config["seed"] = seed
-    if out is not None:
-        config["output"]["directory"] = str(out)
     _validate_config(config)
     return config
 
@@ -371,23 +351,11 @@ def _v_samples(block: dict, grid) -> np.ndarray:
 def _initial_state(block: dict, grid, seed: int) -> VectorState:
     kind = block["kind"]
     if kind == "bump":
-        width = float(block["width"])
-        _expect(width > 0, "evolve.initial_state.width must be positive")
-        component = block["component"]
-        _expect(
-            component is None or component < grid.m,
-            f"evolve.initial_state.component must be an integer below {grid.m}",
-        )
-        return VectorState.bump(grid, width, component)
+        return VectorState.bump(grid, float(block["width"]), block["component"])
     if kind == "impulse":
         component = block["component"]
         _expect(component < grid.m, f"evolve.initial_state.component must be an integer below {grid.m}")
-        node = block["node"]
-        _expect(
-            node is None or node < grid.n_nodes,
-            f"evolve.initial_state.node must be an integer below {grid.n_nodes}",
-        )
-        return VectorState.impulse(grid, node, np.eye(grid.m)[component])
+        return VectorState.impulse(grid, block["node"], np.eye(grid.m)[component])
     if kind == "random":
         scale = float(block["scale"])
         return VectorState.random(grid, np.random.default_rng(seed), scale)
@@ -477,24 +445,9 @@ _SNAPSHOT_CHUNK_ROWS = 8192
 
 
 def _node_prefixes(grid) -> list:
-    """The ``node,x0..x{d-1}`` field of every node, as bytes, in the C order of ``node_coords``.
-
-    Byte for byte ``f"{node},{','.join(map(repr, xs))}".encode()``, but cut
-    from one uint8 table, a row per node: the node's decimal digits, then for
-    each axis its position's ``,repr`` from a NUL-padded table of the N axis
-    positions, then a newline.  Dropping the NULs (the padding and the
-    leading zeros) leaves the lines of one text, which is split once.
-    """
-    n, d = grid.n_nodes, grid.d
-    # the digit of 10^k in 0 .. n-1 runs through 0-9 in runs of 10^k
-    places = [10**k for k in range(len(str(n - 1)) - 1, -1, -1)]
-    digits = [np.resize(np.repeat(np.frombuffer(b"0123456789", np.uint8), p), n) for p in places]
-    for column, p in zip(digits, places[:-1]):
-        column[:p] = 0  # leading zeros
-    axis = np.array([b"," + repr(c).encode() for c in grid.axis_nodes().tolist()]).view(np.uint8)
-    positions = [axis.reshape(grid.N, -1)[i] for i in np.indices((grid.N,) * d).reshape(d, n)]
-    table = np.column_stack(digits + positions + [np.full(n, ord("\n"), np.uint8)])
-    return table[table != 0].tobytes().split(b"\n")[:-1]
+    """The ``node,x0..x{d-1}`` field of every node, as bytes, in the C order of ``node_coords``."""
+    axis = [repr(c) for c in grid.axis_nodes().tolist()]
+    return [f"{node},{','.join(xs)}".encode() for node, xs in enumerate(itertools.product(axis, repeat=grid.d))]
 
 
 def _write_snapshots(snapshots: list, grid, path: Path):
@@ -692,22 +645,23 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="seed overriding the config")
-        p.add_argument("--out", default=None, help="output directory overriding the config")
+        # each option below sets the config key named by its dest
+        p.add_argument("--seed", type=int, help="seed overriding the config")
+        p.add_argument("--out", dest="output.directory", metavar="DIR", help="output directory overriding the config")
         if name == "gallery":
-            p.add_argument("--name", default=None, help="gallery problem name")
+            p.add_argument("--name", dest="gallery.name", metavar="NAME", help="gallery problem name")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args, leftover = parser.parse_known_args(argv)
+    args, leftover = _build_parser().parse_known_args(argv)
+    flags = vars(args)
+    subcommand, config_path = flags.pop("subcommand"), flags.pop("config")
     try:
+        # --seed, --out and --name come after the dotted flags, so they win
         overrides = _parse_override_tokens(leftover)
-        config = resolve_config(args.config, overrides, seed=args.seed, out=args.out)
-        if args.subcommand == "gallery" and args.name is not None:
-            config["gallery"]["name"] = args.name
-        return run(args.subcommand, config)
+        overrides += [(key, value) for key, value in flags.items() if value is not None]
+        return run(subcommand, resolve_config(config_path, overrides))
     except (ConvergenceError, QuadratureError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -23,6 +23,7 @@ instances can be shared freely between threads.
 """
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -311,11 +312,15 @@ class VectorState:
     @classmethod
     def impulse(cls, grid: GridSpec, node: int | None = None, vector=None) -> "VectorState":
         """Kronecker impulse: one node carries ``vector`` (default e_0), rest zero."""
-        if node is None:
-            node = grid.nearest_node(np.zeros(grid.d))
+        # operator.index: numpy would read a bool as a mask and refuse a float
+        node = grid.nearest_node(np.zeros(grid.d)) if node is None else operator.index(node)
+        if not 0 <= node < grid.n_nodes:
+            raise ValueError(f"impulse node must be in [0, {grid.n_nodes}), got {node}")
         if vector is None:
             vector = np.eye(grid.m)[0]
         vector = np.atleast_1d(np.asarray(vector, dtype=float))
+        if vector.shape != (grid.m,):
+            raise ValueError(f"impulse vector must have {grid.m} entries, got shape {vector.shape}")
         vals = np.zeros((grid.m, grid.n_nodes))
         vals[:, node] = vector
         return cls(grid, vals)
@@ -324,6 +329,12 @@ class VectorState:
     def bump(cls, grid: GridSpec, width: float = 0.5, component: int | None = None) -> "VectorState":
         """Smooth bump ``smooth_bump_profile(|x| / (width L))`` on every
         component, or on ``component`` only (the others zero)."""
+        if not width > 0:
+            raise ValueError(f"bump width must be positive, got {width}")
+        if component is not None:
+            component = operator.index(component)  # as in ``impulse``
+            if not 0 <= component < grid.m:
+                raise ValueError(f"bump component must be None or in [0, {grid.m}), got {component}")
         profile = smooth_bump_profile(np.linalg.norm(grid.node_coords(), axis=1) / (width * grid.L))
         vals = np.zeros((grid.m, grid.n_nodes))
         if component is None:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matschrod
@@ -131,8 +131,14 @@ def test_spectrum_k_exceeding_dimension_is_config_error(tmp_path):
             ["gallery", "--name", "harmonic_oscillator", '--gallery.params={"bogus_param": 3}'],
             "harmonic_oscillator() got an unexpected keyword argument 'bogus_param'",
         ),
+        (
+            # --name beats --gallery.name, and is validated and echoed like any key
+            ["gallery", "--gallery.name=harmonic_oscillator", "--name", "no_such_problem"],
+            "unknown gallery problem 'no_such_problem'; known: antisymmetric_continuity, "
+            "coupled_confining, degenerate_counterexample, harmonic_oscillator",
+        ),
     ],
-    ids=["k-above-dimension", "grid", "gallery-params"],
+    ids=["k-above-dimension", "grid", "gallery-params", "gallery-name"],
 )
 def test_failed_run_writes_resolved_config_but_no_verdicts(tmp_path, capsys, args, message):
     # each subcommand raises after resolved-config.json is written, and run
@@ -145,15 +151,50 @@ def test_failed_run_writes_resolved_config_but_no_verdicts(tmp_path, capsys, arg
 # -- config errors ----------------------------------------------------------------
 
 
-def test_unknown_override_key_rejected(tmp_path):
-    assert cli.main(["assemble", "--out", str(tmp_path), "--grid.M=3"]) == 2
-    assert cli.main(["assemble", "--out", str(tmp_path), "--grdi.N=3"]) == 2
+def test_unknown_override_key_rejected(tmp_path, capsys):
+    for flag, message in [
+        ("--grid.M=3", "unknown config key 'grid.M'"),
+        ("--grdi.N=3", "unknown config key 'grdi'"),
+        ("--grid.M.x=3", "unknown config key 'grid.M'"),
+        ("--grid.N.x=1", "config key 'grid.N' is not a section"),
+    ]:
+        assert cli.main(["assemble", "--out", str(tmp_path), flag]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def test_unknown_file_key_rejected(tmp_path):
+def test_unknown_file_key_rejected(tmp_path, capsys):
+    # only validation knows the schema, and it names the first unknown key
+    # (in sorted order) by its dotted path; a kind block names its kind
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    for loaded, message in [
+        ({"grdi": {"N": 3}}, "unknown config key 'grdi'"),
+        ({"grid": {"M": 3}}, "unknown config key 'grid.M'"),
+        ({"grid": {"N": {"x": 3}}}, "grid.N must be an integer"),
+        ({"solver": {"k": 3, "zeta": 1, "alpha": 2}}, "unknown config key 'solver.alpha'"),
+        ({"coefficients": {"w": {"kind": "zero"}}}, "unknown config key 'coefficients.w'"),
+        (
+            {"coefficients": {"v": {"kind": "harmonic", "scale": 1.0, "width": 2}}},
+            "unknown keys ['width'] for coefficients.v.kind='harmonic'",
+        ),
+    ]:
+        config.write_text(json.dumps(loaded))
+        assert cli.main(["assemble", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
+def test_dotted_flags_beat_the_file_and_named_flags_beat_both(tmp_path, monkeypatch):
+    # defaults, then the file, then the dotted flags, then --seed/--out/--name
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"grid": {"M": 3}}))
-    assert cli.main(["assemble", "--config", str(config), "--out", str(tmp_path)]) == 2
+    config.write_text(json.dumps({"seed": 3, "grid": {"N": 20, "L": 2.0}, "output": {"directory": "file"}}))
+    flags = ["--grid.N=24", "--seed", "5", "--output.directory=flag", "--out", "out"]
+    assert cli.main(["assemble", "--config", str(config)] + flags) == 0
+    resolved = _read_json(tmp_path / "out" / "resolved-config.json")
+    assert (resolved["seed"], resolved["grid"], resolved["output"]) == (
+        5, {"d": 1, "L": 2.0, "N": 24, "m": 1}, {"directory": "out"}
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
 
 def test_bad_config_file(tmp_path):
@@ -246,7 +287,7 @@ _BAD_VALUES = {
 def _typed_settings(tree, path=""):
     for key, default in tree.items():
         here = f"{path}.{key}" if path else key
-        if here in cli._OPEN_PATHS:
+        if here in cli._KINDS or here == "gallery.params":
             continue
         if isinstance(default, dict):
             yield from _typed_settings(default, here)
@@ -339,6 +380,11 @@ def test_kind_switch_without_required_key_is_config_error(tmp_path, capsys, bloc
         ('--evolve.initial_state={"kind":"impulse","component":-1}', "component must be a nonnegative"),
         ('--evolve.initial_state={"kind":"impulse","node":1.5}', "node must be null or a nonnegative"),
         ('--evolve.initial_state={"kind":"bump","component":true}', "component must be null or a"),
+        # out of range for the grid: the state constructors raise ValueError
+        ('--evolve.initial_state={"kind":"bump","width":0}', "bump width must be positive, got 0.0"),
+        ('--evolve.initial_state={"kind":"bump","component":1}', "bump component must be None or in [0, 1), got 1"),
+        ('--evolve.initial_state={"kind":"impulse","node":8}', "impulse node must be in [0, 8), got 8"),
+        ('--evolve.initial_state={"kind":"impulse","component":1}', "initial_state.component must be an integer below 1"),
     ],
 )
 def test_wrongly_typed_kind_key_is_config_error(tmp_path, capsys, flag, message):
@@ -650,16 +696,18 @@ def test_snapshot_writer_matches_csv_writer_across_chunk_boundaries(tmp_path, d,
     assert written.read_bytes() == reference.read_bytes()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(d=st.integers(1, 3), N=st.integers(2, 40), L=st.floats(1e-6, 1e6))
-@example(d=1, N=10, L=1.0)  # n = 10: the first node with two digits is the last
-@example(d=2, N=10, L=3.0)  # n = 100
-@example(d=1, N=1001, L=1e-5)  # positions in exponent form
-def test_node_prefixes_are_the_per_node_format(d, N, L):
+@pytest.mark.parametrize(
+    "d, N, L",
+    [(1, 10, 1.0), (2, 10, 3.0), (1, 1001, 1e-5)],
+    ids=["n=10: the last node is the first with two digits", "n=100", "positions in exponent form"],
+)
+def test_snapshot_node_fields_match_csv_writer(tmp_path, d, N, L):
     grid = matschrod.build_grid(d, L, N, 1)
-    axis = [repr(c) for c in grid.axis_nodes().tolist()]
-    expected = [f"{node},{','.join(xs)}".encode() for node, xs in enumerate(itertools.product(axis, repeat=d))]
-    assert cli._node_prefixes(grid) == expected
+    snapshots = [(0.0, matschrod.VectorState(grid, np.linspace(-1.0, 1.0, grid.n_nodes)))]
+    written, reference = tmp_path / "snapshots.csv", tmp_path / "reference.csv"
+    cli._write_snapshots(snapshots, grid, written)
+    _csv_writer_snapshots(snapshots, grid, reference)
+    assert written.read_bytes() == reference.read_bytes()
 
 
 def _reprs(values):

@@ -254,6 +254,31 @@ def test_bump_state_on_all_or_one_component():
     one = VectorState.bump(grid, width=0.25, component=1).values
     np.testing.assert_array_equal(one[1], narrow)
     assert not one[0].any() and not one[2].any()
+    # True is the index 1, not a numpy mask that selects every component
+    np.testing.assert_array_equal(VectorState.bump(grid, width=0.25, component=True).values, one)
+    with pytest.raises(TypeError):
+        VectorState.bump(grid, component=0.5)
+
+
+@pytest.mark.parametrize(
+    "build, argument, value",
+    [
+        ("impulse", "node", -1),
+        ("impulse", "node", 5),
+        ("impulse", "vector", [1.0]),
+        ("impulse", "vector", [1.0, 0.0, 0.0]),
+        ("bump", "component", -1),
+        ("bump", "component", 2),
+        ("bump", "width", -0.5),
+        ("bump", "width", 0),
+        ("bump", "width", float("nan")),
+    ],
+    ids=str,
+)
+def test_impulse_and_bump_reject_out_of_range_arguments(build, argument, value):
+    grid = build_grid(1, 1.0, 5, 2)
+    with pytest.raises(ValueError, match=f"^{build} {argument} must"):
+        getattr(VectorState, build)(grid, **{argument: value})
 
 
 # -- mixed norms -----------------------------------------------------------

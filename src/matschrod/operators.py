@@ -14,14 +14,14 @@ identities always use S.  Since the mass weight is a scalar multiple of the
 identity the two share eigenvectors.
 
 Assembly sums only the lower triangle, one dense band per stencil offset,
-and mirrors it afterwards (S = L + L^T - diag L), which keeps S exactly
-symmetric in its stored entries — no floating-point symmetrization is ever
-applied.  B, the operator's one stored matrix, is S with its bands scaled in
-place, and its infinity norm is measured once, as B is built.  S and B are
-``FormMatrix`` objects that keep those bands and multiply with numpy alone,
-to the bit as SciPy multiplies the same CSR matrix; the eigensolvers and
-propagators use them directly, and only the sparse LU converts one,
-shifted, to SciPy's CSC format.
+and that triangle is all that is stored: S and B are symmetric by
+construction, and no floating-point symmetrization is ever applied.  B, the
+operator's one stored matrix, is S with its bands scaled in place, and its
+infinity norm is measured once, as B is built.  S and B are ``FormMatrix``
+objects that keep those lower bands, read each upper band as a view of its
+lower one and multiply with numpy alone, to the bit as SciPy multiplies the
+same CSR matrix; the eigensolvers and propagators use them directly, and
+only the sparse LU converts one, shifted, to SciPy's CSC format.
 
 When Q is one constant diagonal matrix and V one constant matrix (every
 sample equal to the first), B is a Kronecker sum that the DST-I and the
@@ -90,10 +90,13 @@ def _stiffness_lower_entries(grid: GridSpec, qcells: np.ndarray):
     """
     N, d, h = grid.N, grid.d, grid.h
     base = np.indices((N + 1,) * d).reshape(d, -1)  # padded coords of cell corners
-    # corner 0 is b, corner i + 1 is b + e_i; their node indices and validity, once each
-    corners = [base] + [base + np.eye(d, dtype=int)[:, i, None] for i in range(d)]
-    index = [np.ravel_multi_index(tuple(np.clip(c, 1, N) - 1), grid.shape) for c in corners]
-    valid = [np.all((c >= 1) & (c <= N), axis=0) for c in corners]
+    # corner 0 is b, corner i + 1 is b + e_i; their node indices and validity,
+    # once each, with one corner's coordinates held at a time
+    index, valid = [], []
+    for step in np.eye(d + 1, d, -1, dtype=int):
+        corner = base + step[:, None]
+        index.append(np.ravel_multi_index(tuple(np.clip(corner, 1, N) - 1), grid.shape))
+        valid.append(np.all((corner >= 1) & (corner <= N), axis=0))
     shift = [0] + [N ** (d - 1 - i) for i in range(d)]  # node index of corner k minus that of b
 
     lists = []
@@ -112,48 +115,54 @@ def _stiffness_lower_entries(grid: GridSpec, qcells: np.ndarray):
 
 
 class FormMatrix:
-    """A square matrix stored as its bands: ``bands[k, r]`` is the entry (r, r + offsets[k]).
+    """A symmetric matrix stored as its lower bands: ``bands[k, r]`` is the entry (r, r + offsets[k]).
 
-    The offsets increase, and a band is 0 wherever its column falls outside
-    the matrix.  ``@`` (a vector, or an (n, k) block) adds ``band * x[shifted]``
-    band by band in offset order, which is the column order in which SciPy's
-    ``csr_matvec(s)`` sums a row, so both give the same bits; each band's row
-    and source slices are fixed at construction.  ``tocsc()`` is the one SciPy
-    conversion, for the sparse LU.
+    The offsets increase and none is positive, and a band is 0 wherever its
+    column falls outside the matrix.  As in LAPACK's 'L' band storage, only
+    the lower triangle is stored: the entry (r, r + o) above the diagonal is
+    (r + o, r), so each upper band is a view of its lower band and the matrix
+    is symmetric by construction.  ``_terms`` lists every band, upper ones
+    included, in ascending offset order as (offset, rows, sources, values):
+    the entry (r, r + offset) is ``values[r - rows.start]``, and it multiplies
+    ``x[sources]``.  ``@`` (a vector, or an (n, k) block) adds
+    ``values * x[sources]`` term by term in that order, which is the column
+    order in which SciPy's ``csr_matvec(s)`` sums a row, so both give the
+    same bits.  ``tocsc()`` is the one SciPy conversion, for the sparse LU.
     """
 
     def __init__(self, offsets, bands):
         self.offsets, self.bands = tuple(offsets), bands
         n = bands.shape[1]
         self.shape = (n, n)
-        self._terms = []  # (rows, sources, band[rows]): entry (r, r + o) times x[r + o]
-        for o, band in zip(self.offsets, bands):
-            rows = slice(max(0, -o), n - max(0, o))
-            self._terms.append((rows, slice(rows.start + o, rows.stop + o), band[rows]))
+        lower = [(o, slice(-o, n), slice(0, n + o), band[-o:]) for o, band in zip(self.offsets, bands)]
+        # the entry (r, r - o) is (r - o, r): the lower band's values, rows and sources swapped
+        upper = [(-o, sources, rows, values) for o, rows, sources, values in reversed(lower) if o < 0]
+        self._terms = lower + upper
 
     @property
     def nnz(self) -> int:
-        return int(np.count_nonzero(self.bands))
+        return sum(int(np.count_nonzero(values)) for *_, values in self._terms)
 
     def __matmul__(self, x):
         """A x for a vector x, or for an (n, k) block."""
         y = np.zeros(x.shape)
-        for rows, sources, band in self._terms:
+        for _, rows, sources, values in self._terms:
             part = y[rows]  # a view: += on it skips the copy back that y[rows] += ... makes
-            part += (band if x.ndim == 1 else band[:, None]) * x[sources]
+            part += (values if x.ndim == 1 else values[:, None]) * x[sources]
         return y
 
     def toarray(self):
         out = np.zeros(self.shape)
-        for rows, sources, band in self._terms:
-            out[np.arange(rows.start, rows.stop), np.arange(sources.start, sources.stop)] = band
+        for _, rows, sources, values in self._terms:
+            out[np.arange(rows.start, rows.stop), np.arange(sources.start, sources.stop)] = values
         return out
 
     def diagonal(self, k: int = 0):
         """The k-th diagonal, zeros where no band is stored."""
-        if k not in self.offsets:
-            return np.zeros(self.shape[0] - abs(k))
-        return self._terms[self.offsets.index(k)][2].copy()
+        for o, *_, values in self._terms:
+            if o == k:
+                return values.copy()
+        return np.zeros(self.shape[0] - abs(k))
 
     def abs_row_sums(self):
         """sum_j |a_ij| for every row i, reduced as SciPy's ``abs(A).sum(axis=1)`` does.
@@ -164,24 +173,20 @@ class FormMatrix:
         temporaries without moving a bit; a matrix of at most that many rows
         is one block.
         """
-        out = np.zeros(self.shape[0])
-        for start in range(0, self.shape[0], _ROW_BLOCK):
-            entries = np.abs(self.bands[:, start : start + _ROW_BLOCK].T)  # row r's entries in column order
+        n = self.shape[0]
+        out = np.zeros(n)
+        for start in range(0, n, _ROW_BLOCK):
+            stop = min(n, start + _ROW_BLOCK)
+            entries = np.zeros((len(self._terms), stop - start))  # row start + i's entries in column order
+            for band, (_, rows, _, values) in zip(entries, self._terms):
+                first, last = max(start, rows.start), min(stop, rows.stop)
+                if first < last:
+                    np.abs(values[first - rows.start : last - rows.start], out=band[first - start : last - start])
+            entries = entries.T
             counts = np.count_nonzero(entries, axis=1)
             filled = np.flatnonzero(counts)
             out[start + filled] = np.add.reduceat(entries[entries != 0], (np.cumsum(counts) - counts)[filled])
         return out
-
-    def symmetry_gap(self) -> float:
-        """max |a_ij - a_ji|: each band against its mirror band, or against 0 where none is stored."""
-        n = self.shape[0]
-        gaps = [0.0]
-        for o, band in zip(self.offsets, self.bands):
-            if -o not in self.offsets:
-                gaps.append(np.max(np.abs(band)))
-            elif o > 0:  # the entry (r, r + o) against (r + o, r)
-                gaps.append(np.max(np.abs(band[: n - o] - self.bands[self.offsets.index(-o)][o:])))
-        return float(np.max(gaps))
 
     def shifted(self, scale: float, shift: float) -> FormMatrix:
         """scale A + shift I; A must store its diagonal band."""
@@ -193,23 +198,25 @@ class FormMatrix:
         """The same matrix as a ``scipy.sparse.csc_matrix``, zeros dropped; the input of the sparse LU."""
         import scipy.sparse
 
-        columns = np.zeros_like(self.bands)  # DIA storage indexes each band by column
-        for column, (_, sources, band) in zip(columns, self._terms):
-            column[sources] = band
-        return scipy.sparse.dia_matrix((columns, self.offsets), shape=self.shape).tocsc()
+        columns = np.zeros((len(self._terms), self.shape[0]))  # DIA storage indexes each band by column
+        for column, (_, _, sources, values) in zip(columns, self._terms):
+            column[sources] = values
+        offsets = [o for o, *_ in self._terms]
+        return scipy.sparse.dia_matrix((columns, offsets), shape=self.shape).tocsc()
 
 
 class SymmetricOperator(FormAssembly):
     """The operator of a form: the form itself, with its generator built on first use.
 
-    ``generator()`` returns B = S / h^d (a ``FormMatrix``, exactly
-    symmetric), assembled on its first call and cached with the infinity
-    norm that ``generator_norm_bound()`` returns; B is the one stored
-    matrix.  ``matrix``, the form matrix S, is assembled anew on every read
-    and not stored: every solve, propagator, norm bound and residual reads
-    B.  ``dim``, the grid and the coefficient metadata are the form's
-    own and need no matrix, so the ``exact-separable`` propagator, which reads
-    none, never assembles one.  ``contracts_in(p)`` and
+    ``generator()`` returns B = S / h^d (a ``FormMatrix``, which stores its
+    lower bands only and so is symmetric by construction), assembled on its
+    first call and cached with the infinity norm that
+    ``generator_norm_bound()`` returns; B is the one stored matrix.
+    ``matrix``, the form matrix S, is assembled anew on every read and not
+    stored: every solve, propagator, norm bound and residual reads B.
+    ``dim``, the grid and the coefficient metadata are the form's own and
+    need no matrix, so the ``exact-separable`` propagator, which reads none,
+    never assembles one.  ``contracts_in(p)`` and
     ``positivity_preserving`` state the paper's two structural guarantees;
     every probe and verdict that gates on one reads it from here.
     ``potential.min_eigenvalue``, the smallest eigenvalue of the sampled V
@@ -303,7 +310,7 @@ def _tridiagonal(b):
     matrix, so equal eigenvalues of different components come back
     orthogonal.
     """
-    if any(np.any(band) for o, band in zip(b.offsets, b.bands) if abs(o) > 1):
+    if any(np.any(band) for o, band in zip(b.offsets, b.bands) if o < -1):
         return None
     return b.diagonal(), b.diagonal(1)
 
@@ -323,22 +330,24 @@ def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
 
 
 def _lower_entries(assembly: FormAssembly):
-    """Lists (offset, rows, vals) of the lower triangle of S: entries (r, r + offset), offset <= 0.
+    """Yields the lists (offset, rows, vals) of the lower triangle of S: entries (r, r + offset), offset <= 0.
 
     The diffusion block is the same scalar stiffness for every component;
     the potential contributes h^d V(x_a) coupling the components at each
     node.  Each list holds a row at most once, so repeated positions of S
-    are repeats across lists.
+    are repeats across lists.  A list is made when it is asked for, so only
+    the one scalar stiffness is held beside it.
     """
     grid = assembly.grid
     n, m = grid.n_nodes, grid.m
     stiffness = _stiffness_lower_entries(grid, assembly.diffusion.samples)
-    lists = [(offset, rows + w * n, vals) for w in range(m) for offset, rows, vals in stiffness]
+    for w in range(m):
+        for offset, rows, vals in stiffness:
+            yield offset, rows + w * n, vals
     nodes = np.arange(n)
     for i in range(m):
         for j in range(i + 1):
-            lists.append(((j - i) * n, i * n + nodes, grid.cell_volume * assembly.potential.samples[:, i, j]))
-    return lists
+            yield (j - i) * n, i * n + nodes, grid.cell_volume * assembly.potential.samples[:, i, j]
 
 
 def _assemble_matrix(assembly: FormAssembly) -> FormMatrix:
@@ -349,21 +358,20 @@ def _assemble_matrix(assembly: FormAssembly) -> FormMatrix:
     sort of the COO keys, which is SciPy's ``L = coo_matrix(entries).tocsr()``
     order wherever its sort of a row keeps them in input order (SciPy sorts a
     row of more than 16 entries unstably, so in the longer rows of a 3-d grid
-    with a full Q it may differ in the last bits).  The bands are mirrored,
-    S = L + L^T - diag L.
+    with a full Q it may differ in the last bits).  These lower bands are
+    all that ``FormMatrix`` stores; each moves into the one (bands, n) array
+    and is freed, so at most one band is held twice.
     """
     dim = assembly.grid.state_size
     lower = {}
     for offset, rows, vals in _lower_entries(assembly):
-        band = lower.setdefault(offset, np.zeros(dim))
-        band[rows] += vals
-    offsets = sorted(lower) + [-o for o in sorted(lower, reverse=True) if o < 0]
-    bands = np.zeros((len(offsets), dim))
-    for band, o in zip(bands, offsets):
-        if o <= 0:
-            band[:] = lower[o]
-        else:  # the entry (r, r + o) is the mirror of (r + o, r)
-            band[: dim - o] = lower[-o][o:]
+        if offset not in lower:
+            lower[offset] = np.zeros(dim)
+        lower[offset][rows] += vals
+    offsets = sorted(lower)
+    bands = np.empty((len(offsets), dim))
+    for band, offset in zip(bands, offsets):
+        band[:] = lower.pop(offset)
     return FormMatrix(offsets, bands)
 
 
@@ -373,7 +381,10 @@ class SpectrumReport:
 
     ``method`` is "dense", "separable" (the closed form) or "lanczos";
     ``shift`` is the Lanczos shift sigma and ``iterations`` the Lanczos basis
-    size (``None`` and 0 on the exact paths).
+    size (``None`` and 0 on the exact paths).  ``_vectors`` holds the
+    eigenvectors: the (n, k) array of the dense and Lanczos paths, or the
+    closed form's function that synthesizes the j-th one, so that no (n, k)
+    block exists until ``eigenvectors`` is first read.
     """
 
     eigenvalues: np.ndarray
@@ -383,7 +394,18 @@ class SpectrumReport:
     tol: float
     matrix_norm: float
     shift: float | None = None
-    eigenvectors: np.ndarray | None = field(default=None, repr=False)
+    _vectors: object = field(default=None, repr=False)
+
+    def column(self, j: int) -> np.ndarray:
+        """The j-th eigenvector: a column of the stored block, or synthesized anew."""
+        return self._vectors(j) if callable(self._vectors) else self._vectors[:, j]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The (n, k) eigenvectors; the closed form's are synthesized into a C-ordered block on first read and kept."""
+        if callable(self._vectors):
+            self._vectors = np.column_stack([self.column(j) for j in range(len(self.eigenvalues))])
+        return self._vectors
 
 
 def eigen_lowest(
@@ -408,6 +430,8 @@ def eigen_lowest(
     ``tol * matrix_norm`` and otherwise raises ConvergenceError with the
     partial report attached.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"eigenpair count k must be an integer, got {k!r}")
     if k < 1 or k > op.dim:
         raise ValueError(f"need 1 <= k <= {op.dim}, got {k}")
     if not (np.isfinite(tol) and tol > 0):
@@ -428,42 +452,53 @@ def _eigen_separable(op: SymmetricOperator, k: int, tol: float) -> SpectrumRepor
 
     Ties keep the order of the flattened modes (a stable sort), so repeated
     eigenvalues come back in a reproducible order.  Each eigenvector is the
-    synthesis of its one-hot mode, one mode at a time, so the DST never holds
-    more than one state.
+    synthesis of its one-hot mode, made when ``_report`` asks for it and
+    dropped once its residual is summed, so neither the DST nor the report
+    holds more than one state of them.
     """
     op.generator()  # assembled before the modes exist, so its peak does not hold them
     mu, w = op.separable
     order = np.argsort(mu, axis=None, kind="stable")[:k].copy()  # not a view holding all n
     _, synthesize = _separable_basis(mu, w)
-    vecs = np.empty((op.dim, k))
     mode = np.zeros(mu.shape)
-    for col, index in enumerate(order):
-        mode.flat[index] = 1.0
-        vecs[:, col] = synthesize(mode)
-        mode.flat[index] = 0.0
-    return _report(op, mu.ravel()[order], vecs, "separable", tol)
+
+    def column(j):
+        mode.flat[order[j]] = 1.0
+        vec = synthesize(mode)
+        mode.flat[order[j]] = 0.0
+        return vec
+
+    return _report(op, mu.ravel()[order], column, "separable", tol)
 
 
-def _report(op, lams, vecs, method, tol, iterations=0, shift=None) -> SpectrumReport:
+def _report(op, lams, vectors, method, tol, iterations=0, shift=None) -> SpectrumReport:
     """The certificate of eigenpairs from any path: their residuals against the assembled B.
 
     The one place a ``SpectrumReport`` is made, for the dense, closed-form
-    and Lanczos eigenpairs alike; ``matrix_norm`` is the bound B stores.
-    Each residual column B v_j - lambda_j v_j is formed, squared and summed
-    on its own, in the order in which ``np.linalg.norm(R, axis=0)`` sums the
-    columns of the C-ordered (n, k) block R: row by row for k >= 2 (a
-    running sum, the last entry of ``cumsum``), pairwise for k = 1 (the
-    block is then one contiguous vector).  So the norms keep that formula's
-    bits, and no (n, k) block is held.
+    and Lanczos eigenpairs alike; ``vectors`` is the (n, k) eigenvector
+    array or the closed form's j -> v_j (``SpectrumReport._vectors``), and
+    ``matrix_norm`` is the bound B stores.  The eigenvectors are taken one
+    column at a time, and each residual B v_j - lambda_j v_j is formed,
+    squared and summed in place and dropped with its column, in the order
+    in which ``np.linalg.norm(R, axis=0)`` sums the columns of the C-ordered
+    (n, k) block R: row by row for k >= 2 (a running sum, the last entry of
+    ``cumsum``), pairwise for k = 1 (the block is then one contiguous
+    vector).  So the norms keep that formula's bits, and no (n, k) block is
+    formed.
     """
     b = op.generator()
-    sums = np.empty(len(lams))
-    for j, lam in enumerate(lams):
-        r = b @ vecs[:, j] - vecs[:, j] * lam
-        r *= r
-        sums[j] = np.cumsum(r)[-1] if len(lams) > 1 else np.add.reduce(r)
-    bound = op.generator_norm_bound()
-    return SpectrumReport(lams, np.sqrt(sums), method, iterations, tol, bound, shift, eigenvectors=vecs)
+    report = SpectrumReport(lams, None, method, iterations, tol, op.generator_norm_bound(), shift, vectors)
+    sums = [_squared_residual(b, report.column(j), lam, len(lams) > 1) for j, lam in enumerate(lams)]
+    report.residuals = np.sqrt(sums)
+    return report
+
+
+def _squared_residual(b, v, lam, running):
+    """||B v - lam v||^2, a running sum (``running``) or numpy's pairwise one."""
+    r = b @ v
+    r -= v * lam
+    r *= r
+    return np.cumsum(r, out=r)[-1] if running else np.add.reduce(r)
 
 
 def _factor_spd(matrix):
@@ -591,20 +626,30 @@ def _separable(op: SymmetricOperator):
     return mu, w
 
 
-def _dst1(y, ndim):
-    """Orthonormal DST-I over the last ``ndim`` axes of y; it is its own inverse.
+def _odd_extension(shape):
+    """The work array of ``_dst1`` on arrays of ``shape``: the odd extension of their last axis."""
+    return np.zeros(shape[:-1] + (2 * shape[-1] + 2,))
+
+
+def _dst1(y, ndim, z):
+    """Orthonormal DST-I over the last ``ndim`` axes of y, all of one length; it is its own inverse.
 
     Along an axis of length N, ``numpy.fft.rfft`` of the odd extension
     (0, y, 0, -reversed y) is -2i sum_j y_j sin(pi j k / (N+1)).  Each pass
-    moves the transformed axis in front of the others, restoring their order.
+    moves the transformed axis in front of the others, restoring their order,
+    and scales it straight into the odd extension of the next pass.  Every
+    pass writes the same odd extension, ``z = _odd_extension(y.shape)``; its
+    zeros at 0 and N + 1 are never written, so it serves any number of calls.
     """
-    for _ in range(ndim):
-        n = y.shape[-1]
-        z = np.zeros(y.shape[:-1] + (2 * n + 2,))
-        z[..., 1 : n + 1] = y
-        z[..., n + 2 :] = -y[..., ::-1]
-        y = np.moveaxis(np.fft.rfft(z).imag[..., 1 : n + 1], -1, -ndim) * -np.sqrt(0.5 / (n + 1))
-    return y
+    n = y.shape[-1]
+    scale = -np.sqrt(0.5 / (n + 1))
+    z[..., 1 : n + 1] = y
+    for step in range(ndim):
+        if step:
+            np.multiply(y, scale, out=z[..., 1 : n + 1])
+        np.negative(z[..., n:0:-1], out=z[..., n + 2 :])
+        y = np.moveaxis(np.fft.rfft(z).imag[..., 1 : n + 1], -1, -ndim)
+    return y * scale
 
 
 def _separable_basis(mu, w):
@@ -612,16 +657,17 @@ def _separable_basis(mu, w):
 
     ``analyse`` maps a flat state to its modal coefficients (shaped like
     mu); ``synthesize`` maps coefficients shaped like mu back to a flat
-    state.  Both go through the one ``_dst1`` and leave their arguments
-    unchanged.
+    state.  Both go through the one ``_dst1`` and the one odd extension,
+    made here, and leave their arguments unchanged.
     """
     m, shape, ndim = mu.shape[0], mu.shape, mu.ndim - 1
+    z = _odd_extension(shape)
 
     def analyse(x):
-        return _dst1((w.T @ x.reshape(m, -1)).reshape(shape), ndim)
+        return _dst1((w.T @ x.reshape(m, -1)).reshape(shape), ndim, z)
 
     def synthesize(y):
-        return (w @ _dst1(y, ndim).reshape(m, -1)).ravel()
+        return (w @ _dst1(y, ndim, z).reshape(m, -1)).ravel()
 
     return analyse, synthesize
 

@@ -231,7 +231,8 @@ class PotentialField:
     Storage is always exactly symmetric ((M + M^T)/2); whether the *input*
     was symmetric to tolerance is recorded in ``symmetric_input`` and checked
     by operator assembly.  ``psd`` records whether the smallest eigenvalue
-    over all nodes is >= -1e-10, and ``offdiag_max`` is the largest
+    over all nodes is >= -1e-10 max(1, max |V|), relative because eigvalsh
+    rounds at eps ||V||, and ``offdiag_max`` is the largest
     off-diagonal entry over all nodes and component pairs (0 when m == 1),
     the quantity whose sign decides positivity preservation of the semigroup.
     ``constant`` records whether every sample is bitwise equal to the first;
@@ -255,7 +256,7 @@ class PotentialField:
         eigs = np.linalg.eigvalsh(distinct)
         self.min_eigenvalue = float(eigs[:, 0].min())
         self.max_eigenvalue = float(eigs[:, -1].max())
-        self.psd = bool(self.min_eigenvalue >= -1e-10)
+        self.psd = bool(self.min_eigenvalue >= -1e-10 * scale)
         if grid.m > 1:
             off = distinct.copy()
             idx = np.arange(grid.m)

@@ -13,15 +13,16 @@ Reported spectra and semigroup propagation always use B; quadratic-form
 identities always use S.  Since the mass weight is a scalar multiple of the
 identity the two share eigenvectors.
 
-Assembly sums only the lower triangle, one dense band per stencil offset,
-and that triangle is all that is stored: S and B are symmetric by
-construction, and no floating-point symmetrization is ever applied.  B, the
-operator's one stored matrix, is S with its bands scaled in place, and its
-infinity norm is measured once, as B is built.  S and B are ``FormMatrix``
-objects that keep those lower bands, read each upper band as a view of its
-lower one and multiply with numpy alone, to the bit as SciPy multiplies the
-same CSR matrix; the eigensolvers and propagators use them directly, and
-only the sparse LU converts one, shifted, to SciPy's CSC format.
+Assembly adds each stencil term, a box of the lattice, into the dense band
+of its offset and sums only the lower triangle, which is all that is stored:
+S and B are symmetric by construction, and no floating-point symmetrization
+is ever applied.  B, the operator's one stored matrix, is S with its bands
+scaled in place, and its infinity norm is measured once, as B is built.  S
+and B are ``FormMatrix`` objects that keep those lower bands, read each
+upper band as a view of its lower one and multiply a vector with numpy
+alone, to the bit as SciPy multiplies it by the same CSR matrix; the
+eigensolvers and propagators use them directly, and only the sparse LU
+converts one, shifted, to SciPy's CSC format.
 
 When Q is one constant diagonal matrix and V one constant matrix (every
 sample equal to the first), B is a Kronecker sum that the DST-I and the
@@ -41,13 +42,14 @@ certificate routine ``_report``.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .form import FormAssembly, assemble_form
-from .grid import GridSpec, PotentialField
+from .grid import PotentialField
 
 __all__ = [
     "SymmetricOperator",
@@ -76,44 +78,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _stiffness_lower_entries(grid: GridSpec, qcells: np.ndarray):
-    """Lists (offset, rows, vals) of the scalar stiffness, lower triangle incl. diagonal.
-
-    The quadratic form per cell is h^(d-2) sum_{i,j} Q_ij (f(b+e_i) - f(b))
-    (f(b+e_j) - f(b)); expanding gives four corner pairs per (i, j), each one
-    list of entries (r, r + offset) with a fixed offset and each row at most
-    once.  Pairs whose offset is positive lie above the diagonal and are
-    dropped — their mirror twins carry bit-identical values because Q is
-    stored symmetric — and endpoints on the boundary are dropped against the
-    implicit zeros, as are the cross terms (i != j) of a Q whose q_ij
-    vanishes in every cell.
-    """
-    N, d, h = grid.N, grid.d, grid.h
-    base = np.indices((N + 1,) * d).reshape(d, -1)  # padded coords of cell corners
-    # corner 0 is b, corner i + 1 is b + e_i; their node indices and validity,
-    # once each, with one corner's coordinates held at a time
-    index, valid = [], []
-    for step in np.eye(d + 1, d, -1, dtype=int):
-        corner = base + step[:, None]
-        index.append(np.ravel_multi_index(tuple(np.clip(corner, 1, N) - 1), grid.shape))
-        valid.append(np.all((corner >= 1) & (corner <= N), axis=0))
-    shift = [0] + [N ** (d - 1 - i) for i in range(d)]  # node index of corner k minus that of b
-
-    lists = []
-    for i in range(d):
-        for j in range(d):
-            if i != j and not np.any(qcells[:, i, j]):
-                continue  # its entries are all +-0, which add nothing to any sum
-            w = h ** (d - 2) * qcells[:, i, j]
-            for a, sa in ((i + 1, 1.0), (0, -1.0)):
-                for b, sb in ((j + 1, 1.0), (0, -1.0)):
-                    offset = shift[b] - shift[a]
-                    if offset <= 0:
-                        keep = valid[a] & valid[b]
-                        lists.append((offset, index[a][keep], (sa * sb) * w[keep]))
-    return lists
-
-
 class FormMatrix:
     """A symmetric matrix stored as its lower bands: ``bands[k, r]`` is the entry (r, r + offsets[k]).
 
@@ -124,10 +88,10 @@ class FormMatrix:
     is symmetric by construction.  ``_terms`` lists every band, upper ones
     included, in ascending offset order as (offset, rows, sources, values):
     the entry (r, r + offset) is ``values[r - rows.start]``, and it multiplies
-    ``x[sources]``.  ``@`` (a vector, or an (n, k) block) adds
+    ``x[sources]``.  ``@`` takes a vector only and adds
     ``values * x[sources]`` term by term in that order, which is the column
-    order in which SciPy's ``csr_matvec(s)`` sums a row, so both give the
-    same bits.  ``tocsc()`` is the one SciPy conversion, for the sparse LU.
+    order in which SciPy's ``csr_matvec`` sums a row, so both give the same
+    bits.  ``tocsc()`` is the one SciPy conversion, for the sparse LU.
     """
 
     def __init__(self, offsets, bands):
@@ -144,11 +108,13 @@ class FormMatrix:
         return sum(int(np.count_nonzero(values)) for *_, values in self._terms)
 
     def __matmul__(self, x):
-        """A x for a vector x, or for an (n, k) block."""
+        """A x for a vector x; any other operand raises ``ValueError``."""
+        if np.ndim(x) != 1:
+            raise ValueError(f"FormMatrix @ takes a vector, got shape {np.shape(x)}")
         y = np.zeros(x.shape)
         for _, rows, sources, values in self._terms:
             part = y[rows]  # a view: += on it skips the copy back that y[rows] += ... makes
-            part += (values if x.ndim == 1 else values[:, None]) * x[sources]
+            part += values * x[sources]
         return y
 
     def toarray(self):
@@ -329,49 +295,50 @@ def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
     return SymmetricOperator(assembly.diffusion, assembly.potential, assembly.grid)
 
 
-def _lower_entries(assembly: FormAssembly):
-    """Yields the lists (offset, rows, vals) of the lower triangle of S: entries (r, r + offset), offset <= 0.
+def _assemble_matrix(assembly: FormAssembly) -> FormMatrix:
+    """The form matrix S with <S f, g> = a(f, g), each stencil term added straight into its lower band.
 
-    The diffusion block is the same scalar stiffness for every component;
-    the potential contributes h^d V(x_a) coupling the components at each
-    node.  Each list holds a row at most once, so repeated positions of S
-    are repeats across lists.  A list is made when it is asked for, so only
-    the one scalar stiffness is held beside it.
+    Per cell c the form is h^(d-2) sum_{i,j} q_ij(c) (f(c + e_i) - f(c))
+    (f(c + e_j) - f(c)): one term, of sign +-1, per row corner a in (e_i, 0)
+    and column corner b in (e_j, 0), on the band of offset stride(b) -
+    stride(a), stride(e_k) = N^(d-1-k).  Terms above the diagonal are dropped
+    (their mirror twins carry the same values), as are the cross terms of a Q
+    whose q_ij is zero in every cell.  A term covers the box of cells whose
+    two corners are interior nodes and is added into component block 0 of its
+    band as that box moved by a - 1 on the node lattice.  Block 0 is copied
+    into the other components' blocks, then h^d v_ij (j <= i) is added into
+    block i of the band of offset (j - i) n.  So every position adds its
+    terms in one fixed order, SciPy's ``coo_matrix(entries).tocsr()`` order
+    where its sort of a row is stable (it sorts a row of more than 16
+    entries, in 3-d with a full Q, unstably, and the last bits may differ).
     """
     grid = assembly.grid
-    n, m = grid.n_nodes, grid.m
-    stiffness = _stiffness_lower_entries(grid, assembly.diffusion.samples)
-    for w in range(m):
-        for offset, rows, vals in stiffness:
-            yield offset, rows + w * n, vals
-    nodes = np.arange(n)
+    N, d, m, n = grid.N, grid.d, grid.m, grid.n_nodes
+    q = assembly.diffusion.samples
+    e = np.eye(d + 1, d, dtype=int)  # e[k] is the unit vector of axis k, e[d] the zero corner
+    stride = N ** np.arange(d - 1, -1, -1)
+    terms = []
+    for i in range(d):
+        for j in range(d):
+            if i != j and not np.any(q[:, i, j]):
+                continue  # its terms are all +-0, which add nothing to any sum
+            for a, b in itertools.product((i, d), (j, d)):
+                offset = int(stride @ (e[b] - e[a]))
+                if offset <= 0:
+                    terms.append((offset, e[a], e[b], 1.0 if (a == d) == (b == d) else -1.0, q[:, i, j]))
+    offsets = sorted({term[0] for term in terms} | {-k * n for k in range(m)})
+    bands = np.zeros((len(offsets), m * n))
+    for offset, a, b, sign, qij in terms:
+        cells = tuple(slice(1 - min(x, y), N + 1 - max(x, y)) for x, y in zip(a, b))
+        rows = tuple(slice(c.start + x - 1, c.stop + x - 1) for c, x in zip(cells, a))
+        block = bands[offsets.index(offset), :n].reshape(grid.shape)[rows]
+        block += sign * (grid.h ** (d - 2) * qij.reshape((N + 1,) * d)[cells])
+    for band in bands:  # band by band: numpy would copy a source that overlaps its target's bounds
+        band.reshape(m, n)[1:] = band[:n]
     for i in range(m):
         for j in range(i + 1):
-            yield (j - i) * n, i * n + nodes, grid.cell_volume * assembly.potential.samples[:, i, j]
-
-
-def _assemble_matrix(assembly: FormAssembly) -> FormMatrix:
-    """The form matrix S with <S f, g> = a(f, g), summed band by band.
-
-    Each list of ``_lower_entries`` is added, in order, into a dense band for
-    its offset, so every position sums its repeats in the order of a stable
-    sort of the COO keys, which is SciPy's ``L = coo_matrix(entries).tocsr()``
-    order wherever its sort of a row keeps them in input order (SciPy sorts a
-    row of more than 16 entries unstably, so in the longer rows of a 3-d grid
-    with a full Q it may differ in the last bits).  These lower bands are
-    all that ``FormMatrix`` stores; each moves into the one (bands, n) array
-    and is freed, so at most one band is held twice.
-    """
-    dim = assembly.grid.state_size
-    lower = {}
-    for offset, rows, vals in _lower_entries(assembly):
-        if offset not in lower:
-            lower[offset] = np.zeros(dim)
-        lower[offset][rows] += vals
-    offsets = sorted(lower)
-    bands = np.empty((len(offsets), dim))
-    for band, offset in zip(bands, offsets):
-        band[:] = lower.pop(offset)
+            band = bands[offsets.index((j - i) * n)]
+            band[i * n : (i + 1) * n] += grid.cell_volume * assembly.potential.samples[:, i, j]
     return FormMatrix(offsets, bands)
 
 

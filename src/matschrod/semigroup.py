@@ -357,7 +357,7 @@ def _shift_invert_expm(b, v, t, c, tol):
     gamma = t / _SI_RATIO
     lu = _factor_spd(b.shifted(gamma, 1.0 - gamma * c))
     *_, (basis, _, _) = _lanczos(lu.solve, v, min(int(fits[0]) + 1, v.size))
-    lam, vecs = scipy.linalg.eigh(basis @ (b @ basis.T))
+    lam, vecs = scipy.linalg.eigh(basis @ np.column_stack([b @ row for row in basis]))
     return basis.T @ (vecs @ (np.exp(-t * lam) * (vecs[0] * np.linalg.norm(v))))
 
 

@@ -196,9 +196,23 @@ def test_constant_potential_stores_one_symmetrized_sample(materialized, m, skew)
     assert field.samples.tobytes() == sym.tobytes()
     assert field.min_eigenvalue == bounds["lower"]
     assert field.max_eigenvalue == bounds["upper"]
-    assert field.psd == (bounds["lower"] >= -1e-10)
+    assert field.psd == (bounds["lower"] >= -1e-10 * max(1.0, np.abs(mat).max()))
     assert field.offdiag_max == bounds["offdiag_max"]
     assert field.symmetric_input == bounds["symmetric"] == (skew != 0.5 or m == 1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e10])
+def test_psd_flag_is_relative_to_the_size_of_the_potential(scale):
+    # scale times the complete-graph Laplacian of 3 vertices is PSD (its
+    # eigenvalues are 0, 3 scale, 3 scale), though eigvalsh reads its zero
+    # as about -eps scale; moved down by 1e-6 of its size it is not PSD
+    grid = build_grid(1, 1.0, 4, 3)
+    laplacian = scale * (3.0 * np.eye(3) - np.ones((3, 3)))
+    field = PotentialField(grid, np.broadcast_to(laplacian, (grid.n_nodes, 3, 3)))
+    assert field.psd and abs(field.min_eigenvalue) <= 1e-14 * scale
+    shifted = PotentialField(grid, np.broadcast_to(laplacian - 1e-6 * 2.0 * scale * np.eye(3), (grid.n_nodes, 3, 3)))
+    assert not shifted.psd
+    assert shifted.min_eigenvalue == pytest.approx(-1e-6 * 2.0 * scale, rel=1e-6)
 
 
 def test_sample_fields_scalar_coercion_and_placement():

@@ -104,8 +104,62 @@ def _form_matrix(rows, cols, data, shape):
     return operators_module.FormMatrix(offsets.tolist(), bands)
 
 
+def _reference_entries(op):
+    """The (offset, rows, vals) lists of the lower triangle of S, from a plain loop over the cells.
+
+    One list per stencil term, in the order in which the assembly adds them:
+    the pairs (i, j), a cross pair only where q_ij is nonzero in some cell;
+    for each, row corner a in (e_i, 0), then column corner b in (e_j, 0),
+    with sign +-1, keeping offsets stride(b) - stride(a) <= 0; the entries
+    (r, r + offset) sit at the cells whose two corners are interior nodes.
+    The scalar stiffness lists come once per component, then h^d v_ij
+    (j <= i) at every node.
+    """
+    grid, q = op.grid, op.diffusion.samples
+    N, d, m, n, h = grid.N, grid.d, grid.m, grid.n_nodes, grid.h
+    stride = [N ** (d - 1 - k) for k in range(d)]
+    corners = [tuple(int(k == i) for k in range(d)) for i in range(d)] + [(0,) * d]
+
+    def node(cell, corner):
+        """Flat index of the lattice point cell + corner, None on the boundary."""
+        point = [c + x for c, x in zip(cell, corner)]
+        return sum((p - 1) * s for p, s in zip(point, stride)) if all(1 <= p <= N for p in point) else None
+
+    stiffness = []
+    for i, j in itertools.product(range(d), repeat=2):
+        if i != j and not np.any(q[:, i, j]):
+            continue
+        for (a, sa), (b, sb) in itertools.product(((i, 1.0), (d, -1.0)), ((j, 1.0), (d, -1.0))):
+            offset = sum((y - x) * s for x, y, s in zip(corners[a], corners[b], stride))
+            if offset > 0:
+                continue
+            rows, vals = [], []
+            for c, cell in enumerate(itertools.product(range(N + 1), repeat=d)):
+                r = node(cell, corners[a])
+                if r is not None and node(cell, corners[b]) is not None:
+                    rows.append(r)
+                    vals.append(sa * sb * (h ** (d - 2) * q[c, i, j]))
+            stiffness.append((offset, np.array(rows), np.array(vals)))
+    lists = [(offset, rows + w * n, vals) for w in range(m) for offset, rows, vals in stiffness]
+    for i in range(m):
+        for j in range(i + 1):
+            lists.append(((j - i) * n, i * n + np.arange(n), grid.cell_volume * op.potential.samples[:, i, j]))
+    return lists
+
+
+def _banded(lists, dim):
+    """(offsets, bands): the (offset, rows, vals) lists summed, in order, into one dense band per offset."""
+    lower = {}
+    for offset, rows, vals in lists:
+        if offset not in lower:
+            lower[offset] = np.zeros(dim)
+        lower[offset][rows] += vals
+    offsets = sorted(lower)
+    return offsets, np.array([lower[offset] for offset in offsets])
+
+
 def _coo_entries(lists):
-    """The (offset, rows, vals) lists of ``_lower_entries``, concatenated as COO (rows, cols, vals)."""
+    """The (offset, rows, vals) lists of ``_reference_entries``, concatenated as COO (rows, cols, vals)."""
     lists = list(lists)
     return (
         np.concatenate([rows for _, rows, _ in lists]),
@@ -140,6 +194,11 @@ def _sorted_form_matrix(lists, dim):
 def _csr(s):
     """The CSR arrays of a FormMatrix, through its one SciPy conversion."""
     return s.tocsc().tocsr()
+
+
+def _times_columns(b, block):
+    """B times each column of an (n, k) block, as a C-ordered (n, k) block."""
+    return np.column_stack([b @ column for column in block.T])
 
 
 def _same_bytes(ours, theirs):
@@ -179,11 +238,11 @@ def test_lower_bands_keep_every_bit_of_the_mirrored_layout(d, m, q_full):
     for o, rows, band in terms:
         dense[np.arange(rows.start, rows.stop), np.arange(rows.start, rows.stop) + o] = band[rows]
     assert b.toarray().tobytes() == dense.tobytes()
-    for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        y = np.zeros(x.shape)
-        for o, rows, band in terms:
-            y[rows] += (band[rows] if x.ndim == 1 else band[rows, None]) * x[rows.start + o : rows.stop + o]
-        assert (b @ x).tobytes() == y.tobytes()
+    x = rng.standard_normal(n)
+    y = np.zeros(n)
+    for o, rows, band in terms:
+        y[rows] += band[rows] * x[rows.start + o : rows.stop + o]
+    assert (b @ x).tobytes() == y.tobytes()
     assert b.abs_row_sums().tobytes() == _whole_abs_row_sums(bands).tobytes()
     for o, rows, band in terms:
         assert b.diagonal(o).tobytes() == band[rows].tobytes()
@@ -201,8 +260,8 @@ def test_lower_bands_keep_every_bit_of_the_mirrored_layout(d, m, q_full):
 
 
 def _scipy_form_matrix(op):
-    """S as SciPy builds it from the lower-triangle entries of the assembly."""
-    rows, cols, vals = _coo_entries(operators_module._lower_entries(op))
+    """S as SciPy builds it from the lower-triangle entries of the reference loop."""
+    rows, cols, vals = _coo_entries(_reference_entries(op))
     lower = sparse.coo_matrix((vals, (rows, cols)), shape=(op.dim, op.dim)).tocsr()
     return ((lower + lower.T) - sparse.diags(lower.diagonal())).tocsr()
 
@@ -256,8 +315,8 @@ def test_band_arithmetic_is_scipys_bit_for_bit(d, N, m, q_full, seed):
     x = rng.standard_normal(op.dim)
     basis = rng.standard_normal((3, op.dim))
     assert (b @ x).tobytes() == (csr @ x).tobytes()
-    assert (b @ basis.T).tobytes() == (csr @ basis.T).tobytes()
-    assert (b @ basis.T.copy()).tobytes() == (csr @ basis.T.copy()).tobytes()
+    # the shift-invert propagator's B V^T, one basis row at a time, is SciPy's block product
+    assert _times_columns(b, basis.T).tobytes() == (csr @ basis.T).tobytes()
     assert b.abs_row_sums().tobytes() == np.asarray(abs(csr).sum(axis=1)).ravel().tobytes()
     for k in (0, 1, -1):
         assert b.diagonal(k).tobytes() == csr.diagonal(k).tobytes()
@@ -330,7 +389,7 @@ def test_form_matrix_with_full_q_in_3d_is_scipys_up_to_summation_order():
     op = _coupled_operator(build_grid(3, 1.0, 6, 2), rng, q_full=True)
     s, ref = _csr(op.matrix), _scipy_form_matrix(op)
     assert s.indptr.tobytes() == ref.indptr.tobytes() and s.indices.tobytes() == ref.indices.tobytes()
-    rows, cols, vals = _coo_entries(operators_module._lower_entries(op))
+    rows, cols, vals = _coo_entries(_reference_entries(op))
     lower = sparse.coo_matrix((np.abs(vals), (rows, cols)), shape=s.shape).tocsr()
     magnitude = (lower + sparse.triu(lower.T, 1)).tocsr()
     magnitude.sort_indices()
@@ -351,7 +410,47 @@ def test_form_matrix_is_the_sorted_sum_byte_for_byte(d, N, m, q_full, seed):
     # the band sums add each position's repeats in the order of a stable sort
     # of the COO keys, a 3-d full Q included, where SciPy's order differs
     op = _coupled_operator(build_grid(d, 1.0, N, m), np.random.default_rng(seed), q_full=q_full)
-    _same_bytes(_csr(op.matrix), _sorted_form_matrix(operators_module._lower_entries(op), op.dim))
+    _same_bytes(_csr(op.matrix), _sorted_form_matrix(_reference_entries(op), op.dim))
+
+
+#: CI's constant full Q; q_02 is zero, so a 3-d assembly skips the pairs (0, 2) and (2, 0)
+_FULL_Q = np.array([[1.0, 0.3, 0.0], [0.3, 1.2, 0.1], [0.0, 0.1, 1.5]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 3),
+    N=st.integers(2, 9),
+    m=st.integers(1, 3),
+    q_kind=st.sampled_from(["diagonal", "full", "broadcast"]),
+    seed=st.integers(0, 2**16),
+)
+@example(d=3, N=2, m=3, q_kind="full", seed=0)
+@example(d=3, N=9, m=2, q_kind="broadcast", seed=1)
+def test_assembly_is_the_reference_lists_summed_band_by_band(d, N, m, q_kind, seed):
+    # each position adds the same floats in the same order, so the bands keep
+    # every byte; a broadcast Q comes with a constant V, both stored as one sample
+    rng = np.random.default_rng(seed)
+    if q_kind == "broadcast":
+        vm = rng.standard_normal((m, m))
+        _, op = _constant_operator(d, N, m, _FULL_Q[:d, :d], vm + vm.T)
+        assert op.diffusion.samples.strides[0] == op.potential.samples.strides[0] == 0
+    else:
+        op = _coupled_operator(build_grid(d, 1.0, N, m), rng, q_full=q_kind == "full")
+    s = operators_module._assemble_matrix(op)
+    offsets, bands = _banded(_reference_entries(op), op.dim)
+    assert list(s.offsets) == offsets
+    assert s.bands.tobytes() == bands.tobytes()
+
+
+def test_form_matrix_multiplies_vectors_only():
+    # a square block would otherwise broadcast against the diagonal band silently
+    b = _free_operator(N=5, d=2, m=2)[1].generator()
+    n = b.shape[0]
+    for x in (np.ones((n, n)), np.ones((n, 1)), np.ones((1, n)), np.ones((n, 3)), np.float64(1.0), 1.0):
+        with pytest.raises(ValueError, match="takes a vector"):
+            b @ x
+    assert (b @ np.ones(n)).shape == (n,)
 
 
 def test_form_matrix_drops_repeats_that_cancel():
@@ -360,7 +459,7 @@ def test_form_matrix_drops_repeats_that_cancel():
     grid = build_grid(1, 1.0, 3, 1)
     dif, pot = sample_fields(lambda x: 1.0, lambda x: np.array([[-8.0]]), grid)
     op = assemble_operator(assemble_form(dif, pot, grid))
-    _same_bytes(_csr(op.matrix), _sorted_form_matrix(operators_module._lower_entries(op), op.dim))
+    _same_bytes(_csr(op.matrix), _sorted_form_matrix(_reference_entries(op), op.dim))
     assert op.matrix.nnz == 4
     assert np.array_equal(op.matrix.toarray(), -2.0 * (np.eye(3, k=1) + np.eye(3, k=-1)))
 
@@ -368,7 +467,7 @@ def test_form_matrix_drops_repeats_that_cancel():
 def test_form_matrix_bytes_depend_on_the_order_of_the_lists():
     # negative control for the exact test: the same lists summed in reverse order
     op = _coupled_operator(build_grid(3, 1.0, 6, 2), np.random.default_rng(24), q_full=True)
-    reverse = _sorted_form_matrix(list(operators_module._lower_entries(op))[::-1], op.dim)
+    reverse = _sorted_form_matrix(_reference_entries(op)[::-1], op.dim)
     s = _csr(op.matrix)
     assert s.indices.dtype == reverse.indices.dtype == np.int32
     assert reverse.indices.tobytes() == s.indices.tobytes()
@@ -441,29 +540,28 @@ def test_generator_is_the_one_stored_matrix(monkeypatch):
 
 
 def test_generator_holds_its_lower_bands_and_a_fixed_number_of_temporaries(monkeypatch):
-    # d = 2, m = 4: B keeps only its 6 lower bands, and while it is built at
-    # most 8 states more (6.5 measured: the scalar stiffness lists, one list
-    # of a component and the band being moved).  Mirrored bands, 5 more,
-    # are both kept and held at the peak beside the lower ones
-    assemble = operators_module._assemble_matrix
-
-    def mirrored_assembly(assembly):
-        offsets, bands = _mirrored(assemble(assembly))
-        lower = len([o for o in offsets if o <= 0])
-        return operators_module.FormMatrix(offsets[:lower], bands[:lower])  # views of all 11
-
-    def generator_memory():
+    # d = 2, m = 4: B keeps only its 6 lower bands.  Beside them, the
+    # assembly holds at most 1 state more (0.67 measured: one term's weights
+    # and one component's potential), and building B at most 4 (3.48
+    # measured: the row blocks of abs_row_sums).  The reference lists summed
+    # into a dict of bands exceed both
+    def memory():
         _, op = _constant_operator(2, 100, 4, np.diag([1.0, 1.37]), np.eye(4) + 0.3)
+        state, bands = 8 * op.dim, 6 * 8 * op.dim
+        assembly = _traced_peak(lambda: operators_module._assemble_matrix(op))
         kept, peak = _traced(op.generator)
-        bands = op.generator().bands
-        assert len(bands) == 6
-        return kept - bands.nbytes, peak - bands.nbytes, 8 * op.dim
+        assert op.generator().bands.nbytes == bands
+        return (assembly - bands) / state, (kept - bands) / state, (peak - bands) / state
 
-    kept, peak, state = generator_memory()
-    assert kept < 0.1 * state and peak <= 8 * state
-    monkeypatch.setattr(operators_module, "_assemble_matrix", mirrored_assembly)
-    kept, peak, state = generator_memory()
-    assert kept > 4 * state and peak > 8 * state  # negative control
+    assembly, kept, peak = memory()
+    assert assembly <= 1 and kept < 0.1 and peak <= 4
+
+    def reference_assembly(assembly):
+        return operators_module.FormMatrix(*_banded(_reference_entries(assembly), assembly.grid.state_size))
+
+    monkeypatch.setattr(operators_module, "_assemble_matrix", reference_assembly)
+    assembly, kept, peak = memory()
+    assert assembly > 1 and peak > 4  # negative control
 
 
 def test_norm_bound_is_measured_once_when_the_generator_is_built(monkeypatch):
@@ -979,7 +1077,7 @@ def test_exact_residuals_keep_the_bits_of_the_whole_block_norm():
         assert report.method == ("separable" if separable else method)
         if k > 1:
             assert vecs.flags.c_contiguous if separable else vecs.flags.f_contiguous
-        r = op.generator() @ vecs - vecs * lams
+        r = _times_columns(op.generator(), vecs) - vecs * lams
         assert report.residuals.tobytes() == np.linalg.norm(r, axis=0).tobytes()
         per_column = np.array([np.linalg.norm(r[:, j]) for j in range(k)])
         per_column_differs |= per_column.tobytes() != report.residuals.tobytes()
@@ -1101,7 +1199,7 @@ def test_tridiagonal_path_matches_dense_eigh(N, m, shift, repeat_block, seed, da
 
     w, u = op.dense_eig()
     np.testing.assert_allclose(w, exact, rtol=0, atol=1e-12 * bnorm)
-    assert np.all(np.linalg.norm(b @ u - u * w, axis=0) <= report.tol * bnorm)
+    assert np.all(np.linalg.norm(_times_columns(b, u) - u * w, axis=0) <= report.tol * bnorm)
     assert np.linalg.norm(u.T @ u - np.eye(op.dim), 2) <= 1e-12
 
 

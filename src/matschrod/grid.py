@@ -73,12 +73,19 @@ class GridSpec:
             object.__setattr__(self, name, int(value))  # a NumPy integer becomes an int
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
-        if not (np.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"box half-width must be positive and finite, got {self.L}")
         if self.N < 2:
             raise ValueError(f"need at least 2 interior nodes per axis, got {self.N}")
         if self.m < 1:
             raise ValueError(f"need at least one component, got {self.m}")
+        # the operator scales by h^2 and h^d and divides by both
+        with np.errstate(all="ignore"):
+            scales = [np.float64(self.h) ** k for k in (2, self.d)]
+            scales += [1.0 / s for s in scales]
+        if not (self.L > 0 and all(0.0 < s < np.inf for s in scales)):
+            raise ValueError(
+                f"grid.L={self.L!r} must be positive, with h^2, h^d and their inverses "
+                f"finite and nonzero, where h = 2L/(N+1)"
+            )
 
     @property
     def h(self) -> float:

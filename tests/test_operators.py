@@ -2,7 +2,6 @@
 
 import itertools
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,29 +167,6 @@ def _coo_entries(lists):
     )
 
 
-def _sum_by_sorting(keys, vals):
-    """Sorted distinct keys and their sums, zero sums dropped: a stable sort, then in-order sums."""
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    first = np.concatenate([[True], keys[1:] != keys[:-1]])
-    sums = np.bincount(np.cumsum(first) - 1, weights=vals)
-    keep = sums != 0
-    return keys[first][keep], sums[keep]
-
-
-def _sorted_form_matrix(lists, dim):
-    """CSR arrays of S built by sorting COO keys: the lower entries summed, zero sums dropped, mirrored and sorted."""
-    rows, cols, vals = _coo_entries(lists)
-    lower, vals = _sum_by_sorting(rows * dim + cols, vals)
-    rows, cols = np.divmod(lower, dim)
-    off = rows != cols
-    keys, vals = _sum_by_sorting(np.concatenate([lower, cols[off] * dim + rows[off]]), np.concatenate([vals, vals[off]]))
-    rows, cols = np.divmod(keys, dim)
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    return SimpleNamespace(indptr=indptr, indices=cols.astype(np.int32), data=vals)
-
-
 def _csr(s):
     """The CSR arrays of a FormMatrix, through its one SciPy conversion."""
     return s.tocsc().tocsr()
@@ -206,57 +182,6 @@ def _same_bytes(ours, theirs):
     for name in ("indptr", "indices", "data"):
         a, b = getattr(ours, name), getattr(theirs, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-
-
-def _mirrored(a):
-    """(offsets, bands) of a FormMatrix with every band stored, each upper one a copy of its lower band."""
-    n, lower = a.shape[0], len(a.offsets)
-    offsets = list(a.offsets) + [-o for o in reversed(a.offsets) if o < 0]
-    bands = np.zeros((len(offsets), n))
-    bands[:lower] = a.bands
-    for band, o in zip(bands[lower:], offsets[lower:]):  # the entry (r, r + o) is (r + o, r)
-        band[: n - o] = a.bands[a.offsets.index(-o)][o:]
-    return offsets, bands
-
-
-def _band_rows(n, o):
-    """The rows of an n-row matrix that have an entry at column row + o."""
-    return slice(max(0, -o), n - max(0, o))
-
-
-@pytest.mark.parametrize("d, m, q_full", list(itertools.product((1, 2, 3), (1, 2, 3), (False, True))))
-def test_lower_bands_keep_every_bit_of_the_mirrored_layout(d, m, q_full):
-    # the mirrored layout stores each upper band as a copy of its lower one;
-    # from the lower bands alone every method reads the same values in the
-    # same order, and each upper band is a view of its lower band
-    rng = np.random.default_rng(10 * d + m)
-    b = _coupled_operator(build_grid(d, 1.0, {1: 30, 2: 7, 3: 4}[d], m), rng, q_full).generator()
-    n = b.shape[0]
-    offsets, bands = _mirrored(b)
-    terms = [(o, _band_rows(n, o), band) for o, band in zip(offsets, bands)]
-    dense = np.zeros((n, n))
-    for o, rows, band in terms:
-        dense[np.arange(rows.start, rows.stop), np.arange(rows.start, rows.stop) + o] = band[rows]
-    assert b.toarray().tobytes() == dense.tobytes()
-    x = rng.standard_normal(n)
-    y = np.zeros(n)
-    for o, rows, band in terms:
-        y[rows] += band[rows] * x[rows.start + o : rows.stop + o]
-    assert (b @ x).tobytes() == y.tobytes()
-    assert b.abs_row_sums().tobytes() == _whole_abs_row_sums(bands).tobytes()
-    for o, rows, band in terms:
-        assert b.diagonal(o).tobytes() == band[rows].tobytes()
-    assert b.nnz == np.count_nonzero(bands)
-    gamma, shift = rng.uniform(1e-3, 10.0), rng.uniform(-5.0, 5.0)
-    scaled = gamma * bands
-    scaled[offsets.index(0)] += shift
-    columns = np.zeros_like(bands)  # DIA storage indexes each band by column
-    for column, (o, rows, _), band in zip(columns, terms, scaled):
-        column[rows.start + o : rows.stop + o] = band[rows]
-    _same_bytes(b.shifted(gamma, shift).tocsc(), sparse.dia_matrix((columns, offsets), shape=(n, n)).tocsc())
-    upper = [(o, values) for o, *_, values in b._terms if o > 0]
-    assert [o for o, _ in upper] == offsets[len(b.offsets) :]
-    assert all(np.shares_memory(values, b.bands[b.offsets.index(-o)]) for o, values in upper)
 
 
 def _scipy_form_matrix(op):
@@ -318,7 +243,7 @@ def test_band_arithmetic_is_scipys_bit_for_bit(d, N, m, q_full, seed):
     # the shift-invert propagator's B V^T, one basis row at a time, is SciPy's block product
     assert _times_columns(b, basis.T).tobytes() == (csr @ basis.T).tobytes()
     assert b.abs_row_sums().tobytes() == np.asarray(abs(csr).sum(axis=1)).ravel().tobytes()
-    for k in (0, 1, -1):
+    for k in {1, *b.offsets, *(-o for o in b.offsets)}:
         assert b.diagonal(k).tobytes() == csr.diagonal(k).tobytes()
     assert b.toarray().tobytes() == csr.toarray().tobytes()
     identity = sparse.identity(op.dim, format="csr")
@@ -328,6 +253,18 @@ def test_band_arithmetic_is_scipys_bit_for_bit(d, N, m, q_full, seed):
     _same_bytes(b.shifted(gamma, 1.0 - gamma * c).tocsc(), ((1.0 - gamma * c) * identity + gamma * csr).tocsc())
 
 
+@pytest.mark.parametrize("d, m, q_full", list(itertools.product((1, 2, 3), (1, 2, 3), (False, True))))
+def test_upper_terms_are_views_of_the_lower_bands_and_nnz_counts_both(d, m, q_full):
+    # B stores its lower bands only: the entry (r, r + o) above the diagonal
+    # is read from the lower band -o, and nnz counts it as SciPy does
+    rng = np.random.default_rng(10 * d + m)
+    b = _coupled_operator(build_grid(d, 1.0, {1: 30, 2: 7, 3: 4}[d], m), rng, q_full).generator()
+    upper = [(o, values) for o, *_, values in b._terms if o > 0]
+    assert [o for o, _ in upper] == [-o for o in reversed(b.offsets) if o < 0]
+    assert all(np.shares_memory(values, b.bands[b.offsets.index(-o)]) for o, values in upper)
+    assert b.nnz == _csr(b).nnz
+
+
 def test_abs_row_sums_is_not_a_running_band_sum():
     # negative control: on the benchmark's spectrum-3d operator, summing the
     # bands in offset order moves the maximum, which is the recorded matrix_norm
@@ -335,20 +272,10 @@ def test_abs_row_sums_is_not_a_running_band_sum():
     dif, pot = sample_fields(lambda x: np.diag([1.0, 1.37, 1.83]), lambda x: np.array([[1.0, -0.4], [-0.4, 2.0]]), grid)
     b = assemble_operator(assemble_form(dif, pot, grid)).generator()
     running = np.zeros(b.shape[0])
-    for band in np.abs(_mirrored(b)[1]):
-        running += band
+    for _, rows, _, values in b._terms:
+        running[rows] += np.abs(values)
     assert np.max(b.abs_row_sums()) == np.max(np.asarray(abs(_csr(b)).sum(axis=1)))
     assert np.max(running) != np.max(b.abs_row_sums())
-
-
-def _whole_abs_row_sums(bands):
-    """The absolute row sums of every band (``_mirrored``) reduced over all rows in one pass, as one ``np.add.reduceat``."""
-    entries = np.abs(bands.T)
-    counts = np.count_nonzero(entries, axis=1)
-    filled = np.flatnonzero(counts)
-    out = np.zeros(bands.shape[1])
-    out[filled] = np.add.reduceat(entries[entries != 0], (np.cumsum(counts) - counts)[filled])
-    return out
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -367,18 +294,19 @@ def _whole_abs_row_sums(bands):
 def test_abs_row_sums_in_row_blocks_keep_the_bits_of_one_pass(blocks, extra, offsets, zero_bands, zero_rows, seed):
     # a symmetric matrix whose lower bands are zeroed at some rows (whole
     # blocks of them), with all-zero bands and any n, and magnitudes from
-    # 1e-20 to 1e20 so that any change of order shows
+    # 1e-20 to 1e20 so that any change of order shows; an offset |o| >= n
+    # holds no entry
     n = blocks * operators_module._ROW_BLOCK + extra
-    assume(n > 0)
+    offsets = sorted(o for o in offsets if -o < n)
+    assume(offsets)
     rng = np.random.default_rng(seed)
-    offsets = sorted(offsets)
     bands = rng.standard_normal((len(offsets), n)) * 10.0 ** rng.uniform(-20, 20, (len(offsets), n))
     bands[: min(zero_bands, len(offsets))] = 0.0
     bands[:, rng.random(n) < zero_rows] = 0.0
     for band, o in zip(bands, offsets):  # a band is 0 wherever its column falls outside
         band[:-o] = 0.0
     a = operators_module.FormMatrix(offsets, bands)
-    assert a.abs_row_sums().tobytes() == _whole_abs_row_sums(_mirrored(a)[1]).tobytes()
+    assert a.abs_row_sums().tobytes() == np.asarray(abs(_csr(a)).sum(axis=1)).ravel().tobytes()
 
 
 def test_form_matrix_with_full_q_in_3d_is_scipys_up_to_summation_order():
@@ -395,22 +323,6 @@ def test_form_matrix_with_full_q_in_3d_is_scipys_up_to_summation_order():
     magnitude.sort_indices()
     assert magnitude.indices.tobytes() == s.indices.tobytes()
     assert np.all(np.abs(s.data - ref.data) <= 16 * np.finfo(float).eps * magnitude.data)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    d=st.integers(1, 3),
-    N=st.integers(2, 10),
-    m=st.integers(1, 3),
-    q_full=st.booleans(),
-    seed=st.integers(0, 2**16),
-)
-@example(d=3, N=6, m=2, q_full=True, seed=24)
-def test_form_matrix_is_the_sorted_sum_byte_for_byte(d, N, m, q_full, seed):
-    # the band sums add each position's repeats in the order of a stable sort
-    # of the COO keys, a 3-d full Q included, where SciPy's order differs
-    op = _coupled_operator(build_grid(d, 1.0, N, m), np.random.default_rng(seed), q_full=q_full)
-    _same_bytes(_csr(op.matrix), _sorted_form_matrix(_reference_entries(op), op.dim))
 
 
 #: CI's constant full Q; q_02 is zero, so a 3-d assembly skips the pairs (0, 2) and (2, 0)
@@ -459,19 +371,18 @@ def test_form_matrix_drops_repeats_that_cancel():
     grid = build_grid(1, 1.0, 3, 1)
     dif, pot = sample_fields(lambda x: 1.0, lambda x: np.array([[-8.0]]), grid)
     op = assemble_operator(assemble_form(dif, pot, grid))
-    _same_bytes(_csr(op.matrix), _sorted_form_matrix(_reference_entries(op), op.dim))
+    _same_bytes(_csr(op.matrix), _scipy_form_matrix(op))
     assert op.matrix.nnz == 4
     assert np.array_equal(op.matrix.toarray(), -2.0 * (np.eye(3, k=1) + np.eye(3, k=-1)))
 
 
 def test_form_matrix_bytes_depend_on_the_order_of_the_lists():
-    # negative control for the exact test: the same lists summed in reverse order
+    # negative control for the band-by-band test: the same lists summed in reverse order
     op = _coupled_operator(build_grid(3, 1.0, 6, 2), np.random.default_rng(24), q_full=True)
-    reverse = _sorted_form_matrix(_reference_entries(op)[::-1], op.dim)
-    s = _csr(op.matrix)
-    assert s.indices.dtype == reverse.indices.dtype == np.int32
-    assert reverse.indices.tobytes() == s.indices.tobytes()
-    assert np.any(reverse.data != s.data)
+    s = operators_module._assemble_matrix(op)
+    offsets, reverse = _banded(_reference_entries(op)[::-1], op.dim)
+    assert list(s.offsets) == offsets
+    assert np.any(reverse != s.bands)
 
 
 def test_matrix_agrees_with_form_evaluation():
@@ -541,27 +452,31 @@ def test_generator_is_the_one_stored_matrix(monkeypatch):
 
 def test_generator_holds_its_lower_bands_and_a_fixed_number_of_temporaries(monkeypatch):
     # d = 2, m = 4: B keeps only its 6 lower bands.  Beside them, the
-    # assembly holds at most 1 state more (0.67 measured: one term's weights
-    # and one component's potential), and building B at most 4 (3.48
-    # measured: the row blocks of abs_row_sums).  The reference lists summed
-    # into a dict of bands exceed both
-    def memory():
-        _, op = _constant_operator(2, 100, 4, np.diag([1.0, 1.37]), np.eye(4) + 0.3)
+    # assembly holds at most 1 state more (0.67 measured at N = 100 and 0.83
+    # at N = 40: one term's weights and one component's potential), and
+    # building B at most 4 (3.48 measured: the row blocks of abs_row_sums)
+    def memory(N):
+        _, op = _constant_operator(2, N, 4, np.diag([1.0, 1.37]), np.eye(4) + 0.3)
         state, bands = 8 * op.dim, 6 * 8 * op.dim
         assembly = _traced_peak(lambda: operators_module._assemble_matrix(op))
         kept, peak = _traced(op.generator)
         assert op.generator().bands.nbytes == bands
         return (assembly - bands) / state, (kept - bands) / state, (peak - bands) / state
 
-    assembly, kept, peak = memory()
+    assembly, kept, peak = memory(100)
     assert assembly <= 1 and kept < 0.1 and peak <= 4
+    assert memory(40)[0] <= 1
 
     def reference_assembly(assembly):
         return operators_module.FormMatrix(*_banded(_reference_entries(assembly), assembly.grid.state_size))
 
-    monkeypatch.setattr(operators_module, "_assemble_matrix", reference_assembly)
-    assembly, kept, peak = memory()
-    assert assembly > 1 and peak > 4  # negative control
+    # negative controls: the reference lists summed into a dict of bands (18.6
+    # states at N = 40), and abs_row_sums reduced in one block (24.0 at N = 100)
+    with monkeypatch.context() as patch:
+        patch.setattr(operators_module, "_assemble_matrix", reference_assembly)
+        assert memory(40)[0] > 1
+    monkeypatch.setattr(operators_module, "_ROW_BLOCK", 4 * 100**2)
+    assert memory(100)[2] > 4
 
 
 def test_norm_bound_is_measured_once_when_the_generator_is_built(monkeypatch):

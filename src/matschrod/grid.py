@@ -77,14 +77,17 @@ class GridSpec:
             raise ValueError(f"need at least 2 interior nodes per axis, got {self.N}")
         if self.m < 1:
             raise ValueError(f"need at least one component, got {self.m}")
-        # the operator scales by h^2 and h^d and divides by both
+        # the operator scales by h^2 and h^d and divides by both; the bound 4d/h^2
+        # of the Laplacian, its smallest 1-d eigenvalue and the box measure must be normal too
         with np.errstate(all="ignore"):
-            scales = [np.float64(self.h) ** k for k in (2, self.d)]
-            scales += [1.0 / s for s in scales]
-        if not (self.L > 0 and all(0.0 < s < np.inf for s in scales)):
+            h = np.float64(self.h)
+            scales = [h**2, h**self.d]
+            scales += [1.0 / s for s in scales] + [self.n_nodes * h**self.d]
+            scales += [4.0 * self.d / h**2, 4.0 / h**2 * np.sin(np.pi / (2 * (self.N + 1))) ** 2]
+        if not (self.L > 0 and all(np.finfo(float).tiny <= s < np.inf for s in scales)):
             raise ValueError(
-                f"grid.L={self.L!r} must be positive, with h^2, h^d and their inverses "
-                f"finite and nonzero, where h = 2L/(N+1)"
+                f"grid.L={self.L!r} must be positive, with h^2, h^d, their inverses, the box measure "
+                f"N^d h^d, 4d/h^2 and (4/h^2) sin^2(pi/(2(N+1))) normal finite floats, where h = 2L/(N+1)"
             )
 
     @property
@@ -169,20 +172,25 @@ def _check_symmetric(samples: np.ndarray) -> float:
     return float(np.abs(samples - samples.transpose(0, 2, 1)).max()) if samples.size else 0.0
 
 
-def _symmetrize(samples: np.ndarray):
-    """(stored, constant, asymmetry, scale) of finite (n, k, k) samples.
+def _symmetrize(samples: np.ndarray, what: str):
+    """(stored, constant, asymmetry, scale) of (n, k, k) samples.
 
     ``stored`` is the read-only (M + M^T)/2 of every sample, and ``constant``
     whether its samples are bitwise equal.  The asymmetry max |M - M^T| and
     the scale max(1, max |M|) are those of the input.  Bitwise equal input
     samples are measured and symmetrized once, and stored as a broadcast of
-    that one, so a constant field holds a single k x k matrix.
+    that one, so a constant field holds a single k x k matrix.  Raises
+    ``ValueError``, naming ``what``, where a sample or its (M + M^T)/2 is not
+    finite.
     """
     constant = _is_constant(samples)
     distinct = samples[:1] if constant else samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        symmetric = 0.5 * (distinct + distinct.transpose(0, 2, 1))
+    if not np.all(np.isfinite(symmetric)):
+        raise ValueError(f"{what} must be finite, and so must their symmetric part (M + M^T)/2")
     asym = _check_symmetric(distinct)
     scale = max(1.0, float(np.abs(distinct).max()))
-    symmetric = 0.5 * (distinct + distinct.transpose(0, 2, 1))
     stored = np.broadcast_to(symmetric, samples.shape) if constant else symmetric
     stored.setflags(write=False)
     return stored, constant or _is_constant(symmetric), asym, scale
@@ -208,9 +216,7 @@ class DiffusionField:
             raise ValueError(
                 f"expected {(grid.n_cells, grid.d, grid.d)} diffusion samples, got {samples.shape}"
             )
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("diffusion samples must be finite")
-        samples, self.constant, asym, scale = _symmetrize(samples)
+        samples, self.constant, asym, scale = _symmetrize(samples, "diffusion samples (coefficients.q)")
         if asym > SYMMETRY_ATOL * scale:
             raise ValueError(f"diffusion samples are not symmetric (max asymmetry {asym:.3e})")
         self.grid = grid
@@ -253,9 +259,8 @@ class PotentialField:
             raise ValueError(
                 f"expected {(grid.n_nodes, grid.m, grid.m)} potential samples, got {samples.shape}"
             )
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("potential samples must be finite (singular potentials are rejected)")
-        samples, self.constant, asym, scale = _symmetrize(samples)
+        # a singular potential, with an infinite sample, is rejected here
+        samples, self.constant, asym, scale = _symmetrize(samples, "potential samples (coefficients.v)")
         self.symmetric_input = bool(asym <= SYMMETRY_ATOL * scale)
         self.grid = grid
         self.samples = samples

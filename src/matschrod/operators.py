@@ -17,7 +17,8 @@ Assembly adds each stencil term, a box of the lattice, into the dense band
 of its offset and sums only the lower triangle, which is all that is stored:
 S and B are symmetric by construction, and no floating-point symmetrization
 is ever applied.  B, the operator's one stored matrix, is S with its bands
-scaled in place, and its infinity norm is measured once, as B is built.  S
+scaled in place, and its infinity norm is measured once, as B is built, by
+a running sum of each row's magnitudes; a B that overflows is refused.  S
 and B are ``FormMatrix`` objects that keep those lower bands, read each
 upper band as a view of its lower one and multiply a vector with numpy
 alone, to the bit as SciPy multiplies it by the same CSR matrix; the
@@ -64,9 +65,6 @@ __all__ = [
 #: largest matrix dimension handled by the dense eigensolver / propagator
 DENSE_LIMIT = 3000
 
-#: rows per block of ``FormMatrix.abs_row_sums``
-_ROW_BLOCK = 4096
-
 
 def __getattr__(name):
     # ``operators.spla`` serves only perfbench/traced_cli.py, which wraps
@@ -91,7 +89,9 @@ class FormMatrix:
     ``x[sources]``.  ``@`` takes a vector only and adds
     ``values * x[sources]`` term by term in that order, which is the column
     order in which SciPy's ``csr_matvec`` sums a row, so both give the same
-    bits.  ``tocsc()`` is the one SciPy conversion, for the sparse LU.
+    bits.  ``abs_row_sums`` adds the magnitudes in the same order, which
+    may differ from SciPy's ``abs(A).sum(axis=1)`` in the last bit.
+    ``tocsc()`` is the one SciPy conversion, for the sparse LU.
     """
 
     def __init__(self, offsets, bands):
@@ -131,27 +131,11 @@ class FormMatrix:
         return np.zeros(self.shape[0] - abs(k))
 
     def abs_row_sums(self):
-        """sum_j |a_ij| for every row i, reduced as SciPy's ``abs(A).sum(axis=1)`` does.
-
-        ``np.add.reduceat`` over each row's nonzeros in column order: a running
-        sum over the bands would differ in the last bit.  Rows are independent,
-        so they are reduced ``_ROW_BLOCK`` at a time, which bounds the
-        temporaries without moving a bit; a matrix of at most that many rows
-        is one block.
-        """
-        n = self.shape[0]
-        out = np.zeros(n)
-        for start in range(0, n, _ROW_BLOCK):
-            stop = min(n, start + _ROW_BLOCK)
-            entries = np.zeros((len(self._terms), stop - start))  # row start + i's entries in column order
-            for band, (_, rows, _, values) in zip(entries, self._terms):
-                first, last = max(start, rows.start), min(stop, rows.stop)
-                if first < last:
-                    np.abs(values[first - rows.start : last - rows.start], out=band[first - start : last - start])
-            entries = entries.T
-            counts = np.count_nonzero(entries, axis=1)
-            filled = np.flatnonzero(counts)
-            out[start + filled] = np.add.reduceat(entries[entries != 0], (np.cumsum(counts) - counts)[filled])
+        """sum_j |a_ij| for every row i: each term's magnitudes added into its rows, in ``_terms`` order."""
+        out = np.zeros(self.shape[0])
+        for _, rows, _, values in self._terms:
+            part = out[rows]  # a view, as in ``@``
+            part += np.abs(values)
         return out
 
     def shifted(self, scale: float, shift: float) -> FormMatrix:
@@ -220,12 +204,19 @@ class SymmetricOperator(FormAssembly):
         return _assemble_matrix(self)
 
     def generator(self) -> FormMatrix:
-        """B = S / h^d: S assembled once and scaled in place, then cached with its norm bound."""
+        """B = S / h^d: S assembled once and scaled in place, then cached with its norm bound.
+
+        Raises ``ValueError`` where B overflows, so that its norm bound is not finite.
+        """
         if self._generator is None:
-            b = _assemble_matrix(self)
-            # SciPy divides a sparse matrix by a scalar as a product with its reciprocal
-            b.bands *= 1.0 / self.grid.cell_volume
-            self._generator, self._norm_bound = b, float(np.max(b.abs_row_sums()))
+            with np.errstate(over="ignore", invalid="ignore"):
+                b = _assemble_matrix(self)
+                # SciPy divides a sparse matrix by a scalar as a product with its reciprocal
+                b.bands *= 1.0 / self.grid.cell_volume
+                bound = float(np.max(b.abs_row_sums()))
+            if not np.isfinite(bound):
+                raise ValueError("B overflows: coefficients.q or coefficients.v is too large for grid.L")
+            self._generator, self._norm_bound = b, bound
         return self._generator
 
     def generator_norm_bound(self) -> float:
@@ -445,27 +436,21 @@ def _report(op, lams, vectors, method, tol, iterations=0, shift=None) -> Spectru
     and Lanczos eigenpairs alike; ``vectors`` is the (n, k) eigenvector
     array or the closed form's j -> v_j (``SpectrumReport._vectors``), and
     ``matrix_norm`` is the bound B stores.  The eigenvectors are taken one
-    column at a time, and each residual B v_j - lambda_j v_j is formed,
-    squared and summed in place and dropped with its column, in the order
-    in which ``np.linalg.norm(R, axis=0)`` sums the columns of the C-ordered
-    (n, k) block R: row by row for k >= 2 (a running sum, the last entry of
-    ``cumsum``), pairwise for k = 1 (the block is then one contiguous
-    vector).  So the norms keep that formula's bits, and no (n, k) block is
-    formed.
+    column at a time, and each residual B v_j - lambda_j v_j is formed in
+    place, measured by ``np.linalg.norm`` and dropped with its column, so no
+    (n, k) block is formed.
     """
     b = op.generator()
     report = SpectrumReport(lams, None, method, iterations, tol, op.generator_norm_bound(), shift, vectors)
-    sums = [_squared_residual(b, report.column(j), lam, len(lams) > 1) for j, lam in enumerate(lams)]
-    report.residuals = np.sqrt(sums)
+
+    def residual(j):  # its column and residual are dropped before the next column is made
+        v = report.column(j)
+        r = b @ v
+        r -= v * lams[j]
+        return np.linalg.norm(r)
+
+    report.residuals = np.array([residual(j) for j in range(len(lams))])
     return report
-
-
-def _squared_residual(b, v, lam, running):
-    """||B v - lam v||^2, a running sum (``running``) or numpy's pairwise one."""
-    r = b @ v
-    r -= v * lam
-    r *= r
-    return np.cumsum(r, out=r)[-1] if running else np.add.reduce(r)
 
 
 def _factor_spd(matrix):
@@ -588,8 +573,11 @@ def _separable(op: SymmetricOperator):
     j = np.arange(1, grid.N + 1)
     sines = (4.0 / grid.h**2) * np.sin(j * np.pi / (2.0 * (grid.N + 1))) ** 2
     mu = lam.reshape((grid.m,) + (1,) * grid.d)
-    for i, qi in enumerate(np.diagonal(op.diffusion.samples[0])):
-        mu = mu + qi * sines.reshape([-1 if a == i + 1 else 1 for a in range(grid.d + 1)])
+    with np.errstate(over="ignore"):
+        for i, qi in enumerate(np.diagonal(op.diffusion.samples[0])):
+            mu = mu + qi * sines.reshape([-1 if a == i + 1 else 1 for a in range(grid.d + 1)])
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("B's closed form overflows: coefficients.q or coefficients.v is too large for grid.L")
     return mu, w
 
 

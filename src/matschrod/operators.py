@@ -437,8 +437,10 @@ def _report(op, lams, vectors, method, tol, iterations=0, shift=None) -> Spectru
     array or the closed form's j -> v_j (``SpectrumReport._vectors``), and
     ``matrix_norm`` is the bound B stores.  The eigenvectors are taken one
     column at a time, and each residual B v_j - lambda_j v_j is formed in
-    place, measured by ``np.linalg.norm`` and dropped with its column, so no
-    (n, k) block is formed.
+    place, scaled in place by the power of 2 that brings its largest entry
+    into [1/2, 1), so that its squares neither overflow nor underflow,
+    measured by ``np.linalg.norm`` and dropped with its column, so no (n, k)
+    block is formed.
     """
     b = op.generator()
     report = SpectrumReport(lams, None, method, iterations, tol, op.generator_norm_bound(), shift, vectors)
@@ -447,7 +449,8 @@ def _report(op, lams, vectors, method, tol, iterations=0, shift=None) -> Spectru
         v = report.column(j)
         r = b @ v
         r -= v * lams[j]
-        return np.linalg.norm(r)
+        e = int(np.frexp(max(r.max(), -r.min()))[1])
+        return np.ldexp(np.linalg.norm(np.ldexp(r, -e, out=r)), e)
 
     report.residuals = np.array([residual(j) for j in range(len(lams))])
     return report
@@ -476,7 +479,9 @@ def _lanczos(apply, q, kmax, rng=None):
     The orthonormal basis is stored as the rows of a (kmax, n) array, so every
     prefix is contiguous.  After each step the generator yields the views
     (basis[:j+1], alphas[:j+1], betas[:j+1]); betas[j] couples the basis to
-    its next vector and is stored as 0 on breakdown (an invariant subspace).
+    its next vector and is stored as 0 on breakdown (an invariant subspace):
+    a beta at most 1e-14 times the largest |alpha| or beta so far, a test
+    that scales with the operator.
     There, with ``rng``, the basis continues from a fresh random direction
     orthogonalized against it; without, the generator stops.
     """
@@ -485,6 +490,7 @@ def _lanczos(apply, q, kmax, rng=None):
     alphas = np.empty(kmax)
     betas = np.zeros(kmax)
     q = q / np.linalg.norm(q)
+    scale = 0.0  # running max(|alpha_j|, beta_j), the size of the operator seen so far
     for j in range(kmax):
         basis[j] = q
         rows = basis[: j + 1]
@@ -494,7 +500,8 @@ def _lanczos(apply, q, kmax, rng=None):
         for _ in range(2):
             w -= rows.T @ (rows @ w)
         beta = np.linalg.norm(w)
-        breakdown = beta <= 1e-14 * max(1.0, abs(alphas[0]))
+        scale = max(scale, abs(alphas[j]), beta)
+        breakdown = beta <= 1e-14 * scale
         if not breakdown:
             betas[j] = beta
             q = w / beta

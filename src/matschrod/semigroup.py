@@ -20,15 +20,17 @@ available; ``default_config`` picks ``exact-dense`` up to DENSE_LIMIT, then
   the eigensolver's row-layout kernel, in one of two regimes chosen from
   t ||B||_oo alone:
 
-  - *polynomial* when t ||B|| <= (4 _KRYLOV_DIM)^2 = 14400.  Polynomial
-    Lanczos needs O(sqrt(t ||B||)) work (Hochbruck & Lubich, SINUM 34,
-    1997), so here a few substeps cover t.  With basis V_k and tridiagonal
-    T_k the defect of a substep is beta_k |u_k(s)|, and the error is bounded
-    by its time integral times the amplification e^{-c (t - t_done)} up to
-    t.  Substeps are halved until the bound fits a proportional share of the
-    budget tol * ||f0||; if a subspace size cannot make progress it is
-    doubled (30, 60, 120), and after three sizes the propagator raises, as
-    it does upfront for a tol below the roundoff floor e^{-tc} 2e-13.
+  - *polynomial* when t ||B|| <= (4 _KRYLOV_DIM)^2 = 14400, at the one
+    subspace size _KRYLOV_DIM = 30.  Polynomial Lanczos needs
+    O(sqrt(t ||B||)) work (Hochbruck & Lubich, SINUM 34, 1997), so here
+    substeps cover t: 22 of them at t ||B|| = 14400 (1 - 1e-6) on a 1-d
+    harmonic operator.  With basis V_k and tridiagonal T_k the defect of a
+    substep is beta_k |u_k(s)|, and the error is bounded by its time
+    integral times the amplification e^{-c (t - t_done)} up to t.  Substeps
+    are halved until the bound fits a proportional share of the budget
+    tol * ||f0||.  A tol below the roundoff floor e^{-tc} 2e-13 is refused
+    upfront; a substep halved below 1e-10 t, or t not reached in 512
+    substeps, raises.
   - *shift-invert* above that.  Rayleigh-Ritz on the Krylov space of
     M^{-1}, M = I + gamma (B - c I) with gamma = t/10, converges
     independently of ||B|| (van den Eshof & Hochbruck, SISC 27, 2006).  The
@@ -159,9 +161,14 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
         analyse, synthesize = _separable_basis(mu, w)
         y = synthesize(analyse(x) * np.exp(-t * mu))
     else:
-        _require_finite_growth(f0, t, min(0.0, op.potential.min_eigenvalue), config.method)
+        c = min(0.0, op.potential.min_eigenvalue)  # lambda_min(B) >= c
+        _require_finite_growth(f0, t, c, config.method)
+        # a size-_KRYLOV_DIM polynomial space needs more substeps as t ||B|| grows;
+        # the shift-invert space, whose size does not depend on ||B||, takes the stiff side
+        stiff = t * op.generator_norm_bound() > (4 * _KRYLOV_DIM) ** 2
+        kernel = _shift_invert_expm if stiff else _polynomial_expm
         try:
-            y = _krylov_expm(op, x, t, config.tol)
+            y = x if np.linalg.norm(x) == 0.0 else kernel(op.generator(), x, t, c, config.tol)
         except ConvergenceError as exc:
             values, t_reached = exc.partial
             exc.partial = {"state": f0.with_values(np.ldexp(values, -scale)), "t_reached": t_reached}
@@ -179,29 +186,10 @@ def _require_finite_growth(f0, t, lam, method):
         )
 
 
-#: first polynomial Lanczos subspace size; failures double it twice
-_KRYLOV_DIM = 30
-
-
-def _krylov_expm(op, v, t, tol):
-    """e^{-tB} v by Lanczos, shift-invert when t ||B|| is too stiff for polynomial Lanczos.
-
-    A polynomial subspace of size k covers a step tau with tau ||B|| up to
-    about k^2.  ``4 _KRYLOV_DIM`` is the largest one tried, so above
-    t ||B|| = (4 _KRYLOV_DIM)^2 = 14400 even it cannot cover t in one step,
-    and the shift-invert space, whose size does not depend on ||B||, takes
-    over.
-    """
-    if np.linalg.norm(v) == 0.0:
-        return v.copy()
-    c = min(0.0, op.potential.min_eigenvalue)  # lambda_min(B) >= c
-    b = op.generator()
-    if t * op.generator_norm_bound() > (4 * _KRYLOV_DIM) ** 2:
-        return _shift_invert_expm(b, v, t, c, tol)
-    return _polynomial_expm(b, v, t, c, tol)
-
-
 # -- polynomial Lanczos ----------------------------------------------------
+
+#: the polynomial Lanczos subspace size
+_KRYLOV_DIM = 30
 
 
 def _simpson(y, x) -> float:
@@ -239,12 +227,24 @@ def _krylov_step_error(lam, weights, last_row, beta_next, tau) -> float:
 _POLY_ROUNDOFF = 2e-13
 
 
-def _polynomial_expm(b, v, t, c, tol):
-    """Adaptive-substep polynomial Lanczos; enlarges the subspace on failure.
+#: most substeps one polynomial propagation may take: a safety exit, far above
+#: the 22 a 1-d harmonic operator takes just below the shift-invert threshold
+_MAX_SUBSTEPS = 512
 
-    The defect bound covers truncation only, so a tol below the roundoff
-    floor e^{-tc} _POLY_ROUNDOFF is refused before any work.
+
+def _polynomial_expm(b, v, t, c, tol):
+    """Polynomial Lanczos at subspace size _KRYLOV_DIM, in substeps from t = 0 to t.
+
+    Each substep starts with tau the remaining time and halves it until the
+    defect bound, amplified by at most e^{-c (t - t_done)} up to time t since
+    B >= c I with c <= 0, fits the share tau / t of the budget tol ||v||.
+    The bound covers truncation only, so a tol below the roundoff floor
+    e^{-tc} _POLY_ROUNDOFF is refused before any work.  A tau halved below
+    1e-10 t, or a t not reached in _MAX_SUBSTEPS substeps, raises with the
+    state and time reached.
     """
+    import scipy.linalg
+
     floor = float(np.exp(-t * c)) * _POLY_ROUNDOFF
     if floor > tol:
         raise ConvergenceError(
@@ -253,37 +253,11 @@ def _polynomial_expm(b, v, t, c, tol):
             partial=(v, 0.0),
         )
     budget = tol * np.linalg.norm(v)
-    best = (v, 0.0)
-    for k in (_KRYLOV_DIM, 2 * _KRYLOV_DIM, 4 * _KRYLOV_DIM):
-        w, t_done = _krylov_expm_fixed(b, v, t, min(k, v.size), c, budget)
-        if t_done >= t:
-            return w
-        if t_done > best[1]:
-            best = (w, t_done)
-    raise ConvergenceError(
-        f"Krylov propagator failed to meet tol={tol:g} after 3 subspace enlargements",
-        partial=best,
-    )
-
-
-def _krylov_expm_fixed(b, v, t, kdim, c, budget):
-    """Substeps at subspace size kdim; returns (state, time reached).
-
-    The defect of a substep started at t_done is amplified by at most
-    e^{-c (t - t_done)} up to time t, since B >= c I with c <= 0.
-    """
-    import scipy.linalg
-
-    w = v.copy()
-    t_done = 0.0
-    steps = 0
-    while t_done < t:
-        nv = np.linalg.norm(w)
-        if nv == 0.0:
-            return w, t
-        *_, (basis, alphas, betas) = _lanczos(b.__matmul__, w, kdim)
+    w, t_done = v, 0.0
+    for _ in range(_MAX_SUBSTEPS):
+        *_, (basis, alphas, betas) = _lanczos(b.__matmul__, w, min(_KRYLOV_DIM, v.size))
         lam, vecs = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
-        weights = vecs[0] * nv
+        weights = vecs[0] * np.linalg.norm(w)
         beta_next = betas[-1]  # 0 on happy breakdown: the projection is exact
         amp = float(np.exp(-c * (t - t_done)))
         tau = t - t_done
@@ -294,14 +268,20 @@ def _krylov_expm_fixed(b, v, t, kdim, c, budget):
             if err <= budget * (tau / t):
                 break
             if tau <= t * 1e-10:
-                return w, t_done
+                raise ConvergenceError(
+                    f"Krylov propagator failed to meet tol={tol:g}: its substep fell below "
+                    f"1e-10 t after reaching t={t_done:g}",
+                    partial=(w, t_done),
+                )
             tau *= 0.5
         w = basis.T @ (vecs @ (np.exp(-tau * lam) * weights))
         t_done += tau
-        steps += 1
-        if steps > 512:
-            break
-    return w, t_done
+        if t_done >= t:
+            return w
+    raise ConvergenceError(
+        f"Krylov propagator failed to meet tol={tol:g}: {_MAX_SUBSTEPS} substeps reached only t={t_done:g}",
+        partial=(w, t_done),
+    )
 
 
 # -- shift-invert Lanczos --------------------------------------------------

@@ -286,6 +286,27 @@ def test_an_operator_out_of_float_range_exits_2_naming_its_setting(tmp_path, cap
 
 
 @pytest.mark.parametrize(
+    "flags, rc, max_residual",
+    [
+        # ||B|| = 1.9e300: unscaled, the squares of the residual overflowed,
+        # and the run failed with an infinite residual
+        (["--grid.d=2", "--grid.N=20", "--coefficients.v.kind=harmonic", "--coefficients.v.scale=1e300"],
+         0, 1.5888440662648427e+284),
+        # B's entries near 1e-307 keep few bits of q/h^2: unscaled, the squares
+        # underflowed to a residual of 0.0 that certified a wrong spectrum
+        (["--coefficients.q.kind=scaled_identity", "--coefficients.q.value=1e-310"], 1, 1.4937630752565782e-307),
+    ],
+    ids=["huge", "subnormal"],
+)
+def test_residuals_are_measured_at_both_ends_of_the_float_range(tmp_path, recwarn, flags, rc, max_residual):
+    assert cli.main(["spectrum"] + flags + ["--out", str(tmp_path)]) == rc
+    record = _read_json(tmp_path / "verdicts.json")["records"][0]
+    assert record["passed"] is (rc == 0)
+    assert record["detail"]["max_residual"] == max_residual
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
     "command, flag",
     [
         (["evolve"], "--propagator.krylov_dim=30"),

@@ -727,6 +727,21 @@ def test_forced_lanczos_keeps_multiplicities(N, m, k):
     assert np.all(lanc.residuals <= lanc.tol * lanc.matrix_norm)
 
 
+@pytest.mark.parametrize("scale", [1e16, 1e20])
+def test_lanczos_breakdown_test_scales_with_a_stiff_operator(scale):
+    # V = scale x^2 puts lambda_min(B) near 6e10 and 6e14, so every alpha of
+    # (B - sigma I)^-1 is below 2e-11.  Measured against max(1, |alpha_0|),
+    # every beta read as a breakdown, and the restarts never converged
+    grid = build_grid(1, 1.0, 400, 1)
+    dif, pot = sample_fields(lambda x: 1.0, lambda x: scale * float(x @ x), grid)
+    op = assemble_operator(assemble_form(dif, pot, grid))
+    dense = eigen_lowest(op, 6, method="dense")
+    lanc = eigen_lowest(op, 6, method="lanczos")
+    assert lanc.method == "lanczos"
+    np.testing.assert_allclose(lanc.eigenvalues, dense.eigenvalues, rtol=1e-10)
+    assert np.all(lanc.residuals <= lanc.tol * lanc.matrix_norm)
+
+
 # -- the constant-coefficient closed form ----------------------------------------------
 
 

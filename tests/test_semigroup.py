@@ -352,6 +352,47 @@ def test_krylov_regime_threshold_is_fixed(monkeypatch):
         assert mixed_norm(got - propagate(op, f, t, DENSE), 2) <= 1e-10 * mixed_norm(f, 2)
 
 
+def test_polynomial_krylov_covers_the_threshold_in_few_substeps_and_caps_them(monkeypatch):
+    # one subspace size covers t ||B|| just below 14400 in 22 substeps here;
+    # with the cap at 2 the propagator raises with the state it reached
+    grid, op = _harmonic_operator(N=200, L=5.0)
+    f = VectorState.random(grid, np.random.default_rng(12))
+    krylov = PropagatorConfig(method="lanczos-expmv")
+    t = 14400.0 * (1.0 - 1e-6) / op.generator_norm_bound()
+    calls = _spy_kernels(monkeypatch)
+    sizes = []
+    kernel = semigroup_module._lanczos
+
+    def spy_kernel(apply, q, kmax, rng=None):
+        sizes.append(kmax)
+        return kernel(apply, q, kmax, rng)
+
+    monkeypatch.setattr(semigroup_module, "_lanczos", spy_kernel)
+    propagate(op, f, t, krylov)
+    assert calls == {"polynomial": 1, "shift-invert": 0}
+    assert 1 < len(sizes) < 100 and set(sizes) == {semigroup_module._KRYLOV_DIM}
+    monkeypatch.setattr(semigroup_module, "_MAX_SUBSTEPS", 2)
+    with pytest.raises(ConvergenceError, match="2 substeps reached only") as info:
+        propagate(op, f, t, krylov)
+    partial = info.value.partial
+    assert 0.0 < partial["t_reached"] < t
+    reached = propagate(op, f, partial["t_reached"], DENSE)
+    assert mixed_norm(partial["state"] - reached, 2) <= krylov.tol * mixed_norm(f, 2)
+
+
+@pytest.mark.parametrize("bound", [np.inf, np.nan])
+def test_polynomial_krylov_raises_when_no_substep_fits(monkeypatch, bound):
+    # a defect bound that never fits, NaN included, halves the first substep
+    # to its floor of 1e-10 t: the propagator raises with the state it started from
+    monkeypatch.setattr(semigroup_module, "_krylov_step_error", lambda *args: bound)
+    grid, op = _harmonic_operator(N=60)  # dimension 60 > 30: no happy breakdown
+    f = VectorState.random(grid, np.random.default_rng(13))
+    with pytest.raises(ConvergenceError, match="substep fell below 1e-10 t") as info:
+        propagate(op, f, 0.5, PropagatorConfig(method="lanczos-expmv"))
+    assert info.value.partial["t_reached"] == 0.0
+    np.testing.assert_array_equal(info.value.partial["state"].values, f.values)
+
+
 @pytest.mark.parametrize("v, t", [(-50.0, 0.2), (-20.0, 0.4), (-50.0, 0.3)])
 def test_polynomial_krylov_meets_tol_or_raises_under_growth(monkeypatch, v, t):
     """V = v I multiplies e^{-tB} by e^{-tv} (2.2e4, 3.0e3 and 3.3e6 here).

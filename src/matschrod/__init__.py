@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     **dict.fromkeys(
         [
-            "ConfigError", "ConvergenceError", "EllipticityError", "EllipticityWarning",
-            "GridMismatchError", "QuadratureError",
+            "ConfigError", "ConvergenceError", "EllipticityError", "GridMismatchError",
+            "QuadratureError",
         ],
         "errors",
     ),

@@ -316,9 +316,7 @@ def _q_samples(block: dict, grid) -> np.ndarray:
     if kind == "identity":
         mat = np.eye(d)
     elif kind == "scaled_identity":
-        value = float(block["value"])
-        _expect(value > 0, "coefficients.q.value must be positive")
-        mat = value * np.eye(d)
+        mat = float(block["value"]) * np.eye(d)
     elif kind == "diagonal":
         entries = np.asarray(block["entries"], dtype=float)
         _expect(entries.shape == (d,), f"coefficients.q.entries must have {d} entries")

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class GridMismatchError(ValueError):
@@ -6,7 +6,7 @@ class GridMismatchError(ValueError):
 
 
 class EllipticityError(ValueError):
-    """Diffusion samples are not uniformly positive definite."""
+    """Diffusion samples are not uniformly positive definite; ``DiffusionField`` refuses them."""
 
 
 class ConvergenceError(RuntimeError):
@@ -27,7 +27,3 @@ class QuadratureError(RuntimeError):
 
 class ConfigError(ValueError):
     """An experiment configuration failed schema validation."""
-
-
-class EllipticityWarning(UserWarning):
-    """Sampled diffusion violates uniform ellipticity (lower bound <= 0)."""

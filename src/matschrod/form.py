@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EllipticityError
 from .grid import (
     DiffusionField,
     GridSpec,
@@ -55,17 +54,13 @@ class FormAssembly:
 
     Every form quantity goes through ``form_terms``, which evaluates states
     with any leading batch axes.  The coefficient facts (ellipticity bounds,
-    a diagonal Q, a PSD V) are read off ``diffusion`` and ``potential``.
-    Immutable; evaluation is thread-safe.
+    a diagonal Q, a PSD V) are read off ``diffusion`` and ``potential``; a
+    ``DiffusionField`` is uniformly elliptic by construction, so the form
+    does not check it again.  Immutable; evaluation is thread-safe.
     """
 
     def __init__(self, diffusion: DiffusionField, potential: PotentialField, grid: GridSpec):
         _require_same_grid(grid, diffusion.grid, potential.grid)
-        if diffusion.ellipticity_lower <= 0:
-            raise EllipticityError(
-                f"diffusion is not uniformly elliptic (lower bound "
-                f"{diffusion.ellipticity_lower:.3e})"
-            )
         self.grid = grid
         self.diffusion = diffusion
         self.potential = potential

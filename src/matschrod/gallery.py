@@ -335,8 +335,6 @@ def spectrum_merge_check(
             f"problem {problem.name!r} has no scalar-block structure to merge against"
         )
     op = problem.operator
-    if k < 1 or k > op.dim:
-        raise ValueError(f"need 1 <= k <= {op.dim}, got {k}")
     vector = eigen_lowest(op, k, seed=seed).eigenvalues
     scalar_grid = replace(op.grid, m=1)
     dif = _identity_diffusion(scalar_grid)

@@ -24,12 +24,11 @@ instances can be shared freely between threads.
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EllipticityWarning, GridMismatchError
+from .errors import EllipticityError, GridMismatchError
 
 __all__ = [
     "GridSpec",
@@ -203,8 +202,9 @@ class DiffusionField:
     asymmetry exceeds the tolerance are rejected outright since nothing
     downstream can use a non-symmetric diffusion.  The measured extreme
     eigenvalues over all samples are exposed as ``ellipticity_lower`` and
-    ``ellipticity_upper``; a non-positive lower bound only warns here and is
-    turned into a hard error by form/operator assembly.  ``constant`` records
+    ``ellipticity_upper``; a non-positive lower bound raises
+    ``EllipticityError``, so every field that exists is uniformly elliptic,
+    and nothing downstream checks it again.  ``constant`` records
     whether every sample is bitwise equal to the first; then the bounds come
     from that one sample, and equal input samples are stored as a read-only
     broadcast of it.
@@ -225,17 +225,15 @@ class DiffusionField:
         eigs = np.linalg.eigvalsh(distinct)
         self.ellipticity_lower = float(eigs[:, 0].min())
         self.ellipticity_upper = float(eigs[:, -1].max())
+        if self.ellipticity_lower <= 0:
+            raise EllipticityError(
+                f"diffusion samples (coefficients.q) are not uniformly elliptic "
+                f"(lower bound {self.ellipticity_lower:.3e})"
+            )
         off = distinct.copy()
         idx = np.arange(grid.d)
         off[:, idx, idx] = 0.0
         self.diagonal = bool(np.abs(off).max() == 0.0) if grid.d > 1 else True
-        if self.ellipticity_lower <= 0:
-            warnings.warn(
-                f"diffusion samples violate uniform ellipticity (lower bound "
-                f"{self.ellipticity_lower:.3e})",
-                EllipticityWarning,
-                stacklevel=2,
-            )
 
 
 class PotentialField:

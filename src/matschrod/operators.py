@@ -242,6 +242,9 @@ def _dense_eigh(op: SymmetricOperator, k: int | None = None):
     LAPACK gets the transposed view of ``toarray()``, overwritable: B is
     exactly symmetric, so the view is the same matrix, already in the
     column-major order LAPACK reads, and no second copy of it is made.
+    ``generator()`` refuses a B that is not finite, so SciPy need not scan
+    it.  A tridiagonal B with norm bound past 2^500 goes to dense ``eigh``,
+    which scales B: the tridiagonal bisection squares the off-diagonal.
     """
     if op.dim > DENSE_LIMIT:
         raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {op.dim}")
@@ -250,11 +253,11 @@ def _dense_eigh(op: SymmetricOperator, k: int | None = None):
     # None selects every eigenpair, the default of both solvers
     select, index = ("a", None) if k is None else ("i", (0, k - 1))
     b = op.generator()
-    bands = _tridiagonal(b)
+    bands = _tridiagonal(b) if op.generator_norm_bound() < 2.0**500 else None
     if bands is None:
-        return scipy.linalg.eigh(b.toarray().T, overwrite_a=True, subset_by_index=index)
+        return scipy.linalg.eigh(b.toarray().T, overwrite_a=True, subset_by_index=index, check_finite=False)
     # with k, bisection plus inverse iteration (LAPACK stebz/stein)
-    return scipy.linalg.eigh_tridiagonal(*bands, select=select, select_range=index)
+    return scipy.linalg.eigh_tridiagonal(*bands, select=select, select_range=index, check_finite=False)
 
 
 def _tridiagonal(b):
@@ -437,10 +440,8 @@ def _report(op, lams, vectors, method, tol, iterations=0, shift=None) -> Spectru
     array or the closed form's j -> v_j (``SpectrumReport._vectors``), and
     ``matrix_norm`` is the bound B stores.  The eigenvectors are taken one
     column at a time, and each residual B v_j - lambda_j v_j is formed in
-    place, scaled in place by the power of 2 that brings its largest entry
-    into [1/2, 1), so that its squares neither overflow nor underflow,
-    measured by ``np.linalg.norm`` and dropped with its column, so no (n, k)
-    block is formed.
+    place, measured by ``_scaled_norm`` and dropped with its column, so no
+    (n, k) block is formed.
     """
     b = op.generator()
     report = SpectrumReport(lams, None, method, iterations, tol, op.generator_norm_bound(), shift, vectors)
@@ -449,11 +450,20 @@ def _report(op, lams, vectors, method, tol, iterations=0, shift=None) -> Spectru
         v = report.column(j)
         r = b @ v
         r -= v * lams[j]
-        e = int(np.frexp(max(r.max(), -r.min()))[1])
-        return np.ldexp(np.linalg.norm(np.ldexp(r, -e, out=r)), e)
+        return np.ldexp(*_scaled_norm(r))
 
     report.residuals = np.array([residual(j) for j in range(len(lams))])
     return report
+
+
+def _scaled_norm(x):
+    """(s, e) with ||x|| = s 2^e, x scaled in place by the 2^-e that brings max|x| into [1/2, 1).
+
+    So the squares ``np.linalg.norm`` sums neither overflow nor underflow,
+    and the scaled ``x / s`` is x's unit vector.
+    """
+    e = int(np.frexp(max(x.max(), -x.min()))[1])
+    return np.linalg.norm(np.ldexp(x, -e, out=x)), e
 
 
 def _factor_spd(matrix):
@@ -483,13 +493,15 @@ def _lanczos(apply, q, kmax, rng=None):
     a beta at most 1e-14 times the largest |alpha| or beta so far, a test
     that scales with the operator.
     There, with ``rng``, the basis continues from a fresh random direction
-    orthogonalized against it; without, the generator stops.
+    orthogonalized against it; without, the generator stops.  Norms go through
+    ``_scaled_norm``, so no beta of a huge or tiny operator underflows to 0.
     """
     n = q.size
     basis = np.empty((kmax, n))
     alphas = np.empty(kmax)
     betas = np.zeros(kmax)
-    q = q / np.linalg.norm(q)
+    q = np.array(q, dtype=float)
+    q /= _scaled_norm(q)[0]
     scale = 0.0  # running max(|alpha_j|, beta_j), the size of the operator seen so far
     for j in range(kmax):
         basis[j] = q
@@ -499,12 +511,13 @@ def _lanczos(apply, q, kmax, rng=None):
         # full reorthogonalization (two passes), subsumes the three-term recurrence
         for _ in range(2):
             w -= rows.T @ (rows @ w)
-        beta = np.linalg.norm(w)
+        norm, e = _scaled_norm(w)
+        beta = np.ldexp(norm, e)
         scale = max(scale, abs(alphas[j]), beta)
         breakdown = beta <= 1e-14 * scale
         if not breakdown:
             betas[j] = beta
-            q = w / beta
+            q = w / norm
         yield rows, alphas[: j + 1], betas[: j + 1]
         if breakdown:
             if rng is None:
@@ -512,10 +525,10 @@ def _lanczos(apply, q, kmax, rng=None):
             q = rng.standard_normal(n)
             for _ in range(2):
                 q -= rows.T @ (rows @ q)
-            norm = np.linalg.norm(q)
+            norm = _scaled_norm(q)[0]
             if norm == 0.0:
                 return
-            q = q / norm
+            q /= norm
 
 
 def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> SpectrumReport:

@@ -58,7 +58,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .errors import ConvergenceError
 from .grid import VectorState, _require_same_grid, mixed_norm, smooth_bump_profile
@@ -300,6 +299,8 @@ def _rational_errors() -> np.ndarray:
     variable y = 1 / (1 + gamma (lambda - c)), which maps [c, oo) onto
     (0, 1].  The maximum is taken on 8193 Chebyshev-clustered points.
     """
+    from numpy.polynomial import chebyshev as cheb
+
     x = -np.cos(np.linspace(0.0, np.pi, 8193))
 
     def g(x):

@@ -306,6 +306,33 @@ def test_residuals_are_measured_at_both_ends_of_the_float_range(tmp_path, recwar
     assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
+def test_lanczos_certifies_an_operator_near_the_top_of_the_float_range(tmp_path, recwarn):
+    # (B + I)^-1 maps unit vectors to entries near 1e-300, whose squares
+    # underflowed in np.linalg.norm: every beta read 0 and the run exited 3
+    flags = ["--grid.d=2", "--grid.N=100", "--coefficients.v.kind=harmonic", "--coefficients.v.scale=1e300"]
+    assert cli.main(["spectrum"] + flags + ["--out", str(tmp_path)]) == 0
+    detail = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]
+    assert detail["method"] == "lanczos" and detail["matrix_norm"] > 1e300
+    with open(tmp_path / "spectrum.csv", newline="") as fh:
+        residuals = [float(row["residual"]) for row in csv.DictReader(fh)]
+    assert len(residuals) == 10 and max(residuals) <= 1e-10 * detail["matrix_norm"]
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
+def test_dense_spectrum_of_a_huge_tridiagonal_b_matches_its_closed_form(tmp_path, recwarn):
+    # the tridiagonal bisection squares B's off-diagonal, which overflowed:
+    # LAPACK's stebz did not converge, and the run exited 2 naming no setting
+    flags = ["--coefficients.q.kind=scaled_identity", "--coefficients.q.value=1e200"]
+    assert cli.main(["spectrum"] + flags + ["--out", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]["method"] == "dense"
+    with open(tmp_path / "spectrum.csv", newline="") as fh:
+        eigenvalues = [float(row["eigenvalue"]) for row in csv.DictReader(fh)]
+    N, j = 64, np.arange(1, 11)
+    h = 2.0 / (N + 1)
+    np.testing.assert_allclose(eigenvalues, 1e200 * (4 / h**2) * np.sin(j * np.pi / (2 * (N + 1))) ** 2, rtol=1e-12)
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -586,14 +613,18 @@ def test_coefficient_kinds_match_per_point_sampling_bit_for_bit(d, N, m):
     [
         ('--coefficients.q={"kind":"diagonal","entries":[1,2,3]}', "coefficients.q.entries must have 2 entries"),
         ('--coefficients.q={"kind":"constant","matrix":[[1]]}', "coefficients.q.matrix must be 2x2"),
-        ('--coefficients.q={"kind":"scaled_identity","value":0}', "coefficients.q.value must be positive"),
+        ('--coefficients.q={"kind":"scaled_identity","value":0}', "diffusion samples (coefficients.q) are not uniformly elliptic"),
+        ('--coefficients.q={"kind":"diagonal","entries":[-1.0,2.0]}', "diffusion samples (coefficients.q) are not uniformly elliptic"),
         ('--coefficients.v={"kind":"constant","matrix":[[1,0],[0,1]]}', "coefficients.v.matrix must be 3x3"),
     ],
 )
-def test_coefficient_shape_errors_exit_2(tmp_path, capsys, flag, message):
+def test_coefficient_shape_errors_exit_2(tmp_path, capsys, recwarn, flag, message):
     rc = cli.main(["assemble", "--out", str(tmp_path), "--grid.d=2", "--grid.N=4", "--grid.m=3", flag])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    # one line, with no Python warning printed around it
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize(
@@ -1202,7 +1233,7 @@ def test_run_checks_records_broken_params_as_failure(monkeypatch):
 _CONSTANT_V2 = '--coefficients.v={"kind":"constant","matrix":[[1,-0.4],[-0.4,2]]}'
 #: the modules whose loading the table below pins
 _TRACKED = [
-    "scipy", "scipy.fft", "scipy.integrate",
+    "numpy.polynomial", "scipy", "scipy.fft", "scipy.integrate",
     "matschrod._float_repr", "matschrod.semigroup", "matschrod.gallery", "matschrod.checks",
 ]
 #: name: (command, the tracked modules it loads, the method its one verdict records)
@@ -1227,11 +1258,11 @@ _LAUNCHES = {
     ),
     "evolve-dense": (
         ["evolve", "--grid.d=2", "--grid.N=8", "--grid.m=2"],
-        ["scipy", "matschrod._float_repr", "matschrod.semigroup"], "exact-dense",
+        ["numpy.polynomial", "scipy", "matschrod._float_repr", "matschrod.semigroup"], "exact-dense",
     ),
     "verify": (
         ["verify", '--probes.checks=["laplacian_spectrum"]'],
-        ["scipy", "matschrod.semigroup", "matschrod.gallery", "matschrod.checks"], None,
+        ["numpy.polynomial", "scipy", "matschrod.semigroup", "matschrod.gallery", "matschrod.checks"], None,
     ),
 }
 

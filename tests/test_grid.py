@@ -4,7 +4,7 @@ import pytest
 
 from matschrod import (
     DiffusionField,
-    EllipticityWarning,
+    EllipticityError,
     GridMismatchError,
     PotentialField,
     VectorState,
@@ -95,15 +95,14 @@ def test_diffusion_field_bounds_and_diagonal_flag():
     assert not DiffusionField(grid, samples).diagonal
 
 
-def test_diffusion_field_rejects_asymmetry_and_warns_on_nonelliptic():
+def test_diffusion_field_rejects_asymmetry_and_nonelliptic_samples():
     grid = build_grid(2, 1.0, 3, 1)
     bad = np.tile(np.array([[1.0, 0.5], [-0.5, 1.0]]), (grid.n_cells, 1, 1))
     with pytest.raises(ValueError, match="not symmetric"):
         DiffusionField(grid, bad)
     negative = np.tile(-np.eye(2), (grid.n_cells, 1, 1))
-    with pytest.warns(EllipticityWarning):
-        field = DiffusionField(grid, negative)
-    assert field.ellipticity_lower == pytest.approx(-1.0)
+    with pytest.raises(EllipticityError, match=r"\(coefficients\.q\) .*lower bound -1\.000e\+00"):
+        DiffusionField(grid, negative)
 
 
 def test_potential_field_flags():

@@ -297,9 +297,9 @@ def resolve_config(config_path, overrides) -> dict:
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise ConfigError("config file must contain a JSON object")
+            raise ConfigError(f"config file {config_path} must contain a JSON object")
         _merge(config, loaded)
     for dotted, value in overrides:
         _set_by_path(config, dotted, value)
@@ -573,7 +573,7 @@ def _cmd_gallery(config: dict, outdir: Path) -> list:
     try:
         problem = build_problem(block["name"], **block["params"])
     except TypeError as exc:  # e.g. a parameter the builder does not take
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"gallery.params: {exc}") from exc
     result = validate_expected(problem, seed=config["seed"])
     claims = result["claims"]
     if "continuity_ratios" in claims:

@@ -269,10 +269,16 @@ GALLERY = {
 
 
 def build_problem(name: str, **params) -> GalleryProblem:
-    """Instantiate a gallery problem by name with builder keyword overrides."""
+    """Instantiate a gallery problem by name with builder keyword overrides.
+
+    Refusals name the settings the CLI takes these from: ``gallery.name``,
+    and ``gallery.params.N`` or ``.m`` for a grid count that is not an integer.
+    """
     if not isinstance(name, str) or name not in GALLERY:
-        known = ", ".join(sorted(GALLERY))
-        raise ValueError(f"unknown gallery problem {name!r}; known: {known}")
+        raise ValueError(f"gallery.name must be one of {sorted(GALLERY)}, got {name!r}")
+    for key in sorted({"N", "m"} & set(params)):
+        if isinstance(params[key], bool) or not isinstance(params[key], (int, np.integer)):
+            raise ValueError(f"gallery.params.{key} must be an integer, got {params[key]!r}")
     return GALLERY[name](**params)
 
 
@@ -440,7 +446,7 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
     Returns {"name", "passed", "claims": {claim: {"passed", ...detail}}}.
     Unknown claim keys raise ValueError so fingerprints cannot dangle, and a
     claim that needs more eigenvalues than the grid has unknowns raises a
-    ValueError naming N and the dimension.
+    ValueError naming ``gallery.params.N`` and the dimension.
     """
     pot, grid = problem.potential, problem.potential.grid
     state = {"spectrum": None}
@@ -448,8 +454,8 @@ def validate_expected(problem: GalleryProblem, seed: int = 42) -> dict:
     def fits(key, k):
         if k > grid.state_size:
             raise ValueError(
-                f"claim {key!r} of problem {problem.name!r} needs {k} eigenvalues, but "
-                f"N={grid.N} gives dimension {grid.state_size}"
+                f"gallery.params.N={grid.N} gives dimension {grid.state_size}, but claim {key!r} "
+                f"of problem {problem.name!r} needs {k} eigenvalues"
             )
         return k
 

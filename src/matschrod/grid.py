@@ -68,14 +68,14 @@ class GridSpec:
         for name in ("d", "N", "m"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"grid {name} must be an integer, got {value!r}")
+                raise ValueError(f"grid.{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # a NumPy integer becomes an int
         if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
+            raise ValueError(f"grid.d must be 1, 2 or 3, got {self.d}")
         if self.N < 2:
-            raise ValueError(f"need at least 2 interior nodes per axis, got {self.N}")
+            raise ValueError(f"grid.N must be at least 2 interior nodes per axis, got {self.N}")
         if self.m < 1:
-            raise ValueError(f"need at least one component, got {self.m}")
+            raise ValueError(f"grid.m must be at least 1 component, got {self.m}")
         # the operator scales by h^2 and h^d and divides by both; the bound 4d/h^2
         # of the Laplacian, its smallest 1-d eigenvalue and the box measure must be normal too
         with np.errstate(all="ignore"):
@@ -218,7 +218,7 @@ class DiffusionField:
             )
         samples, self.constant, asym, scale = _symmetrize(samples, "diffusion samples (coefficients.q)")
         if asym > SYMMETRY_ATOL * scale:
-            raise ValueError(f"diffusion samples are not symmetric (max asymmetry {asym:.3e})")
+            raise ValueError(f"diffusion samples (coefficients.q) are not symmetric (max asymmetry {asym:.3e})")
         self.grid = grid
         self.samples = samples
         distinct = samples[:1] if self.constant else samples
@@ -326,7 +326,7 @@ class VectorState:
         # operator.index: numpy would read a bool as a mask and refuse a float
         node = grid.nearest_node(np.zeros(grid.d)) if node is None else operator.index(node)
         if not 0 <= node < grid.n_nodes:
-            raise ValueError(f"impulse node must be in [0, {grid.n_nodes}), got {node}")
+            raise ValueError(f"evolve.initial_state.node must be in [0, {grid.n_nodes}), got {node}")
         if vector is None:
             vector = np.eye(grid.m)[0]
         vector = np.atleast_1d(np.asarray(vector, dtype=float))
@@ -341,11 +341,11 @@ class VectorState:
         """Smooth bump ``smooth_bump_profile(|x| / (width L))`` on every
         component, or on ``component`` only (the others zero)."""
         if not width > 0:
-            raise ValueError(f"bump width must be positive, got {width}")
+            raise ValueError(f"evolve.initial_state.width must be positive, got {width}")
         if component is not None:
             component = operator.index(component)  # as in ``impulse``
             if not 0 <= component < grid.m:
-                raise ValueError(f"bump component must be None or in [0, {grid.m}), got {component}")
+                raise ValueError(f"evolve.initial_state.component must be null or in [0, {grid.m}), got {component}")
         profile = smooth_bump_profile(np.linalg.norm(grid.node_coords(), axis=1) / (width * grid.L))
         vals = np.zeros((grid.m, grid.n_nodes))
         if component is None:

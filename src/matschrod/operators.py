@@ -206,16 +206,25 @@ class SymmetricOperator(FormAssembly):
     def generator(self) -> FormMatrix:
         """B = S / h^d: S assembled once and scaled in place, then cached with its norm bound.
 
-        Raises ``ValueError`` where B overflows, so that its norm bound is not finite.
+        Raises ``ValueError`` where B overflows, so that its norm bound is not
+        finite, and where a nonzero entry of S or of B is below the normal
+        floats, as ``GridSpec`` refuses such an h: it keeps too few bits.
         """
         if self._generator is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 b = _assemble_matrix(self)
+                # B's entries are S's times 1 / h^d, so S's must be at least tiny max(1, h^d)
+                floor = np.finfo(float).tiny * max(1.0, self.grid.cell_volume)
+                subnormal = any(np.any((band != 0.0) & (np.abs(band) < floor)) for band in b.bands)
                 # SciPy divides a sparse matrix by a scalar as a product with its reciprocal
                 b.bands *= 1.0 / self.grid.cell_volume
                 bound = float(np.max(b.abs_row_sums()))
             if not np.isfinite(bound):
                 raise ValueError("B overflows: coefficients.q or coefficients.v is too large for grid.L")
+            if subnormal:
+                raise ValueError(
+                    "S or B has entries below the normal floats: coefficients.q or coefficients.v is too small for grid.L"
+                )
             self._generator, self._norm_bound = b, bound
         return self._generator
 
@@ -243,8 +252,9 @@ def _dense_eigh(op: SymmetricOperator, k: int | None = None):
     exactly symmetric, so the view is the same matrix, already in the
     column-major order LAPACK reads, and no second copy of it is made.
     ``generator()`` refuses a B that is not finite, so SciPy need not scan
-    it.  A tridiagonal B with norm bound past 2^500 goes to dense ``eigh``,
-    which scales B: the tridiagonal bisection squares the off-diagonal.
+    it.  A tridiagonal B with norm bound past 2^500, or below 2^-500, goes to
+    dense ``eigh``, which scales B: the tridiagonal bisection squares the
+    off-diagonal, which overflows or underflows there.
     """
     if op.dim > DENSE_LIMIT:
         raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {op.dim}")
@@ -253,7 +263,7 @@ def _dense_eigh(op: SymmetricOperator, k: int | None = None):
     # None selects every eigenpair, the default of both solvers
     select, index = ("a", None) if k is None else ("i", (0, k - 1))
     b = op.generator()
-    bands = _tridiagonal(b) if op.generator_norm_bound() < 2.0**500 else None
+    bands = _tridiagonal(b) if 2.0**-500 <= op.generator_norm_bound() < 2.0**500 else None
     if bands is None:
         return scipy.linalg.eigh(b.toarray().T, overwrite_a=True, subset_by_index=index, check_finite=False)
     # with k, bisection plus inverse iteration (LAPACK stebz/stein)
@@ -283,9 +293,7 @@ def assemble_operator(assembly: FormAssembly) -> SymmetricOperator:
     when ``generator()`` (or ``matrix``) is first read.
     """
     if not assembly.potential.symmetric_input:
-        raise ValueError(
-            "operator assembly needs a symmetric potential (the sampled input was not)"
-        )
+        raise ValueError("potential samples (coefficients.v) are not symmetric: operator assembly needs a symmetric V")
     return SymmetricOperator(assembly.diffusion, assembly.potential, assembly.grid)
 
 

@@ -97,7 +97,7 @@ class PropagatorConfig:
         if not all(np.isfinite(self.times)) or any(t < 0 for t in self.times) or any(
             a >= b for a, b in zip(self.times, self.times[1:])
         ):
-            raise ValueError(f"times must be finite, nonnegative and strictly increasing, got {self.times}")
+            raise ValueError(f"propagator.times must be finite, nonnegative and strictly increasing, got {self.times}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if not self.p_list or any(p not in _P_ALLOWED for p in self.p_list):

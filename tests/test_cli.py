@@ -142,6 +142,8 @@ def test_spectrum_csv_roundtrip(tmp_path):
 
 _Q_HUGE = ["--coefficients.q.kind=scaled_identity", "--coefficients.q.value=1e306"]
 _N8 = ["evolve", "--grid.N=8"]
+_TINY = [("spectrum-tiny", ["spectrum"]), ("evolve-tiny", ["evolve"]), ("assemble-tiny", ["assemble"]),
+         ("lanczos-tiny", ["spectrum", "--solver.method=lanczos"])]
 _SHAPE = ["assemble", "--grid.d=2", "--grid.N=4", "--grid.m=3"]
 _GALLERY = "['antisymmetric_continuity', 'coupled_confining', 'degenerate_counterexample', 'harmonic_oscillator']"
 _TOKEN = "(overrides look like --grid.N=500)"
@@ -152,224 +154,260 @@ _BOX = (
 _LARGE = "coefficients.q or coefficients.v is too large for grid.L"
 _SMALL = "S or B has entries below the normal floats: coefficients.q or coefficients.v is too small for grid.L"
 
-#: (id, argv, config.json payload or None, exit code, what the one stderr line
-#: names, the whole line after its prefix or None)
-_REFUSALS = [
+#: the refusal table: each test name maps to its rows (id, argv, config.json
+#: payload or None, exit code, what the one stderr line names, the whole line
+#: after its prefix or None), and every row is checked by the one test body below
+_REFUSALS = {
     # refused after resolution: the subcommand raises once resolved-config.json is written
-    ("k-above-dimension", ["spectrum", "--grid.N=8", "--solver.k=100"], None, 2, "solver.k",
-     "solver.k=100 exceeds the matrix dimension 8"),
-    ("grid-N", ["assemble", "--grid.N=1"], None, 2, "grid.N", "grid.N must be at least 2 interior nodes per axis, got 1"),
-    ("grid-d", ["assemble", "--grid.d=5"], None, 2, "grid.d", "grid.d must be 1, 2 or 3, got 5"),
-    ("grid-m", ["assemble", "--grid.m=0"], None, 2, "grid.m", "grid.m must be at least 1 component, got 0"),
-    ("gallery-params", ["gallery", "--name", "harmonic_oscillator", '--gallery.params={"bogus_param": 3}'], None, 2,
-     "gallery.params", "gallery.params: harmonic_oscillator() got an unexpected keyword argument 'bogus_param'"),
-    # --name beats --gallery.name, and is validated and echoed like any key
-    ("gallery-name", ["gallery", "--gallery.name=harmonic_oscillator", "--name", "no_such_problem"], None, 2,
-     "gallery.name", f"gallery.name must be one of {_GALLERY}, got 'no_such_problem'"),
-    ("gallery-name-wat", ["gallery", "--name", "wat"], None, 2, "gallery.name",
-     f"gallery.name must be one of {_GALLERY}, got 'wat'"),
-    ("gallery-name-list", ["gallery", "--gallery.name=[1]"], None, 2, "gallery.name",
-     f"gallery.name must be one of {_GALLERY}, got [1]"),
+    "test_failed_run_writes_resolved_config_but_no_verdicts": [
+        ("k-above-dimension", ["spectrum", "--grid.N=8", "--solver.k=100"], None, 2, "solver.k",
+         "solver.k=100 exceeds the matrix dimension 8"),
+        ("grid", ["assemble", "--grid.N=1"], None, 2, "grid.N", "grid.N must be at least 2 interior nodes per axis, got 1"),
+        ("grid-dimension", ["assemble", "--grid.d=5"], None, 2, "grid.d", "grid.d must be 1, 2 or 3, got 5"),
+        ("grid-m", ["assemble", "--grid.m=0"], None, 2, "grid.m", "grid.m must be at least 1 component, got 0"),
+        ("gallery-params", ["gallery", "--name", "harmonic_oscillator", '--gallery.params={"bogus_param": 3}'], None,
+         2, "gallery.params", "gallery.params: harmonic_oscillator() got an unexpected keyword argument 'bogus_param'"),
+        # --name beats --gallery.name, and is validated and echoed like any key
+        ("gallery-name", ["gallery", "--gallery.name=harmonic_oscillator", "--name", "no_such_problem"], None, 2,
+         "gallery.name", f"gallery.name must be one of {_GALLERY}, got 'no_such_problem'"),
+    ],
     # a grid count that is not an integer, or an N too small for a claim's count, which no setting exposes
-    ("gallery-fractional-N", ["gallery", "--name", "degenerate_counterexample", '--gallery.params={"N": 2.5}'], None, 2,
-     "gallery.params.N", "gallery.params.N must be an integer, got 2.5"),
-    ("gallery-bool-N", ["gallery", "--name", "degenerate_counterexample", '--gallery.params={"N": true}'], None, 2,
-     "gallery.params.N", "gallery.params.N must be an integer, got True"),
-    ("gallery-float-m", ["gallery", "--name", "coupled_confining", '--gallery.params={"m": 2.0}'], None, 2,
-     "gallery.params.m", "gallery.params.m must be an integer, got 2.0"),
-    ("gallery-merge-k", ["gallery", "--name", "degenerate_counterexample", '--gallery.params={"N": 3}'], None, 2,
-     "gallery.params.N", "gallery.params.N=3 gives dimension 6, but claim 'merge' of problem "
-     "'degenerate_counterexample' needs 20 eigenvalues"),
-    ("gallery-sandwich-k", ["gallery", "--name", "coupled_confining", '--gallery.params={"N": 4}'], None, 2,
-     "gallery.params.N", "gallery.params.N=4 gives dimension 8, but claim 'sandwich' of problem "
-     "'coupled_confining' needs 10 eigenvalues"),
-    ("gallery-lowest-k", ["gallery", "--name", "harmonic_oscillator", '--gallery.params={"N": 4}'], None, 2,
-     "gallery.params.N", "gallery.params.N=4 gives dimension 4, but claim 'lowest_eigenvalues' of problem "
-     "'harmonic_oscillator' needs 5 eigenvalues"),
-    # a bare word, and a flag that only exists as a dotted key (gallery.check was removed)
-    ("token-bare", ["assemble", "positional"], None, 2, "positional", f"unrecognized argument 'positional' {_TOKEN}"),
-    ("token-check", ["gallery", "--name", "degenerate_counterexample", "--check", "merge"], None, 2, "--check",
-     f"unrecognized argument '--check' {_TOKEN}"),
-    # only validation knows the schema: it names the first unknown key (in sorted
-    # order) by its dotted path, and a kind block names its kind
-    ("file-missing", ["assemble", "--config", "missing.json"], None, 2, "missing.json",
-     "config file not found: missing.json"),
-    ("file-broken", ["assemble"], "{not json", 2, "config.json",
-     "config file config.json is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    ("file-list", ["assemble"], [1, 2], 2, "config.json", "config file config.json must contain a JSON object"),
-    ("file-grdi", ["assemble"], {"grdi": {"N": 3}}, 2, "grdi", "unknown config key 'grdi'"),
-    ("file-grid.M", ["assemble"], {"grid": {"M": 3}}, 2, "grid.M", "unknown config key 'grid.M'"),
-    ("file-grid.N-object", ["assemble"], {"grid": {"N": {"x": 3}}}, 2, "grid.N", "grid.N must be an integer"),
-    ("file-solver.alpha", ["assemble"], {"solver": {"k": 3, "zeta": 1, "alpha": 2}}, 2, "solver.alpha",
-     "unknown config key 'solver.alpha'"),
-    ("file-coefficients.w", ["assemble"], {"coefficients": {"w": {"kind": "zero"}}}, 2, "coefficients.w",
-     "unknown config key 'coefficients.w'"),
-    ("file-kind-key", ["assemble"], {"coefficients": {"v": {"kind": "harmonic", "scale": 1.0, "width": 2}}}, 2,
-     "coefficients.v", "unknown keys ['width'] for coefficients.v.kind='harmonic'"),
-    ("flag-grid.M", ["assemble", "--grid.M=3"], None, 2, "grid.M", "unknown config key 'grid.M'"),
-    ("flag-grdi", ["assemble", "--grdi.N=3"], None, 2, "grdi", "unknown config key 'grdi'"),
-    ("flag-grid.M.x", ["assemble", "--grid.M.x=3"], None, 2, "grid.M", "unknown config key 'grid.M'"),
-    ("flag-grid.N.x", ["assemble", "--grid.N.x=1"], None, 2, "grid.N", "config key 'grid.N' is not a section"),
-    ("section-grid", ["assemble", '--grid={"d": 1}'], None, 2, "grid", "missing config keys ['L', 'N', 'm'] in section 'grid'"),
-    ("section-solver", ["assemble", '--solver={"k": 3}'], None, 2, "solver",
-     "missing config keys ['method', 'tol'] in section 'solver'"),
+    "test_gallery_params_the_grid_cannot_hold_exit_2": [
+        ("fractional-N", ["gallery", "--name", "degenerate_counterexample", '--gallery.params={"N": 2.5}'], None, 2,
+         "gallery.params.N", "gallery.params.N must be an integer, got 2.5"),
+        ("bool-N", ["gallery", "--name", "degenerate_counterexample", '--gallery.params={"N": true}'], None, 2,
+         "gallery.params.N", "gallery.params.N must be an integer, got True"),
+        ("float-m", ["gallery", "--name", "coupled_confining", '--gallery.params={"m": 2.0}'], None, 2,
+         "gallery.params.m", "gallery.params.m must be an integer, got 2.0"),
+        ("merge-k", ["gallery", "--name", "degenerate_counterexample", '--gallery.params={"N": 3}'], None, 2,
+         "gallery.params.N", "gallery.params.N=3 gives dimension 6, but claim 'merge' of problem "
+         "'degenerate_counterexample' needs 20 eigenvalues"),
+        ("sandwich-k", ["gallery", "--name", "coupled_confining", '--gallery.params={"N": 4}'], None, 2,
+         "gallery.params.N", "gallery.params.N=4 gives dimension 8, but claim 'sandwich' of problem "
+         "'coupled_confining' needs 10 eigenvalues"),
+        ("lowest-k", ["gallery", "--name", "harmonic_oscillator", '--gallery.params={"N": 4}'], None, 2,
+         "gallery.params.N", "gallery.params.N=4 gives dimension 4, but claim 'lowest_eigenvalues' of problem "
+         "'harmonic_oscillator' needs 5 eigenvalues"),
+    ],
+    # unknown names, tokens, files, keys and checks, and two solver failures
+    "test_refusal": [
+        ("gallery-name-wat", ["gallery", "--name", "wat"], None, 2, "gallery.name",
+         f"gallery.name must be one of {_GALLERY}, got 'wat'"),
+        ("gallery-name-list", ["gallery", "--gallery.name=[1]"], None, 2, "gallery.name",
+         f"gallery.name must be one of {_GALLERY}, got [1]"),
+        # a bare word, and a flag that only exists as a dotted key (gallery.check was removed)
+        ("token-bare", ["assemble", "positional"], None, 2, "positional", f"unrecognized argument 'positional' {_TOKEN}"),
+        ("token-check", ["gallery", "--name", "degenerate_counterexample", "--check", "merge"], None, 2, "--check",
+         f"unrecognized argument '--check' {_TOKEN}"),
+        # only validation knows the schema: it names the first unknown key (in sorted
+        # order) by its dotted path, and a kind block names its kind
+        ("file-missing", ["assemble", "--config", "missing.json"], None, 2, "missing.json",
+         "config file not found: missing.json"),
+        ("file-broken", ["assemble"], "{not json", 2, "config.json", "config file config.json is not valid JSON: "
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("file-list", ["assemble"], [1, 2], 2, "config.json", "config file config.json must contain a JSON object"),
+        ("file-grdi", ["assemble"], {"grdi": {"N": 3}}, 2, "grdi", "unknown config key 'grdi'"),
+        ("file-grid.M", ["assemble"], {"grid": {"M": 3}}, 2, "grid.M", "unknown config key 'grid.M'"),
+        ("file-grid.N-object", ["assemble"], {"grid": {"N": {"x": 3}}}, 2, "grid.N", "grid.N must be an integer"),
+        ("file-solver.alpha", ["assemble"], {"solver": {"k": 3, "zeta": 1, "alpha": 2}}, 2, "solver.alpha",
+         "unknown config key 'solver.alpha'"),
+        ("file-coefficients.w", ["assemble"], {"coefficients": {"w": {"kind": "zero"}}}, 2, "coefficients.w",
+         "unknown config key 'coefficients.w'"),
+        ("file-kind-key", ["assemble"], {"coefficients": {"v": {"kind": "harmonic", "scale": 1.0, "width": 2}}}, 2,
+         "coefficients.v", "unknown keys ['width'] for coefficients.v.kind='harmonic'"),
+        ("flag-grid.M", ["assemble", "--grid.M=3"], None, 2, "grid.M", "unknown config key 'grid.M'"),
+        ("flag-grdi", ["assemble", "--grdi.N=3"], None, 2, "grdi", "unknown config key 'grdi'"),
+        ("flag-grid.M.x", ["assemble", "--grid.M.x=3"], None, 2, "grid.M", "unknown config key 'grid.M'"),
+        ("flag-grid.N.x", ["assemble", "--grid.N.x=1"], None, 2, "grid.N", "config key 'grid.N' is not a section"),
+        ("verify-unknown-check", ["verify", '--probes.checks=["nope"]'], None, 2, "probes.checks",
+         "probes.checks entries must be one of ['laplacian_spectrum', 'harmonic_oscillator', 'form_axioms', "
+         "'beurling_denny', 'contraction', 'positivity_dichotomy', 'eigenvalue_sandwich', 'counterexample_merge', "
+         "'antisymmetric_continuity', 'semigroup_structure', 'gallery_claims'], got ['nope']"),
+        ("kind-wat", ["assemble", "--coefficients.v.kind=wat"], None, 2, "coefficients.v.kind",
+         "coefficients.v.kind must be one of ['constant', 'harmonic', 'scaled_identity', 'zero'], got 'wat'"),
+        ("kind-impulse-width", _N8 + ['--evolve.initial_state={"kind": "impulse", "width": 0.5}'], None, 2,
+         "evolve.initial_state", "unknown keys ['width'] for evolve.initial_state.kind='impulse'"),
+        # solver failures: a Krylov tolerance below the roundoff e^{-tc} amplifies,
+        # and lambda_min(B) near -1810 makes the growth e^{-tB} overflow at t = 1
+        ("evolve-krylov-absurd-tolerance", ["evolve", "--grid.N=100", "--propagator.method=lanczos-expmv",
+                                            "--propagator.tol=1e-30"], None, 3, "Krylov propagator",
+         "Krylov propagator failed to meet tol=1e-30: roundoff amplified by e^(-tc) is 2.00e-13, "
+         "which no subspace enlargements can reduce"),
+        ("evolve-krylov-overflow", ["evolve", "--grid.d=2", "--grid.N=40", "--grid.m=2",
+                                    "--coefficients.v.kind=harmonic", "--coefficients.v.scale=-1000",
+                                    "--propagator.times=[1]"], None, 3, "lanczos-expmv",
+         "lanczos-expmv propagation overflows at t=1: the lower bound -1809.64 of B gives a growth e^(1809.64) "
+         "beyond the largest float"),
+    ],
+    "test_section_flag_missing_keys_is_config_error": [
+        ("""--grid={"d": 1}-['L', 'N', 'm']""", ["assemble", '--grid={"d": 1}'], None, 2, "grid",
+         "missing config keys ['L', 'N', 'm'] in section 'grid'"),
+        ("""--solver={"k": 3}-['method', 'tol']""", ["assemble", '--solver={"k": 3}'], None, 2, "solver",
+         "missing config keys ['method', 'tol'] in section 'solver'"),
+    ],
     # the Krylov subspace size is fixed, the merge reads k and tol_rel from its
     # claim, each check runs at its pinned sizes, every run writes all its files,
-    # the bracket is the eigenvalue_sandwich check's and the merge is the gallery's;
+    # the bracket is the eigenvalue_sandwich check's and the merge is the gallery's
+    "test_removed_settings_are_unknown_keys": [
+        (f"command{i}---{key}={value}", command + [f"--{key}={value}"], None, 2, key, f"unknown config key {key!r}")
+        for i, (command, key, value) in enumerate([
+            (["evolve"], "propagator.krylov_dim", "30"),
+            (["gallery", "--name", "degenerate_counterexample"], "gallery.k", "20"),
+            (["gallery", "--name", "degenerate_counterexample"], "gallery.tol_rel", "1e-8"),
+            (["verify"], "probes.params", "{}"), (["spectrum"], "output.formats", '["json"]'),
+            (["spectrum"], "solver.sandwich", "true"), (["gallery"], "gallery.check", "merge")])
+    ],
     # Crank-Nicolson and its step count are gone
-    *[(f"removed-{key}", command + [f"--{key}={value}"], None, 2, key, f"unknown config key {key!r}")
-      for command, key, value in [
-          (["evolve"], "propagator.krylov_dim", "30"), (["evolve"], "propagator.cn_steps", "256"),
-          (["gallery", "--name", "degenerate_counterexample"], "gallery.k", "20"),
-          (["gallery", "--name", "degenerate_counterexample"], "gallery.tol_rel", "1e-8"),
-          (["verify"], "probes.params", "{}"), (["spectrum"], "output.formats", '["json"]'),
-          (["spectrum"], "solver.sandwich", "true"), (["gallery"], "gallery.check", "merge")]],
-    ("removed-crank-nicolson", ["evolve", "--propagator.method=crank-nicolson"], None, 2, "propagator.method",
-     "propagator.method must be one of ['auto', 'exact-dense', 'lanczos-expmv'], got 'crank-nicolson'"),
+    "test_propagator_step_counts_must_be_integers": [
+        ("--propagator.method=crank-nicolson-propagator.method must be one of",
+         ["evolve", "--propagator.method=crank-nicolson"], None, 2, "propagator.method",
+         "propagator.method must be one of ['auto', 'exact-dense', 'lanczos-expmv'], got 'crank-nicolson'"),
+        ("--propagator.cn_steps=256-unknown config key 'propagator.cn_steps'", ["evolve", "--propagator.cn_steps=256"],
+         None, 2, "propagator.cn_steps", "unknown config key 'propagator.cn_steps'"),
+    ],
     # a looser tolerance let both runs pass with answers far from the default run's
-    ("loosened-spectrum", ["spectrum", "--grid.d=2", "--grid.N=30", "--grid.L=5", "--coefficients.v.kind=harmonic",
-                           "--coefficients.v.scale=1", "--solver.k=6", "--solver.method=lanczos", "--solver.tol=0.9"],
-     None, 2, "solver.tol", "solver.tol must be at most its default 1e-10, got 0.9"),
-    ("loosened-evolve", ["evolve", "--grid.d=2", "--grid.N=60", "--grid.L=5", "--coefficients.v.kind=harmonic",
-                         "--coefficients.v.scale=1", "--propagator.tol=0.5"],
-     None, 2, "propagator.tol", "propagator.tol must be at most its default 1e-10, got 0.5"),
+    "test_loosened_tolerance_exits_2": [
+        ("spectrum", ["spectrum", "--grid.d=2", "--grid.N=30", "--grid.L=5", "--coefficients.v.kind=harmonic",
+                      "--coefficients.v.scale=1", "--solver.k=6", "--solver.method=lanczos", "--solver.tol=0.9"],
+         None, 2, "solver.tol", "solver.tol must be at most its default 1e-10, got 0.9"),
+        ("evolve", ["evolve", "--grid.d=2", "--grid.N=60", "--grid.L=5", "--coefficients.v.kind=harmonic",
+                    "--coefficients.v.scale=1", "--propagator.tol=0.5"],
+         None, 2, "propagator.tol", "propagator.tol must be at most its default 1e-10, got 0.5"),
+    ],
     # wrongly typed flags, each named by its key
-    *[(f"flag-{flag.replace(' ', '')}", _N8 + [f"--{flag}"], None, 2, flag.split("=")[0], f"{flag.split('=')[0]} {message}")
-      for flag, message in [
-          ("solver.k=true", "must be an integer"), ("grid.m=true", "must be an integer"),
-          ("grid.d=true", "must be an integer"), ("grid.L=true", "must be a finite positive number"),
-          ("solver.tol=true", "must be a finite positive number"),
-          ("propagator.tol=true", "must be a finite positive number"),
-          ("propagator.times=[true]", "must be a nonempty list of numbers"),
-          ("propagator.p_list=[true]", "entries must be one of [1, 2, 4, 'inf'], got [True]"),
-          ("output.directory=5", "must be a string"),
-          ("propagator.times=[Infinity]", "entries must be finite, got [inf]"),
-          ("propagator.times=[0.1, NaN]", "entries must be finite, got [0.1, nan]"),
-          ("propagator.times=[1, 0.5]", "must be finite, nonnegative and strictly increasing, got (1.0, 0.5)"),
-          ("probes.checks=[]", "must be a nonempty list of distinct entries, got []"),
-          ('probes.checks=["contraction","contraction"]',
-           "must be a nonempty list of distinct entries, got ['contraction', 'contraction']"),
-          ("propagator.p_list=[2,2]", "must be a nonempty list of distinct entries, got [2, 2]"),
-          ("seed=-1", "must be a nonnegative integer")]],
-    ("verify-unknown-check", ["verify", '--probes.checks=["nope"]'], None, 2, "probes.checks",
-     "probes.checks entries must be one of ['laplacian_spectrum', 'harmonic_oscillator', 'form_axioms', "
-     "'beurling_denny', 'contraction', 'positivity_dichotomy', 'eigenvalue_sandwich', 'counterexample_merge', "
-     "'antisymmetric_continuity', 'semigroup_structure', 'gallery_claims'], got ['nope']"),
+    "test_wrongly_typed_flag_is_config_error": [
+        (f"--{flag}", _N8 + [f"--{flag}"], None, 2, flag.split("=")[0], f"{flag.split('=')[0]} {message}")
+        for flag, message in [
+            ("solver.k=true", "must be an integer"), ("grid.m=true", "must be an integer"),
+            ("grid.d=true", "must be an integer"), ("grid.L=true", "must be a finite positive number"),
+            ("solver.tol=true", "must be a finite positive number"),
+            ("propagator.tol=true", "must be a finite positive number"),
+            ("propagator.times=[true]", "must be a nonempty list of numbers"),
+            ("propagator.p_list=[true]", "entries must be one of [1, 2, 4, 'inf'], got [True]"),
+            ("output.directory=5", "must be a string"),
+            ("propagator.times=[Infinity]", "entries must be finite, got [inf]"),
+            ("propagator.times=[0.1, NaN]", "entries must be finite, got [0.1, nan]"),
+            ("propagator.times=[1, 0.5]", "must be finite, nonnegative and strictly increasing, got (1.0, 0.5)"),
+            ("probes.checks=[]", "must be a nonempty list of distinct entries, got []"),
+            ('probes.checks=["contraction","contraction"]',
+             "must be a nonempty list of distinct entries, got ['contraction', 'contraction']"),
+            ("propagator.p_list=[2,2]", "must be a nonempty list of distinct entries, got [2, 2]"),
+            ("seed=-1", "must be a nonnegative integer")]
+    ],
     # kind blocks: a key the kind needs, a key of the wrong type or of another kind,
     # and values out of range for the grid, which the state constructors refuse
-    *[(f"required-{block}.{key}", ["evolve", f"--{block}.kind={kind}"], None, 2, f"{block}",
-       f"{block}.{key} is required for {block}.kind={kind!r}")
-      for block, kind, key in [
-          ("coefficients.q", "scaled_identity", "value"), ("coefficients.q", "diagonal", "entries"),
-          ("coefficients.q", "constant", "matrix"), ("coefficients.v", "scaled_identity", "value"),
-          ("coefficients.v", "constant", "matrix"), ("coefficients.v", "harmonic", "scale"),
-          ("evolve.initial_state", "constant", "vector")]],
-    *[(f"kind-{flag[2:].replace(' ', '')}", _N8 + [flag], None, 2, setting, line) for flag, setting, line in [
-        ('--coefficients.v={"kind":"harmonic","scale":null}', "coefficients.v.scale",
-         "coefficients.v.scale must be a finite number, got None"),
-        ('--coefficients.v={"kind":"harmonic","scale":[1]}', "coefficients.v.scale",
-         "coefficients.v.scale must be a finite number, got [1]"),
-        ('--coefficients.q={"kind":"scaled_identity","value":{"a":1}}', "coefficients.q.value",
-         "coefficients.q.value must be a finite number, got {'a': 1}"),
-        ('--coefficients.v={"kind":"scaled_identity","value":"2"}', "coefficients.v.value",
-         "coefficients.v.value must be a finite number, got '2'"),
-        ('--coefficients.q={"kind":"diagonal","entries":[1,null]}', "coefficients.q.entries",
-         "coefficients.q.entries must be a list of finite numbers, got [1, None]"),
-        ('--coefficients.v={"kind":"constant","matrix":[1,2]}', "coefficients.v.matrix",
-         "coefficients.v.matrix must be a list of lists of finite numbers, got [1, 2]"),
-        ('--evolve.initial_state={"kind":"constant","vector":[true]}', "evolve.initial_state.vector",
-         "evolve.initial_state.vector must be a list of finite numbers, got [True]"),
-        ('--evolve.initial_state={"kind":"random","scale":"big"}', "evolve.initial_state.scale",
-         "evolve.initial_state.scale must be a finite number, got 'big'"),
-        ('--evolve.initial_state={"kind":"impulse","component":-1}', "evolve.initial_state.component",
-         "evolve.initial_state.component must be a nonnegative integer, got -1"),
-        ('--evolve.initial_state={"kind":"impulse","node":1.5}', "evolve.initial_state.node",
-         "evolve.initial_state.node must be null or a nonnegative integer, got 1.5"),
-        ('--evolve.initial_state={"kind":"bump","component":true}', "evolve.initial_state.component",
-         "evolve.initial_state.component must be null or a nonnegative integer, got True"),
-        ('--evolve.initial_state={"kind":"bump","width":0}', "evolve.initial_state.width",
-         "evolve.initial_state.width must be positive, got 0.0"),
-        ('--evolve.initial_state={"kind":"bump","component":1}', "evolve.initial_state.component",
-         "evolve.initial_state.component must be null or in [0, 1), got 1"),
-        ('--evolve.initial_state={"kind":"impulse","node":8}', "evolve.initial_state.node",
-         "evolve.initial_state.node must be in [0, 8), got 8"),
-        ('--evolve.initial_state={"kind":"impulse","component":1}', "evolve.initial_state.component",
-         "evolve.initial_state.component must be an integer below 1"),
-        ('--evolve.initial_state={"kind": "impulse", "width": 0.5}', "evolve.initial_state",
-         "unknown keys ['width'] for evolve.initial_state.kind='impulse'"),
-    ]],
-    ("kind-wat", ["assemble", "--coefficients.v.kind=wat"], None, 2, "coefficients.v.kind",
-     "coefficients.v.kind must be one of ['constant', 'harmonic', 'scaled_identity', 'zero'], got 'wat'"),
-    *[(f"kind-switch-{order}", ["evolve"] + flags, None, 2, "evolve.initial_state",
-       "unknown keys ['width'] for evolve.initial_state.kind='impulse'")
-      for order, flags in [
-          ("first", ["--evolve.initial_state.kind=impulse", "--evolve.initial_state.width=0.3"]),
-          ("last", ["--evolve.initial_state.width=0.3", "--evolve.initial_state.kind=impulse"])]],
+    "test_kind_switch_without_required_key_is_config_error": [
+        (f"{block}-{kind}-{key}", ["evolve", f"--{block}.kind={kind}"], None, 2, block,
+         f"{block}.{key} is required for {block}.kind={kind!r}")
+        for block, kind, key in [
+            ("coefficients.q", "scaled_identity", "value"), ("coefficients.q", "diagonal", "entries"),
+            ("coefficients.q", "constant", "matrix"), ("coefficients.v", "scaled_identity", "value"),
+            ("coefficients.v", "constant", "matrix"), ("coefficients.v", "harmonic", "scale"),
+            ("evolve.initial_state", "constant", "vector")]
+    ],
+    "test_wrongly_typed_kind_key_is_config_error": [
+        (f"{flag}-{line}", _N8 + [flag], None, 2, setting, line) for flag, setting, line in [
+            ('--coefficients.v={"kind":"harmonic","scale":null}', "coefficients.v.scale",
+             "coefficients.v.scale must be a finite number, got None"),
+            ('--coefficients.v={"kind":"harmonic","scale":[1]}', "coefficients.v.scale",
+             "coefficients.v.scale must be a finite number, got [1]"),
+            ('--coefficients.q={"kind":"scaled_identity","value":{"a":1}}', "coefficients.q.value",
+             "coefficients.q.value must be a finite number, got {'a': 1}"),
+            ('--coefficients.v={"kind":"scaled_identity","value":"2"}', "coefficients.v.value",
+             "coefficients.v.value must be a finite number, got '2'"),
+            ('--coefficients.q={"kind":"diagonal","entries":[1,null]}', "coefficients.q.entries",
+             "coefficients.q.entries must be a list of finite numbers, got [1, None]"),
+            ('--coefficients.v={"kind":"constant","matrix":[1,2]}', "coefficients.v.matrix",
+             "coefficients.v.matrix must be a list of lists of finite numbers, got [1, 2]"),
+            ('--evolve.initial_state={"kind":"constant","vector":[true]}', "evolve.initial_state.vector",
+             "evolve.initial_state.vector must be a list of finite numbers, got [True]"),
+            ('--evolve.initial_state={"kind":"random","scale":"big"}', "evolve.initial_state.scale",
+             "evolve.initial_state.scale must be a finite number, got 'big'"),
+            ('--evolve.initial_state={"kind":"impulse","component":-1}', "evolve.initial_state.component",
+             "evolve.initial_state.component must be a nonnegative integer, got -1"),
+            ('--evolve.initial_state={"kind":"impulse","node":1.5}', "evolve.initial_state.node",
+             "evolve.initial_state.node must be null or a nonnegative integer, got 1.5"),
+            ('--evolve.initial_state={"kind":"bump","component":true}', "evolve.initial_state.component",
+             "evolve.initial_state.component must be null or a nonnegative integer, got True"),
+            ('--evolve.initial_state={"kind":"bump","width":0}', "evolve.initial_state.width",
+             "evolve.initial_state.width must be positive, got 0.0"),
+            ('--evolve.initial_state={"kind":"bump","component":1}', "evolve.initial_state.component",
+             "evolve.initial_state.component must be null or in [0, 1), got 1"),
+            ('--evolve.initial_state={"kind":"impulse","node":8}', "evolve.initial_state.node",
+             "evolve.initial_state.node must be in [0, 8), got 8"),
+            ('--evolve.initial_state={"kind":"impulse","component":1}', "evolve.initial_state.component",
+             "evolve.initial_state.component must be an integer below 1"),
+        ]
+    ],
+    "test_dotted_kind_switch_rejects_user_key_of_old_kind": [
+        (str(kind_first), ["evolve"] + flags, None, 2, "evolve.initial_state",
+         "unknown keys ['width'] for evolve.initial_state.kind='impulse'")
+        for kind_first, flags in [
+            (True, ["--evolve.initial_state.kind=impulse", "--evolve.initial_state.width=0.3"]),
+            (False, ["--evolve.initial_state.width=0.3", "--evolve.initial_state.kind=impulse"])]
+    ],
     # coefficient shapes and ellipticity, on a d = 2, m = 3 grid
-    ("shape-q-entries", _SHAPE + ['--coefficients.q={"kind":"diagonal","entries":[1,2,3]}'], None, 2,
-     "coefficients.q.entries", "coefficients.q.entries must have 2 entries"),
-    ("shape-q-matrix", _SHAPE + ['--coefficients.q={"kind":"constant","matrix":[[1]]}'], None, 2,
-     "coefficients.q.matrix", "coefficients.q.matrix must be 2x2"),
-    ("shape-q-zero", _SHAPE + ['--coefficients.q={"kind":"scaled_identity","value":0}'], None, 2,
-     "coefficients.q", "diffusion samples (coefficients.q) are not uniformly elliptic (lower bound 0.000e+00)"),
-    ("shape-q-negative", _SHAPE + ['--coefficients.q={"kind":"diagonal","entries":[-1.0,2.0]}'], None, 2,
-     "coefficients.q", "diffusion samples (coefficients.q) are not uniformly elliptic (lower bound -1.000e+00)"),
-    ("shape-q-asymmetric", _SHAPE + ['--coefficients.q={"kind":"constant","matrix":[[1,0.5],[0,1]]}'], None, 2,
-     "coefficients.q", "diffusion samples (coefficients.q) are not symmetric (max asymmetry 5.000e-01)"),
-    ("shape-v-matrix", _SHAPE + ['--coefficients.v={"kind":"constant","matrix":[[1,0],[0,1]]}'], None, 2,
-     "coefficients.v.matrix", "coefficients.v.matrix must be 3x3"),
-    ("shape-v-asymmetric", _SHAPE + ['--coefficients.v={"kind":"constant","matrix":[[1,0.5,0],[0,1,0],[0,0,1]]}'],
-     None, 2, "coefficients.v",
-     "potential samples (coefficients.v) are not symmetric: operator assembly needs a symmetric V"),
+    "test_coefficient_shape_errors_exit_2": [
+        (f"{flag}-{line}", _SHAPE + [flag], None, 2, setting, line) for flag, setting, line in [
+            ('--coefficients.q={"kind":"diagonal","entries":[1,2,3]}', "coefficients.q.entries",
+             "coefficients.q.entries must have 2 entries"),
+            ('--coefficients.q={"kind":"constant","matrix":[[1]]}', "coefficients.q.matrix",
+             "coefficients.q.matrix must be 2x2"),
+            ('--coefficients.q={"kind":"scaled_identity","value":0}', "coefficients.q",
+             "diffusion samples (coefficients.q) are not uniformly elliptic (lower bound 0.000e+00)"),
+            ('--coefficients.q={"kind":"diagonal","entries":[-1.0,2.0]}', "coefficients.q",
+             "diffusion samples (coefficients.q) are not uniformly elliptic (lower bound -1.000e+00)"),
+            ('--coefficients.q={"kind":"constant","matrix":[[1,0.5],[0,1]]}', "coefficients.q",
+             "diffusion samples (coefficients.q) are not symmetric (max asymmetry 5.000e-01)"),
+            ('--coefficients.v={"kind":"constant","matrix":[[1,0],[0,1]]}', "coefficients.v.matrix",
+             "coefficients.v.matrix must be 3x3"),
+            ('--coefficients.v={"kind":"constant","matrix":[[1,0.5,0],[0,1,0],[0,0,1]]}', "coefficients.v",
+             "potential samples (coefficients.v) are not symmetric: operator assembly needs a symmetric V"),
+        ]
+    ],
     # past these checks, h^2 or B (or the closed form's eigenvalues) overflow or fall
     # below the normal floats: SciPy refuses infs, Lanczos writes NaN, and assemble,
     # the dense path or the closed form exits 0 with infinite, subnormal or wrong
     # eigenvalues, or all-zero snapshots (h^2 = inf gives eigenvalues of 0.0)
-    *[(f"{group}-{name}", argv + [f"--grid.L={L}"], None, 2, "grid.L", f"grid.L={float(L)!r} {_BOX}")
-      for group, L in [("box", "1e-200"), ("range", "2.5e-153")]
-      for name, argv in [("spectrum-tiny", ["spectrum"]), ("evolve-tiny", ["evolve"]), ("assemble-tiny", ["assemble"]),
-                         ("lanczos-tiny", ["spectrum", "--solver.method=lanczos"])]],
-    ("box-spectrum-huge", ["spectrum", "--grid.L=1e300"], None, 2, "grid.L", f"grid.L=1e+300 {_BOX}"),
-    ("range-spectrum-subnormal", ["spectrum", "--grid.d=2", "--grid.L=2e155"], None, 2, "grid.L", f"grid.L=2e+155 {_BOX}"),
-    ("range-evolve-measure", ["evolve", "--grid.d=2", "--grid.L=4.3e155"], None, 2, "grid.L", f"grid.L=4.3e+155 {_BOX}"),
-    ("range-spectrum-smallest-subnormal", ["spectrum", "--grid.L=3e154"], None, 2, "grid.L", f"grid.L=3e+154 {_BOX}"),
-    ("range-assemble-largest-overflows", ["assemble", "--grid.d=2", "--grid.L=5.2e-153"], None, 2, "grid.L",
-     f"grid.L=5.2e-153 {_BOX}"),
-    ("range-assemble-q", ["assemble"] + _Q_HUGE, None, 2, "coefficients.q", f"B overflows: {_LARGE}"),
-    ("range-spectrum-q", ["spectrum", "--grid.d=2"] + _Q_HUGE, None, 2, "coefficients.q", f"B's closed form overflows: {_LARGE}"),
-    ("range-evolve-closed-form-q", ["evolve", "--grid.d=2", "--grid.N=100"] + _Q_HUGE, None, 2, "coefficients.q",
-     f"B's closed form overflows: {_LARGE}"),
-    ("range-spectrum-closed-form-q", ["spectrum", "--grid.d=2", "--grid.N=100"] + _Q_HUGE, None, 2, "coefficients.q",
-     f"B's closed form overflows: {_LARGE}"),
-    ("range-assemble-q-2d", ["assemble", "--grid.d=2", "--grid.N=100"] + _Q_HUGE, None, 2, "coefficients.q",
-     f"B overflows: {_LARGE}"),
-    ("range-evolve-v", _N8 + ["--coefficients.v.kind=scaled_identity", "--coefficients.v.value=1e308"], None, 2,
-     "coefficients.v", "potential samples (coefficients.v) must be finite, and so must their symmetric part (M + M^T)/2"),
-    # S's entries q/h keep too few bits below the normal floats: the run passed
-    # at 1e-315 with eigenvalues 2.2e-10 off, and exited 1 at 1e-320
-    *[(f"range-subnormal-q-{q}", ["spectrum", "--coefficients.q.kind=scaled_identity", f"--coefficients.q.value={q}"],
-       None, 2, "coefficients.q", _SMALL) for q in ("1e-310", "1e-315", "1e-320")],
-    # solver failures: lambda_min(B) is near -1000 (-1810 for the harmonic V), so the
-    # growth e^{-tB} overflows at t = 1, raised before any work; and a Krylov
-    # tolerance below the roundoff e^{-tc} amplifies
-    ("evolve-krylov-absurd-tolerance", ["evolve", "--grid.N=100", "--propagator.method=lanczos-expmv",
-                                        "--propagator.tol=1e-30"], None, 3, "Krylov propagator",
-     "Krylov propagator failed to meet tol=1e-30: roundoff amplified by e^(-tc) is 2.00e-13, "
-     "which no subspace enlargements can reduce"),
-    ("evolve-exact-dense-overflow", ["evolve", '--coefficients.v={"kind":"scaled_identity","value":-1000}',
-                                     "--propagator.times=[1]"], None, 3, "exact-dense",
-     "exact-dense propagation overflows at t=1: the lower bound -997.533 of B gives a growth e^(997.533) "
-     "beyond the largest float"),
-    ("evolve-exact-separable-overflow", ["evolve", "--grid.d=2", "--grid.N=60",
-                                         '--coefficients.v={"kind":"scaled_identity","value":-1000}',
-                                         "--propagator.times=[1]"], None, 3, "exact-separable",
-     "exact-separable propagation overflows at t=1: the lower bound -995.066 of B gives a growth e^(995.066) "
-     "beyond the largest float"),
-    ("evolve-krylov-overflow", ["evolve", "--grid.d=2", "--grid.N=40", "--grid.m=2", "--coefficients.v.kind=harmonic",
-                                "--coefficients.v.scale=-1000", "--propagator.times=[1]"], None, 3, "lanczos-expmv",
-     "lanczos-expmv propagation overflows at t=1: the lower bound -1809.64 of B gives a growth e^(1809.64) "
-     "beyond the largest float"),
-]
+    "test_box_whose_spacing_powers_are_not_representable_exits_2": [
+        *[(name, argv + ["--grid.L=1e-200"], None, 2, "grid.L", f"grid.L=1e-200 {_BOX}") for name, argv in _TINY],
+        ("spectrum-huge", ["spectrum", "--grid.L=1e300"], None, 2, "grid.L", f"grid.L=1e+300 {_BOX}"),
+    ],
+    "test_an_operator_out_of_float_range_exits_2_naming_its_setting": [
+        *[(name, argv + ["--grid.L=2.5e-153"], None, 2, "grid.L", f"grid.L=2.5e-153 {_BOX}") for name, argv in _TINY],
+        ("spectrum-subnormal", ["spectrum", "--grid.d=2", "--grid.L=2e155"], None, 2, "grid.L", f"grid.L=2e+155 {_BOX}"),
+        ("evolve-measure", ["evolve", "--grid.d=2", "--grid.L=4.3e155"], None, 2, "grid.L", f"grid.L=4.3e+155 {_BOX}"),
+        ("spectrum-smallest-subnormal", ["spectrum", "--grid.L=3e154"], None, 2, "grid.L", f"grid.L=3e+154 {_BOX}"),
+        ("assemble-largest-overflows", ["assemble", "--grid.d=2", "--grid.L=5.2e-153"], None, 2, "grid.L",
+         f"grid.L=5.2e-153 {_BOX}"),
+        ("assemble-q", ["assemble"] + _Q_HUGE, None, 2, "coefficients.q", f"B overflows: {_LARGE}"),
+        ("spectrum-q", ["spectrum", "--grid.d=2"] + _Q_HUGE, None, 2, "coefficients.q",
+         f"B's closed form overflows: {_LARGE}"),
+        ("evolve-closed-form-q", ["evolve", "--grid.d=2", "--grid.N=100"] + _Q_HUGE, None, 2, "coefficients.q",
+         f"B's closed form overflows: {_LARGE}"),
+        ("spectrum-closed-form-q", ["spectrum", "--grid.d=2", "--grid.N=100"] + _Q_HUGE, None, 2, "coefficients.q",
+         f"B's closed form overflows: {_LARGE}"),
+        ("assemble-q-2d", ["assemble", "--grid.d=2", "--grid.N=100"] + _Q_HUGE, None, 2, "coefficients.q",
+         f"B overflows: {_LARGE}"),
+        ("evolve-v", _N8 + ["--coefficients.v.kind=scaled_identity", "--coefficients.v.value=1e308"], None, 2,
+         "coefficients.v",
+         "potential samples (coefficients.v) must be finite, and so must their symmetric part (M + M^T)/2"),
+        # S's entries q/h keep too few bits below the normal floats: the run passed
+        # at 1e-315 with eigenvalues 2.2e-10 off, and exited 1 at 1e-310 and 1e-320
+        *[(f"subnormal-q-{q}", ["spectrum", "--coefficients.q.kind=scaled_identity", f"--coefficients.q.value={q}"],
+           None, 2, "coefficients.q", _SMALL) for q in ("1e-310", "1e-315", "1e-320")],
+    ],
+    # lambda_min(B) is near -1000, so the growth e^{-tB} overflows at t = 1: a
+    # solver failure, raised before any work
+    "test_evolve_exact_overflow_exits_3_without_warnings": [
+        (f"grid_flags{i}-{method}", ["evolve"] + grid_flags + ['--coefficients.v={"kind":"scaled_identity","value":-1000}',
+                                                                "--propagator.times=[1]"], None, 3, method,
+         f"{method} propagation overflows at t=1: the lower bound {bound} of B gives a growth e^({-bound}) "
+         "beyond the largest float")
+        for i, (grid_flags, method, bound) in enumerate([
+            ([], "exact-dense", -997.533), (["--grid.d=2", "--grid.N=60"], "exact-separable", -995.066)])
+    ],
+}
 
 _INT = ("must be an integer", [True, 1.5, "3"])
 _FLOAT = ("must be a finite positive number", [True, 0, -1.0, float("inf"), float("nan"), "1e-8"])
@@ -407,8 +445,8 @@ _BAD_VALUES = {
 
 # each setting through a config file, since --seed=... is the argparse flag; no
 # --out, so output.directory is the value under test
-_REFUSALS += [
-    (f"setting-{setting}={json.dumps(value, separators=(',', ':'))}", ["assemble"],
+_REFUSALS["test_wrongly_typed_setting_is_config_error"] = [
+    ("-".join(map(repr, (setting, value, message))), ["assemble"],
      {section: {key: value}} if section else {key: value}, 2, f"{setting} {message}", None)
     for table in (_BAD_SETTINGS, _BAD_VALUES)
     for setting, (message, values) in table.items()
@@ -460,27 +498,34 @@ def _nameable(argv, payload):
     return found
 
 
-@pytest.mark.parametrize("argv, payload, code, names, line", [row[1:] for row in _REFUSALS], ids=[row[0] for row in _REFUSALS])
-def test_refusal(tmp_path, monkeypatch, capsys, recwarn, argv, payload, code, names, line):
-    # one stderr line and no warning; on exit 2 the line names the setting, token
-    # or file at fault; and the run writes resolved-config.json only if it got
-    # past resolution, and never verdicts.json or a NaN
-    monkeypatch.chdir(tmp_path)
-    if payload is not None:
-        Path("config.json").write_text(payload if isinstance(payload, str) else json.dumps(payload))
-        argv = argv + ["--config", "config.json"]
-    resolved, run = [], cli.run
-    monkeypatch.setattr(cli, "run", lambda subcommand, config: resolved.append(config) or run(subcommand, config))
-    assert cli.main(argv) == code
-    prefix = {2: "config error: ", 3: "solver failure: "}[code]
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1
-    assert names in err and (line is None or err == f"{prefix}{line}\n")
-    assert code == 3 or names.split()[0] in _nameable(argv, payload)
-    assert not recwarn.list
-    written = sorted(str(path) for path in Path().rglob("*") if path.is_file() and str(path) != "config.json")
-    assert written == [str(Path(config["output"]["directory"]) / "resolved-config.json") for config in resolved]
-    assert not any(b"NaN" in Path(path).read_bytes() or b"nan" in Path(path).read_bytes() for path in written)
+def _refusal_test(rows):
+    @pytest.mark.parametrize("argv, payload, code, names, line", [row[1:] for row in rows], ids=[row[0] for row in rows])
+    def test(tmp_path, monkeypatch, capsys, recwarn, argv, payload, code, names, line):
+        # one stderr line and no warning; on exit 2 the line names the setting, token
+        # or file at fault; and the run writes resolved-config.json only if it got
+        # past resolution, and never verdicts.json or a NaN
+        monkeypatch.chdir(tmp_path)
+        if payload is not None:
+            Path("config.json").write_text(payload if isinstance(payload, str) else json.dumps(payload))
+            argv = argv + ["--config", "config.json"]
+        resolved, run = [], cli.run
+        monkeypatch.setattr(cli, "run", lambda subcommand, config: resolved.append(config) or run(subcommand, config))
+        assert cli.main(argv) == code
+        prefix = {2: "config error: ", 3: "solver failure: "}[code]
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1
+        assert names in err and (line is None or err == f"{prefix}{line}\n")
+        assert code == 3 or names.split()[0] in _nameable(argv, payload)
+        assert not recwarn.list
+        written = sorted(str(path) for path in Path().rglob("*") if path.is_file() and str(path) != "config.json")
+        assert written == [str(Path(config["output"]["directory"]) / "resolved-config.json") for config in resolved]
+        assert not any(b"NaN" in Path(path).read_bytes() or b"nan" in Path(path).read_bytes() for path in written)
+    return test
+
+
+# each name of the table is one test over its rows
+for _name, _rows in _REFUSALS.items():
+    globals()[_name] = _refusal_test(_rows)
 
 
 def test_dotted_flags_beat_the_file_and_named_flags_beat_both(tmp_path, monkeypatch):

@@ -564,15 +564,17 @@ def _cmd_verify(config: dict, outdir: Path) -> list:
 
 
 def _cmd_gallery(config: dict, outdir: Path) -> list:
-    from .gallery import GALLERY, build_problem, list_gallery, validate_expected
+    from .gallery import GALLERY, list_gallery, validate_expected
 
-    block = config["gallery"]
-    if block["name"] is None:
+    block, name = config["gallery"], config["gallery"]["name"]
+    if name is None:
         _write_json(list_gallery(), outdir / "gallery.json")
         return [{"name": "gallery-list", "passed": True, "detail": {"problems": sorted(GALLERY)}}]
+    if not isinstance(name, str) or name not in GALLERY:
+        raise ConfigError(f"gallery.name must be one of {sorted(GALLERY)}, got {name!r}")
     try:
-        problem = build_problem(block["name"], **block["params"])
-    except TypeError as exc:  # e.g. a parameter the builder does not take
+        problem = GALLERY[name](**block["params"])
+    except (TypeError, ValueError) as exc:  # a parameter the builder does not take, or a value it refuses
         raise ConfigError(f"gallery.params: {exc}") from exc
     result = validate_expected(problem, seed=config["seed"])
     claims = result["claims"]

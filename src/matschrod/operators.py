@@ -207,24 +207,25 @@ class SymmetricOperator(FormAssembly):
         """B = S / h^d: S assembled once and scaled in place, then cached with its norm bound.
 
         Raises ``ValueError`` where B overflows, so that its norm bound is not
-        finite, and where a nonzero entry of S or of B is below the normal
-        floats, as ``GridSpec`` refuses such an h: it keeps too few bits.
+        finite, and where the largest entry of S or of B is below the normal
+        floats, as ``GridSpec`` refuses such an h: a subnormal entry beside a
+        normal one is rounded to within the unit roundoff of the largest, but
+        with none normal it is no longer small against B's norm.
         """
         if self._generator is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 b = _assemble_matrix(self)
-                # B's entries are S's times 1 / h^d, so S's must be at least tiny max(1, h^d)
-                floor = np.finfo(float).tiny * max(1.0, self.grid.cell_volume)
-                subnormal = any(np.any((band != 0.0) & (np.abs(band) < floor)) for band in b.bands)
+                # B's entries are S's times 1 / h^d, so S's largest must reach tiny max(1, h^d)
+                # (by max and min: the magnitudes of every band would be a copy of B)
+                largest = max(b.bands.max(), -b.bands.min())
+                subnormal = largest < np.finfo(float).tiny * max(1.0, self.grid.cell_volume)
                 # SciPy divides a sparse matrix by a scalar as a product with its reciprocal
                 b.bands *= 1.0 / self.grid.cell_volume
                 bound = float(np.max(b.abs_row_sums()))
             if not np.isfinite(bound):
                 raise ValueError("B overflows: coefficients.q or coefficients.v is too large for grid.L")
             if subnormal:
-                raise ValueError(
-                    "S or B has entries below the normal floats: coefficients.q or coefficients.v is too small for grid.L"
-                )
+                raise ValueError("S or B underflows: coefficients.q or coefficients.v is too small for grid.L")
             self._generator, self._norm_bound = b, bound
         return self._generator
 

@@ -59,7 +59,7 @@ def test_coupling_eigenbasis_diagonalizes_exactly():
 def test_build_problem_lookup_and_params():
     problem = build_problem("harmonic_oscillator", N=100, L=6.0)
     assert problem.potential.grid == build_grid(1, 6.0, 100, 1)
-    with pytest.raises(ValueError, match="gallery.name must be one of"):
+    with pytest.raises(ValueError, match="unknown gallery problem"):
         build_problem("hydrogen")
 
 

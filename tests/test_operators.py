@@ -519,6 +519,22 @@ def test_generator_scaling_and_norm_bound():
     assert op.dense_eig() is op.dense_eig()  # cached
 
 
+def test_generator_keeps_subnormal_entries_beside_normal_ones():
+    # a Gaussian coupling on a wide box passes through the subnormal floats,
+    # which round to within the unit roundoff of B's largest entry; only an S
+    # or B with no normal entry is refused
+    grid = build_grid(1, 27.0, 160, 2)
+
+    def v_fn(x):
+        w, base = 0.8 * np.exp(-(x[0] ** 2)), 1.0 + x[0] ** 2
+        return np.array([[base, w], [w, base]])
+
+    op = assemble_operator(assemble_form(*sample_fields(lambda x: np.eye(1), v_fn, grid), grid))
+    coupling = op.generator().bands[op.generator().offsets.index(-grid.n_nodes)]
+    assert 0 < np.min(np.abs(coupling[coupling != 0])) < np.finfo(float).tiny
+    np.testing.assert_allclose(op.generator().toarray(), op.matrix.toarray() / grid.cell_volume, rtol=1e-15)
+
+
 # -- eigensolvers ----------------------------------------------------------------
 
 

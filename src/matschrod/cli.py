@@ -535,6 +535,10 @@ def _cmd_evolve(config: dict, outdir: Path) -> list:
     f0 = _initial_state(config["evolve"]["initial_state"], op.grid, config["seed"])
     snapshots = [(0.0, f0)] + [(t, propagate(op, f0, t, prop)) for t in prop.times]
     trace = _norm_ratio_records(op, f0, prop.p_list, snapshots[1:])
+    # a norm past the largest float reads inf, and its ratio 0 or NaN
+    past = sorted({rec["p"] for rec in trace if max(rec["norm_in"], rec["norm_out"]) == np.inf})
+    _expect(not past, f"evolve.initial_state has an L^p norm past the largest float at p = "
+            f"{', '.join(f'{p:g}' for p in past)} of propagator.p_list: scale the state down or drop those p")
     columns = ["t", "p", "norm_in", "norm_out", "ratio", "guaranteed"]
     _write_csv(outdir / "probes.csv", columns, ([_jsonable(rec[c]) for c in columns] for rec in trace))
     _write_snapshots(snapshots, op.grid, outdir / "snapshots.csv")

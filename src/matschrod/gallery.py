@@ -385,6 +385,9 @@ def _antisym_ratio(n: int, points: int) -> dict:
 
 #: quadrature points on [-2n, 2n] at the largest scale n of the demo
 _QUAD_POINTS = 80001
+#: the largest scale the demo takes: past n = 200 the step is capped at 0.01, so scale n
+#: takes 800n + 1 points in the halving pass, and n = 1000 peaked 64 MiB above the start
+_MAX_SCALE = 1000
 
 
 def antisymmetric_continuity_demo(n_list=(1, 5, 10, 50, 100)) -> list:
@@ -394,7 +397,8 @@ def antisymmetric_continuity_demo(n_list=(1, 5, 10, 50, 100)) -> list:
     2-norm) are evaluated by Simpson quadrature on [-2n, 2n]; the step is
     derived from ``_QUAD_POINTS`` at the largest n (capped at 0.01) and every
     ratio is re-evaluated at half the step — a relative disagreement beyond
-    1% raises QuadratureError.  Returns one record per n with the refined
+    1% raises QuadratureError.  A scale above ``_MAX_SCALE`` is refused
+    before any array is made.  Returns one record per n with the refined
     ratio; the ratios grow like log n, so no graph-norm bound can hold.
     """
     n_list = [int(n) for n in n_list]
@@ -402,6 +406,11 @@ def antisymmetric_continuity_demo(n_list=(1, 5, 10, 50, 100)) -> list:
         a >= b for a, b in zip(n_list, n_list[1:])
     ):
         raise ValueError(f"need strictly increasing positive scales, got {n_list}")
+    if n_list[-1] > _MAX_SCALE:
+        raise ValueError(
+            f"n_list scales must be at most {_MAX_SCALE}, got {n_list[-1]}: at step 0.01 "
+            "a scale n takes 800n + 1 quadrature points"
+        )
     step = min(0.01, 4.0 * max(n_list) / (_QUAD_POINTS - 1))
     records = []
     for n in n_list:

@@ -356,7 +356,12 @@ class VectorState:
 
     @classmethod
     def random(cls, grid: GridSpec, rng: np.random.Generator, scale: float = 1.0) -> "VectorState":
-        return cls(grid, scale * rng.standard_normal((grid.m, grid.n_nodes)))
+        """``scale`` times a standard normal draw; a product past the largest float is refused."""
+        with np.errstate(over="ignore"):
+            values = scale * rng.standard_normal((grid.m, grid.n_nodes))
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"evolve.initial_state.scale={scale!r} overflows a state entry past the largest float")
+        return cls(grid, values)
 
     def flat(self) -> np.ndarray:
         """Component-major vector of length m * N^d (read-only view)."""

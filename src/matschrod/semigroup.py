@@ -120,16 +120,22 @@ def default_config(op: SymmetricOperator, **kwargs) -> PropagatorConfig:
 
 #: below this largest entry, eps max|f| is subnormal and a state is propagated scaled
 _TINY = 2.0**-970
+#: at or above this largest entry a state is propagated scaled too: below it a
+#: sum of squares of entries (each under 2^800) stays finite over 2^223 of them,
+#: more than any state holds, so every norm the propagators take is finite
+_HUGE = 2.0**400
 
 
 def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: PropagatorConfig | None = None) -> VectorState:
     """Apply e^{-tB} to a state.
 
-    A state whose largest entry is below 2^-970 is propagated scaled by a
-    power of 2 that brings that entry into [1/2, 1), and scaled back after:
-    unscaled, its roundoff eps max|f| would be subnormal, as coarse as
-    5e-4 of a 1e-320 state.  Both scalings are exact or round monotonically,
-    so a contracting result stays within its input.
+    A state whose largest entry is below 2^-970, or at least 2^400, is
+    propagated scaled by a power of 2 that brings that entry into [1/2, 1),
+    and scaled back after: unscaled, the roundoff eps max|f| of a tiny state
+    would be subnormal, as coarse as 5e-4 of a 1e-320 state, and the squares
+    in a huge state's norms would overflow.  Both scalings are exact or round
+    monotonically, so a contracting result stays within its input.  A result
+    that overflows once scaled back raises ConvergenceError.
 
     A failure raises ConvergenceError whose ``partial`` is
     ``{"state": ..., "t_reached": ...}``, the furthest certified point (f0
@@ -145,7 +151,7 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
         config = default_config(op)
     x = f0.flat().copy()
     peak = max(x.max(), -x.min())
-    scale = -int(np.frexp(peak)[1]) if 0.0 < peak < _TINY else 0
+    scale = -int(np.frexp(peak)[1]) if 0.0 < peak < _TINY or peak >= _HUGE else 0
     if scale:
         x = np.ldexp(x, scale)
     if config.method == "exact-dense":
@@ -172,7 +178,15 @@ def propagate(op: SymmetricOperator, f0: VectorState, t: float, config: Propagat
             values, t_reached = exc.partial
             exc.partial = {"state": f0.with_values(np.ldexp(values, -scale)), "t_reached": t_reached}
             raise
-    return f0.with_values(np.ldexp(y, -scale) if scale else y)
+    if scale:
+        # frexp's exponent e puts max|y| below 2^e, and 2^(e - scale) at most 2^1024 is finite
+        if np.frexp(max(y.max(), -y.min()))[1] - scale > 1024:
+            raise ConvergenceError(
+                f"{config.method} propagation overflows at t={t:g}: e^(-tB) f0 has an entry beyond the largest float",
+                partial={"state": f0.with_values(f0.values), "t_reached": 0.0},
+            )
+        y = np.ldexp(y, -scale)
+    return f0.with_values(y)
 
 
 def _require_finite_growth(f0, t, lam, method):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -50,92 +51,217 @@ def test_seed_flag_lands_in_verdicts(tmp_path):
     assert _read_json(tmp_path / "verdicts.json")["seed"] == 7
 
 
-# -- spectrum ---------------------------------------------------------------------
+# -- the oracle table: every exit 0 of spectrum and evolve ---------------------------
+
+#: the flag of a run that passes its own certificate with a wrong spectrum
+_ITEM_2 = "wrong spectrum, ROADMAP item 2"
 
 
-def test_spectrum_matches_closed_form(tmp_path):
-    rc = cli.main(["spectrum", "--out", str(tmp_path), "--grid.N=64", "--solver.k=12"])
-    assert rc == 0
-    with open(tmp_path / "spectrum.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    computed = np.array([float(r[1]) for r in rows])
-    h = 2.0 / 65
-    k = np.arange(1, 13)
-    expected = (4.0 / h**2) * np.sin(k * np.pi / (2.0 * 65)) ** 2
-    np.testing.assert_allclose(computed, expected, rtol=1e-10)
-    detail = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]
-    assert detail["method"] == "dense"
-    assert detail["shift"] is None
+class _Run(NamedTuple):
+    # id is None in a test that was not parametrized; rtol tightens the oracle's bound,
+    # detail pins entries of the verdict's detail, and a flagged run must disagree with the oracle
+    id: str | None
+    argv: list
+    method: str
+    passed: bool | None = True
+    shift: float | None = None
+    rtol: float | None = None
+    detail: dict = {}
+    flag: str | None = None
 
 
-@pytest.mark.parametrize(
-    "flags, method, shift",
-    [
-        # constant coefficients: read off the closed form, every copy of -37.67
-        (["--grid.d=2", "--grid.N=61", "--coefficients.v.kind=scaled_identity",
-          "--coefficients.v.value=-50", "--solver.k=4"], "separable", None),
-        # harmonic V: shift-invert Lanczos on the sparse LU of B + I
-        (["--grid.d=2", "--grid.N=20", "--coefficients.v.kind=harmonic",
-          "--coefficients.v.scale=1", "--solver.k=4"], "lanczos", -1.0),
-    ],
-    ids=["separable", "splu"],
-)
-def test_spectrum_verdict_echoes_the_lanczos_solve(tmp_path, flags, method, shift):
-    rc = cli.main(["spectrum", "--out", str(tmp_path), "--solver.method=lanczos"] + flags)
-    assert rc == 0
-    detail = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]
-    assert (detail["method"], detail["shift"]) == (method, shift)
-    assert not {"solve", "restarts", "certified_count"} & set(detail)
-    if method == "separable":
-        np.testing.assert_allclose(detail["eigenvalues"][1:3], [-37.67, -37.67], atol=5e-3)
+_HARMONIC_2D = ["--grid.d=2", "--coefficients.v.kind=harmonic"]
+_NEGATIVE = ["spectrum", *_HARMONIC_2D, "--grid.N=10", "--coefficients.v.scale=-400", "--solver.k=6"]
+_CONSTANT_STATE = "--evolve.initial_state.kind=constant"
+_KRYLOV = ["evolve", *_HARMONIC_2D, "--grid.N=30", "--coefficients.v.scale=1.0", "--propagator.method=lanczos-expmv",
+           _CONSTANT_STATE, "--evolve.initial_state.vector=[1e200]"]
+
+#: the oracle table: each test name maps to its runs, and the one test body
+#: below checks each run against an oracle that does not read matschrod's B
+_ORACLE_RUNS = {
+    "test_spectrum_matches_closed_form": [
+        _Run(None, ["spectrum", "--grid.N=64", "--solver.k=12"], "dense", rtol=1e-10)],
+    "test_spectrum_csv_roundtrip": [_Run(None, ["spectrum", "--grid.N=20", "--solver.k=5"], "dense")],
+    # forced Lanczos reads constant coefficients off the closed form; for a harmonic V
+    # its shift-invert solve on the sparse LU of B + I misses a copy of 12.66997861
+    "test_spectrum_verdict_echoes_the_lanczos_solve": [
+        _Run("separable", ["spectrum", "--solver.method=lanczos", "--grid.d=2", "--grid.N=61", "--solver.k=4",
+                           "--coefficients.v.kind=scaled_identity", "--coefficients.v.value=-50"], "separable"),
+        _Run("splu", ["spectrum", "--solver.method=lanczos", *_HARMONIC_2D, "--grid.N=20", "--coefficients.v.scale=1",
+                      "--solver.k=4"], "lanczos", shift=-1.0, flag=_ITEM_2)],
+    # dimension 100: Lanczos misses a copy of -320.332339
+    "test_forced_lanczos_keeps_the_multiplicities_of_a_strongly_negative_potential": [
+        _Run(None, _NEGATIVE + ["--solver.method=dense"], "dense"),
+        _Run(None, _NEGATIVE + ["--solver.method=lanczos"], "lanczos", shift=-536.5371900826448, flag=_ITEM_2)],
+    # CI's LU Lanczos command, dimension 4,096: Lanczos misses a copy of 22.66824
+    "test_lanczos_keeps_the_multiplicities_of_the_3d_harmonic_oscillator": [
+        _Run(None, ["spectrum", "--grid.d=3", "--grid.N=16", "--coefficients.v.kind=harmonic",
+                    "--coefficients.v.scale=1.0", "--solver.k=8"], "lanczos", shift=-1.0, flag=_ITEM_2)],
+    # residuals measured on scaled copies at ||B|| = 1.9e300 and 4.2e-197
+    "test_residuals_are_measured_at_both_ends_of_the_float_range": [
+        _Run("huge", ["spectrum", *_HARMONIC_2D, "--grid.N=20", "--coefficients.v.scale=1e300"], "dense",
+             detail={"max_residual": 1.5888440662648427e+284}),
+        _Run("tiny", ["spectrum", "--coefficients.q.kind=scaled_identity", "--coefficients.q.value=1e-200"], "dense",
+             detail={"max_residual": 5.9229875951624167e-213})],
+    # (B + I)^-1 maps unit vectors near 1e-300; Lanczos misses three copies of 9.80296049e296
+    "test_lanczos_certifies_an_operator_near_the_top_of_the_float_range": [
+        _Run(None, ["spectrum", *_HARMONIC_2D, "--grid.N=100", "--coefficients.v.scale=1e300"], "lanczos",
+             shift=-1.0, detail={"matrix_norm": 1.9215763160474465e+300}, flag=_ITEM_2)],
+    # past 2^500 and below 2^-500 a tridiagonal B goes to dense eigh, as bisection squares it
+    "test_dense_spectrum_of_a_huge_tridiagonal_b_matches_its_closed_form": [
+        _Run(None, ["spectrum", "--coefficients.q.kind=scaled_identity", f"--coefficients.q.value={q}"], "dense",
+             rtol=1e-12) for q in ("1e200", "1e-200")],
+    "test_evolve_artifacts_and_contraction": [_Run(None, ["evolve", "--grid.N=48", "--coefficients.v.kind=harmonic",
+                                                          "--coefficients.v.scale=1.0"], "exact-dense")],
+    # no ratio is guaranteed to be at most 1, so the verdict is null with a reason
+    "test_evolve_contraction_with_nothing_gated_is_null": [
+        _Run("zero-state", ["evolve", '--evolve.initial_state={"kind":"random","scale":0}'], "exact-dense",
+             passed=None, detail={"reason": "the initial state is zero"}),
+        _Run("negative-potential", ["evolve", '--coefficients.v={"kind":"scaled_identity","value":-3}'],
+             "exact-dense", passed=None, detail={"reason": "no (t, p) is guaranteed to contract: that needs a PSD "
+                                                           "potential, and for p != 2 also a diagonal diffusion"})],
+    "test_evolve_zero_state_guarantees_no_row": [
+        _Run(None, ["evolve", "--grid.N=16", '--evolve.initial_state={"kind":"constant","vector":[0.0]}'],
+             "exact-dense", passed=None, detail={"reason": "the initial state is zero"})],
+    # the squares of a 1e-200 state underflow; the contraction probe must still see it
+    "test_evolve_tiny_state_has_nonzero_norms": [
+        _Run(None, ["evolve", "--grid.d=3", "--grid.N=10", "--grid.m=2",
+                    '--evolve.initial_state={"kind": "random", "scale": 1e-200}'], "exact-dense")],
+    "test_oracle": [
+        # close pairs, as V is even and no node sits at 0: Lanczos misses a copy of 155552075.866
+        _Run("d1-close-pair", ["spectrum", "--grid.N=400", "--grid.L=1", "--coefficients.v.kind=harmonic",
+                               "--coefficients.v.scale=1e12", "--solver.k=6", "--solver.method=lanczos"],
+             "lanczos", shift=-1.0, flag=_ITEM_2),
+        # huge states, propagated scaled; a 1e308 state's L^1 norm overflows (a refusal row)
+        _Run("huge-state-krylov-polynomial", _KRYLOV + ["--propagator.times=[0.01]"], "lanczos-expmv"),
+        _Run("huge-state-krylov-shift-invert", _KRYLOV + ["--propagator.times=[10.0]"], "lanczos-expmv"),
+        *[_Run(f"huge-state-{method}", ["evolve", *grid, _CONSTANT_STATE, "--evolve.initial_state.vector=[1e308]",
+                                        '--propagator.p_list=[4,"inf"]'], method)
+          for method, grid in [("exact-dense", []), ("exact-separable", ["--grid.d=2", "--grid.N=60"])]]],
+}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="forced Lanczos drops a copy of -320.332339 (ROADMAP item 2)")
-def test_forced_lanczos_keeps_the_multiplicities_of_a_strongly_negative_potential(tmp_path):
-    # dimension 100, so dense eigh is the oracle.  Lanczos returns -320.332339
-    # and -320.332318 where dense has -320.332339 twice, and still passes its
-    # residual check
-    spectra = {}
-    for method in ("dense", "lanczos"):
-        out = tmp_path / method
-        args = ["spectrum", "--grid.d=2", "--grid.N=10", "--coefficients.v.kind=harmonic",
-                "--coefficients.v.scale=-400", "--solver.k=6", f"--solver.method={method}", "--out", str(out)]
-        assert cli.main(args) == 0
-        record = _read_json(out / "verdicts.json")["records"][0]
-        assert record["passed"] is True and record["detail"]["method"] == method
-        spectra[method] = record["detail"]
-    bound = cli.DEFAULT_CONFIG["solver"]["tol"] * spectra["lanczos"]["matrix_norm"]
-    np.testing.assert_allclose(spectra["lanczos"]["eigenvalues"], spectra["dense"]["eigenvalues"], rtol=0, atol=bound)
+def _axis_factor(config):
+    """Eigenpairs of T, B's factor along each axis, and B's constant part v0: for Q = q I and V = (v0 + s|x|^2) I_m,
+    B is the Kronecker sum over the axes of T = (q/h^2) tridiag(-1, 2, -1) + s diag(x^2), plus v0 on each component.
+    T is solved on a copy scaled by a power of 2, so its squares stay in range at both ends of the float range."""
+    grid, q, v = config["grid"], config["coefficients"]["q"], config["coefficients"]["v"]
+    assert q["kind"] in ("identity", "scaled_identity") and v["kind"] in ("zero", "scaled_identity", "harmonic")
+    h = 2.0 * grid["L"] / (grid["N"] + 1)
+    c, x = q.get("value", 1.0) / h**2, -grid["L"] + h * np.arange(1, grid["N"] + 1)
+    diag, e = 2.0 * c + v.get("scale", 0.0) * x**2, np.full(grid["N"] - 1, -c)
+    p = int(np.frexp(max(np.abs(diag).max(), c))[1])
+    lam, u = scipy.linalg.eigh_tridiagonal(np.ldexp(diag, -p), np.ldexp(e, -p))
+    return np.ldexp(lam, p), u, v.get("value", 0.0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="LU Lanczos drops a copy of 22.66824 (ROADMAP item 2)")
-def test_lanczos_keeps_the_multiplicities_of_the_3d_harmonic_oscillator(tmp_path):
-    # CI's LU Lanczos command, dimension 4,096.  V = |x|^2 splits by axis, so
-    # the spectrum is the Kronecker sum of three 1-d spectra: 2/h^2 + x^2 on
-    # the diagonal, -1/h^2 off it.  Lanczos returns 22.66824 and 27.13417
-    # twice each, where the oracle has 22.66824 three times, then 27.13417
-    args = ["spectrum", "--grid.d=3", "--grid.N=16", "--coefficients.v.kind=harmonic",
-            "--coefficients.v.scale=1.0", "--solver.k=8", "--out", str(tmp_path)]
-    assert cli.main(args) == 0
-    detail = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]
-    assert detail["method"] == "lanczos"
-    grid = matschrod.build_grid(3, 1.0, 16, 1)
-    x = grid.axis_nodes()
-    line = scipy.linalg.eigh_tridiagonal(2.0 / grid.h**2 + x**2, np.full(grid.N - 1, -1.0 / grid.h**2), eigvals_only=True)
-    exact = np.sort((line[:, None, None] + line[None, :, None] + line[None, None, :]).ravel())[:8]
-    bound = cli.DEFAULT_CONFIG["solver"]["tol"] * detail["matrix_norm"]
-    np.testing.assert_allclose(detail["eigenvalues"], exact, rtol=0, atol=bound)
+def _spectrum_oracle(config):
+    """The solver.k lowest eigenvalues of B, with multiplicity: sums of one level per axis."""
+    k, d, m = config["solver"]["k"], config["grid"]["d"], config["grid"]["m"]
+    lam, _, v0 = _axis_factor(config)
+    sums = lam[:k]
+    for _ in range(d - 1):
+        sums = np.sort(np.add.outer(sums, lam[:k]), axis=None)[:k]
+    return np.sort(np.repeat(sums + v0, m))[:k]
 
 
-def test_spectrum_csv_roundtrip(tmp_path):
-    op = cli._build_operator(cli.resolve_config(None, [("grid.N", 20)]))
-    report = matschrod.eigen_lowest(op, 5)
-    assert cli.main(["spectrum", "--out", str(tmp_path), "--grid.N=20", "--solver.k=5"]) == 0
-    with open(tmp_path / "spectrum.csv", newline="") as fh:
+def _evolve_oracle(config, f0, times):
+    """e^{-tB} f0 at each t of times, for f0 of shape (m, N, .., N): one factor e^{-tT} per axis."""
+    lam, u, v0 = _axis_factor(config)
+    for t in times:
+        ft, factor = f0, (u * np.exp(-t * lam)) @ u.T
+        for axis in range(1, f0.ndim):
+            ft = np.moveaxis(np.tensordot(factor, ft, axes=(1, axis)), 0, axis)
+        yield ft * np.exp(-t * v0)
+
+
+def _spectrum_agrees(out, config, detail, rtol):
+    """Check spectrum.csv against the verdict and its certificate; whether the oracle agrees."""
+    with open(out / "spectrum.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["index", "eigenvalue", "residual"]
-    values = np.array([float(r[1]) for r in rows[1:]])
-    np.testing.assert_array_equal(values, report.eigenvalues)  # repr() is lossless
+    assert rows[0] == ["index", "eigenvalue", "residual"] and len(rows) == 1 + config["solver"]["k"]
+    assert [row[0] for row in rows[1:]] == [str(i) for i in range(len(rows) - 1)]
+    eigenvalues, residuals = np.array([row[1:] for row in rows[1:]], dtype=float).T
+    bound = config["solver"]["tol"] * detail["matrix_norm"]
+    assert eigenvalues.tolist() == detail["eigenvalues"] and residuals.max() == detail["max_residual"] <= bound
+    # index by index, so a dropped copy fails
+    oracle = _spectrum_oracle(config)
+    gap = np.abs(eigenvalues - oracle)
+    return bool(np.all(gap <= bound) and (rtol is None or np.all(gap <= rtol * np.abs(oracle))))
+
+
+def _evolve_agrees(out, config, detail, passed):
+    """Check probes.csv, snapshots.csv and norms.dat against the verdict; whether the oracle agrees."""
+    grid, (times, p_list, tol) = config["grid"], map(config["propagator"].get, ("times", "p_list", "tol"))
+    with open(out / "probes.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["t"], row["p"]) for row in rows] == [
+        (repr(float(t)), "inf" if p == "inf" else repr(float(p))) for t in times for p in p_list]
+    snapshots = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=1)
+    # the reshape takes exactly (1 + |times|) m n rows
+    states = snapshots[:, -1].reshape((1 + len(times), grid["m"]) + (grid["N"],) * grid["d"])
+    assert np.all(np.isfinite(snapshots)) and np.array_equal(snapshots[:, 0], np.repeat([0.0] + times, states[0].size))
+    # a zero state has no ratio and guarantees nothing; a nonzero one has positive norms
+    norms = np.array([[row["norm_in"], row["norm_out"]] for row in rows], dtype=float)
+    assert np.all(np.isfinite(norms)) and np.array_equal(norms > 0, [[states[0].any(), state.any()]
+                                                                     for state in states[1:] for _ in p_list])
+    ratios = [float(row["ratio"]) for row in rows if row["ratio"]]
+    assert np.all(np.isfinite(ratios)) and len(ratios) == np.count_nonzero(norms[:, 0])
+    # Q = q I is diagonal, so the rows with a ratio are all guaranteed (V is PSD, and the verdict gates) or none
+    assert [row["guaranteed"] for row in rows] == [str(bool(row["ratio"]) and passed is True) for row in rows]
+    assert passed is None or max(ratios) <= 1.0 + 1e-8
+    assert detail["max_ratio"] == max(ratios, default=None) and detail["violations"] == 0
+    lines = (out / "norms.dat").read_text().splitlines()
+    assert lines[0].startswith("# t") and len(lines) == (1 + len(times) if ratios else 1)
+    assert "inf" not in "".join(lines[1:])
+    # within the propagator's budget plus perfbench's roundoff allowance, on copies
+    # scaled by the power of 2 that brings f0's largest entry into [1/2, 1)
+    e = int(np.frexp(np.abs(states[0]).max())[1])
+    f0 = np.ldexp(states[0], -e)
+    budget = (tol + 1e-11) * np.linalg.norm(f0)
+    return all(np.linalg.norm(np.ldexp(state, -e) - exact) <= budget
+               for state, exact in zip(states, _evolve_oracle(config, f0, [0.0] + times)))
+
+
+def _check_run(out, capsys, recwarn, run):
+    # exit 0 with nothing printed and no warning, no NaN or infinity written (verdicts.json writes one as
+    # the string "inf"), one verdict as the row says, and the oracle agrees unless the row is flagged
+    subcommand = run.argv[0]
+    assert cli.main([subcommand, "--out", str(out)] + run.argv[1:]) == 0
+    assert capsys.readouterr() == ("", "") and not recwarn.list
+    assert not any(b"NaN" in path.read_bytes() or b"nan" in path.read_bytes() for path in out.iterdir())
+    assert b"inf" not in (out / "verdicts.json").read_bytes()
+    config, verdicts = _read_json(out / "resolved-config.json"), _read_json(out / "verdicts.json")
+    name, keys = {"spectrum": ("spectrum", {"eigenvalues", "max_residual", "matrix_norm", "method", "shift"}),
+                  "evolve": ("evolve-contraction", {"max_ratio", "method", "violations"})}[subcommand]
+    detail = verdicts["records"][0]["detail"]
+    assert verdicts == {"subcommand": subcommand, "seed": config["seed"], "all_passed": True,
+                        "records": [{"name": name, "passed": run.passed, "detail": detail}]}
+    assert set(detail) == keys | ({"reason"} if run.passed is None else set()) and detail["method"] == run.method
+    assert {key: detail[key] for key in run.detail} == run.detail
+    if subcommand == "spectrum":
+        assert detail["shift"] == run.shift
+        agrees = _spectrum_agrees(out, config, detail, run.rtol)
+    else:
+        agrees = _evolve_agrees(out, config, detail, run.passed)
+    assert agrees is (run.flag is None), run.flag or "the run disagrees with its oracle"
+
+
+def _oracle_test(runs):
+    if runs[0].id is None:  # a test that was not parametrized runs its runs in turn
+        def test(tmp_path, capsys, recwarn):
+            for i, run in enumerate(runs):
+                _check_run(tmp_path / str(i), capsys, recwarn, run)
+        return test
+
+    @pytest.mark.parametrize("run", runs, ids=[run.id for run in runs])
+    def test(tmp_path, capsys, recwarn, run):
+        _check_run(tmp_path, capsys, recwarn, run)
+    return test
+
+
+for _name, _runs in _ORACLE_RUNS.items():
+    globals()[_name] = _oracle_test(_runs)
 
 
 # -- refusals ---------------------------------------------------------------------
@@ -248,6 +374,19 @@ _REFUSALS = {
                                     "--propagator.times=[1]"], None, 3, "lanczos-expmv",
          "lanczos-expmv propagation overflows at t=1: the lower bound -1809.64 of B gives a growth e^(1809.64) "
          "beyond the largest float"),
+        # a state entry or norm past the largest float (the box measure is 2 in 1-d,
+        # 4 in 2-d), and a quadrature of 800n + 1 points at n = 10^6
+        ("evolve-random-scale-overflow", ["evolve", "--evolve.initial_state.kind=random",
+                                          "--evolve.initial_state.scale=1e308"], None, 2, "evolve.initial_state.scale",
+         "evolve.initial_state.scale=1e+308 overflows a state entry past the largest float"),
+        *[(f"evolve-huge-state-norm-{method}", ["evolve", *grid, _CONSTANT_STATE, "--evolve.initial_state.vector=[1e308]"],
+           None, 2, "evolve.initial_state", f"evolve.initial_state has an L^p norm past the largest float at p = {ps} "
+           "of propagator.p_list: scale the state down or drop those p")
+          for method, grid, ps in [("exact-dense", [], "1"),
+                                   ("exact-separable", ["--grid.d=2", "--grid.N=60"], "1, 2")]],
+        ("gallery-n_list-too-large", ["gallery", "--name", "antisymmetric_continuity",
+                                      '--gallery.params={"n_list": [1, 1000000]}'], None, 2, "n_list",
+         "n_list scales must be at most 1000, got 1000000: at step 0.01 a scale n takes 800n + 1 quadrature points"),
     ],
     "test_section_flag_missing_keys_is_config_error": [
         ("""--grid={"d": 1}-['L', 'N', 'm']""", ["assemble", '--grid={"d": 1}'], None, 2, "grid",
@@ -527,58 +666,6 @@ def test_dotted_flags_beat_the_file_and_named_flags_beat_both(tmp_path, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
 
-@pytest.mark.parametrize(
-    "flags, rc, max_residual",
-    [
-        # ||B|| = 1.9e300: unscaled, the squares of the residual overflowed,
-        # and the run failed with an infinite residual
-        (["--grid.d=2", "--grid.N=20", "--coefficients.v.kind=harmonic", "--coefficients.v.scale=1e300"],
-         0, 1.5888440662648427e+284),
-        # ||B|| = 4.2e-197: unscaled, the squares of residual entries near
-        # 6e-213 underflow to 0
-        (["--coefficients.q.kind=scaled_identity", "--coefficients.q.value=1e-200"], 0, 5.9229875951624167e-213),
-    ],
-    ids=["huge", "tiny"],
-)
-def test_residuals_are_measured_at_both_ends_of_the_float_range(tmp_path, recwarn, flags, rc, max_residual):
-    assert cli.main(["spectrum"] + flags + ["--out", str(tmp_path)]) == rc
-    record = _read_json(tmp_path / "verdicts.json")["records"][0]
-    assert record["passed"] is (rc == 0)
-    assert record["detail"]["max_residual"] == max_residual
-    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
-
-
-def test_lanczos_certifies_an_operator_near_the_top_of_the_float_range(tmp_path, recwarn):
-    # (B + I)^-1 maps unit vectors to entries near 1e-300, whose squares
-    # underflowed in np.linalg.norm: every beta read 0 and the run exited 3
-    flags = ["--grid.d=2", "--grid.N=100", "--coefficients.v.kind=harmonic", "--coefficients.v.scale=1e300"]
-    assert cli.main(["spectrum"] + flags + ["--out", str(tmp_path)]) == 0
-    detail = _read_json(tmp_path / "verdicts.json")["records"][0]["detail"]
-    assert detail["method"] == "lanczos" and detail["matrix_norm"] > 1e300
-    with open(tmp_path / "spectrum.csv", newline="") as fh:
-        residuals = [float(row["residual"]) for row in csv.DictReader(fh)]
-    assert len(residuals) == 10 and max(residuals) <= 1e-10 * detail["matrix_norm"]
-    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
-
-
-def test_dense_spectrum_of_a_huge_tridiagonal_b_matches_its_closed_form(tmp_path, recwarn):
-    # the tridiagonal bisection squares B's off-diagonal, which overflowed at
-    # q = 1e200: LAPACK's stebz did not converge, and the run exited 2 naming no
-    # setting; at q = 1e-200 the square underflowed, and the run exited 1 with
-    # eigenvalues up to 855 times the closed form
-    N, j = 64, np.arange(1, 11)
-    h = 2.0 / (N + 1)
-    for q in (1e200, 1e-200):
-        out = tmp_path / repr(q)
-        flags = ["--coefficients.q.kind=scaled_identity", f"--coefficients.q.value={q!r}"]
-        assert cli.main(["spectrum"] + flags + ["--out", str(out)]) == 0
-        assert _read_json(out / "verdicts.json")["records"][0]["detail"]["method"] == "dense"
-        with open(out / "spectrum.csv", newline="") as fh:
-            eigenvalues = [float(row["eigenvalue"]) for row in csv.DictReader(fh)]
-        np.testing.assert_allclose(eigenvalues, q * (4 / h**2) * np.sin(j * np.pi / (2 * (N + 1))) ** 2, rtol=1e-12)
-    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
-
-
 def test_a_subnormal_coupling_beside_a_normal_diagonal_is_assembled(tmp_path):
     # S's coupling band holds h 1e-310; only an S or B with no normal entry is refused
     flag = '--coefficients.v={"kind":"constant","matrix":[[1,1e-310],[1e-310,1]]}'
@@ -681,79 +768,7 @@ def test_dotted_kind_switch_drops_default_keys(tmp_path, kind_first):
     assert resolved["evolve"]["initial_state"] == {"kind": "impulse", "node": 5, "component": 0}
 
 
-# -- evolve ------------------------------------------------------------------------
-
-
-def test_evolve_artifacts_and_contraction(tmp_path):
-    rc = cli.main(
-        [
-            "evolve", "--out", str(tmp_path), "--grid.N=48",
-            "--coefficients.v.kind=harmonic", "--coefficients.v.scale=1.0",
-        ]
-    )
-    assert rc == 0
-    with open(tmp_path / "probes.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows and all(float(r["ratio"]) <= 1.0 + 1e-8 for r in rows)
-    assert {r["p"] for r in rows} == {"1.0", "2.0", "4.0", "inf"}
-
-    norms = (tmp_path / "norms.dat").read_text().strip().splitlines()
-    assert norms[0].startswith("# t ")
-    assert len(norms) == 1 + 3  # default times
-
-    with open(tmp_path / "snapshots.csv", newline="") as fh:
-        snap_rows = list(csv.DictReader(fh))
-    assert len(snap_rows) == 4 * 48  # (t=0 plus three times) x nodes x one component
-    verdicts = _read_json(tmp_path / "verdicts.json")
-    assert verdicts["records"][0]["name"] == "evolve-contraction"
-    assert verdicts["records"][0]["passed"] is True
-    assert verdicts["records"][0]["detail"]["max_ratio"] <= 1.0 + 1e-8
-    assert "reason" not in verdicts["records"][0]["detail"]
-
-
-@pytest.mark.parametrize(
-    "flag, reason",
-    [
-        ('--evolve.initial_state={"kind":"random","scale":0}', "the initial state is zero"),
-        ('--coefficients.v={"kind":"scaled_identity","value":-3}', "needs a PSD potential"),
-    ],
-    ids=["zero-state", "negative-potential"],
-)
-def test_evolve_contraction_with_nothing_gated_is_null(tmp_path, flag, reason):
-    # no ratio is guaranteed to be at most 1, so the verdict tests nothing:
-    # null with a reason, which does not fail the run
-    assert cli.main(["evolve", "--out", str(tmp_path), flag]) == 0
-    verdicts = _read_json(tmp_path / "verdicts.json")
-    record = verdicts["records"][0]
-    assert record["passed"] is None and verdicts["all_passed"] is True
-    assert reason in record["detail"]["reason"]
-
-
-def test_evolve_zero_state_guarantees_no_row(tmp_path):
-    # a zero state has no ratio, so no row of probes.csv is guaranteed to contract
-    flag = '--evolve.initial_state={"kind":"constant","vector":[0.0]}'
-    assert cli.main(["evolve", "--grid.N=16", "--out", str(tmp_path), flag]) == 0
-    with open(tmp_path / "probes.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3 * 4
-    assert all(r["ratio"] == "" and r["guaranteed"] == "False" for r in rows)
-    assert _read_json(tmp_path / "verdicts.json") == {
-        "all_passed": True,
-        "records": [
-            {
-                "detail": {
-                    "max_ratio": None,
-                    "method": "exact-dense",
-                    "reason": "the initial state is zero",
-                    "violations": 0,
-                },
-                "name": "evolve-contraction",
-                "passed": None,
-            }
-        ],
-        "seed": 42,
-        "subcommand": "evolve",
-    }
+# -- snapshots.csv writer and float formatting ------------------------------------
 
 
 def _csv_writer_snapshots(snapshots, grid, path):
@@ -908,22 +923,6 @@ def test_repr_bytes_is_repr_itself_without_short_float_repr(monkeypatch):
     monkeypatch.setattr("matschrod._float_repr._shortest", None)
     values = np.array([0.1, -2.5e-7, 1e22])
     assert repr_bytes(values) == _reprs(values)
-
-
-def test_evolve_tiny_state_has_nonzero_norms(tmp_path):
-    # the squares of a 1e-200 state underflow; the contraction probe must still see it
-    rc = cli.main(
-        [
-            "evolve", "--out", str(tmp_path), "--grid.d=3", "--grid.N=10", "--grid.m=2",
-            '--evolve.initial_state={"kind": "random", "scale": 1e-200}',
-        ]
-    )
-    assert rc == 0
-    with open(tmp_path / "probes.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3 * 4
-    assert all(float(r["norm_in"]) > 0 and float(r["norm_out"]) > 0 and r["ratio"] for r in rows)
-    assert len((tmp_path / "norms.dat").read_text().strip().splitlines()) == 1 + 3
 
 
 # -- lazy assembly -----------------------------------------------------------------

@@ -291,6 +291,27 @@ def test_subnormal_state_contracts_to_the_bit(method):
         assert np.max(np.abs(got - want)) <= 5e-324  # one ulp
 
 
+@pytest.mark.parametrize("method, t", [("exact-dense", 1.0), ("exact-separable", 1.0),
+                                       ("lanczos-expmv", 0.01), ("lanczos-expmv", 1e4)])
+def test_huge_state_propagates_as_its_scaled_copy_to_the_bit(method, t):
+    # a largest entry in [2^1022, 2^1023): unscaled, the squares in both Krylov
+    # regimes' norms and the sums of the closed form's rfft overflowed
+    grid, op = _constant_operator(2, 8, 2, np.eye(2), np.zeros((2, 2)))
+    f = VectorState.random(grid, np.random.default_rng(5))
+    k = 1023 - int(np.frexp(np.abs(f.values).max())[1])
+    config = PropagatorConfig(method=method)
+    got = propagate(op, f * 2.0**k, t, config).values
+    assert np.array_equal(got, np.ldexp(propagate(op, f, t, config).values, k))
+
+
+def test_huge_state_grown_past_the_largest_float_raises():
+    grid, op = _constant_operator(1, 16, 1, np.eye(1), -50.0 * np.eye(1))
+    f = VectorState(grid, np.full((1, grid.n_nodes), 1e300))
+    with pytest.raises(ConvergenceError, match="an entry beyond the largest float") as info:
+        propagate(op, f, 1.0, DENSE)
+    assert info.value.partial["t_reached"] == 0.0 and info.value.partial["state"].values is not f.values
+
+
 def test_krylov_failure_partial_of_a_subnormal_state_is_scaled_back():
     grid, op = _harmonic_operator(N=20)
     f = VectorState.random(grid, np.random.default_rng(5)) * 1e-310

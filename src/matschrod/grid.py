@@ -263,9 +263,7 @@ class PotentialField:
         self.grid = grid
         self.samples = samples
         distinct = samples[:1] if self.constant else samples
-        eigs = np.linalg.eigvalsh(distinct)
-        self.min_eigenvalue = float(eigs[:, 0].min())
-        self.max_eigenvalue = float(eigs[:, -1].max())
+        self.min_eigenvalue = float(np.linalg.eigvalsh(distinct)[:, 0].min())
         self.psd = bool(self.min_eigenvalue >= -1e-10 * scale)
         if grid.m > 1:
             off = distinct.copy()
@@ -301,8 +299,8 @@ class VectorState:
 
     Values are stored as a read-only (m, n_nodes) float array; ``flat()``
     exposes the component-major vector of length m * N^d used by the
-    assembled matrices.  Instances are immutable; arithmetic returns new
-    states.
+    assembled matrices.  Instances are immutable; the difference of two
+    states is a new state.
     """
 
     def __init__(self, grid: GridSpec, values):
@@ -315,10 +313,6 @@ class VectorState:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "VectorState":
-        return cls(grid, np.zeros((grid.m, grid.n_nodes)))
 
     @classmethod
     def impulse(cls, grid: GridSpec, node: int | None = None, vector=None) -> "VectorState":
@@ -380,21 +374,9 @@ class VectorState:
         _, exp = np.frexp(np.abs(self.values).max(axis=0))
         return np.ldexp(np.sqrt((np.ldexp(self.values, -exp) ** 2).sum(axis=0)), exp)
 
-    def __add__(self, other: "VectorState") -> "VectorState":
-        _require_same_grid(self.grid, other.grid)
-        return VectorState(self.grid, self.values + other.values)
-
     def __sub__(self, other: "VectorState") -> "VectorState":
         _require_same_grid(self.grid, other.grid)
         return VectorState(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar) -> "VectorState":
-        return VectorState(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorState":
-        return VectorState(self.grid, -self.values)
 
     def __repr__(self):
         return f"VectorState(m={self.grid.m}, nodes={self.grid.n_nodes})"

@@ -258,7 +258,10 @@ def _dense_eigh(op: SymmetricOperator, k: int | None = None):
     off-diagonal, which overflows or underflows there.
     """
     if op.dim > DENSE_LIMIT:
-        raise ValueError(f"dense path limited to dimension {DENSE_LIMIT}, got {op.dim}")
+        raise ValueError(
+            f"dense path limited to dimension {DENSE_LIMIT}, got {op.dim}: solver.method or propagator.method "
+            "cannot be dense for this grid.N, grid.d and grid.m"
+        )
     import scipy.linalg
 
     # None selects every eigenpair, the default of both solvers
@@ -563,7 +566,7 @@ def _eigen_lanczos(op: SymmetricOperator, k: int, tol: float, seed: int) -> Spec
             if np.all(report.residuals <= tol * report.matrix_norm):
                 return report
     raise ConvergenceError(
-        f"Lanczos did not converge to {k} eigenpairs within {max_dim} iterations",
+        f"Lanczos did not converge to {k} eigenpairs within {max_dim} iterations at solver.tol={tol:g}",
         partial=report,
     )
 

@@ -261,8 +261,8 @@ def _polynomial_expm(b, v, t, c, tol):
     floor = float(np.exp(-t * c)) * _POLY_ROUNDOFF
     if floor > tol:
         raise ConvergenceError(
-            f"Krylov propagator failed to meet tol={tol:g}: roundoff amplified by "
-            f"e^(-tc) is {floor:.2e}, which no subspace enlargements can reduce",
+            f"Krylov propagator failed to meet propagator.tol={tol:g}: its floor, the roundoff "
+            f"{_POLY_ROUNDOFF:g} amplified by e^(-tc), is {floor:.2e}",
             partial=(v, 0.0),
         )
     budget = tol * np.linalg.norm(v)
@@ -345,8 +345,8 @@ def _shift_invert_expm(b, v, t, c, tol):
     fits = np.flatnonzero(bound <= tol)
     if fits.size == 0:
         raise ConvergenceError(
-            f"Krylov propagator failed to meet tol={tol:g}: shift-invert subspace "
-            f"enlargements up to {_SI_MAX_DIM} leave the error bound at {bound.min():.2e}",
+            f"Krylov propagator failed to meet propagator.tol={tol:g}: its floor, the shift-invert "
+            f"error bound at subspace sizes up to {_SI_MAX_DIM}, is {bound.min():.2e}",
             partial=(v, 0.0),
         )
     gamma = t / _SI_RATIO

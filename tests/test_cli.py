@@ -10,7 +10,6 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +20,8 @@ from matschrod import operators as operators_module
 from matschrod import semigroup
 from matschrod.checks import run_checks
 from matschrod.semigroup import _simpson
+
+import _kronecker as kronecker
 
 
 def _read_json(path):
@@ -75,6 +76,9 @@ _NEGATIVE = ["spectrum", *_HARMONIC_2D, "--grid.N=10", "--coefficients.v.scale=-
 _CONSTANT_STATE = "--evolve.initial_state.kind=constant"
 _KRYLOV = ["evolve", *_HARMONIC_2D, "--grid.N=30", "--coefficients.v.scale=1.0", "--propagator.method=lanczos-expmv",
            _CONSTANT_STATE, "--evolve.initial_state.vector=[1e200]"]
+#: CI's 2-d grid with two components and a diagonal Q, and its constant coupled V
+_CI_2D = ["--grid.d=2", "--grid.m=2", '--coefficients.q={"kind":"diagonal","entries":[1.0,1.7]}']
+_V_COUPLED = '--coefficients.v={"kind":"constant","matrix":[[1,-0.4],[-0.4,2]]}'
 
 #: the oracle table: each test name maps to its runs, and the one test body
 #: below checks each run against an oracle that does not read matschrod's B
@@ -137,42 +141,30 @@ _ORACLE_RUNS = {
         _Run("huge-state-krylov-shift-invert", _KRYLOV + ["--propagator.times=[10.0]"], "lanczos-expmv"),
         *[_Run(f"huge-state-{method}", ["evolve", *grid, _CONSTANT_STATE, "--evolve.initial_state.vector=[1e308]",
                                         '--propagator.p_list=[4,"inf"]'], method)
-          for method, grid in [("exact-dense", []), ("exact-separable", ["--grid.d=2", "--grid.N=60"])]]],
+          for method, grid in [("exact-dense", []), ("exact-separable", ["--grid.d=2", "--grid.N=60"])]],
+        # CI's commands: the closed-form 3-d spectrum, the Krylov evolve above DENSE_LIMIT,
+        # the impulse evolve that repeats byte for byte, and the 3-d harmonic evolve
+        _Run("ci-spectrum-separable", ["spectrum", "--grid.d=3", "--grid.N=24", "--grid.m=2", "--grid.L=1.0",
+                                       '--coefficients.q={"kind":"diagonal","entries":[1.0,1.37,1.83]}', _V_COUPLED,
+                                       "--solver.k=10"], "separable"),
+        _Run("ci-evolve-harmonic", ["evolve", *_CI_2D, "--grid.N=40", "--coefficients.v.kind=harmonic",
+                                    "--coefficients.v.scale=1.0", "--propagator.times=[0.01,0.1,1.0,10.0]"],
+             "lanczos-expmv"),
+        _Run("ci-evolve-impulse", ["evolve", *_CI_2D, "--grid.N=60", "--grid.L=10.0", _V_COUPLED,
+                                   '--evolve.initial_state={"kind":"impulse","node":1769,"component":1}'],
+             "exact-separable"),
+        _Run("ci-evolve-harmonic-3d", ["evolve", "--grid.d=3", "--grid.N=10", "--grid.m=2",
+                                       "--coefficients.v.kind=harmonic", "--coefficients.v.scale=1.0"], "exact-dense")],
 }
 
 
-def _axis_factor(config):
-    """Eigenpairs of T, B's factor along each axis, and B's constant part v0: for Q = q I and V = (v0 + s|x|^2) I_m,
-    B is the Kronecker sum over the axes of T = (q/h^2) tridiag(-1, 2, -1) + s diag(x^2), plus v0 on each component.
-    T is solved on a copy scaled by a power of 2, so its squares stay in range at both ends of the float range."""
+def _recipe(config):
+    """The Kronecker recipe of a run whose Q is diagonal and constant: every Q kind but a full constant matrix."""
     grid, q, v = config["grid"], config["coefficients"]["q"], config["coefficients"]["v"]
-    assert q["kind"] in ("identity", "scaled_identity") and v["kind"] in ("zero", "scaled_identity", "harmonic")
-    h = 2.0 * grid["L"] / (grid["N"] + 1)
-    c, x = q.get("value", 1.0) / h**2, -grid["L"] + h * np.arange(1, grid["N"] + 1)
-    diag, e = 2.0 * c + v.get("scale", 0.0) * x**2, np.full(grid["N"] - 1, -c)
-    p = int(np.frexp(max(np.abs(diag).max(), c))[1])
-    lam, u = scipy.linalg.eigh_tridiagonal(np.ldexp(diag, -p), np.ldexp(e, -p))
-    return np.ldexp(lam, p), u, v.get("value", 0.0)
-
-
-def _spectrum_oracle(config):
-    """The solver.k lowest eigenvalues of B, with multiplicity: sums of one level per axis."""
-    k, d, m = config["solver"]["k"], config["grid"]["d"], config["grid"]["m"]
-    lam, _, v0 = _axis_factor(config)
-    sums = lam[:k]
-    for _ in range(d - 1):
-        sums = np.sort(np.add.outer(sums, lam[:k]), axis=None)[:k]
-    return np.sort(np.repeat(sums + v0, m))[:k]
-
-
-def _evolve_oracle(config, f0, times):
-    """e^{-tB} f0 at each t of times, for f0 of shape (m, N, .., N): one factor e^{-tT} per axis."""
-    lam, u, v0 = _axis_factor(config)
-    for t in times:
-        ft, factor = f0, (u * np.exp(-t * lam)) @ u.T
-        for axis in range(1, f0.ndim):
-            ft = np.moveaxis(np.tensordot(factor, ft, axes=(1, axis)), 0, axis)
-        yield ft * np.exp(-t * v0)
+    q = {"identity": 1.0, "scaled_identity": q.get("value"), "diagonal": q.get("entries")}[q["kind"]]
+    s = v["scale"] if v["kind"] == "harmonic" else 0.0
+    vmat = {"zero": 0.0, "scaled_identity": v.get("value"), "constant": v.get("matrix"), "harmonic": 0.0}[v["kind"]]
+    return kronecker.recipe(grid["d"], grid["N"], grid["m"], grid["L"], q, s, vmat)
 
 
 def _spectrum_agrees(out, config, detail, rtol):
@@ -185,7 +177,7 @@ def _spectrum_agrees(out, config, detail, rtol):
     bound = config["solver"]["tol"] * detail["matrix_norm"]
     assert eigenvalues.tolist() == detail["eigenvalues"] and residuals.max() == detail["max_residual"] <= bound
     # index by index, so a dropped copy fails
-    oracle = _spectrum_oracle(config)
+    oracle = kronecker.eigenvalues(_recipe(config), config["solver"]["k"])
     gap = np.abs(eigenvalues - oracle)
     return bool(np.all(gap <= bound) and (rtol is None or np.all(gap <= rtol * np.abs(oracle))))
 
@@ -207,7 +199,7 @@ def _evolve_agrees(out, config, detail, passed):
                                                                      for state in states[1:] for _ in p_list])
     ratios = [float(row["ratio"]) for row in rows if row["ratio"]]
     assert np.all(np.isfinite(ratios)) and len(ratios) == np.count_nonzero(norms[:, 0])
-    # Q = q I is diagonal, so the rows with a ratio are all guaranteed (V is PSD, and the verdict gates) or none
+    # Q is diagonal, so the rows with a ratio are all guaranteed (V is PSD, and the verdict gates) or none
     assert [row["guaranteed"] for row in rows] == [str(bool(row["ratio"]) and passed is True) for row in rows]
     assert passed is None or max(ratios) <= 1.0 + 1e-8
     assert detail["max_ratio"] == max(ratios, default=None) and detail["violations"] == 0
@@ -219,8 +211,9 @@ def _evolve_agrees(out, config, detail, passed):
     e = int(np.frexp(np.abs(states[0]).max())[1])
     f0 = np.ldexp(states[0], -e)
     budget = (tol + 1e-11) * np.linalg.norm(f0)
-    return all(np.linalg.norm(np.ldexp(state, -e) - exact) <= budget
-               for state, exact in zip(states, _evolve_oracle(config, f0, [0.0] + times)))
+    r = _recipe(config)
+    return all(np.linalg.norm(np.ldexp(state, -e) - kronecker.propagate(r, f0, t)) <= budget
+               for state, t in zip(states, [0.0] + times))
 
 
 def _check_run(out, capsys, recwarn, run):
@@ -363,12 +356,23 @@ _REFUSALS = {
          "coefficients.v.kind must be one of ['constant', 'harmonic', 'scaled_identity', 'zero'], got 'wat'"),
         ("kind-impulse-width", _N8 + ['--evolve.initial_state={"kind": "impulse", "width": 0.5}'], None, 2,
          "evolve.initial_state", "unknown keys ['width'] for evolve.initial_state.kind='impulse'"),
-        # solver failures: a Krylov tolerance below the roundoff e^{-tc} amplifies,
-        # and lambda_min(B) near -1810 makes the growth e^{-tB} overflow at t = 1
+        # a forced dense solve above DENSE_LIMIT = 3000
+        ("spectrum-dense-above-limit", ["spectrum", "--solver.method=dense", "--grid.N=4000"], None, 2,
+         "solver.method", "dense path limited to dimension 3000, got 4000: solver.method or propagator.method "
+         "cannot be dense for this grid.N, grid.d and grid.m"),
+        ("evolve-dense-above-limit", ["evolve", "--propagator.method=exact-dense", "--grid.d=2", "--grid.N=60"], None,
+         2, "propagator.method", "dense path limited to dimension 3000, got 3600: solver.method or propagator.method "
+         "cannot be dense for this grid.N, grid.d and grid.m"),
+        # solver failures: a Krylov tolerance below the roundoff e^{-tc} amplifies, a
+        # Lanczos tolerance no residual meets, and lambda_min(B) near -1810 makes the
+        # growth e^{-tB} overflow at t = 1
         ("evolve-krylov-absurd-tolerance", ["evolve", "--grid.N=100", "--propagator.method=lanczos-expmv",
-                                            "--propagator.tol=1e-30"], None, 3, "Krylov propagator",
-         "Krylov propagator failed to meet tol=1e-30: roundoff amplified by e^(-tc) is 2.00e-13, "
-         "which no subspace enlargements can reduce"),
+                                            "--propagator.tol=1e-30"], None, 3, "propagator.tol",
+         "Krylov propagator failed to meet propagator.tol=1e-30: its floor, the roundoff 2e-13 amplified by e^(-tc), "
+         "is 2.00e-13"),
+        ("lanczos-absurd-tolerance", ["spectrum", *_HARMONIC_2D, "--grid.N=10", "--coefficients.v.scale=1",
+                                      "--solver.tol=1e-300", "--solver.method=lanczos"], None, 3, "solver.tol",
+         "Lanczos did not converge to 10 eigenpairs within 100 iterations at solver.tol=1e-300"),
         ("evolve-krylov-overflow", ["evolve", "--grid.d=2", "--grid.N=40", "--grid.m=2",
                                     "--coefficients.v.kind=harmonic", "--coefficients.v.scale=-1000",
                                     "--propagator.times=[1]"], None, 3, "lanczos-expmv",

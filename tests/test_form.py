@@ -78,7 +78,7 @@ def test_form_symmetry_and_bilinearity():
         h = VectorState.random(grid, rng)
         afg = eval_form(a, f, g)
         assert afg == pytest.approx(eval_form(a, g, f), rel=1e-12, abs=1e-12)
-        assert eval_form(a, f + 2.0 * h, g) == pytest.approx(
+        assert eval_form(a, VectorState(grid, f.values + 2.0 * h.values), g) == pytest.approx(
             afg + 2.0 * eval_form(a, h, g), rel=1e-11, abs=1e-11
         )
 
@@ -115,8 +115,9 @@ def test_grid_mismatch_rejected():
 
     a = _free_form(build_grid(1, 1.0, 4, 1))
     other = build_grid(1, 1.0, 5, 1)
+    zero = VectorState(other, np.zeros(other.state_size))
     with pytest.raises(GridMismatchError):
-        eval_form(a, VectorState.zeros(other), VectorState.zeros(other))
+        eval_form(a, zero, zero)
 
 
 # -- continuity --------------------------------------------------------------
@@ -143,7 +144,7 @@ def test_continuity_ratio_zero_cases():
     # continuity inequality holds as 0 <= 0
     grid = build_grid(1, 1.0, 4, 1)
     a = _free_form(grid)
-    z = VectorState.zeros(grid).values
+    z = np.zeros((1, grid.n_nodes))
     impulse = VectorState.impulse(grid).values
     assert form_norms(a, z) == 0.0 and form_norms(a, impulse) > 0.0
     for x, y in ((z, z), (z, impulse), (impulse, z)):

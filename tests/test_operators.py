@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,47 +29,24 @@ from matschrod import (
     sandwich_check,
 )
 
-
-def _free_operator(N, L=1.0, d=1, m=1):
-    grid = build_grid(d, L, N, m)
-    dif, pot = sample_fields(lambda x: np.eye(d), lambda x: np.zeros((m, m)), grid)
-    return grid, assemble_operator(assemble_form(dif, pot, grid))
+import _kronecker as kronecker
 
 
-def _random_operator(grid, rng, psd=True):
-    mats = rng.standard_normal((grid.n_cells, grid.d, grid.d))
-    dif = DiffusionField(grid, np.einsum("nka,nkb->nab", mats, mats) + 0.2 * np.eye(grid.d))
-    vm = rng.standard_normal((grid.n_nodes, grid.m, grid.m))
-    vs = np.einsum("nka,nkb->nab", vm, vm) / grid.m
-    if not psd:
-        vs = vs - 2.0 * np.eye(grid.m)
-    pot = PotentialField(grid, vs)
-    return assemble_operator(assemble_form(dif, pot, grid))
+def _operator(r):
+    """matschrod's operator of a Kronecker recipe, built from the recipe's samples."""
+    grid = build_grid(r.d, r.L, r.N, r.m)
+    q, v = kronecker.samples(r)
+    return grid, assemble_operator(assemble_form(DiffusionField(grid, q), PotentialField(grid, v), grid))
 
 
-def _laplacian_eigs(grid):
-    k = np.arange(1, grid.N + 1)
-    return (4.0 / grid.h**2) * np.sin(k * np.pi / (2.0 * (grid.N + 1))) ** 2
-
-
-#: weight of the x-dependent term TILT * x_0^2 I that the LU Lanczos tests add
+#: weight of the x-dependent term TILT * x_0^2 I that the LU Lanczos recipes add
 #: to a constant V: it makes the operator non-separable, so "lanczos" factors
-#: B - sigma I instead of reading the closed form, while the spectrum stays a
-#: Kronecker sum (``_kronecker_sum_eigs``) whose repeated values split
+#: B - sigma I instead of reading the closed form, while B stays a Kronecker
+#: sum whose repeated values split
 TILT = 1e-3
-
-
-def _tilted_operator(d, N, m, q_diag, vmat, L=1.0):
-    grid = build_grid(d, L, N, m)
-    dif, pot = sample_fields(lambda x: np.diag(q_diag), lambda x: vmat + TILT * x[0] ** 2 * np.eye(m), grid)
-    return grid, assemble_operator(assemble_form(dif, pot, grid))
-
-
-def _tilted_line(N, value=0.0):
-    """The 1-d operator with V = value + TILT x^2, and its whole spectrum."""
-    vmat = np.array([[value]])
-    grid, op = _tilted_operator(1, N, 1, [1.0], vmat)
-    return op, _kronecker_sum_eigs(grid, [1.0], vmat, TILT)
+_V2 = [[1.0, -0.4], [-0.4, 2.0]]
+_V3 = [[2.0, -0.5, 0.1], [-0.5, 1.0, 0.3], [0.1, 0.3, 1.5]]
+_Q3 = (1.0, 1.37, 1.83)
 
 
 # -- assembly ------------------------------------------------------------------
@@ -76,7 +54,7 @@ def _tilted_line(N, value=0.0):
 
 def test_form_matrix_is_exact_tridiagonal():
     # h = 0.25 is dyadic, so every entry of (1/h) tridiag(-1, 2, -1) is exact
-    grid, op = _free_operator(N=7)
+    grid, op = _operator(kronecker.recipe(1, 7, 1))
     expected = (
         np.diag(np.full(7, 8.0))
         + np.diag(np.full(6, -4.0), 1)
@@ -88,7 +66,7 @@ def test_form_matrix_is_exact_tridiagonal():
 def test_stored_matrix_exactly_symmetric():
     rng = np.random.default_rng(21)
     grid = build_grid(2, 1.0, 5, 2)
-    op = _random_operator(grid, rng)
+    op = _coupled_operator(grid, rng, q_full=True)
     s = op.matrix.tocsc()
     assert (s - s.T).nnz == 0
     assert all(o <= 0 for o in op.matrix.offsets)  # the one stored triangle
@@ -335,7 +313,8 @@ def test_assembly_is_the_reference_lists_summed_band_by_band(d, N, m, q_kind, se
     rng = np.random.default_rng(seed)
     if q_kind == "broadcast":
         vm = rng.standard_normal((m, m))
-        _, op = _constant_operator(d, N, m, _FULL_Q[:d, :d], vm + vm.T)
+        grid = build_grid(d, 1.0, N, m)
+        op = assemble_operator(assemble_form(*sample_fields(lambda x: _FULL_Q[:d, :d], lambda x: vm + vm.T, grid), grid))
         assert op.diffusion.samples.strides[0] == op.potential.samples.strides[0] == 0
     else:
         op = _coupled_operator(build_grid(d, 1.0, N, m), rng, q_full=q_kind == "full")
@@ -347,7 +326,7 @@ def test_assembly_is_the_reference_lists_summed_band_by_band(d, N, m, q_kind, se
 
 def test_form_matrix_multiplies_vectors_only():
     # a square block would otherwise broadcast against the diagonal band silently
-    b = _free_operator(N=5, d=2, m=2)[1].generator()
+    b = _operator(kronecker.recipe(2, 5, 2))[1].generator()
     n = b.shape[0]
     for x in (np.ones((n, n)), np.ones((n, 1)), np.ones((1, n)), np.ones((n, 3)), np.float64(1.0), 1.0):
         with pytest.raises(ValueError, match="takes a vector"):
@@ -358,9 +337,7 @@ def test_form_matrix_multiplies_vectors_only():
 def test_form_matrix_drops_repeats_that_cancel():
     # h = 0.5: each diagonal entry is 2 + 2 from the two cells at a node,
     # and h V = -4 cancels them exactly, so only the off-diagonal stays stored
-    grid = build_grid(1, 1.0, 3, 1)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: np.array([[-8.0]]), grid)
-    op = assemble_operator(assemble_form(dif, pot, grid))
+    _, op = _operator(kronecker.recipe(1, 3, 1, v=-8.0))
     _same_bytes(_csr(op.matrix), _scipy_form_matrix(op))
     assert op.matrix.nnz == 4
     assert np.array_equal(op.matrix.toarray(), -2.0 * (np.eye(3, k=1) + np.eye(3, k=-1)))
@@ -393,12 +370,9 @@ def test_matrix_agrees_with_form_evaluation():
 
 def test_potential_block_placement():
     # constant V couples components at equal nodes with weight h^d V_ij
-    grid = build_grid(1, 1.0, 3, 2)
     b = 0.7
-    dif, pot = sample_fields(
-        lambda x: 1.0, lambda x: np.array([[2.0, b], [b, 1.0]]), grid
-    )
-    s = assemble_operator(assemble_form(dif, pot, grid)).matrix.toarray()
+    grid, op = _operator(kronecker.recipe(1, 3, 2, v=[[2.0, b], [b, 1.0]]))
+    s = op.matrix.toarray()
     n = grid.n_nodes
     for alpha in range(n):
         assert s[n + alpha, alpha] == pytest.approx(grid.h * b, rel=1e-15)
@@ -419,7 +393,7 @@ def test_generator_is_the_one_stored_matrix(monkeypatch):
     # assemble_operator refuses an asymmetric potential at call time (above),
     # but assembles only when B is first read; the one matrix it assembles
     # becomes B, so no S is stored beside it, whatever reads B afterwards
-    grid, op = _free_operator(N=9, d=2, m=2)
+    grid, op = _operator(kronecker.recipe(2, 9, 2))
     assembled = []
     assemble = operators_module._assemble_matrix
 
@@ -446,7 +420,7 @@ def test_generator_holds_its_lower_bands_and_a_fixed_number_of_temporaries(monke
     # at N = 40: one term's weights and one component's potential), and
     # building B at most 2.5 (2.01 measured: the row sums and one term's magnitudes)
     def memory(N):
-        _, op = _constant_operator(2, N, 4, np.diag([1.0, 1.37]), np.eye(4) + 0.3)
+        _, op = _operator(kronecker.recipe(2, N, 4, q=(1.0, 1.37), v=np.eye(4) + 0.3))
         state, bands = 8 * op.dim, 6 * 8 * op.dim
         assembly = _traced_peak(lambda: operators_module._assemble_matrix(op))
         kept, peak = _traced(op.generator)
@@ -479,7 +453,7 @@ def test_generator_holds_its_lower_bands_and_a_fixed_number_of_temporaries(monke
 def test_norm_bound_is_measured_once_when_the_generator_is_built(monkeypatch):
     # B keeps its infinity norm: the norm bound, both eigensolver paths and
     # every Krylov propagation read the stored value instead of reducing B again
-    grid, op = _tilted_operator(2, 12, 2, [1.0, 1.37], np.array([[1.0, -0.4], [-0.4, 2.0]]))
+    grid, op = _operator(kronecker.recipe(2, 12, 2, q=(1.0, 1.37), s=(TILT, 0.0), v=_V2))
     calls = []
     abs_row_sums = operators_module.FormMatrix.abs_row_sums
 
@@ -503,13 +477,13 @@ def test_norm_bound_is_measured_once_when_the_generator_is_built(monkeypatch):
 @given(d=st.integers(1, 3), N=st.integers(2, 12), m=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_dimension_needs_no_assembly_and_matches_the_matrix(d, N, m, seed):
     grid = build_grid(d, 1.0, N, m)
-    op = _random_operator(grid, np.random.default_rng(seed))
+    op = _coupled_operator(grid, np.random.default_rng(seed), q_full=True)
     assert op.dim == grid.state_size and "matrix" not in op.__dict__
     assert op.dim == op.matrix.shape[0] == op.matrix.shape[1]
 
 
 def test_generator_scaling_and_norm_bound():
-    grid, op = _free_operator(N=15)
+    grid, op = _operator(kronecker.recipe(1, 15, 1))
     b = op.generator()
     np.testing.assert_allclose(
         b.toarray(), op.matrix.toarray() / grid.cell_volume, rtol=1e-15
@@ -538,105 +512,142 @@ def test_generator_keeps_subnormal_entries_beside_normal_ones():
 # -- eigensolvers ----------------------------------------------------------------
 
 
-def test_free_laplacian_spectrum_dense():
-    grid, op = _free_operator(N=60)
-    report = eigen_lowest(op, 20)
-    assert report.method == "dense"
-    assert report.shift is None
-    np.testing.assert_allclose(report.eigenvalues, _laplacian_eigs(grid)[:20], rtol=1e-10)
-    assert np.all(report.residuals <= 1e-10 * report.matrix_norm)
+class _Solve(NamedTuple):
+    # id is None in a test that was not parametrized; calls holds one (method asked, method
+    # reported, shift) per eigen_lowest call; agree is the (rtol, atol / ||B||) at which the later
+    # calls' eigenvalues meet the first call's; rtol tightens the oracle's bound; near holds values
+    # that the oracle and every call meet to 5e-3; copies is the atol to which each call repeats
+    # every value that the oracle repeats, and some; gap is the least spacing of the oracle's k + 1 lowest
+    id: str | None
+    recipe: kronecker.Kronecker
+    k: int
+    calls: tuple
+    tol: float = 1e-10
+    reached: bool = True
+    agree: tuple | None = None
+    rtol: float | None = None
+    near: tuple = ()
+    copies: float | None = None
+    gap: float | None = None
 
 
-def test_free_laplacian_spectrum_lanczos():
-    op, exact = _tilted_line(150)
-    report = eigen_lowest(op, 10, method="lanczos")
-    assert report.method == "lanczos"
-    assert report.shift == -1.0  # V >= 0 keeps the default shift
-    assert report.iterations > 0
-    np.testing.assert_allclose(report.eigenvalues, exact[:10], rtol=1e-10)
-    assert np.all(report.residuals <= 1e-10 * report.matrix_norm)
+_DENSE, _CLOSED = ("dense", "dense", None), ("lanczos", "separable", None)
+_LU = ("lanczos", "lanczos", -1.0)  # V >= 0 keeps the default shift
+#: the lowest levels of the 2-d box with V = -50: -37.67 twice
+_MINUS_50 = (-45.07, -37.67, -37.67, -30.28)
 
-
-def test_free_laplacian_spectrum_closed_form():
-    grid, op = _free_operator(N=150)
-    report = eigen_lowest(op, 10, method="lanczos")
-    assert (report.method, report.shift, report.iterations) == ("separable", None, 0)
-    np.testing.assert_allclose(report.eigenvalues, _laplacian_eigs(grid)[:10], rtol=1e-10)
-    assert np.all(report.residuals <= 1e-10 * report.matrix_norm)
-
-
-def test_lanczos_matches_dense_on_confining_potential():
-    grid = build_grid(1, 10.0, 300, 1)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: float(x @ x), grid)
-    op = assemble_operator(assemble_form(dif, pot, grid))
-    dense = eigen_lowest(op, 8, method="dense")
-    lanc = eigen_lowest(op, 8, method="lanczos")
-    np.testing.assert_allclose(lanc.eigenvalues, dense.eigenvalues, rtol=1e-9)
-    assert np.all(lanc.residuals <= 1e-10 * lanc.matrix_norm)
-
-
-def test_lanczos_shift_below_negative_potential_auto_path():
+#: the eigensolver table: each test name maps to its rows, and the one test
+#: body below checks each row against the oracle, which does not read matschrod's B
+_SPECTRA = {
+    "test_free_laplacian_spectrum_dense": [
+        _Solve(None, kronecker.recipe(1, 60, 1), 20, (("auto", "dense", None),), rtol=1e-10)],
+    "test_free_laplacian_spectrum_lanczos": [
+        _Solve(None, kronecker.recipe(1, 150, 1, s=TILT), 10, (_LU,), rtol=1e-10)],
+    "test_free_laplacian_spectrum_closed_form": [_Solve(None, kronecker.recipe(1, 150, 1), 10, (_CLOSED,), rtol=1e-10)],
+    "test_lanczos_matches_dense_on_confining_potential": [
+        _Solve(None, kronecker.recipe(1, 300, 1, L=10.0, s=1.0), 8, (_DENSE, _LU), agree=(1e-9, 0.0))],
     # dimension 3721 > DENSE_LIMIT, so "auto" runs Lanczos; a shift fixed at -1
     # would sit inside the spectrum and return eigenpairs that are not the lowest.
     # The tilt vanishes on the middle node, so min V = -50 exactly
-    grid, op = _tilted_operator(2, 61, 1, [1.0, 1.0], np.array([[-50.0]]))
-    report = eigen_lowest(op, 4)
-    assert report.method == "lanczos"
-    assert report.shift == -51.0
-    exact = _kronecker_sum_eigs(grid, [1.0, 1.0], np.array([[-50.0]]), TILT)[:4]
-    np.testing.assert_allclose(exact, [-45.07, -37.67, -37.67, -30.28], atol=5e-3)
-    np.testing.assert_allclose(report.eigenvalues, exact, rtol=0, atol=report.tol * report.matrix_norm)
-
-
-def test_negative_potential_auto_path_reads_the_closed_form():
+    "test_lanczos_shift_below_negative_potential_auto_path": [
+        _Solve(None, kronecker.recipe(2, 61, 1, s=(TILT, 0.0), v=-50.0), 4, (("auto", "lanczos", -51.0),),
+               near=_MINUS_50)],
     # the untilted operator above DENSE_LIMIT: both copies of -37.67, exactly
-    grid, op = _constant_operator(2, 61, 1, np.eye(2), np.array([[-50.0]]))
-    report = eigen_lowest(op, 4)
-    assert (report.method, report.shift) == ("separable", None)
-    lap = _laplacian_eigs(grid)
-    exact = np.sort(np.add.outer(lap, lap).ravel())[:4] - 50.0
-    np.testing.assert_allclose(exact, [-45.07, -37.67, -37.67, -30.28], atol=5e-3)
-    np.testing.assert_allclose(report.eigenvalues, exact, rtol=0, atol=1e-13 * report.matrix_norm)
-    assert report.eigenvalues[1] == report.eigenvalues[2]
-    assert np.all(report.residuals <= 1e-14 * report.matrix_norm)
+    "test_negative_potential_auto_path_reads_the_closed_form": [
+        _Solve(None, kronecker.recipe(2, 61, 1, v=-50.0), 4, (("auto", "separable", None),), near=_MINUS_50,
+               copies=0.0)],
+    # no node sits at 0, so min V = -30 + TILT (1/201)^2
+    "test_lanczos_matches_dense_on_negative_potential": [
+        _Solve(None, kronecker.recipe(1, 200, 1, s=TILT, v=-30.0), 3,
+               (_DENSE, ("lanczos", "lanczos", -30.999999975248137)), agree=(0.0, 1e-10), near=(-27.53, -20.13, -7.80))],
+    # B = K_q (x) I_2 + I (x) V with K_q the anisotropic 3-d Laplacian (plus the
+    # tilt along x_0); the lowest 11 values are simple
+    "test_lanczos_3d_coupled_matches_kronecker_sum": [
+        _Solve(None, kronecker.recipe(3, 8, 2, q=_Q3, s=(TILT, 0.0, 0.0), v=_V2), 10, (_LU,), gap=0.1)],
+    "test_closed_form_3d_coupled_matches_kronecker_sum": [
+        _Solve(None, kronecker.recipe(3, 8, 2, q=_Q3, v=_V2), 10, (_CLOSED,), gap=0.1)],
+    # dense and the closed form compute no iterate to refine: they return
+    # their residuals, and the caller compares them with tol * matrix_norm
+    "test_exact_paths_report_an_unreachable_tolerance_without_raising": [
+        _Solve(None, kronecker.recipe(1, 50, 1), 3, (call,), tol=1e-30, reached=False) for call in (_DENSE, _CLOSED)],
+    # m identical components repeat every eigenvalue m times.  At N = 8
+    # roundoff leaks the other copies into the basis; at N = 4 the basis
+    # breaks down exactly after 4 steps, and only the restart finds them
+    "test_forced_lanczos_keeps_multiplicities": [
+        _Solve(f"{N}-{m}-{k}", kronecker.recipe(1, N, m, s=1.0), k, (_DENSE, _LU), agree=(0.0, 1e-12),
+               copies=1e-12) for N, m, k in [(8, 2, 12), (8, 2, 16), (4, 3, 6)]],
+    # V = scale x^2 puts lambda_min(B) near 6e10 and 6e14, so every alpha of
+    # (B - sigma I)^-1 is below 2e-11.  Measured against max(1, |alpha_0|),
+    # every beta read as a breakdown, and the restarts never converged
+    "test_lanczos_breakdown_test_scales_with_a_stiff_operator": [
+        _Solve(f"{scale:g}", kronecker.recipe(1, 400, 1, s=scale), 6, (_DENSE, _LU), agree=(1e-10, 0.0))
+        for scale in (1e16, 1e20)],
+    # dimensions just below and above DENSE_LIMIT = 3000; V = -50 I_m and an
+    # isotropic Q repeat the lowest eigenvalues up to six times.  "auto"
+    # resolves to dense, or to "lanczos", which reads this operator off the closed form
+    "test_auto_spectrum_across_dense_limit_with_multiplicities": [
+        _Solve(f"{d}-{N}-{m}-{method}", kronecker.recipe(d, N, m, v=-50.0), 12,
+               (("auto", {"dense": "dense", "lanczos": "separable"}[method], None),), copies=1e-11)
+        for d, N, m, method in [(1, 1000, 3, "dense"), (1, 1001, 3, "lanczos"), (2, 54, 1, "dense"),
+                                (2, 55, 1, "lanczos"), (3, 14, 1, "dense"), (3, 15, 1, "lanczos")]],
+}
 
 
-def test_lanczos_matches_dense_on_negative_potential():
-    op, _ = _tilted_line(200, -30.0)
-    dense = eigen_lowest(op, 3, method="dense")
-    lanc = eigen_lowest(op, 3, method="lanczos")
-    np.testing.assert_allclose(dense.eigenvalues, [-27.53, -20.13, -7.80], atol=5e-3)
-    np.testing.assert_allclose(lanc.eigenvalues, dense.eigenvalues, rtol=0, atol=lanc.tol * lanc.matrix_norm)
-    assert np.all(lanc.residuals <= lanc.tol * lanc.matrix_norm)
+def _check_spectrum(row):
+    """Each call against the row and the oracle, index by index, so a dropped copy fails."""
+    _, op = _operator(row.recipe)
+    levels = kronecker.eigenvalues(row.recipe, row.k + 1)
+    exact = levels[: row.k]
+    # the runs of values that the oracle repeats, to 1e-12 relative
+    ties = np.diff(exact) <= 1e-12 * np.abs(exact).max()
+    runs = [run for run in np.split(np.arange(row.k), np.flatnonzero(~ties) + 1) if run.size > 1]
+    assert row.copies is None or runs
+    assert row.gap is None or np.all(np.diff(levels) > row.gap)
+    reports = []
+    for asked, method, shift in row.calls:
+        report = eigen_lowest(op, row.k, tol=row.tol, method=asked)
+        values, norm = report.eigenvalues, report.matrix_norm
+        assert (report.method, report.shift, report.tol) == (method, shift, row.tol)
+        assert (report.iterations > 0) == (method == "lanczos")
+        # an unreachable tol is reported by the exact paths, not raised
+        below = report.residuals <= row.tol * norm
+        assert np.all(below) if row.reached else not np.any(below)
+        # the closed form is exact to roundoff
+        bound = (1e-13 if method == "separable" else row.tol if row.reached else 1e-10) * norm
+        assert method != "separable" or np.all(report.residuals <= 1e-14 * norm)
+        error = np.abs(values - exact)
+        assert np.all(error <= bound) and (row.rtol is None or np.all(error <= row.rtol * np.abs(exact)))
+        vecs = report.eigenvectors
+        assert vecs.shape == (op.dim, row.k)
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(row.k), 2) <= (1e-13 if method == "separable" else 1e-12)
+        assert row.copies is None or all(np.ptp(values[run]) <= row.copies for run in runs)
+        reports.append(report)
+    for values in [exact] + [report.eigenvalues for report in reports]:
+        assert not row.near or np.allclose(values, row.near, rtol=0, atol=5e-3)
+    for report in reports[1:]:
+        rtol, atol = row.agree
+        np.testing.assert_allclose(report.eigenvalues, reports[0].eigenvalues, rtol=rtol, atol=atol * report.matrix_norm)
 
 
-def _coupled_3d_matches_kronecker_sum(tilt):
-    # B = K_q (x) I_2 + I (x) V with K_q the anisotropic 3-d Laplacian (plus
-    # the tilt along x_0); the lowest 11 values are simple, so the comparison
-    # is index by index
-    q = np.array([1.0, 1.37, 1.83])
-    vmat = np.array([[1.0, -0.4], [-0.4, 2.0]])
-    grid, op = _tilted_operator(3, 8, 2, q, vmat) if tilt else _constant_operator(3, 8, 2, np.diag(q), vmat)
-    k = 10
-    report = eigen_lowest(op, k, method="lanczos")
-    exact = _kronecker_sum_eigs(grid, q, vmat, tilt)
-    assert np.all(np.diff(exact[: k + 1]) > 0.1)
-    bound = report.tol * report.matrix_norm
-    np.testing.assert_allclose(report.eigenvalues, exact[:k], rtol=0, atol=bound)
-    assert np.all(report.residuals <= bound)
-    return report
+def _spectrum_test(rows):
+    if rows[0].id is None:  # a test that was not parametrized runs its rows in turn
+        def test():
+            for row in rows:
+                _check_spectrum(row)
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
+    def test(row):
+        _check_spectrum(row)
+    return test
 
 
-def test_lanczos_3d_coupled_matches_kronecker_sum():
-    assert _coupled_3d_matches_kronecker_sum(TILT).method == "lanczos"
-
-
-def test_closed_form_3d_coupled_matches_kronecker_sum():
-    assert _coupled_3d_matches_kronecker_sum(0.0).method == "separable"
+for _name, _rows in _SPECTRA.items():
+    globals()[_name] = _spectrum_test(_rows)
 
 
 def test_eigen_lowest_argument_errors():
-    _, op = _free_operator(N=8)
+    _, op = _operator(kronecker.recipe(1, 8, 1))
     with pytest.raises(ValueError):
         eigen_lowest(op, 0)
     with pytest.raises(ValueError):
@@ -648,8 +659,8 @@ def test_eigen_lowest_argument_errors():
 def test_eigen_lowest_takes_an_integer_count_only():
     # 2.5 used to return 2 eigenpairs on the dense path and True one; the
     # closed form and LU Lanczos failed with an unrelated TypeError
-    _, free = _free_operator(N=40)
-    tilted, _ = _tilted_line(40)
+    _, free = _operator(kronecker.recipe(1, 40, 1))
+    _, tilted = _operator(kronecker.recipe(1, 40, 1, s=TILT))
     cases = [(free, "dense", "dense"), (free, "lanczos", "separable"), (tilted, "lanczos", "lanczos"), (free, "auto", "dense")]
     for op, method, resolved in cases:
         for k in (2.5, 3.0, True, np.float64(3.0)):
@@ -664,8 +675,8 @@ def test_eigen_lowest_takes_an_integer_count_only():
 def test_eigen_lowest_rejects_a_tolerance_no_residual_can_meet(tol):
     # a dense report could never pass such a tolerance, and LU Lanczos would
     # grind to its largest basis and raise ConvergenceError
-    _, free = _free_operator(N=40)
-    tilted, _ = _tilted_line(40)
+    _, free = _operator(kronecker.recipe(1, 40, 1))
+    _, tilted = _operator(kronecker.recipe(1, 40, 1, s=TILT))
     for op, method in ((free, "dense"), (free, "lanczos"), (tilted, "lanczos")):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             eigen_lowest(op, 3, tol=tol, method=method)
@@ -673,10 +684,11 @@ def test_eigen_lowest_rejects_a_tolerance_no_residual_can_meet(tol):
 
 def test_auto_switches_to_lanczos_above_dense_limit(monkeypatch):
     monkeypatch.setattr(operators_module, "DENSE_LIMIT", 10)
-    op, exact = _tilted_line(40)
+    r = kronecker.recipe(1, 40, 1, s=TILT)
+    _, op = _operator(r)
     report = eigen_lowest(op, 5)
     assert report.method == "lanczos"
-    np.testing.assert_allclose(report.eigenvalues, exact[:5], rtol=1e-10)
+    np.testing.assert_allclose(report.eigenvalues, kronecker.eigenvalues(r, 5), rtol=1e-10)
     with pytest.raises(ValueError, match="dense path"):
         eigen_lowest(op, 5, method="dense")
     with pytest.raises(ValueError, match="dense path"):
@@ -684,23 +696,14 @@ def test_auto_switches_to_lanczos_above_dense_limit(monkeypatch):
 
 
 def test_lanczos_unreachable_tolerance_raises_with_partial():
-    op, exact = _tilted_line(50)
+    r = kronecker.recipe(1, 50, 1, s=TILT)
+    _, op = _operator(r)
     with pytest.raises(ConvergenceError) as exc_info:
         eigen_lowest(op, 3, tol=1e-30, method="lanczos")
     partial = exc_info.value.partial
     assert partial is not None
     # the partial report is still numerically sound, only the tolerance was absurd
-    np.testing.assert_allclose(partial.eigenvalues, exact[:3], rtol=1e-9)
-
-
-def test_exact_paths_report_an_unreachable_tolerance_without_raising():
-    # dense and the closed form compute no iterate to refine: they return
-    # their residuals, and the caller compares them with tol * matrix_norm
-    _, op = _free_operator(N=50)
-    for method, expected in (("dense", "dense"), ("lanczos", "separable")):
-        report = eigen_lowest(op, 3, tol=1e-30, method=method)
-        assert report.method == expected and report.tol == 1e-30
-        assert np.all(report.residuals > report.tol * report.matrix_norm)
+    np.testing.assert_allclose(partial.eigenvalues, kronecker.eigenvalues(r, 3), rtol=1e-9)
 
 
 # -- the Lanczos kernel ------------------------------------------------------------
@@ -728,68 +731,7 @@ def test_lanczos_kernel_with_rng_restarts_to_kmax():
     assert np.linalg.norm(basis @ basis.T - np.eye(25), 2) <= 1e-12
 
 
-@pytest.mark.parametrize("N, m, k", [(8, 2, 12), (8, 2, 16), (4, 3, 6)])
-def test_forced_lanczos_keeps_multiplicities(N, m, k):
-    # m identical components repeat every eigenvalue m times.  At N = 8
-    # roundoff leaks the other copies into the basis; at N = 4 the basis
-    # breaks down exactly after 4 steps, and only the restart finds them
-    grid = build_grid(1, 1.0, N, m)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: float(x @ x) * np.eye(m), grid)
-    op = assemble_operator(assemble_form(dif, pot, grid))
-    dense = eigen_lowest(op, k, method="dense")
-    lanc = eigen_lowest(op, k, method="lanczos")
-    np.testing.assert_array_equal(np.ptp(dense.eigenvalues.reshape(-1, m), axis=1) < 1e-12, True)
-    np.testing.assert_allclose(lanc.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12 * lanc.matrix_norm)
-    assert np.all(lanc.residuals <= lanc.tol * lanc.matrix_norm)
-
-
-@pytest.mark.parametrize("scale", [1e16, 1e20])
-def test_lanczos_breakdown_test_scales_with_a_stiff_operator(scale):
-    # V = scale x^2 puts lambda_min(B) near 6e10 and 6e14, so every alpha of
-    # (B - sigma I)^-1 is below 2e-11.  Measured against max(1, |alpha_0|),
-    # every beta read as a breakdown, and the restarts never converged
-    grid = build_grid(1, 1.0, 400, 1)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: scale * float(x @ x), grid)
-    op = assemble_operator(assemble_form(dif, pot, grid))
-    dense = eigen_lowest(op, 6, method="dense")
-    lanc = eigen_lowest(op, 6, method="lanczos")
-    assert lanc.method == "lanczos"
-    np.testing.assert_allclose(lanc.eigenvalues, dense.eigenvalues, rtol=1e-10)
-    assert np.all(lanc.residuals <= lanc.tol * lanc.matrix_norm)
-
-
 # -- the constant-coefficient closed form ----------------------------------------------
-
-
-def _constant_operator(d, N, m, q, vmat, L=1.0):
-    grid = build_grid(d, L, N, m)
-    dif, pot = sample_fields(lambda x: q, lambda x: vmat, grid)
-    return grid, assemble_operator(assemble_form(dif, pot, grid))
-
-
-def _kronecker_sum_eigs(grid, q_diag, vmat, tilt=0.0):
-    """Every eigenvalue of sum_i q_i K_i + V + tilt x_0^2 I, sorted, as a Kronecker sum.
-
-    The first axis carries q_0 K_0 + tilt x_0^2, whose eigenvalues come from
-    a dense solve of that 1-d generator when the tilt is nonzero.
-    """
-    lap = _laplacian_eigs(grid)
-    axes = [qi * lap for qi in q_diag]
-    if tilt:
-        line = build_grid(1, grid.L, grid.N, 1)
-        dif, pot = sample_fields(lambda x: q_diag[0], lambda x: tilt * x[0] ** 2, line)
-        axes[0] = np.linalg.eigvalsh(assemble_operator(assemble_form(dif, pot, line)).generator().toarray())
-    total = np.linalg.eigvalsh(vmat)
-    for values in axes:
-        total = np.add.outer(total, values)
-    return np.sort(total, axis=None)
-
-
-def _constant_potential(kind, m, rng, level):
-    if kind == "scaled_identity":  # every eigenvalue repeated m times
-        return level * np.eye(m)
-    a = rng.standard_normal((m, m))
-    return (a + a.T) / 2.0 + (level if kind == "negative" else 0.0) * np.eye(m)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -811,41 +753,8 @@ def test_separable_lanczos_matches_dense_eigh(d, m, kind, q, level, seed, N, k):
     # repeats eigenvalues exactly; the closed form lists every copy.  The
     # dimension is capped at 1500 so that dense eigh stays cheap
     N = min(N, int((1500 / m) ** (1 / d) + 1e-9))
-    vmat = _constant_potential(kind, m, np.random.default_rng(seed), level)
-    _, op = _constant_operator(d, N, m, q * np.eye(d), vmat)
-    k = min(k, op.dim)
-    dense = eigen_lowest(op, k, method="dense")
-    closed = eigen_lowest(op, k, method="lanczos")
-    assert (closed.method, closed.iterations, closed.shift) == ("separable", 0, None)
-    bnorm = closed.matrix_norm
-    assert np.all(closed.residuals <= 1e-14 * bnorm)
-    vecs = closed.eigenvectors
-    assert vecs.shape == (op.dim, k)
-    assert np.linalg.norm(vecs.T @ vecs - np.eye(k), 2) <= 1e-13
-    np.testing.assert_allclose(closed.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-13 * bnorm)
-
-
-@pytest.mark.parametrize(
-    "d, N, m, method",
-    [
-        (1, 1000, 3, "dense"), (1, 1001, 3, "lanczos"),
-        (2, 54, 1, "dense"), (2, 55, 1, "lanczos"),
-        (3, 14, 1, "dense"), (3, 15, 1, "lanczos"),
-    ],
-)
-def test_auto_spectrum_across_dense_limit_with_multiplicities(d, N, m, method):
-    # dimensions just below and above DENSE_LIMIT = 3000; V = -50 I_m and an
-    # isotropic Q repeat the lowest eigenvalues up to six times.  "auto"
-    # resolves to ``method``, and "lanczos" reads this operator off the closed form
-    grid, op = _constant_operator(d, N, m, np.eye(d), -50.0 * np.eye(m))
-    k = 12
-    report = eigen_lowest(op, k)
-    assert report.method == {"dense": "dense", "lanczos": "separable"}[method]
-    exact = _kronecker_sum_eigs(grid, np.ones(d), -50.0 * np.eye(m))[:k]
-    assert np.min(np.diff(exact)) <= 1e-12 * np.abs(exact).max()  # a repeated value
-    bound = report.tol * report.matrix_norm
-    np.testing.assert_allclose(report.eigenvalues, exact, rtol=0, atol=2.0 * np.sqrt(k) * bound)
-    assert np.all(report.residuals <= bound)
+    r = kronecker.recipe(d, N, m, q=q, v=kronecker.random_potential(kind, m, np.random.default_rng(seed), level))
+    _check_spectrum(_Solve(None, r, min(k, m * N**d), (_CLOSED, _DENSE), agree=(0.0, 1e-13)))
 
 
 @pytest.mark.parametrize("d, N, m", [(1, 30, 1), (2, 12, 3), (3, 8, 2)])
@@ -855,7 +764,7 @@ def test_separable_dst_matches_scipy_inverts_itself_and_keeps_its_input(d, N, m)
     from scipy.fft import dstn
 
     rng = np.random.default_rng(d)
-    _, op = _constant_operator(d, N, m, np.diag([1.0, 1.37, 1.83][:d]), _constant_potential("coupled", m, rng, 0.0))
+    _, op = _operator(kronecker.recipe(d, N, m, q=_Q3[:d], v=kronecker.random_potential("coupled", m, rng, 0.0)))
     mu, w = op.separable
     y = rng.standard_normal(mu.shape)
     bound = 8.0 * np.finfo(float).eps * np.linalg.norm(y)
@@ -916,8 +825,8 @@ def _traced_peak(fn):
 def test_closed_form_synthesizes_mode_by_mode_as_the_batched_dst_did(d, m, coupled):
     # a diagonal V has W = I; a coupled one mixes the components
     rng = np.random.default_rng(10 * d + m)
-    vmat = _constant_potential("coupled", m, rng, 0.0) if coupled else np.diag(rng.uniform(0.0, 3.0, m))
-    _, op = _constant_operator(d, {1: 40, 2: 9, 3: 5}[d], m, np.diag([1.0, 1.37, 1.83][:d]), vmat)
+    vmat = kronecker.random_potential("coupled", m, rng, 0.0) if coupled else np.diag(rng.uniform(0.0, 3.0, m))
+    _, op = _operator(kronecker.recipe(d, {1: 40, 2: 9, 3: 5}[d], m, q=_Q3[:d], v=vmat))
     k = 7
     report = operators_module._eigen_separable(op, k, 1e-10)
     mu, w = op.separable
@@ -957,7 +866,7 @@ def test_closed_form_eigenvectors_hold_no_batch_of_transforms(monkeypatch):
     # k is: from k = 10 to 40 it grows by less than two states.  An eager
     # (n, k) eigenvector block, a DST of all k modes at once or an (n, k)
     # residual block hold more
-    _, op = _constant_operator(3, 16, 2, np.diag([1.0, 1.37, 1.83]), np.array([[1.0, -0.4], [-0.4, 2.0]]))
+    _, op = _operator(kronecker.recipe(3, 16, 2, q=_Q3, v=_V2))
     eigen_lowest(op, 1, method="lanczos")  # B, the closed form and numpy's FFT plan, made once
     state = 8 * op.dim
     mu, w = op.separable
@@ -983,7 +892,7 @@ def test_closed_form_report_synthesizes_its_eigenvectors_on_first_read():
     # the report keeps the closed form's synthesis, not an (n, k) block; the
     # first read of ``eigenvectors`` gathers the C-ordered block, and the
     # report keeps it
-    _, op = _constant_operator(2, 9, 2, np.diag([1.0, 1.37]), np.array([[1.0, -0.4], [-0.4, 2.0]]))
+    _, op = _operator(kronecker.recipe(2, 9, 2, q=(1.0, 1.37), v=_V2))
     report = eigen_lowest(op, 5, method="lanczos")
     assert report.method == "separable" and callable(report._vectors)
     mu, w = op.separable
@@ -1001,13 +910,11 @@ def test_residuals_match_scipys_product_on_every_path():
     # eigenvectors of LAPACK and of the Ritz pairs of a non-separable
     # operator and for the closed form's C-ordered ones alike, at k = 1 and
     # k >= 2, n even and odd
-    vmat = np.array([[1.0, -0.4], [-0.4, 2.0]])
-    vmat3 = np.array([[2.0, -0.5, 0.1], [-0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
-    _, coupled_line = _constant_operator(1, 1000, 2, np.eye(1), vmat)  # not tridiagonal: scipy eigh
-    _, odd_line = _constant_operator(1, 333, 3, np.eye(1), vmat3)  # n = 999
-    _, box = _constant_operator(3, 9, 2, np.diag([1.0, 1.37, 1.83]), vmat)
-    _, odd_box = _constant_operator(3, 9, 1, np.diag([1.0, 1.37, 1.83]), np.array([[0.5]]))  # n = 729
-    _, tilted = _tilted_operator(2, 40, 2, [1.0, 1.37], vmat)  # LU Lanczos
+    _, coupled_line = _operator(kronecker.recipe(1, 1000, 2, v=_V2))  # not tridiagonal: scipy eigh
+    _, odd_line = _operator(kronecker.recipe(1, 333, 3, v=_V3))  # n = 999
+    _, box = _operator(kronecker.recipe(3, 9, 2, q=_Q3, v=_V2))
+    _, odd_box = _operator(kronecker.recipe(3, 9, 1, q=_Q3, v=0.5))  # n = 729
+    _, tilted = _operator(kronecker.recipe(2, 40, 2, q=(1.0, 1.37), s=(TILT, 0.0), v=_V2))  # LU Lanczos
     cases = [(coupled_line, "dense", 1), (coupled_line, "dense", 2), (coupled_line, "dense", 8)]
     cases += [(odd_line, "dense", 1), (odd_line, "dense", 5), (box, "lanczos", 1), (box, "lanczos", 2)]
     cases += [(box, "lanczos", 10), (odd_box, "lanczos", 1), (odd_box, "lanczos", 7)]
@@ -1091,7 +998,7 @@ def test_constant_is_bitwise_so_signed_zeros_are_not_separable():
     for dif, pot in fields.values():
         qe, ve = np.linalg.eigvalsh(dif.samples), np.linalg.eigvalsh(pot.samples)
         assert (dif.ellipticity_lower, dif.ellipticity_upper) == (qe[:, 0].min(), qe[:, -1].max())
-        assert (pot.min_eigenvalue, pot.max_eigenvalue) == (ve[:, 0].min(), ve[:, -1].max())
+        assert pot.min_eigenvalue == ve[:, 0].min()
         assert pot.offdiag_max == pot.samples[:, 0, 1].max()
     diagonal_q = np.diag([1.0, 1.37])
     for v_fn, separable in ((lambda x: 0.0 * x[0] * np.eye(2), False), (lambda x: 0.0 * np.eye(2), True)):
@@ -1200,7 +1107,7 @@ def test_dense_solves_read_the_transposed_view_bit_for_bit(d, m, q_full):
 def test_dense_solves_make_no_second_copy_of_the_matrix():
     # LAPACK reads the dense B in place: beyond B itself (n^2 doubles) the
     # subset solve allocates little, and the full solve one more n^2 for U
-    _, op = _tilted_operator(1, 400, 3, [1.0], np.array([[2.0, -0.5, 0.1], [-0.5, 1.0, 0.3], [0.1, 0.3, 1.5]]))
+    _, op = _operator(kronecker.recipe(1, 400, 3, s=TILT, v=_V3))
     b = op.generator()
     square = op.dim**2 * 8
     assert op.dim >= 1200 and operators_module._tridiagonal(b) is None
@@ -1241,9 +1148,7 @@ def test_pointwise_extremal_eigs_closed_form():
 
 def test_sandwich_degenerate_scalar_multiple():
     # V = c I: mu = nu = c, all three spectra are assembled identically
-    grid = build_grid(1, 1.0, 30, 2)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: 0.8 * np.eye(2), grid)
-    report = sandwich_check(assemble_operator(assemble_form(dif, pot, grid)), k=6)
+    report = sandwich_check(_operator(kronecker.recipe(1, 30, 2, v=0.8))[1], k=6)
     assert report.passed
     np.testing.assert_allclose(report.lower, report.eigenvalues, rtol=1e-13)
     np.testing.assert_allclose(report.upper, report.eigenvalues, rtol=1e-13)
@@ -1269,7 +1174,5 @@ def test_sandwich_brackets_coupled_potential():
 
 
 def test_sandwich_rejects_indefinite_potential():
-    grid = build_grid(1, 1.0, 10, 2)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: -np.eye(2), grid)
     with pytest.raises(ValueError, match="PSD"):
-        sandwich_check(assemble_operator(assemble_form(dif, pot, grid)), k=3)
+        sandwich_check(_operator(kronecker.recipe(1, 10, 2, v=-1.0))[1], k=3)

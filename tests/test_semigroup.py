@@ -1,9 +1,9 @@
 """Propagators (dense/separable/Krylov) and the measurement probes."""
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -30,23 +30,20 @@ from matschrod import (
 import matschrod.operators as operators_module
 from matschrod.checks import check_semigroup_structure
 from matschrod.semigroup import default_config
-from test_operators import _constant_operator, _constant_potential
+
+import _kronecker as kronecker
 
 DENSE = PropagatorConfig(method="exact-dense")
+_V2 = [[1.0, -0.4], [-0.4, 2.0]]
+#: the 1-d harmonic oscillator V = x^2 on [-5, 5]
+_HARMONIC = kronecker.recipe(1, 60, 1, L=5.0, s=1.0)
 
 
-def _harmonic_operator(N=60, L=5.0):
-    grid = build_grid(1, L, N, 1)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: float(x @ x), grid)
-    return grid, assemble_operator(assemble_form(dif, pot, grid))
-
-
-def _coupled_operator(v12=0.5, N=40, L=3.0):
-    grid = build_grid(1, L, N, 2)
-    dif, pot = sample_fields(
-        lambda x: 1.0, lambda x: np.array([[2.0, v12], [v12, 2.0]]), grid
-    )
-    return grid, assemble_operator(assemble_form(dif, pot, grid))
+def _operator(r):
+    """matschrod's operator of a Kronecker recipe, built from the recipe's samples."""
+    grid = build_grid(r.d, r.L, r.N, r.m)
+    q, v = kronecker.samples(r)
+    return grid, assemble_operator(assemble_form(DiffusionField(grid, q), PotentialField(grid, v), grid))
 
 
 # -- configuration --------------------------------------------------------------
@@ -83,23 +80,23 @@ def test_config_validation():
 def test_default_config_picks_dense_then_krylov(monkeypatch):
     # dense up to DENSE_LIMIT; above it the closed form for constant
     # coefficients and Krylov for the harmonic potential
-    _, op = _harmonic_operator(N=20)
-    grid, constant = _constant_operator(2, 5, 2, np.diag([1.0, 1.7]), np.array([[1.0, -0.4], [-0.4, 2.0]]))
+    _, op = _operator(_HARMONIC._replace(N=20))
+    r = kronecker.recipe(2, 5, 2, q=(1.0, 1.7), v=_V2)
+    grid, constant = _operator(r)
     assert default_config(op).method == default_config(constant).method == "exact-dense"
     monkeypatch.setattr(semigroup_module, "DENSE_LIMIT", 10)
     assert default_config(op).method == "lanczos-expmv"
     assert default_config(constant).method == "exact-separable"
     f = VectorState.random(grid, np.random.default_rng(0))
-    np.testing.assert_allclose(
-        propagate(constant, f, 0.3).values, propagate(constant, f, 0.3, DENSE).values, rtol=0, atol=1e-13
-    )
+    exact = kronecker.propagate(r, f.values, 0.3)
+    np.testing.assert_allclose(propagate(constant, f, 0.3).values, exact, rtol=0, atol=1e-13)
 
 
 # -- propagators ------------------------------------------------------------------
 
 
 def test_propagate_time_zero_and_errors():
-    grid, op = _harmonic_operator(N=20)
+    grid, op = _operator(_HARMONIC._replace(N=20))
     f = VectorState.random(grid, np.random.default_rng(1))
     out = propagate(op, f, 0.0)
     assert out is not f
@@ -110,33 +107,89 @@ def test_propagate_time_zero_and_errors():
         with pytest.raises(ValueError, match="propagation time must be finite"):
             propagate(op, f, t)
     with pytest.raises(GridMismatchError):
-        propagate(op, VectorState.zeros(build_grid(1, 5.0, 21, 1)), 0.1)
+        propagate(op, VectorState(build_grid(1, 5.0, 21, 1), np.zeros(21)), 0.1)
 
 
-def test_constant_shift_factors_out():
-    # adding c I to the potential multiplies the flow by e^{-ct}
-    grid = build_grid(1, 2.0, 30, 1)
-    c = 1.3
-    dif0, pot0 = sample_fields(lambda x: 1.0, lambda x: 0.0, grid)
-    difc, potc = sample_fields(lambda x: 1.0, lambda x: c, grid)
-    op0 = assemble_operator(assemble_form(dif0, pot0, grid))
-    opc = assemble_operator(assemble_form(difc, potc, grid))
-    f = VectorState.random(grid, np.random.default_rng(2))
-    for t in (0.05, 0.4, 1.1):
-        shifted = propagate(opc, f, t, DENSE)
-        free = propagate(op0, f, t, DENSE)
-        np.testing.assert_allclose(
-            shifted.values, np.exp(-c * t) * free.values, rtol=1e-12, atol=1e-14
-        )
+class _Flow(NamedTuple):
+    # id is None in a test that was not parametrized; f0 is VectorState.random drawn from seed (an
+    # int, or the Generator a hypothesis draw goes on with).  At each time the state lies within
+    # bound (default the propagator's tol + 1e-11) times the growth e^{-tc} and ||f0|| of the oracle, and within
+    # versus's bound alike of versus's method; close is an (rtol, atol) at which it meets the oracle
+    # entry by entry, kernel the Krylov regime that each time takes, and a row that raises raises
+    # at every time with the state at t = 0
+    id: str | None
+    recipe: kronecker.Kronecker
+    method: str
+    times: tuple
+    seed: object
+    bound: float | None = None
+    versus: tuple | None = None
+    close: tuple | None = None
+    kernel: str | None = None
+    raises: bool = False
 
 
-def test_dense_propagator_matches_scipy_expm_multiply():
-    grid, op = _harmonic_operator(N=60)
-    f = VectorState.random(grid, np.random.default_rng(3))
-    for t in (0.01, 0.3):
-        ours = propagate(op, f, t, DENSE).flat()
-        reference = spla.expm_multiply(-t * op.generator().tocsc(), f.flat())
-        assert np.linalg.norm(ours - reference) <= 1e-9 * np.linalg.norm(f.flat())
+#: the propagator table: each test name maps to its rows, and the one test
+#: body below checks each row against the oracle, which does not read matschrod's B
+_FLOWS = {
+    # adding c I to the potential multiplies the flow by e^{-ct}, as it does the oracle's
+    "test_constant_shift_factors_out": [
+        _Flow(None, kronecker.recipe(1, 30, 1, L=2.0, v=c), "exact-dense", (0.05, 0.4, 1.1), 2, close=(1e-12, 1e-14))
+        for c in (0.0, 1.3)],
+    "test_dense_propagator_matches_scipy_expm_multiply": [_Flow(None, _HARMONIC, "exact-dense", (0.01, 0.3), 3)],
+    "test_krylov_matches_dense": [
+        _Flow(None, _HARMONIC._replace(N=200), "lanczos-expmv", (0.01, 0.5, 2.0), 4, versus=("exact-dense", 1e-8),
+              kernel="polynomial")],
+    # V = v I multiplies e^{-tB} by e^{-tv} (2.2e4, 3.0e3 and 3.3e6 here), while
+    # t ||B|| (1.3e3 to 2.6e3) stays polynomial: the roundoff so amplified is
+    # above tol ||f||, and the propagator raises before any work
+    "test_polynomial_krylov_meets_tol_or_raises_under_growth": [
+        _Flow(f"{v}-{t}", kronecker.recipe(1, 80, 2, v=v), "lanczos-expmv", (t,), 0, kernel="polynomial", raises=True)
+        for v, t in [(-50.0, 0.2), (-20.0, 0.4), (-50.0, 0.3)]],
+}
+
+
+def _check_flow(row):
+    grid, op = _operator(row.recipe)
+    f = VectorState.random(grid, np.random.default_rng(row.seed))
+    norm, c = np.linalg.norm(f.values), min(0.0, op.potential.min_eigenvalue)
+    config = PropagatorConfig(method=row.method)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _spy_kernels(patch)
+        for i, t in enumerate(row.times, 1):
+            if row.raises:
+                with pytest.raises(ConvergenceError) as info:
+                    propagate(op, f, t, config)
+                assert info.value.partial["t_reached"] == 0.0
+                np.testing.assert_array_equal(info.value.partial["state"].values, f.values)
+            else:
+                got, exact = propagate(op, f, t, config).values, kronecker.propagate(row.recipe, f.values, t)
+                budget = np.exp(-t * c) * norm
+                assert np.linalg.norm(got - exact) <= (config.tol + 1e-11 if row.bound is None else row.bound) * budget
+                if row.versus:
+                    method, bound = row.versus
+                    other = propagate(op, f, t, PropagatorConfig(method=method)).values
+                    assert np.linalg.norm(got - other) <= bound * budget
+                if row.close:
+                    np.testing.assert_allclose(got, exact, *row.close)
+            assert row.kernel is None or calls == {"polynomial": 0, "shift-invert": 0, row.kernel: i}
+
+
+def _flow_test(rows):
+    if rows[0].id is None:  # a test that was not parametrized runs its rows in turn
+        def test():
+            for row in rows:
+                _check_flow(row)
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
+    def test(row):
+        _check_flow(row)
+    return test
+
+
+for _name, _rows in _FLOWS.items():
+    globals()[_name] = _flow_test(_rows)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -155,15 +208,12 @@ def test_exact_separable_matches_exact_dense(d, m, kind, q, level, t, seed, N):
     # reaches V <= -50, where ||e^{-tB}|| grows to e^{-tc}
     N = min(N, int((600 / m) ** (1 / d) + 1e-9))
     rng = np.random.default_rng(seed)
-    grid, op = _constant_operator(d, N, m, np.diag(q[:d]), _constant_potential(kind, m, rng, level), L=3.0)
-    f = VectorState.random(grid, rng)
-    got = propagate(op, f, t, PropagatorConfig(method="exact-separable"))
-    growth = np.exp(-t * min(0.0, op.potential.min_eigenvalue))
-    assert mixed_norm(got - propagate(op, f, t, DENSE), 2) <= 1e-12 * growth * mixed_norm(f, 2)
+    r = kronecker.recipe(d, N, m, L=3.0, q=q[:d], v=kronecker.random_potential(kind, m, rng, level))
+    _check_flow(_Flow(None, r, "exact-separable", (t,), rng, bound=1e-12, versus=("exact-dense", 1e-12)))
 
 
 def test_exact_separable_refuses_non_separable_operator():
-    grid, op = _harmonic_operator(N=20)
+    grid, op = _operator(_HARMONIC._replace(N=20))
     with pytest.raises(ValueError, match="exact-separable"):
         propagate(op, VectorState.random(grid, np.random.default_rng(0)), 0.1,
                   PropagatorConfig(method="exact-separable"))
@@ -178,7 +228,7 @@ def test_exact_separable_computes_the_closed_form_once(monkeypatch):
         return closed_form(op)
 
     monkeypatch.setattr(operators_module, "_separable", spy)
-    grid, op = _constant_operator(2, 6, 2, np.diag([1.0, 1.7]), np.array([[1.0, -0.4], [-0.4, 2.0]]))
+    grid, op = _operator(kronecker.recipe(2, 6, 2, q=(1.0, 1.7), v=_V2))
     f = VectorState.random(grid, np.random.default_rng(0))
     config = PropagatorConfig(method="exact-separable")
     for t in config.times:
@@ -189,7 +239,7 @@ def test_exact_separable_computes_the_closed_form_once(monkeypatch):
 @pytest.mark.parametrize("method", ["exact-dense", "exact-separable"])
 def test_exact_propagators_raise_before_exp_overflows(method, recwarn):
     # lambda_min(B) is near -1000, so e^{-tB} overflows for t above 0.71
-    grid, op = _constant_operator(1, 20, 1, np.eye(1), np.array([[-1000.0]]))
+    grid, op = _operator(kronecker.recipe(1, 20, 1, v=-1000.0))
     f = VectorState.random(grid, np.random.default_rng(0))
     config = PropagatorConfig(method=method)
     assert np.all(np.isfinite(propagate(op, f, 0.7, config).values))
@@ -204,7 +254,7 @@ def test_exact_propagators_raise_before_exp_overflows(method, recwarn):
 @pytest.mark.parametrize("N", [20, 140], ids=["polynomial", "shift-invert"])
 def test_krylov_raises_before_exp_overflows(N):
     # c = min(0, min V) = -1000, so the growth bound e^{-tc} overflows at t = 1
-    grid, op = _constant_operator(1, N, 1, np.eye(1), np.array([[-1000.0]]))
+    grid, op = _operator(kronecker.recipe(1, N, 1, v=-1000.0))
     f = VectorState.random(grid, np.random.default_rng(0))
     config = PropagatorConfig(method="lanczos-expmv")
     with warnings.catch_warnings():
@@ -215,21 +265,9 @@ def test_krylov_raises_before_exp_overflows(N):
     assert exc_info.value.partial["t_reached"] == 0.0
 
 
-def test_krylov_matches_dense():
-    grid = build_grid(1, 5.0, 200, 1)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: float(x @ x), grid)
-    op = assemble_operator(assemble_form(dif, pot, grid))
-    f = VectorState.random(grid, np.random.default_rng(4))
-    krylov = PropagatorConfig(method="lanczos-expmv", tol=1e-10)
-    for t in (0.01, 0.5, 2.0):
-        got = propagate(op, f, t, krylov).flat()
-        want = propagate(op, f, t, DENSE).flat()
-        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(f.flat())
-
-
 def test_krylov_eigenvector_is_exact_by_breakdown():
     # a single eigenvector spans an invariant subspace: happy breakdown, exact answer
-    grid, op = _harmonic_operator(N=40)
+    grid, op = _operator(_HARMONIC._replace(N=40))
     report = eigen_lowest(op, 1)
     f = VectorState(grid, report.eigenvectors[:, 0])
     lam = report.eigenvalues[0]
@@ -239,18 +277,16 @@ def test_krylov_eigenvector_is_exact_by_breakdown():
 
 
 def test_krylov_zero_state():
-    grid, op = _harmonic_operator(N=20)
-    out = propagate(op, VectorState.zeros(grid), 0.5, PropagatorConfig(method="lanczos-expmv"))
+    grid, op = _operator(_HARMONIC._replace(N=20))
+    out = propagate(op, VectorState(grid, np.zeros(grid.state_size)), 0.5, PropagatorConfig(method="lanczos-expmv"))
     np.testing.assert_array_equal(out.values, 0.0)
 
 
 def test_krylov_absurd_tolerance_raises():
-    grid = build_grid(1, 1.0, 100, 1)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: 0.0, grid)
-    op = assemble_operator(assemble_form(dif, pot, grid))
+    grid, op = _operator(kronecker.recipe(1, 100, 1))
     f = VectorState.random(grid, np.random.default_rng(5))
     config = PropagatorConfig(method="lanczos-expmv", tol=1e-30)
-    with pytest.raises(ConvergenceError, match="subspace enlargements"):
+    with pytest.raises(ConvergenceError, match=r"propagator\.tol=1e-30: its floor"):
         propagate(op, f, 1.0, config)
 
 
@@ -259,20 +295,17 @@ def test_krylov_failure_carries_partial():
     # (17 here) fails before the polynomial substeps and stiff t||B|| (20200)
     # before the shift-invert factorization; either way the partial is a
     # certified state
-    grid, op = _harmonic_operator(N=20)
-    stiff_grid = build_grid(1, 1.0, 200, 1)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: 0.0, stiff_grid)
-    stiff_op = assemble_operator(assemble_form(dif, pot, stiff_grid))
     config = PropagatorConfig(method="lanczos-expmv", tol=1e-30)
-    for g, o in ((grid, op), (stiff_grid, stiff_op)):
+    for r in (_HARMONIC._replace(N=20), kronecker.recipe(1, 200, 1)):
+        g, o = _operator(r)
         f = VectorState.random(g, np.random.default_rng(5))
-        with pytest.raises(ConvergenceError, match="subspace enlargements") as info:
+        with pytest.raises(ConvergenceError, match=r"propagator\.tol=1e-30: its floor") as info:
             propagate(o, f, 0.5, config)
         partial = info.value.partial
         assert 0.0 <= partial["t_reached"] < 0.5
-        reached = propagate(o, f, partial["t_reached"], DENSE)
+        reached = kronecker.propagate(r, f.values, partial["t_reached"])
         assert partial["state"].grid is g
-        assert mixed_norm(partial["state"] - reached, 2) <= 1e-10 * mixed_norm(f, 2)
+        assert np.linalg.norm(partial["state"].values - reached) <= 1e-10 * np.linalg.norm(f.values)
 
 
 @pytest.mark.parametrize("method", ["exact-dense", "exact-separable", "lanczos-expmv"])
@@ -281,12 +314,12 @@ def test_subnormal_state_contracts_to_the_bit(method):
     # ten subnormal ulps, was propagated in subnormal arithmetic: its entries
     # grew past it on the dense and separable paths, and Krylov, whose norm
     # underflowed to 0, returned it unchanged
-    grid, op = _constant_operator(2, 8, 2, np.eye(2), np.zeros((2, 2)))
+    grid, op = _operator(kronecker.recipe(2, 8, 2))
     f = VectorState(grid, np.full((2, grid.n_nodes), 5e-323))
     config = PropagatorConfig(method=method)
     for t in config.times:
         got = propagate(op, f, t, config).values
-        want = np.ldexp(propagate(op, f * 2.0**1000, t, DENSE).values, -1000)
+        want = np.ldexp(propagate(op, f.with_values(f.values * 2.0**1000), t, DENSE).values, -1000)
         assert np.max(np.abs(got)) <= 5e-323
         assert np.max(np.abs(got - want)) <= 5e-324  # one ulp
 
@@ -296,16 +329,16 @@ def test_subnormal_state_contracts_to_the_bit(method):
 def test_huge_state_propagates_as_its_scaled_copy_to_the_bit(method, t):
     # a largest entry in [2^1022, 2^1023): unscaled, the squares in both Krylov
     # regimes' norms and the sums of the closed form's rfft overflowed
-    grid, op = _constant_operator(2, 8, 2, np.eye(2), np.zeros((2, 2)))
+    grid, op = _operator(kronecker.recipe(2, 8, 2))
     f = VectorState.random(grid, np.random.default_rng(5))
     k = 1023 - int(np.frexp(np.abs(f.values).max())[1])
     config = PropagatorConfig(method=method)
-    got = propagate(op, f * 2.0**k, t, config).values
+    got = propagate(op, f.with_values(f.values * 2.0**k), t, config).values
     assert np.array_equal(got, np.ldexp(propagate(op, f, t, config).values, k))
 
 
 def test_huge_state_grown_past_the_largest_float_raises():
-    grid, op = _constant_operator(1, 16, 1, np.eye(1), -50.0 * np.eye(1))
+    grid, op = _operator(kronecker.recipe(1, 16, 1, v=-50.0))
     f = VectorState(grid, np.full((1, grid.n_nodes), 1e300))
     with pytest.raises(ConvergenceError, match="an entry beyond the largest float") as info:
         propagate(op, f, 1.0, DENSE)
@@ -313,13 +346,15 @@ def test_huge_state_grown_past_the_largest_float_raises():
 
 
 def test_krylov_failure_partial_of_a_subnormal_state_is_scaled_back():
-    grid, op = _harmonic_operator(N=20)
-    f = VectorState.random(grid, np.random.default_rng(5)) * 1e-310
-    with pytest.raises(ConvergenceError, match="subspace enlargements") as info:
+    r = _HARMONIC._replace(N=20)
+    grid, op = _operator(r)
+    f = VectorState.random(grid, np.random.default_rng(5), 1e-310)
+    with pytest.raises(ConvergenceError, match=r"propagator\.tol=1e-30: its floor") as info:
         propagate(op, f, 0.5, PropagatorConfig(method="lanczos-expmv", tol=1e-30))
-    partial = info.value.partial
-    reached = propagate(op, f, partial["t_reached"], DENSE)
-    assert mixed_norm(partial["state"] - reached, 2) <= 1e-10 * mixed_norm(f, 2)
+    # compared on copies scaled by 2^1000, exactly, so the oracle's products stay normal
+    state, f0 = (np.ldexp(values, 1000) for values in (info.value.partial["state"].values, f.values))
+    reached = kronecker.propagate(r, f0, info.value.partial["t_reached"])
+    assert np.linalg.norm(state - reached) <= 1e-10 * np.linalg.norm(f0)
 
 
 def _spy_kernels(monkeypatch):
@@ -339,16 +374,13 @@ def test_krylov_dispatch_by_stiffness(monkeypatch):
     # t ||B|| <= (4 * 30)^2 stays polynomial: a 2-d m=2 operator at the
     # evolve-2d mesh width h ~ 0.1 has t ||B|| ~ 1.2e3 at t=1, below 120^2
     calls = _spy_kernels(monkeypatch)
-    grid = build_grid(2, 1.0, 20, 2)
-    dif, pot = sample_fields(
-        lambda x: np.diag([1.0, 1.7]), lambda x: np.array([[1.0, -0.4], [-0.4, 2.0]]), grid
-    )
-    op = assemble_operator(assemble_form(dif, pot, grid))
+    r = kronecker.recipe(2, 20, 2, q=(1.0, 1.7), v=_V2)
+    grid, op = _operator(r)
     f = VectorState.random(grid, np.random.default_rng(10))
     krylov = PropagatorConfig(method="lanczos-expmv")
     for t in (0.01, 0.1, 1.0):
-        got = propagate(op, f, t, krylov)
-        assert mixed_norm(got - propagate(op, f, t, DENSE), 2) <= 1e-10 * mixed_norm(f, 2)
+        got = propagate(op, f, t, krylov).values
+        assert np.linalg.norm(got - kronecker.propagate(r, f.values, t)) <= 1e-10 * np.linalg.norm(f.values)
     assert calls == {"polynomial": 3, "shift-invert": 0}
     # semigroup_structure (||B|| ~ 2.6e5): t = 0.01 is polynomial, 0.1 and 1 are stiff
     calls.update(polynomial=0)
@@ -360,23 +392,25 @@ def test_krylov_dispatch_by_stiffness(monkeypatch):
 def test_krylov_regime_threshold_is_fixed(monkeypatch):
     # one operator on either side of t ||B||_oo = (4 * 30)^2 = 14400
     assert (4 * semigroup_module._KRYLOV_DIM) ** 2 == 14400
-    grid, op = _harmonic_operator(N=200, L=5.0)
+    r = _HARMONIC._replace(N=200)
+    grid, op = _operator(r)
     f = VectorState.random(grid, np.random.default_rng(12))
     krylov = PropagatorConfig(method="lanczos-expmv")
     calls = _spy_kernels(monkeypatch)
     expected = {"polynomial": 0, "shift-invert": 0}
     for side, scale in (("polynomial", 1.0 - 1e-6), ("shift-invert", 1.0 + 1e-6)):
         t = 14400.0 * scale / op.generator_norm_bound()
-        got = propagate(op, f, t, krylov)
+        got = propagate(op, f, t, krylov).values
         expected[side] += 1
         assert calls == expected
-        assert mixed_norm(got - propagate(op, f, t, DENSE), 2) <= 1e-10 * mixed_norm(f, 2)
+        assert np.linalg.norm(got - kronecker.propagate(r, f.values, t)) <= 1e-10 * np.linalg.norm(f.values)
 
 
 def test_polynomial_krylov_covers_the_threshold_in_few_substeps_and_caps_them(monkeypatch):
     # one subspace size covers t ||B|| just below 14400 in 22 substeps here;
     # with the cap at 2 the propagator raises with the state it reached
-    grid, op = _harmonic_operator(N=200, L=5.0)
+    r = _HARMONIC._replace(N=200)
+    grid, op = _operator(r)
     f = VectorState.random(grid, np.random.default_rng(12))
     krylov = PropagatorConfig(method="lanczos-expmv")
     t = 14400.0 * (1.0 - 1e-6) / op.generator_norm_bound()
@@ -397,8 +431,8 @@ def test_polynomial_krylov_covers_the_threshold_in_few_substeps_and_caps_them(mo
         propagate(op, f, t, krylov)
     partial = info.value.partial
     assert 0.0 < partial["t_reached"] < t
-    reached = propagate(op, f, partial["t_reached"], DENSE)
-    assert mixed_norm(partial["state"] - reached, 2) <= krylov.tol * mixed_norm(f, 2)
+    reached = kronecker.propagate(r, f.values, partial["t_reached"])
+    assert np.linalg.norm(partial["state"].values - reached) <= krylov.tol * np.linalg.norm(f.values)
 
 
 @pytest.mark.parametrize("bound", [np.inf, np.nan])
@@ -406,7 +440,7 @@ def test_polynomial_krylov_raises_when_no_substep_fits(monkeypatch, bound):
     # a defect bound that never fits, NaN included, halves the first substep
     # to its floor of 1e-10 t: the propagator raises with the state it started from
     monkeypatch.setattr(semigroup_module, "_krylov_step_error", lambda *args: bound)
-    grid, op = _harmonic_operator(N=60)  # dimension 60 > 30: no happy breakdown
+    grid, op = _operator(_HARMONIC._replace(N=60))  # dimension 60 > 30: no happy breakdown
     f = VectorState.random(grid, np.random.default_rng(13))
     with pytest.raises(ConvergenceError, match="substep fell below 1e-10 t") as info:
         propagate(op, f, 0.5, PropagatorConfig(method="lanczos-expmv"))
@@ -414,45 +448,12 @@ def test_polynomial_krylov_raises_when_no_substep_fits(monkeypatch, bound):
     np.testing.assert_array_equal(info.value.partial["state"].values, f.values)
 
 
-@pytest.mark.parametrize("v, t", [(-50.0, 0.2), (-20.0, 0.4), (-50.0, 0.3)])
-def test_polynomial_krylov_meets_tol_or_raises_under_growth(monkeypatch, v, t):
-    """V = v I multiplies e^{-tB} by e^{-tv} (2.2e4, 3.0e3 and 3.3e6 here).
-
-    Roundoff so amplified can exceed tol ||f|| while t ||B|| (1.3e3 to 2.6e3)
-    stays polynomial; the closed form e^{-tv} e^{-tB0} f, B0 the free
-    Dirichlet Laplacian in its sine eigenbasis, is the oracle.
-    """
-    calls = _spy_kernels(monkeypatch)
-    grid = build_grid(1, 1.0, 80, 2)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: v * np.eye(2), grid)
-    op = assemble_operator(assemble_form(dif, pot, grid))
-    f = VectorState.random(grid, np.random.default_rng(0))
-    config = PropagatorConfig(method="lanczos-expmv", tol=1e-10)
-    N = grid.N
-    k = np.arange(1, N + 1)
-    lap = (4.0 / grid.h**2) * np.sin(k * np.pi / (2.0 * (N + 1))) ** 2
-    sines = np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(k, k) * np.pi / (N + 1))
-    exact = np.exp(-t * v) * ((f.values @ sines) * np.exp(-t * lap)) @ sines.T
-    try:
-        got = propagate(op, f, t, config)
-    except ConvergenceError as exc:
-        assert exc.partial["t_reached"] == 0.0
-        np.testing.assert_array_equal(exc.partial["state"].values, f.values)
-    else:
-        assert np.linalg.norm(got.values - exact) <= config.tol * np.linalg.norm(f.values)
-    assert calls == {"polynomial": 1, "shift-invert": 0}
-
-
 #: with ||B|| ~ 1640 this is stiff: t ||B|| ~ 14760 > 14400
 _STIFF_T = 9.0
 
 
-def _stiff_harmonic_operator():
-    return _harmonic_operator(N=200, L=5.0)
-
-
 def test_shift_invert_eigenvector_is_exact_by_breakdown(monkeypatch):
-    grid, op = _stiff_harmonic_operator()
+    grid, op = _operator(_HARMONIC._replace(N=200))
     calls = _spy_kernels(monkeypatch)
     sizes = []
     kernel = semigroup_module._lanczos
@@ -475,13 +476,13 @@ def test_shift_invert_eigenvector_is_exact_by_breakdown(monkeypatch):
 
 
 def test_shift_invert_zero_state(monkeypatch):
-    grid, op = _stiff_harmonic_operator()
+    grid, op = _operator(_HARMONIC._replace(N=200))
     calls = _spy_kernels(monkeypatch)
     config = PropagatorConfig(method="lanczos-expmv")
     f = VectorState.random(grid, np.random.default_rng(11))
     propagate(op, f, _STIFF_T, config)
     assert calls["shift-invert"] == 1
-    out = propagate(op, VectorState.zeros(grid), _STIFF_T, config)
+    out = propagate(op, VectorState(grid, np.zeros(grid.state_size)), _STIFF_T, config)
     np.testing.assert_array_equal(out.values, 0.0)
 
 
@@ -561,27 +562,27 @@ def test_operator_guarantees_gate_every_probe(q_offdiag, diagonal, coupling):
 
 
 def test_probes_that_measure_nothing_are_untested():
-    grid, op = _coupled_operator(v12=-0.5, N=10)
+    grid, op = _operator(kronecker.recipe(1, 10, 2, L=3.0, v=[[2.0, -0.5], [-0.5, 2.0]]))
     assert op.positivity_preserving and op.contracts_in(np.inf)
-    f = VectorState.bump(grid)
+    f, zero_state = VectorState.bump(grid), VectorState(grid, np.zeros(grid.state_size))
     assert positivity_probe(op, [], [0.1]).verdict == "untested"
     assert positivity_probe(op, [f], []).verdict == "untested"
-    zero = positivity_probe(op, [VectorState.zeros(grid)] * 2, [0.1])
+    zero = positivity_probe(op, [zero_state] * 2, [0.1])
     assert zero.threshold == 0.0 and zero.verdict == "untested"
     assert strong_continuity_probe(op, f, [], p=4.0).verdict == "untested"
     # a zero state has zero deviations and bounds at every time
-    assert strong_continuity_probe(op, VectorState.zeros(grid), [0.1, 0.2], p=4.0).verdict == "untested"
+    assert strong_continuity_probe(op, zero_state, [0.1, 0.2], p=4.0).verdict == "untested"
     # one nonzero state among zeros is a test
-    assert positivity_probe(op, [VectorState.zeros(grid), f], [0.1]).verdict == "positive"
+    assert positivity_probe(op, [zero_state, f], [0.1]).verdict == "positive"
 
 
 # -- contraction probe ---------------------------------------------------------------
 
 
 def test_contraction_probe_guarantees_and_zero_states():
-    grid, op = _harmonic_operator(N=40)
+    grid, op = _operator(_HARMONIC._replace(N=40))
     rng = np.random.default_rng(6)
-    states = [VectorState.random(grid, rng), VectorState.zeros(grid)]
+    states = [VectorState.random(grid, rng), VectorState(grid, np.zeros(grid.state_size))]
     config = PropagatorConfig(times=(0.1, 1.0), p_list=(1.0, 2.0, np.inf))
     report = contraction_probe(op, states, config)
     assert report.verdict == "pass"
@@ -607,19 +608,17 @@ def test_contraction_probe_offdiagonal_diffusion_only_certifies_p2():
 
 def test_contraction_probe_without_gated_records_is_untested(monkeypatch):
     # V = -3 is not PSD, so no ratio is guaranteed while the sup norm grows
-    grid = build_grid(1, 3.0, 30, 1)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: -3.0, grid)
-    op = assemble_operator(assemble_form(dif, pot, grid))
+    grid, op = _operator(kronecker.recipe(1, 30, 1, L=3.0, v=-3.0))
     f = VectorState.random(grid, np.random.default_rng(8))
     report = contraction_probe(op, [f], PropagatorConfig(times=(0.1, 1.0)))
     assert not any(r["guaranteed"] for r in report.records)
     assert max(r["ratio"] for r in report.records) > 1.0
     assert report.verdict == "untested"
     # a zero state is skipped, so a list of zero states tests nothing either
-    _, harmonic = _harmonic_operator(N=20)
+    _, harmonic = _operator(_HARMONIC._replace(N=20))
     calls = []
     monkeypatch.setattr(semigroup_module, "propagate", lambda *args: calls.append(args))
-    zeros = [VectorState.zeros(harmonic.grid)] * 2
+    zeros = [VectorState(harmonic.grid, np.zeros(20))] * 2
     report = contraction_probe(harmonic, zeros, PropagatorConfig(times=(0.1,)))
     assert report.verdict == "untested" and not calls
     assert all(r["norm_out"] == 0.0 and r["ratio"] is None and not r["guaranteed"] for r in report.records)
@@ -630,7 +629,7 @@ def test_contraction_probe_without_gated_records_is_untested(monkeypatch):
 
 def test_strong_continuity_eigenvector_closed_form():
     # T(t) v = e^{-lambda t} v, so ||T(t)v - v||_p = (1 - e^{-lambda t}) ||v||_p
-    grid, op = _harmonic_operator(N=50)
+    grid, op = _operator(_HARMONIC._replace(N=50))
     rep = eigen_lowest(op, 1)
     lam = rep.eigenvalues[0]
     f = VectorState(grid, rep.eigenvectors[:, 0])
@@ -647,9 +646,7 @@ def test_strong_continuity_eigenvector_closed_form():
 def test_strong_continuity_without_contraction_is_untested():
     # V = -3 is not PSD: T(t) grows like e^{3t}, so the factor 2||f||_oo of the
     # bound is unfounded; a random state meets it anyway, a bump breaks it
-    grid = build_grid(1, 3.0, 30, 1)
-    dif, pot = sample_fields(lambda x: 1.0, lambda x: -3.0, grid)
-    op = assemble_operator(assemble_form(dif, pot, grid))
+    grid, op = _operator(kronecker.recipe(1, 30, 1, L=3.0, v=-3.0))
     times = (0.0625, 0.125, 0.25, 0.5, 1.0)
     met = strong_continuity_probe(op, VectorState.random(grid, np.random.default_rng(8)), times, p=4.0)
     broken = strong_continuity_probe(op, VectorState.bump(grid, 0.5), times, p=4.0)
@@ -660,7 +657,7 @@ def test_strong_continuity_without_contraction_is_untested():
 
 
 def test_strong_continuity_rejects_small_p():
-    grid, op = _harmonic_operator(N=20)
+    grid, op = _operator(_HARMONIC._replace(N=20))
     f = VectorState.random(grid, np.random.default_rng(8))
     with pytest.raises(ValueError, match="p > 2"):
         strong_continuity_probe(op, f, [0.1], p=2.0)
@@ -672,7 +669,7 @@ def test_strong_continuity_rejects_small_p():
 
 
 def test_positivity_probe_scalar_case_certified():
-    grid, op = _harmonic_operator(N=40)
+    grid, op = _operator(_HARMONIC._replace(N=40))
     f = VectorState(grid, np.maximum(1.0 - grid.node_coords()[:, 0] ** 2, 0.0))
     report = positivity_probe(op, [f], [0.01, 0.1, 1.0])
     assert report.guaranteed
@@ -681,14 +678,14 @@ def test_positivity_probe_scalar_case_certified():
 
 
 def test_positivity_probe_rejects_negative_input():
-    grid, op = _harmonic_operator(N=20)
+    grid, op = _operator(_HARMONIC._replace(N=20))
     bad = VectorState(grid, grid.node_coords()[:, 0])
     with pytest.raises(ValueError, match="nonnegative"):
         positivity_probe(op, [bad], [0.1])
 
 
 def test_positivity_probe_records_violation_for_positive_coupling():
-    grid, op = _coupled_operator(v12=0.5)
+    grid, op = _operator(kronecker.recipe(1, 40, 2, L=3.0, v=[[2.0, 0.5], [0.5, 2.0]]))
     phi = np.maximum(1.0 - np.abs(grid.axis_nodes()), 0.0)
     f = VectorState(grid, np.stack([phi, np.zeros_like(phi)]))
     report = positivity_probe(op, [f], [0.5])
@@ -698,7 +695,7 @@ def test_positivity_probe_records_violation_for_positive_coupling():
 
 
 def test_positivity_preserved_for_nonpositive_coupling():
-    grid, op = _coupled_operator(v12=-0.5)
+    grid, op = _operator(kronecker.recipe(1, 40, 2, L=3.0, v=[[2.0, -0.5], [-0.5, 2.0]]))
     phi = np.maximum(1.0 - np.abs(grid.axis_nodes()), 0.0)
     f = VectorState(grid, np.stack([phi, phi]))
     report = positivity_probe(op, [f], [0.01, 0.1, 1.0])
@@ -711,7 +708,7 @@ def test_positivity_preserved_for_nonpositive_coupling():
 
 def test_violation_witness_first_order_magnitude():
     # to leading order the j-component at the bump center is -t v_ij
-    grid, op = _coupled_operator(v12=0.5)
+    grid, op = _operator(kronecker.recipe(1, 40, 2, L=3.0, v=[[2.0, 0.5], [0.5, 2.0]]))
     report = violation_witness(op, 0, 1)
     assert report.verdict == "violation-found"
     w = report.witness
@@ -721,15 +718,15 @@ def test_violation_witness_first_order_magnitude():
 
 
 def test_violation_witness_argument_errors():
-    grid, op = _coupled_operator(v12=0.5)
+    grid, op = _operator(kronecker.recipe(1, 40, 2, L=3.0, v=[[2.0, 0.5], [0.5, 2.0]]))
     with pytest.raises(ValueError, match="distinct"):
         violation_witness(op, 0, 0)
     with pytest.raises(ValueError, match="distinct"):
         violation_witness(op, 0, 5)
-    _, op_diag = _coupled_operator(v12=0.0)
+    _, op_diag = _operator(kronecker.recipe(1, 40, 2, L=3.0, v=[[2.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ValueError, match="nothing to witness"):
         violation_witness(op_diag, 0, 1)
-    _, op_neg = _coupled_operator(v12=-0.5)
+    _, op_neg = _operator(kronecker.recipe(1, 40, 2, L=3.0, v=[[2.0, -0.5], [-0.5, 2.0]]))
     with pytest.raises(ValueError, match="nothing to witness"):
         violation_witness(op_neg, 0, 1)
 
@@ -737,7 +734,7 @@ def test_violation_witness_argument_errors():
 def test_violation_witness_not_found_is_explicit():
     # v_12 = 1e-12 lowers the second component by about t * 1e-12, far above
     # the -1e-8 ||f||_oo a witness needs, so the hunt legitimately fails
-    _, op = _coupled_operator(v12=1e-12)
+    _, op = _operator(kronecker.recipe(1, 40, 2, L=3.0, v=[[2.0, 1e-12], [1e-12, 2.0]]))
     report = violation_witness(op, 0, 1)
     assert report.verdict == "not-found"
     assert report.witness is None
